@@ -514,9 +514,7 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     target on the fully known map; inf when no such cell is reachable."""
     grid = scenario.map
     target = scenario.target
-    belief_like = BeliefMap(grid.width, grid.height, grid.resolution,
-                            np.where(grid.cells == 0, 1, 2).astype(np.uint8))
-    trav = traversable_mask(belief_like, scenario.planner.robot_radius)
+    trav = traversable_mask(BeliefMap.fully_known(grid), scenario.planner.robot_radius)
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     trav[start[1], start[0]] = True
     dist = distance_field(trav, grid.resolution, [start])

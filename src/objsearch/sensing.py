@@ -52,6 +52,12 @@ class BeliefMap:
             cells=np.zeros((grid.height, grid.width), dtype=np.uint8),
         )
 
+    @classmethod
+    def fully_known(cls, grid: GridMap) -> "BeliefMap":
+        """A belief that has observed every cell of the grid exactly."""
+        cells = np.where(grid.cells == CellState.OCCUPIED, BeliefState.OCCUPIED, BeliefState.FREE)
+        return cls(grid.width, grid.height, grid.resolution, cells.astype(np.uint8))
+
     def copy(self) -> "BeliefMap":
         return BeliefMap(self.width, self.height, self.resolution, self.cells.copy())
 

@@ -18,6 +18,7 @@ from .assets import AssetContext
 from .episode import ground_truth_shortest
 from .errors import GenerationError, SchemaError
 from .knowledge import cooccurrence
+from .planning import traversable_mask
 from .sensing import BeliefMap, line_of_sight
 from .world import (
     GridMap,
@@ -361,10 +362,7 @@ def _generate_one(
     sensor = SensorParams(**params.sensor)
     planner = PlannerParams(**params.planner)
 
-    belief_like = BeliefMap(n, n, res, np.where(occ, 2, 1).astype(np.uint8))
-    from .planning import traversable_mask
-
-    trav = traversable_mask(belief_like, planner.robot_radius)
+    trav = traversable_mask(BeliefMap.fully_known(grid), planner.robot_radius)
     start = None
     slack = _TARGET_RADIUS + 2.0 * res
     for _ in range(300):
