@@ -61,13 +61,6 @@ MERGE_RADIUS_CELLS = 2.0  # sightings within 2 x resolution merge
 _MAX_CYCLES = 10_000
 
 
-class Phase(str, Enum):
-    SCANNING = "scanning"
-    VISITING = "visiting"
-    EXPLORING = "exploring"
-    DONE = "done"
-
-
 @dataclass
 class CandidatePatch:
     """A detection that matched the target phrase above the threshold."""
@@ -87,7 +80,6 @@ class LandmarkEntry:
     position: tuple[float, float]
     cooccur: float
     sem_uncert: float
-    detection: DetectionRecord
     visited: bool = False
     skipped: bool = False  # permanently excluded by the threshold rule
 
@@ -97,9 +89,7 @@ class EpisodeState:
     pose: Pose
     belief: BeliefMap
     seed: int
-    phase: Phase = Phase.SCANNING
     registry: list[LandmarkEntry] = field(default_factory=list)
-    viewpoints: list[Viewpoint] = field(default_factory=list)
     visited: set[str] = field(default_factory=set)
     candidates: list[CandidatePatch] = field(default_factory=list)
     traveled: float = 0.0
@@ -179,7 +169,6 @@ def _register_sighting(
     name: str,
     position: tuple[float, float],
     sem_uncert: float,
-    det: DetectionRecord,
     cooccur_value: float,
 ) -> None:
     merge_radius = MERGE_RADIUS_CELLS * scenario.map.resolution
@@ -190,7 +179,6 @@ def _register_sighting(
                 entry.position = position
                 entry.cooccur = cooccur_value
                 entry.sem_uncert = sem_uncert
-                entry.detection = det
                 _emit(
                     state,
                     "landmark_update",
@@ -207,7 +195,6 @@ def _register_sighting(
         position=position,
         cooccur=cooccur_value,
         sem_uncert=sem_uncert,
-        detection=det,
     )
     state.registry.append(entry)
     _emit(
@@ -239,7 +226,7 @@ def _process_observation(
         if register_landmarks:
             if det.label != UNKNOWN_LABEL:
                 value = _target_cooccur(state, scenario, ctx, det.label, cooccur_cache)
-                _register_sighting(state, scenario, det.label, position, 0.0, det, value)
+                _register_sighting(state, scenario, det.label, position, 0.0, value)
             elif unknown_names:
                 name, score = best_landmark_match(det.patch_embedding, unknown_names, store)
                 if score > hp.m_t:
@@ -248,7 +235,7 @@ def _process_observation(
                     )
                     value = _target_cooccur(state, scenario, ctx, name, cooccur_cache)
                     _register_sighting(
-                        state, scenario, name, position, semantic_uncertainty(prob), det, value
+                        state, scenario, name, position, semantic_uncertainty(prob), value
                     )
         if match_all_labels or det.label == UNKNOWN_LABEL:
             score = matching_score(target_vec, det.patch_embedding)
@@ -473,7 +460,7 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
         if entry.visited or entry.skipped:
             continue
         vp = generate_viewpoints(
-            state.belief, entry.position, entry.detection, _current_cell(state),
+            state.belief, entry.position, _current_cell(state),
             entry.id, entry.name, entry.cooccur, entry.sem_uncert,
             planner, trav, dist,
         )
@@ -500,7 +487,6 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
         order=[vp.landmark_id for vp in ordered],
         skipped=skipped,
     )
-    state.viewpoints = candidates
     return ordered
 
 
@@ -572,7 +558,6 @@ def run_episode(
     success = False
     prev_progress: tuple | None = None
     for _ in range(_MAX_CYCLES):
-        state.phase = Phase.SCANNING
         initial_scan(state, scenario, ctx, store, cooccur_cache)
         if _judge_new_candidates(state, scenario, confirm_fn) is not None:
             success = True
@@ -590,7 +575,6 @@ def run_episode(
         prev_progress = progress
 
         ordered = _plan_cycle(state, scenario)
-        state.phase = Phase.VISITING
         stop = False
         for vp in ordered:
             outcome = visit_waypoint(state, scenario, ctx, store, vp, cooccur_cache)
@@ -606,7 +590,6 @@ def run_episode(
         if stop:
             break
 
-        state.phase = Phase.EXPLORING
         trav = _traversable_now(state, scenario)
         dist = distance_field(trav, state.belief.resolution, [_current_cell(state)])
         frontier = nearest_frontier(state.belief, state.pose, scenario.planner, trav, dist)
@@ -621,7 +604,6 @@ def run_episode(
         # NO_PATH or arrival both loop back to scanning; the progress guard
         # catches the case where nothing changed.
 
-    state.phase = Phase.DONE
     _emit(
         state,
         "episode_end",

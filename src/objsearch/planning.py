@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import DomainError, NoPathError
-from .sensing import BeliefMap, BeliefState, DetectionRecord
+from .sensing import BeliefMap, BeliefState
 from .world import HyperParams, PlannerParams, Pose, normalize_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -45,7 +45,6 @@ class Viewpoint:
     pose: Pose
     cooccur: float
     sem_uncert: float
-    detection: DetectionRecord | None = None
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.cooccur <= 1.0:
@@ -255,7 +254,6 @@ def distance_field(
 def generate_viewpoints(
     belief: BeliefMap,
     landmark_position: tuple[float, float],
-    detection: DetectionRecord | None,
     robot_cell: tuple[int, int],
     landmark_id: str,
     landmark_name: str,
@@ -302,7 +300,6 @@ def generate_viewpoints(
             pose=Pose(px, py, theta),
             cooccur=cooccur,
             sem_uncert=sem_uncert,
-            detection=detection,
         )
         best_dist = dist
     return best

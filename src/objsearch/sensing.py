@@ -58,9 +58,6 @@ class BeliefMap:
         cells = np.where(grid.cells == CellState.OCCUPIED, BeliefState.OCCUPIED, BeliefState.FREE)
         return cls(grid.width, grid.height, grid.resolution, cells.astype(np.uint8))
 
-    def copy(self) -> "BeliefMap":
-        return BeliefMap(self.width, self.height, self.resolution, self.cells.copy())
-
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
 
@@ -72,9 +69,6 @@ class BeliefMap:
 
     def known_count(self) -> int:
         return int((self.cells != BeliefState.UNKNOWN).sum())
-
-    def free_count(self) -> int:
-        return int((self.cells == BeliefState.FREE).sum())
 
 
 @dataclass(frozen=True)
