@@ -5,13 +5,9 @@ from .batch import AggregateReport, RunConfig, run_batch
 from .episode import EpisodeResult, oracle_confirm, run_episode
 from .knowledge import GenerationTable, WordVectorStore, cooccurrence, phrase_vector
 from .matching import (
-    PromptSet,
     TextEmbeddingStore,
-    identify_unknown_landmark,
     landmark_probability,
     matching_score,
-    objectness_score,
-    select_pseudo_annotations,
     semantic_uncertainty,
 )
 from .metrics import iou_ioa, spl

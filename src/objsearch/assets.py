@@ -8,13 +8,13 @@ vectors or generation tables.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import AssetError, EmbeddingLookupError
 from .knowledge import GenerationTable, WordVectorStore
-from .matching import PromptSet, TextEmbeddingStore
+from .matching import TextEmbeddingStore
 from .world import ScenarioSpec
 
 ASSET_ENV_VAR = "OBJSEARCH_ASSETS"
@@ -39,7 +39,6 @@ class AssetContext:
 
     words: WordVectorStore
     generations: GenerationTable
-    prompts: PromptSet = field(default_factory=PromptSet)
     p_fallback: float = 0.5
 
     @classmethod
@@ -52,8 +51,7 @@ class AssetContext:
 
     def text_store_for(self, scenario: ScenarioSpec) -> TextEmbeddingStore:
         """Embed every phrase an episode will look up; fails fast on gaps."""
-        phrases = scenario.entity_names() + list(self.prompts.prompts)
         try:
-            return TextEmbeddingStore.from_word_vectors(self.words, phrases)
+            return TextEmbeddingStore.from_word_vectors(self.words, scenario.entity_names())
         except EmbeddingLookupError as exc:
             raise AssetError(f"scenario references unembeddable phrase: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Embedding-space matching: scores, objectness, name probabilities, entropy.
+"""Embedding-space matching: scores, name probabilities, entropy.
 
 Text and patch embeddings share one space; phrases are encoded by averaging
 word vectors (see :mod:`objsearch.knowledge`) so a text store can be derived
@@ -8,41 +8,17 @@ makes the matching threshold ``m_t`` a threshold on cosine similarity / 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import AssetError, DomainError, EmbeddingLookupError
+from .errors import DomainError, EmbeddingLookupError
 from .knowledge import WordVectorStore, phrase_vector
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sensing import DetectionRecord
 
 EMBEDDING_DIM_DEFAULT = 64
 UNKNOWN_LABEL = "unknown"
 UNIT_NORM_TOL = 1e-6
 SCORE_SCALE = 100.0
-OBJECTNESS_THRESHOLD = 0.9
-
-# Generic object-vs-background prompt bank: the first three phrases describe
-# scenes without a salient object, the rest broad object categories.
-DEFAULT_PROMPTS: tuple[str, ...] = (
-    "a photo of background",
-    "a photo of road scene",
-    "a photo of house scene",
-    "a photo of animal",
-    "a photo of fashion accessory",
-    "a photo of transport",
-    "a photo of traffic sign",
-    "a photo of home appliance",
-    "a photo of food",
-    "a photo of sport equipment",
-    "a photo of furniture",
-    "a photo of office supplies",
-    "a photo of electronics",
-    "a photo of kitchenware",
-)
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -61,20 +37,6 @@ def _require_unit(v: np.ndarray, what: str) -> np.ndarray:
     if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"{what}: vector is not unit-norm")
     return v
-
-
-@dataclass(frozen=True)
-class PromptSet:
-    """Ordered prompt phrases; the first ``background_count`` are background."""
-
-    prompts: tuple[str, ...] = DEFAULT_PROMPTS
-    background_count: int = 3
-
-    def __post_init__(self) -> None:
-        if len(self.prompts) != 14:
-            raise DomainError(f"prompt set must have 14 phrases, got {len(self.prompts)}")
-        if self.background_count != 3:
-            raise DomainError("prompt set must start with exactly 3 background phrases")
 
 
 class TextEmbeddingStore:
@@ -108,102 +70,12 @@ class TextEmbeddingStore:
         """Encode phrases by their unit-normalized mean word vector."""
         return cls({p: phrase_vector(p, store) for p in phrases})
 
-    @classmethod
-    def loads(cls, text: str) -> "TextEmbeddingStore":
-        """Parse the ``"phrase" v1 v2 ... vD`` line format."""
-        embeddings: dict[str, np.ndarray] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not line.startswith('"'):
-                raise AssetError(f"embedding store line {lineno}: phrase must be quoted")
-            end = line.find('"', 1)
-            if end < 0:
-                raise AssetError(f"embedding store line {lineno}: unterminated quote")
-            phrase = line[1:end]
-            try:
-                vec = np.array([float(p) for p in line[end + 1 :].split()], dtype=np.float64)
-            except ValueError as exc:
-                raise AssetError(f"embedding store line {lineno}: {exc}") from exc
-            if vec.size == 0:
-                raise AssetError(f"embedding store line {lineno}: no values after phrase")
-            embeddings[phrase] = vec
-        return cls(embeddings)
-
-    @classmethod
-    def load(cls, path) -> "TextEmbeddingStore":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.loads(fh.read())
-        except OSError as exc:
-            raise AssetError(f"cannot read embedding store from {path}: {exc}") from exc
-
-    def dumps(self) -> str:
-        lines = []
-        for phrase in sorted(self._embeddings):
-            values = " ".join(f"{v:.8f}" for v in self._embeddings[phrase])
-            lines.append(f'"{phrase}" {values}')
-        return "\n".join(lines) + "\n"
-
 
 def matching_score(text: np.ndarray, patch: np.ndarray) -> float:
     """Text-image matching score: 100 x cosine of two unit vectors."""
     text = _require_unit(text, "text embedding")
     patch = _require_unit(patch, "patch embedding")
     return float(SCORE_SCALE * np.dot(patch, text))
-
-
-def objectness_score(
-    patch: np.ndarray,
-    prompts: PromptSet,
-    store: TextEmbeddingStore,
-    literal_ratio: bool = False,
-) -> float:
-    """One minus the background share of the patch's prompt similarities.
-
-    The default normalizes similarities with a softmax over 100 x cosine;
-    ``literal_ratio`` divides raw dot products instead, which is not a valid
-    distribution when similarities are negative (kept for comparison only).
-    """
-    patch = _require_unit(patch, "patch embedding")
-    sims = np.array([float(np.dot(patch, store.get(p))) for p in prompts.prompts])
-    if literal_ratio:
-        denom = float(sims.sum())
-        if abs(denom) < 1e-12:
-            raise DomainError("literal objectness ratio undefined: similarities sum to zero")
-        shares = sims / denom
-    else:
-        logits = SCORE_SCALE * sims
-        shifted = np.exp(logits - logits.max())
-        shares = shifted / shifted.sum()
-    return float(1.0 - shares[: prompts.background_count].sum())
-
-
-def pseudo_annotation_count(iteration: int, max_iterations: int) -> int:
-    """Annotation budget k, growing linearly from 1 to 4 over training."""
-    if max_iterations <= 0:
-        raise DomainError("max_iterations must be positive")
-    if not 0 <= iteration <= max_iterations:
-        raise DomainError(f"iteration {iteration} outside [0, {max_iterations}]")
-    return (3 * iteration) // max_iterations + 1
-
-
-def select_pseudo_annotations(
-    candidates: Sequence[tuple[Any, float]],
-    iteration: int,
-    max_iterations: int,
-    threshold: float = OBJECTNESS_THRESHOLD,
-) -> list[tuple[Any, float]]:
-    """Top-k candidates by objectness among those above the threshold.
-
-    Ties break by candidate index, so the selection is stable under reordering
-    of equal scores.  Fewer than k are returned when fewer qualify.
-    """
-    k = pseudo_annotation_count(iteration, max_iterations)
-    qualified = [i for i, (_, score) in enumerate(candidates) if score > threshold]
-    qualified.sort(key=lambda i: (-candidates[i][1], i))
-    return [candidates[i] for i in qualified[:k]]
 
 
 def landmark_probability(
@@ -248,13 +120,3 @@ def best_landmark_match(
         if score > best_score:
             best_name, best_score = name, score
     return best_name, best_score
-
-
-def identify_unknown_landmark(
-    det: "DetectionRecord", names: Sequence[str], store: TextEmbeddingStore
-) -> str:
-    """Name an unknown-labeled detection by its best text-image match."""
-    if det.label != UNKNOWN_LABEL:
-        raise DomainError(f"detection already has known label {det.label!r}")
-    name, _ = best_landmark_match(det.patch_embedding, names, store)
-    return name

@@ -6,18 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.errors import DomainError, EmbeddingLookupError
-from objsearch.knowledge import WordVectorStore
 from objsearch.matching import (
-    DEFAULT_PROMPTS,
-    PromptSet,
     TextEmbeddingStore,
     UNKNOWN_LABEL,
     best_landmark_match,
     landmark_probability,
     matching_score,
-    objectness_score,
-    pseudo_annotation_count,
-    select_pseudo_annotations,
     semantic_uncertainty,
     unit,
 )
@@ -61,98 +55,6 @@ class TestMatchingScore:
         assert matching_score(a, b) == pytest.approx(matching_score(b, a), abs=1e-12)
         assert matching_score(-a, -b) == pytest.approx(matching_score(a, b), abs=1e-12)
         assert -100.0 - 1e-9 <= matching_score(a, b) <= 100.0 + 1e-9
-
-
-class TestObjectness:
-    def test_prompt_set_shape(self):
-        assert len(DEFAULT_PROMPTS) == 14
-        ps = PromptSet()
-        assert ps.background_count == 3
-        with pytest.raises(DomainError):
-            PromptSet(prompts=DEFAULT_PROMPTS[:10])
-
-    def test_equidistant_symmetric_case(self):
-        # equal positive similarity to all 14 prompts: every share is 1/14
-        dim = 20
-        vecs = {}
-        for i, p in enumerate(DEFAULT_PROMPTS):
-            v = np.zeros(dim)
-            v[i] = 1.0
-            vecs[p] = v
-        patch = unit(sum(vecs.values()))
-        store = store_of(vecs)
-        expected = 1.0 - 3.0 / 14.0
-        assert objectness_score(patch, PromptSet(), store) == pytest.approx(
-            expected, abs=1e-12
-        )
-        # the symmetric case also holds for the literal-ratio variant
-        assert objectness_score(
-            patch, PromptSet(), store, literal_ratio=True
-        ) == pytest.approx(expected, abs=1e-9)
-
-    def test_pure_background_patch_scores_near_zero(self):
-        dim = 8
-        bg = unit(np.ones(dim))
-        vecs = {}
-        for i, p in enumerate(DEFAULT_PROMPTS):
-            vecs[p] = bg if i < 3 else -bg
-        store = store_of(vecs)
-        score = objectness_score(bg, PromptSet(), store)
-        assert score < 0.01
-
-    def test_range_bounds(self):
-        rng = np.random.default_rng(5)
-        store = store_of({p: rand_unit(rng, 24) for p in DEFAULT_PROMPTS})
-        for _ in range(50):
-            s = objectness_score(rand_unit(rng, 24), PromptSet(), store)
-            assert 0.0 <= s <= 1.0
-
-    def test_missing_prompt_embedding(self):
-        store = store_of({DEFAULT_PROMPTS[0]: np.array([1.0, 0.0])})
-        with pytest.raises(EmbeddingLookupError):
-            objectness_score(np.array([1.0, 0.0]), PromptSet(), store)
-
-
-class TestPseudoAnnotations:
-    def test_budget_formula(self):
-        assert pseudo_annotation_count(0, 100) == 1
-        assert pseudo_annotation_count(100, 100) == 4
-        assert pseudo_annotation_count(1, 3) == 2  # iter = max/3
-        assert pseudo_annotation_count(100, 300) == 2
-
-    def test_budget_monotone_in_iter(self):
-        last = 0
-        for it in range(0, 301):
-            k = pseudo_annotation_count(it, 300)
-            assert k >= last
-            last = k
-
-    def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            pseudo_annotation_count(0, 0)
-        with pytest.raises(DomainError):
-            pseudo_annotation_count(5, 4)
-        with pytest.raises(DomainError):
-            select_pseudo_annotations([], 0, 0)
-
-    def test_selection_filters_and_ranks(self):
-        cands = [("a", 0.95), ("b", 0.5), ("c", 0.99), ("d", 0.92), ("e", 0.97), ("f", 0.91)]
-        # k = 4 at iter == max_iter
-        top = select_pseudo_annotations(cands, 10, 10)
-        assert [c[0] for c in top] == ["c", "e", "a", "d"]
-
-    def test_fewer_than_k_when_few_qualify(self):
-        cands = [("a", 0.91), ("b", 0.2)]
-        assert len(select_pseudo_annotations(cands, 10, 10)) == 1
-
-    def test_none_qualify(self):
-        cands = [("a", 0.9), ("b", 0.89)]  # threshold is strict
-        assert select_pseudo_annotations(cands, 10, 10) == []
-
-    def test_stable_tiebreak_by_index(self):
-        cands = [("a", 0.95), ("b", 0.95), ("c", 0.95)]
-        assert [c[0] for c in select_pseudo_annotations(cands, 0, 10)] == ["a"]
-        assert [c[0] for c in select_pseudo_annotations(cands, 10, 10)] == ["a", "b", "c"]
 
 
 class TestLandmarkProbability:
@@ -276,31 +178,16 @@ class TestIdentifyUnknown:
             by_cosine = max(names, key=lambda n: float(np.dot(store.get(n), patch)))
             assert by_score == by_cosine
 
-    def test_requires_unknown_label(self):
-        from objsearch.matching import identify_unknown_landmark
-
-        class FakeDet:
-            label = "sofa"
-            patch_embedding = np.array([1.0, 0.0])
-
-        store = store_of({"desk": np.array([1.0, 0.0])})
-        with pytest.raises(DomainError):
-            identify_unknown_landmark(FakeDet(), ["desk"], store)
-
 
 class TestTextEmbeddingStore:
-    def test_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        store = store_of({"coffee table": rand_unit(rng, 8), "desk": rand_unit(rng, 8)})
-        path = tmp_path / "emb.txt"
-        path.write_text(store.dumps(), encoding="utf-8")
-        loaded = TextEmbeddingStore.load(path)
-        for phrase in ("coffee table", "desk"):
-            np.testing.assert_allclose(loaded.get(phrase), store.get(phrase), atol=1e-7)
-
     def test_loader_normalizes(self):
-        loaded = TextEmbeddingStore.loads('"desk" 3.0 0.0 0.0 4.0\n')
-        np.testing.assert_allclose(loaded.get("desk"), [0.6, 0.0, 0.0, 0.8])
+        store = TextEmbeddingStore({"desk": np.array([3.0, 0.0, 0.0, 4.0])})
+        np.testing.assert_allclose(store.get("desk"), [0.6, 0.0, 0.0, 0.8])
+
+    def test_missing_phrase_raises(self):
+        store = store_of({"desk": np.array([1.0, 0.0])})
+        with pytest.raises(EmbeddingLookupError):
+            store.get("sofa")
 
     def test_unknown_label_constant(self):
         assert UNKNOWN_LABEL == "unknown"
