@@ -11,15 +11,6 @@ from .matching import (
     semantic_uncertainty,
 )
 from .metrics import iou_ioa, spl
-from .mixture import (
-    MixtureOutput,
-    UncertaintyStats,
-    aleatoric,
-    calibrate,
-    classification_loss,
-    epistemic,
-    relabel_unknown,
-)
 from .planning import (
     Frontier,
     Path,

@@ -2,9 +2,10 @@
 
 The camera stands in for a trained open-set detector.  Every landmark or
 object that is in range, inside the field of view and not occluded yields a
-detection whose patch embedding is its name embedding plus seeded noise, and
-whose mixture head output is synthesized from similarities to the known-class
-text embeddings.  Everything is a pure function of (inputs, rng stream).
+detection whose patch embedding is its name embedding plus seeded noise.
+Landmarks of the known class set keep their name as the label; everything
+else is labelled unknown and must be named by text-image matching.
+Everything is a pure function of (inputs, rng stream).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 from .matching import UNKNOWN_LABEL, TextEmbeddingStore, unit
-from .mixture import MixtureOutput
 from .world import CellState, GridMap, Pose, ScenarioSpec, normalize_angle, raycast_batch
 
 IMAGE_WIDTH = 640.0
@@ -108,7 +108,6 @@ class DetectionRecord:
     label: str
     bbox: BBox
     patch_embedding: np.ndarray
-    mixture: MixtureOutput
     range: float
     bearing: float
 
@@ -183,30 +182,6 @@ def line_of_sight(
     return (not bool(blocked[0])) or float(dist[0]) >= distance - slack
 
 
-def _synthesize_mixture(
-    emb: np.ndarray,
-    known_classes: list[str],
-    store: TextEmbeddingStore,
-    mixtures: int,
-    sigma_mix: float,
-    rng: np.random.Generator,
-) -> MixtureOutput:
-    """Mixture head output from known-class similarities plus seeded noise."""
-    base = [100.0 * float(np.dot(emb, store.get(c))) for c in known_classes]
-    base.extend([0.0, 0.0])  # background and unknown offsets
-    logits = np.tile(np.asarray(base, dtype=np.float64), (mixtures, 1))
-    if sigma_mix > 0.0:
-        logits = logits + sigma_mix * rng.standard_normal(logits.shape)
-        weight_scores = sigma_mix * rng.standard_normal(mixtures)
-    else:
-        weight_scores = np.zeros(mixtures)
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    mu = shifted / shifted.sum(axis=1, keepdims=True)
-    wshift = np.exp(weight_scores - weight_scores.max())
-    pi = wshift / wshift.sum()
-    return MixtureOutput(pi=pi, mu=mu)
-
-
 def camera_observe(
     scenario: ScenarioSpec,
     store: TextEmbeddingStore,
@@ -226,7 +201,6 @@ def camera_observe(
     hp = scenario.hyperparams
     sp = scenario.sensor
     half_fov = hp.fov / 2.0
-    known_classes = scenario.known_classes
     origin = (pose.x, pose.y)
     res = grid.resolution
 
@@ -254,14 +228,12 @@ def camera_observe(
             emb = unit(canonical + sp.sigma_emb * rng.standard_normal(canonical.shape[0]))
         else:
             emb = canonical
-        mix = _synthesize_mixture(emb, known_classes, store, sp.mixtures, sp.sigma_mix, rng)
         detections.append(
             DetectionRecord(
                 source_object=entity_id,
                 label=name if known else UNKNOWN_LABEL,
                 bbox=bbox_from_geometry(rel, distance, radius, hp.fov),
                 patch_embedding=emb,
-                mixture=mix,
                 range=distance,
                 bearing=rel,
             )
@@ -277,14 +249,12 @@ def camera_observe(
             continue
         distance = rng.uniform(_CLUTTER_MIN_RANGE, limit)
         emb = unit(rng.standard_normal(store.get(scenario.target_phrase).shape[0]))
-        mix = _synthesize_mixture(emb, known_classes, store, sp.mixtures, sp.sigma_mix, rng)
         detections.append(
             DetectionRecord(
                 source_object=CLUTTER_SOURCE,
                 label=UNKNOWN_LABEL,
                 bbox=bbox_from_geometry(rel, distance, _CLUTTER_RADIUS, hp.fov),
                 patch_embedding=emb,
-                mixture=mix,
                 range=distance,
                 bearing=rel,
             )

@@ -179,10 +179,8 @@ class SensorParams:
     lidar_rays: int = 360
     lidar_range: float = 3.5
     sigma_emb: float = 0.05  # noise scale added to canonical patch embeddings
-    sigma_mix: float = 1.0  # per-mixture logit noise scale
     p_miss: float = 0.0  # probability of dropping a visible detection
     clutter: int = 0  # spurious detections added per camera frame
-    mixtures: int = 5  # mixture count J of the synthetic classification head
 
 
 @dataclass(frozen=True)
@@ -212,11 +210,6 @@ class ScenarioSpec:
     @property
     def target(self) -> ObjectSpec:
         return next(o for o in self.objects if o.is_target)
-
-    @property
-    def known_classes(self) -> list[str]:
-        """Deterministic label set of the closed-set detector head."""
-        return sorted({lm.name for lm in self.landmarks if lm.known})
 
     @property
     def unknown_landmark_names(self) -> list[str]:

@@ -17,7 +17,7 @@ from objsearch.suitegen import SuiteParams, generate_suite
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
-TRACE_SHA256 = "1b48c7d57111d5fcca49f1f8bee0b0be4fe8ca4ede55e29d4501092e3493d899"
+TRACE_SHA256 = "c9027593f8eb429d7b730c6b08f272e984d447dc5ea6dafabe1d90531a9b9330"
 RECORDS_SHA256 = "8f41f5871dce475b0b5399893d295921ac539e67d512badcf403ecfd316b5196"
 
 
