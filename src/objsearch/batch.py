@@ -21,7 +21,14 @@ from .episode import run_episode
 from .errors import DomainError, SchemaError
 from .metrics import mean_waypoints, spl, success_rate
 from .suitegen import SuiteParams, generate_suite, suite_params_from_dict
-from .world import ScenarioSpec, load_scenario_file
+from .world import (
+    ScenarioSpec,
+    _integer,
+    _reject_unknown,
+    _string,
+    _strings,
+    load_scenario_file,
+)
 
 PRESETS = ("full", "nearest_point", "no_cooccurrence", "no_uncertainty", "web_table")
 
@@ -46,6 +53,8 @@ class RunConfig:
             raise DomainError("episodes must be >= 1")
         if self.parallelism < 1:
             raise DomainError("parallelism must be >= 1")
+        if self.seed_base < 0 or self.suite_seed < 0:
+            raise DomainError("seed_base and suite_seed must be >= 0")
         if bool(self.scenario_paths) == (self.suite is not None):
             raise DomainError("exactly one of scenario_paths or suite must be given")
 
@@ -226,9 +235,9 @@ def score_records(records: list[EpisodeRecord], preset: str = "scored") -> Aggre
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    """Parse a batch-config JSON document."""
+    """Parse a batch-config JSON document, with the scenario parser's strictness."""
     if not isinstance(doc, dict):
-        raise SchemaError("batch config: expected a JSON object")
+        raise SchemaError("batch: expected a JSON object")
     allowed = {
         "preset",
         "episodes",
@@ -239,20 +248,15 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         "suite",
         "suite_seed",
     }
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"batch config: unknown keys {sorted(unknown)}")
-    suite = None
-    if "suite" in doc:
-        suite = suite_params_from_dict(doc["suite"])
-    paths = tuple(Path(p) for p in doc.get("scenarios", []))
+    _reject_unknown(doc, allowed, "batch")
+    paths = tuple(Path(p) for p in _strings(doc.get("scenarios", []), "batch.scenarios"))
     return RunConfig(
-        preset=doc.get("preset", "full"),
-        episodes=int(doc.get("episodes", len(paths) if paths else 1)),
-        seed_base=int(doc.get("seed_base", 0)),
-        parallelism=int(doc.get("parallelism", 1)),
-        out_dir=Path(doc["out"]) if "out" in doc else None,
+        preset=_string(doc.get("preset", "full"), "batch.preset"),
+        episodes=_integer(doc.get("episodes", len(paths) or 1), "batch.episodes"),
+        seed_base=_integer(doc.get("seed_base", 0), "batch.seed_base"),
+        parallelism=_integer(doc.get("parallelism", 1), "batch.parallelism"),
+        out_dir=Path(_string(doc["out"], "batch.out")) if "out" in doc else None,
         scenario_paths=paths,
-        suite=suite,
-        suite_seed=int(doc.get("suite_seed", 0)),
+        suite=suite_params_from_dict(doc["suite"]) if "suite" in doc else None,
+        suite_seed=_integer(doc.get("suite_seed", 0), "batch.suite_seed"),
     )

@@ -24,9 +24,9 @@ from .batch import (
     PRESETS,
 )
 from .episode import CandidatePatch, run_episode, trace_to_jsonl
-from .errors import ObjSearchError
+from .errors import ObjSearchError, SchemaError
 from .suitegen import generate_suite, suite_params_from_dict
-from .world import ScenarioSpec, load_scenario_file, serialize_scenario
+from .world import ScenarioSpec, _integer, load_scenario_file, serialize_scenario
 
 
 def _interactive_confirm(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
@@ -55,19 +55,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.success else 1
 
 
+def _load_json(path: Path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    config = run_config_from_dict(doc)
+    config = run_config_from_dict(_load_json(args.config))
     report = run_batch(config, asset_root=args.assets)
     print(report.summary_table(), end="")
     return 0
 
 
 def _cmd_gen_suite(args: argparse.Namespace) -> int:
-    with open(args.params, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    seed = int(doc.pop("seed", 0))
+    doc = _load_json(args.params)
+    if not isinstance(doc, dict):
+        raise SchemaError("suite: expected an object")
+    seed = _integer(doc.pop("seed", 0), "suite.seed")
     params = suite_params_from_dict(doc)
     ctx = AssetContext.load(root=args.assets)
     scenarios = generate_suite(params, seed, ctx=ctx)

@@ -544,6 +544,8 @@ def run_episode(
         confirm_fn = _confirm_candidate
     store = ctx.text_store_for(scenario)
     episode_seed = scenario.seed if seed is None else seed
+    if episode_seed < 0:
+        raise DomainError(f"episode seed {episode_seed} must be >= 0")
 
     state = EpisodeState(
         pose=scenario.start,

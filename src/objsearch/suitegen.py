@@ -16,7 +16,7 @@ import numpy as np
 
 from .assets import AssetContext
 from .episode import ground_truth_shortest
-from .errors import GenerationError, SchemaError
+from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrence
 from .planning import traversable_mask
 from .sensing import BeliefMap, line_of_sight
@@ -29,6 +29,12 @@ from .world import (
     Pose,
     ScenarioSpec,
     SensorParams,
+    _integer,
+    _number,
+    _parse_config,
+    _reject_unknown,
+    _string,
+    _strings,
     footprint_cells,
     load_scenario,
     serialize_scenario,
@@ -90,6 +96,8 @@ class SuiteParams:
             raise SchemaError("suite.landmarks: must be in 3..8")
         if not 8.0 <= self.map_side <= 20.0:
             raise SchemaError("suite.map_side: must be in 8..20 meters")
+        if not self.resolution > 0.0:
+            raise SchemaError("suite.resolution: must be positive")
         if self.placement not in ("cooccurrence", "uniform"):
             raise SchemaError("suite.placement: expected 'cooccurrence' or 'uniform'")
         if not 0 <= self.known_landmarks <= self.landmarks:
@@ -98,18 +106,52 @@ class SuiteParams:
             raise SchemaError("suite.distractors: must be >= 0")
 
 
+def _weights(value, where: str) -> dict[str, float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return {k: _number(v, f"{where}.{k}") for k, v in value.items()}
+
+
+def _config_fields(cls: type):
+    """Parser for a partial scenario config section, kept as a dict of its given keys."""
+
+    def parse(value, where: str) -> dict:
+        parsed = _parse_config(value, cls, where)
+        return {name: getattr(parsed, name) for name in value or {}}
+
+    return parse
+
+
+_SUITE_FIELDS = {
+    "count": _integer,
+    "rooms": _integer,
+    "landmarks": _integer,
+    "map_side": _number,
+    "resolution": _number,
+    "known_landmarks": _integer,
+    "distractors": _integer,
+    "targets": _strings,
+    "known_pool": _strings,
+    "unknown_pool": _strings,
+    "placement": _string,
+    "placement_weights": _weights,
+    "placement_power": _number,
+    "hyperparams": _config_fields(HyperParams),
+    "sensor": _config_fields(SensorParams),
+    "planner": _config_fields(PlannerParams),
+}
+
+
 def suite_params_from_dict(doc: dict) -> SuiteParams:
+    """Parse generator settings from JSON, with the scenario parser's strictness."""
     if not isinstance(doc, dict):
-        raise SchemaError("suite params: expected an object")
-    allowed = {f for f in SuiteParams.__dataclass_fields__}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"suite params: unknown keys {sorted(unknown)}")
-    doc = dict(doc)
-    for key in ("targets", "known_pool", "unknown_pool"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    return SuiteParams(**doc)
+        raise SchemaError("suite: expected an object")
+    _reject_unknown(doc, set(_SUITE_FIELDS), "suite")
+    return SuiteParams(
+        **{key: _SUITE_FIELDS[key](value, f"suite.{key}") for key, value in doc.items()}
+    )
 
 
 def _pick(rng: np.random.Generator, items: Sequence):
@@ -399,6 +441,8 @@ def generate_suite(
     params: SuiteParams, seed: int, ctx: AssetContext | None = None
 ) -> list[ScenarioSpec]:
     """Generate ``params.count`` validated scenarios, deterministically."""
+    if seed < 0:
+        raise DomainError(f"suite seed {seed} must be >= 0")
     if ctx is None:
         ctx = AssetContext.load()
     scenarios: list[ScenarioSpec] = []

@@ -368,6 +368,12 @@ def _string(value: Any, where: str) -> str:
     return value
 
 
+def _strings(value: Any, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list of strings")
+    return tuple(_string(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
 def _boolean(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where}: expected a boolean, got {type(value).__name__}")
@@ -410,9 +416,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     if not isinstance(map_doc, dict):
         raise SchemaError("scenario.map: expected an object")
     _reject_unknown(map_doc, {"rows", "resolution"}, "scenario.map")
-    rows = _require(map_doc, "rows", "scenario.map")
-    if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
-        raise SchemaError("scenario.map.rows: expected a list of strings")
+    rows = _strings(_require(map_doc, "rows", "scenario.map"), "scenario.map.rows")
     resolution = _number(_require(map_doc, "resolution", "scenario.map"), "scenario.map.resolution")
     grid = GridMap.from_rows(rows, resolution)
 
