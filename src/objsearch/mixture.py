@@ -5,6 +5,9 @@ the weighted disagreement of the mixtures, aleatoric uncertainty the weighted
 entropy within them, and their sum feeds a Gaussian-CDF rule that relabels
 overly uncertain detections as unknown.  The classification loss is provided
 as a value-only function; no gradients are computed anywhere.
+
+This is a standalone library: the synthetic camera does not produce head
+outputs, and the episode loop does not call it.
 """
 
 from __future__ import annotations
