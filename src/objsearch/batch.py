@@ -23,8 +23,11 @@ from .metrics import mean_waypoints, spl, success_rate
 from .suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from .world import (
     ScenarioSpec,
+    _boolean,
     _integer,
+    _number,
     _reject_unknown,
+    _require,
     _string,
     _strings,
     load_scenario_file,
@@ -197,25 +200,35 @@ def write_report(report: AggregateReport, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text(report.summary_table(), encoding="utf-8")
 
 
+_RECORD_KEYS = {f.name for f in dataclasses.fields(EpisodeRecord)}
+
+
 def load_records_jsonl(text: str) -> list[EpisodeRecord]:
+    """Parse records written by :func:`records_to_jsonl`, rejecting loose types."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"records line {lineno}"
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"records line {lineno}: invalid JSON ({exc})") from exc
+            raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{where}: expected an object")
+        _reject_unknown(doc, _RECORD_KEYS, where)
         shortest = doc.get("shortest")
         records.append(
             EpisodeRecord(
-                episode=int(doc["episode"]),
-                scenario=str(doc.get("scenario", "")),
-                seed=int(doc.get("seed", 0)),
-                success=bool(doc["success"]),
-                traveled=float(doc["traveled"]),
-                shortest=float("inf") if shortest is None else float(shortest),
-                waypoints_visited=int(doc["waypoints_visited"]),
+                episode=_integer(_require(doc, "episode", where), f"{where}.episode"),
+                scenario=_string(doc.get("scenario", ""), f"{where}.scenario"),
+                seed=_integer(doc.get("seed", 0), f"{where}.seed"),
+                success=_boolean(_require(doc, "success", where), f"{where}.success"),
+                traveled=_number(_require(doc, "traveled", where), f"{where}.traveled"),
+                shortest=math.inf if shortest is None else _number(shortest, f"{where}.shortest"),
+                waypoints_visited=_integer(
+                    _require(doc, "waypoints_visited", where), f"{where}.waypoints_visited"
+                ),
             )
         )
     if not records:

@@ -5,6 +5,14 @@ call uses a stream keyed by (scenario seed, call counter), so a scenario and
 seed replay to a bit-identical trace.  The trace is a list of plain dicts
 with a stable schema; ``plan`` events carry the full candidate set so the
 greedy ordering can be replayed from the trace alone.
+
+Within one ``run_episode`` call the loop reuses work it has already done,
+resting on two facts: the world is static, and a belief cell never changes
+value once known (a sweep only writes true cell states).  So a lidar sweep
+from a point already swept in this episode is skipped, and
+``belief.known_count()`` identifies the belief exactly: the traversable mask
+and the distance field are reused, read-only, while (known count, robot cell)
+is unchanged.  Nothing is reused across episodes.
 """
 
 from __future__ import annotations
@@ -85,6 +93,15 @@ class LandmarkEntry:
 
 
 @dataclass
+class _NavMaps:
+    """Read-only planning layers for one (known cell count, robot cell) key."""
+
+    key: tuple[int, tuple[int, int]]
+    trav: np.ndarray
+    dist: np.ndarray | None = None
+
+
+@dataclass
 class EpisodeState:
     pose: Pose
     belief: BeliefMap
@@ -98,6 +115,9 @@ class EpisodeState:
     confirm_cursor: int = 0  # candidates before this index are already judged
     trace: list[dict] = field(default_factory=list)
     fallback_flagged: bool = False
+    # Per-episode reuse; see the module docstring.
+    swept: set[tuple[float, float]] = field(default_factory=set)
+    nav_maps: _NavMaps | None = None
 
 
 @dataclass
@@ -256,10 +276,7 @@ def initial_scan(
     """One lidar sweep plus a full camera rotation; registers landmarks and
     matches the target on every detection."""
     hp = scenario.hyperparams
-    lidar_update(
-        state.belief, scenario.map, state.pose, scenario.sensor.lidar_rays,
-        scenario.sensor.lidar_range,
-    )
+    _sweep(state, scenario)
     detections = 0
     for h in range(hp.scan_headings):
         heading = 2.0 * math.pi * h / hp.scan_headings
@@ -331,10 +348,39 @@ def _current_cell(state: EpisodeState) -> tuple[int, int]:
     return state.belief.world_to_cell(state.pose.x, state.pose.y)
 
 
+def _sweep(state: EpisodeState, scenario: ScenarioSpec) -> None:
+    """Lidar sweep from the current pose, unless this episode already swept
+    from the same point: the repeat would write the same cells again."""
+    origin = (state.pose.x, state.pose.y)
+    if origin not in state.swept:
+        lidar_update(state.belief, scenario.map, state.pose, scenario.sensor.lidar_rays,
+                     scenario.sensor.lidar_range)
+        state.swept.add(origin)
+
+
+def _nav_maps(state: EpisodeState, scenario: ScenarioSpec) -> _NavMaps:
+    cell = _current_cell(state)
+    key = (state.belief.known_count(), cell)
+    if state.nav_maps is None or state.nav_maps.key != key:
+        radius = scenario.planner.robot_radius
+        trav = clear_robot_disk(traversable_mask(state.belief, radius), state.belief, cell, radius)
+        trav.setflags(write=False)
+        state.nav_maps = _NavMaps(key, trav)
+    return state.nav_maps
+
+
 def _traversable_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
-    trav = traversable_mask(state.belief, scenario.planner.robot_radius)
-    return clear_robot_disk(trav, state.belief, _current_cell(state),
-                            scenario.planner.robot_radius)
+    """Inflated traversable mask for the current belief and robot cell."""
+    return _nav_maps(state, scenario).trav
+
+
+def _distance_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
+    """Travel distance field from the robot cell over the traversable mask."""
+    maps = _nav_maps(state, scenario)
+    if maps.dist is None:
+        maps.dist = distance_field(maps.trav, state.belief.resolution, [maps.key[1]])
+        maps.dist.setflags(write=False)
+    return maps.dist
 
 
 def _walk(
@@ -346,7 +392,6 @@ def _walk(
     refresh reveals the remainder of the path is no longer traversable.
     """
     planner = scenario.planner
-    sensor = scenario.sensor
     res = state.belief.resolution
     cells = path.cells
     walked = 0.0
@@ -360,11 +405,9 @@ def _walk(
         walked += step
         last = k == len(cells) - 1
         if last or k % planner.step_interval == 0:
-            lidar_update(state.belief, scenario.map, state.pose, sensor.lidar_rays,
-                         sensor.lidar_range)
+            _sweep(state, scenario)
             if not last:
-                trav = traversable_mask(state.belief, planner.robot_radius)
-                clear_robot_disk(trav, state.belief, (cx, cy), planner.robot_radius)
+                trav = _traversable_now(state, scenario)
                 if not all(trav[y, x] for x, y in cells[k + 1 :]):
                     return walked, False
     return walked, True
@@ -454,7 +497,7 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
     planner = scenario.planner
     hp = scenario.hyperparams
     trav = _traversable_now(state, scenario)
-    dist = distance_field(trav, state.belief.resolution, [_current_cell(state)])
+    dist = _distance_now(state, scenario)
     candidates: list[Viewpoint] = []
     for entry in state.registry:
         if entry.visited or entry.skipped:
@@ -592,9 +635,10 @@ def run_episode(
         if stop:
             break
 
-        trav = _traversable_now(state, scenario)
-        dist = distance_field(trav, state.belief.resolution, [_current_cell(state)])
-        frontier = nearest_frontier(state.belief, state.pose, scenario.planner, trav, dist)
+        frontier = nearest_frontier(
+            state.belief, state.pose, scenario.planner,
+            _traversable_now(state, scenario), _distance_now(state, scenario),
+        )
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")
             break

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import DomainError, NoPathError
@@ -34,6 +34,9 @@ _NEIGHBORS = (
     (-1, 1, SQRT2),
     (-1, -1, SQRT2),
 )
+# One direction per undirected edge class: E, N, NE, NW.
+_FORWARD_NEIGHBORS = ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2))
+_FORWARD_STEPS = np.array([step for _, _, step in _FORWARD_NEIGHBORS])
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,15 @@ def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
     span = np.arange(-radius_cells, radius_cells + 1)
     dy, dx = np.meshgrid(span, span, indexing="ij")
     disk = (dx * dx + dy * dy) <= radius_cells * radius_cells + 1e-9
-    return ndimage.binary_dilation(occupied, structure=disk)
+    # OR of the mask shifted by every disk offset; cells beyond the border
+    # count as free.
+    height, width = occupied.shape
+    padded = np.zeros((height + 2 * radius_cells, width + 2 * radius_cells), dtype=bool)
+    padded[radius_cells:-radius_cells, radius_cells:-radius_cells] = occupied
+    out = np.zeros((height, width), dtype=bool)
+    for oy, ox in zip(*np.nonzero(disk)):
+        out |= padded[oy : oy + height, ox : ox + width]
+    return out
 
 
 def traversable_mask(belief: BeliefMap, robot_radius: float) -> np.ndarray:
@@ -199,55 +210,50 @@ def plan_path(
     raise NoPathError(f"no path from {start} to {goal}")
 
 
+def _grid_graph(trav: np.ndarray) -> csr_matrix:
+    """Adjacency of the 8-connected graph over traversable cells, in CSR form.
+
+    Each undirected edge is stored once, from its lower-index end, so the
+    graph is searched as undirected.  The four forward neighbour masks are
+    slices of one padded copy of the mask; the rows come out grouped by
+    source cell, so no sparse-format conversion is needed.
+    """
+    height, width = trav.shape
+    padded = np.zeros((height + 1, width + 2), dtype=bool)
+    padded[:height, 1:-1] = trav
+    edges = np.empty((height, width, len(_FORWARD_NEIGHBORS)), dtype=bool)
+    for k, (dx, dy, _) in enumerate(_FORWARD_NEIGHBORS):
+        edges[:, :, k] = padded[dy : height + dy, 1 + dx : width + 1 + dx]
+    edges &= trav[:, :, None]
+    src, kind = np.divmod(np.flatnonzero(edges), len(_FORWARD_NEIGHBORS))
+    n = height * width
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    offsets = np.array([dy * width + dx for dx, dy, _ in _FORWARD_NEIGHBORS])
+    return csr_matrix((_FORWARD_STEPS[kind], src + offsets[kind], indptr), shape=(n, n))
+
+
 def distance_field(
     traversable: np.ndarray, resolution: float, sources: Iterable[tuple[int, int]]
 ) -> np.ndarray:
     """Metric shortest-path distance from the nearest source to every cell.
 
     Unreachable and non-traversable cells hold ``inf``.  Exact octile costs,
-    computed with a C Dijkstra over the 8-connected free-cell graph.
+    computed with a C Dijkstra over the 8-connected free-cell graph.  Each
+    cell's value is the minimum over its neighbours of (their value + step),
+    which does not depend on the order edges are stored or relaxed in.
     """
     height, width = traversable.shape
-    n = height * width
     trav = traversable.astype(bool)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    # One direction per undirected edge class: E, N, NE, NW.
-    for dx, dy, step in ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2)):
-        src = trav.copy()
-        if dx > 0:
-            src[:, width - dx :] = False
-        elif dx < 0:
-            src[:, : -dx] = False
-        if dy > 0:
-            src[height - dy :, :] = False
-        src &= np.roll(np.roll(trav, -dy, axis=0), -dx, axis=1)
-        idx = np.flatnonzero(src.ravel())
-        if idx.size:
-            rows.append(idx)
-            cols.append(idx + dy * width + dx)
-            data.append(np.full(idx.size, step))
-    valid_sources = [
-        (int(x), int(y))
+    indices = [
+        int(y) * width + int(x)
         for x, y in sources
         if 0 <= x < width and 0 <= y < height and trav[int(y), int(x)]
     ]
-    field = np.full(n, np.inf)
-    if not valid_sources:
-        return field.reshape(height, width)
-    if rows:
-        graph = coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        indices = [y * width + x for x, y in valid_sources]
-        field = _csgraph_dijkstra(graph, directed=False, indices=indices, min_only=True)
-    else:
-        for x, y in valid_sources:
-            field[y * width + x] = 0.0
-    for x, y in valid_sources:
-        field[y * width + x] = 0.0
+    if not indices:
+        return np.full((height, width), np.inf)
+    field = _csgraph_dijkstra(_grid_graph(trav), directed=False, indices=indices, min_only=True)
+    field[indices] = 0.0
     return field.reshape(height, width) * resolution
 
 

@@ -104,6 +104,14 @@ class SuiteParams:
             raise SchemaError("suite.known_landmarks: must be in 0..landmarks")
         if self.distractors < 0:
             raise SchemaError("suite.distractors: must be >= 0")
+        if not self.targets:
+            raise SchemaError("suite.targets: must name at least one target")
+        if self.known_landmarks > 0 and not self.known_pool:
+            raise SchemaError("suite.known_pool: must not be empty when known_landmarks > 0")
+        if self.landmarks > self.known_landmarks and not self.unknown_pool:
+            raise SchemaError(
+                "suite.unknown_pool: must not be empty when landmarks > known_landmarks"
+            )
 
 
 def _weights(value, where: str) -> dict[str, float] | None:

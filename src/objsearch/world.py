@@ -230,6 +230,9 @@ class ScenarioSpec:
         return out
 
 
+_BLOCK_CROSSINGS = 1 << 16  # grid-line crossings traced together; bounds working memory
+
+
 class RayHit(NamedTuple):
     distance: float
     blocked: bool
@@ -243,13 +246,21 @@ def raycast_batch(
     free_mask: np.ndarray | None = None,
     hit_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trace many rays at once with an integer grid walk.
+    """Trace many rays at once with a closed-form voxel traversal.
 
     Returns (distances, blocked).  A ray's distance is the range at which it
     enters the first occupied cell, or ``max_range`` if it leaves the map or
     exhausts its range first.  When ``free_mask``/``hit_mask`` arrays are
     given, traversed free cells and hit cells are flagged in them; this is
     what the lidar simulation uses to grow a belief map.
+
+    The cells a ray visits are those of the Amanatides & Woo (1987) grid
+    walk, taken in one pass instead of step by step: every vertical and
+    horizontal grid-line crossing within range is computed up front (a
+    cumulative sum, so the crossing ranges are bit-identical to stepping),
+    the two sequences are merged with the vertical crossing first on ties,
+    and each ray is cut at its first step outside the map or onto an
+    occupied cell.
     """
     x0, y0 = float(origin[0]), float(origin[1])
     ix0, iy0 = grid.world_to_cell(x0, y0)
@@ -257,16 +268,32 @@ def raycast_batch(
         raise DomainError(f"raycast origin {origin} outside map bounds")
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
-    dist = np.full(n, float(max_range))
-    blocked = np.zeros(n, dtype=bool)
     if grid.cells[iy0, ix0] == CellState.OCCUPIED:
         if hit_mask is not None:
             hit_mask[iy0, ix0] = True
         return np.zeros(n), np.ones(n, dtype=bool)
     if free_mask is not None:
         free_mask[iy0, ix0] = True
+    dist = np.full(n, float(max_range))
+    blocked = np.zeros(n, dtype=bool)
+    # Crossings per axis that can matter: every one within range (the first
+    # lies within one cell, later ones at least a cell apart; two spare ones
+    # absorb rounding), but no more than it takes to leave the map.
+    limit = min(float(max(grid.width, grid.height)), max_range / grid.resolution + 3.0)
+    crossings = int(max(1.0, limit))
+    block = max(1, _BLOCK_CROSSINGS // (2 * crossings))
+    for lo in range(0, n, block):
+        hi = lo + block
+        _trace_block(grid, x0, y0, ix0, iy0, bearings[lo:hi], max_range, crossings,
+                     dist[lo:hi], blocked[lo:hi], free_mask, hit_mask)
+    return dist, blocked
 
+
+def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
+                 dist, blocked, free_mask, hit_mask) -> None:
+    """Trace one block of rays, writing into the ``dist``/``blocked`` views."""
     res = grid.resolution
+    n = bearings.shape[0]
     dx = np.cos(bearings)
     dy = np.sin(bearings)
     step_x = np.sign(dx).astype(np.int64)
@@ -274,43 +301,49 @@ def raycast_batch(
     with np.errstate(divide="ignore"):
         inv_dx = np.where(dx != 0.0, 1.0 / dx, np.inf)
         inv_dy = np.where(dy != 0.0, 1.0 / dy, np.inf)
-    ix = np.full(n, ix0, dtype=np.int64)
-    iy = np.full(n, iy0, dtype=np.int64)
-    # Range along each ray to its next vertical / horizontal grid line.
+    # Range along each ray to its first vertical / horizontal grid line, then
+    # to every later one: the walk's running ``tmax += tdelta`` as a cumsum.
     with np.errstate(invalid="ignore"):
-        tmax_x = np.where(step_x != 0, ((ix + (step_x > 0)) * res - x0) * inv_dx, np.inf)
-        tmax_y = np.where(step_y != 0, ((iy + (step_y > 0)) * res - y0) * inv_dy, np.inf)
+        tmax_x = np.where(step_x != 0, ((ix0 + (step_x > 0)) * res - x0) * inv_dx, np.inf)
+        tmax_y = np.where(step_y != 0, ((iy0 + (step_y > 0)) * res - y0) * inv_dy, np.inf)
     tdelta_x = np.where(step_x != 0, res * np.abs(inv_dx), np.inf)
     tdelta_y = np.where(step_y != 0, res * np.abs(inv_dy), np.inf)
-
-    active = np.ones(n, dtype=bool)
-    cells = grid.cells
-    while active.any():
-        t_entry = np.minimum(tmax_x, tmax_y)
-        active &= t_entry <= max_range
-        if not active.any():
-            break
-        go_x = active & (tmax_x <= tmax_y)
-        go_y = active & ~go_x
-        ix[go_x] += step_x[go_x]
-        tmax_x[go_x] += tdelta_x[go_x]
-        iy[go_y] += step_y[go_y]
-        tmax_y[go_y] += tdelta_y[go_y]
-        inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-        active &= inside
-        if not active.any():
-            break
-        hit = active.copy()
-        hit[active] = cells[iy[active], ix[active]] == CellState.OCCUPIED
-        if hit.any():
-            dist[hit] = t_entry[hit]
-            blocked[hit] = True
-            if hit_mask is not None:
-                hit_mask[iy[hit], ix[hit]] = True
-            active &= ~hit
-        if free_mask is not None and active.any():
-            free_mask[iy[active], ix[active]] = True
-    return dist, blocked
+    t = np.empty((n, 2 * crossings))
+    t[:, 0] = tmax_x
+    t[:, 1:crossings] = tdelta_x[:, None]
+    t[:, crossings] = tmax_y
+    t[:, crossings + 1 :] = tdelta_y[:, None]
+    np.cumsum(t[:, :crossings], axis=1, out=t[:, :crossings])
+    np.cumsum(t[:, crossings:], axis=1, out=t[:, crossings:])
+    # Merge: a stable sort of two sorted runs puts the x crossing first on
+    # ties, as the walk does.  Crossings beyond range sort last and are dropped.
+    order = np.argsort(t, axis=1, kind="stable")
+    steps = int(np.count_nonzero(t <= max_range, axis=1).max())
+    if steps == 0:
+        return
+    order = order[:, :steps]
+    t = np.take_along_axis(t, order, axis=1)
+    # The walk enters a cell at min(tmax_x, tmax_y), which is tmax_y on a tie;
+    # the two differ only in the sign of a zero, which only the first step
+    # can have.
+    t[:, 0] = np.minimum(tmax_x, tmax_y)
+    nx = np.cumsum(order < crossings, axis=1)
+    ix = ix0 + step_x[:, None] * nx
+    iy = iy0 + step_y[:, None] * (np.arange(1, steps + 1) - nx)
+    alive = (t <= max_range) & (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
+    np.logical_and.accumulate(alive, axis=1, out=alive)
+    occupied = alive & (grid.cells[np.where(alive, iy, 0), np.where(alive, ix, 0)]
+                        == CellState.OCCUPIED)
+    first = np.argmax(occupied, axis=1)
+    rows = np.flatnonzero(occupied[np.arange(n), first])
+    hit_step = first[rows]
+    dist[rows] = t[rows, hit_step]
+    blocked[rows] = True
+    if hit_mask is not None:
+        hit_mask[iy[rows, hit_step], ix[rows, hit_step]] = True
+    if free_mask is not None:
+        free = alive & ~np.logical_or.accumulate(occupied, axis=1)
+        free_mask[iy[free], ix[free]] = True
 
 
 def raycast(
@@ -545,6 +578,26 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
         raise ValidationError("hyperparams.cam_range: must be positive")
     if hp.scan_headings < 1 or hp.pan_views < 1:
         raise ValidationError("hyperparams: scan_headings and pan_views must be >= 1")
+
+    sp = spec.sensor
+    if sp.lidar_rays < 1:
+        raise ValidationError("sensor.lidar_rays: must be >= 1")
+    if not (math.isfinite(sp.lidar_range) and sp.lidar_range > 0):
+        raise ValidationError("sensor.lidar_range: must be positive and finite")
+    if not 0.0 <= sp.p_miss <= 1.0:
+        raise ValidationError("sensor.p_miss: must be in [0, 1]")
+    if sp.clutter < 0:
+        raise ValidationError("sensor.clutter: must be >= 0")
+    if not (math.isfinite(sp.sigma_emb) and sp.sigma_emb >= 0):
+        raise ValidationError("sensor.sigma_emb: must be non-negative and finite")
+
+    pp = spec.planner
+    if pp.step_interval < 1:
+        raise ValidationError("planner.step_interval: must be >= 1")
+    if pp.view_directions < 1:
+        raise ValidationError("planner.view_directions: must be >= 1")
+    if not (math.isfinite(pp.robot_radius) and pp.robot_radius >= 0):
+        raise ValidationError("planner.robot_radius: must be non-negative and finite")
 
 
 def footprint_cells(grid: GridMap, footprint: tuple[float, float, float, float]):

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from objsearch.batch import RunConfig, run_config_from_dict
+from objsearch.batch import (
+    EpisodeRecord,
+    RunConfig,
+    load_records_jsonl,
+    records_to_jsonl,
+    run_config_from_dict,
+)
 from objsearch.cli import main
 from objsearch.errors import DomainError, SchemaError
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
@@ -80,6 +86,72 @@ class TestSuiteParamsParsing:
         with pytest.raises(DomainError):
             generate_suite(SuiteParams(count=1), -1, ctx=ctx)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"count": 1, "targets": []},
+            {"count": 1, "known_landmarks": 1, "known_pool": []},
+            {"count": 1, "landmarks": 4, "known_landmarks": 2, "unknown_pool": []},
+        ],
+    )
+    def test_empty_name_pools_rejected(self, doc):
+        with pytest.raises(SchemaError, match="must not be empty|at least one"):
+            suite_params_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"count": 1, "known_landmarks": 0, "known_pool": []},
+            {"count": 1, "landmarks": 3, "known_landmarks": 3, "unknown_pool": []},
+        ],
+    )
+    def test_unused_empty_pool_allowed(self, doc):
+        suite_params_from_dict(doc)
+
+
+RECORD = {
+    "episode": 0, "scenario": "s.json", "seed": 3, "success": True,
+    "traveled": 4.5, "shortest": 4.0, "waypoints_visited": 2,
+}
+
+
+class TestRecordsParsing:
+    def test_roundtrip(self):
+        records = [
+            EpisodeRecord(0, "a.json", 3, True, 4.5, 4.0, 2),
+            EpisodeRecord(1, "b.json", 4, False, 7.25, float("inf"), 0),
+        ]
+        assert load_records_jsonl(records_to_jsonl(records)) == records
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"success": "false"},
+            {"success": 1},
+            {"episode": "0"},
+            {"episode": 0.0},
+            {"seed": 3.5},
+            {"scenario": 7},
+            {"traveled": "4.5"},
+            {"shortest": "4.0"},
+            {"waypoints_visited": 2.0},
+            {"bogus": 1},
+        ],
+    )
+    def test_loose_values_rejected(self, change):
+        with pytest.raises(SchemaError):
+            load_records_jsonl(json.dumps({**RECORD, **change}))
+
+    @pytest.mark.parametrize("key", ["episode", "success", "traveled", "waypoints_visited"])
+    def test_missing_key_rejected(self, key):
+        doc = {k: v for k, v in RECORD.items() if k != key}
+        with pytest.raises(SchemaError, match=key):
+            load_records_jsonl(json.dumps(doc))
+
+    def test_non_object_line_rejected(self):
+        with pytest.raises(SchemaError, match="line 2"):
+            load_records_jsonl(json.dumps(RECORD) + "\n[1, 2]\n")
+
 
 class TestCliExitCodes:
     @pytest.mark.parametrize(
@@ -109,6 +181,18 @@ class TestCliExitCodes:
         path.write_text(serialize_scenario(box_scenario()), encoding="utf-8")
         assert main(["run", str(path), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_score_string_success_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps({**RECORD, "success": "false"}) + "\n", encoding="utf-8")
+        assert main(["score", str(path)]) == 2
+        assert "success" in capsys.readouterr().err
+
+    def test_empty_target_pool_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"count": 1, "targets": []}), encoding="utf-8")
+        assert main(["gen-suite", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "suite.targets" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -2,18 +2,26 @@
 
 The digests pin the exact bytes of the episode traces and batch records of a
 small generated suite, so a change that alters behaviour, even in the last
-digit of a float, fails here and has to re-pin them on purpose.
+digit of a float, fails here and has to re-pin them on purpose.  The last
+two tests check that the layers an episode reuses (skipped sweeps, cached
+traversable masks and distance fields) equal fresh computations.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from objsearch import episode
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
+from objsearch.planning import clear_robot_disk, distance_field, traversable_mask
+from objsearch.sensing import BeliefMap, lidar_update
 from objsearch.suitegen import SuiteParams, generate_suite
+from objsearch.world import Pose
+from util import box_scenario
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
@@ -66,3 +74,78 @@ def test_same_seed_same_trace(scenarios, traces, ctx):
 
 def test_parallel_records_match_serial(serial_records):
     assert batch_records(2) == serial_records
+
+
+def fresh_trav(state, scenario):
+    radius = scenario.planner.robot_radius
+    cell = episode._current_cell(state)
+    return clear_robot_disk(traversable_mask(state.belief, radius), state.belief, cell, radius)
+
+
+def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
+    scenario = box_scenario(size_m=6.0, res=0.5, start=(1.25, 1.25, 0.0),
+                            sensor={"lidar_range": 1.5})
+    state = episode.EpisodeState(
+        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=0
+    )
+    sweeps = []
+    monkeypatch.setattr(episode, "lidar_update", lambda *args: sweeps.append(args[2]))
+    episode._sweep(state, scenario)
+    episode._sweep(state, scenario)
+    assert sweeps == [scenario.start]  # the repeat from the same point is skipped
+    monkeypatch.undo()
+
+    episode._sweep(state, scenario)
+    before = state.belief.known_count()
+    stale_trav = episode._traversable_now(state, scenario)
+    stale_dist = episode._distance_now(state, scenario)
+    # Another point in the same cell is a new origin, and what it reveals is a
+    # new belief for the same robot cell.
+    state.pose = Pose(1.45, 1.05, 0.0)
+    assert episode._current_cell(state) == (2, 2)
+    episode._sweep(state, scenario)
+    assert state.belief.known_count() > before
+    trav = episode._traversable_now(state, scenario)
+    assert not np.array_equal(trav, stale_trav)
+    assert np.array_equal(trav, fresh_trav(state, scenario))
+    dist = episode._distance_now(state, scenario)
+    assert dist.tobytes() != stale_dist.tobytes()
+    assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)]).tobytes()
+    assert not trav.flags.writeable and not dist.flags.writeable
+
+
+def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
+    """Every sweep skipped, mask and distance field reused within an episode
+    is what a fresh computation would give at that moment."""
+    checks = {"sweep": 0, "trav": 0, "dist": 0}
+    sweep, trav_now, dist_now = episode._sweep, episode._traversable_now, episode._distance_now
+
+    def checked_sweep(state, scenario):
+        sweep(state, scenario)
+        again = BeliefMap(state.belief.width, state.belief.height, state.belief.resolution,
+                          state.belief.cells.copy())
+        lidar_update(again, scenario.map, state.pose, scenario.sensor.lidar_rays,
+                     scenario.sensor.lidar_range)
+        assert np.array_equal(again.cells, state.belief.cells)
+        checks["sweep"] += 1
+
+    def checked_trav(state, scenario):
+        trav = trav_now(state, scenario)
+        assert np.array_equal(trav, fresh_trav(state, scenario))
+        checks["trav"] += 1
+        return trav
+
+    def checked_dist(state, scenario):
+        dist = dist_now(state, scenario)
+        fresh = distance_field(fresh_trav(state, scenario), state.belief.resolution,
+                               [episode._current_cell(state)])
+        assert dist.tobytes() == fresh.tobytes()
+        checks["dist"] += 1
+        return dist
+
+    monkeypatch.setattr(episode, "_sweep", checked_sweep)
+    monkeypatch.setattr(episode, "_traversable_now", checked_trav)
+    monkeypatch.setattr(episode, "_distance_now", checked_dist)
+    for i, scenario in enumerate(scenarios):
+        episode.run_episode(scenario, ctx=ctx, seed=i)
+    assert min(checks.values()) > 10

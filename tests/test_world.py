@@ -298,6 +298,46 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="exactly one target"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("planner", "step_interval", 0),
+            ("planner", "view_directions", 0),
+            ("planner", "robot_radius", -0.1),
+            ("planner", "robot_radius", math.inf),
+            ("sensor", "lidar_rays", -4),
+            ("sensor", "lidar_rays", 0),
+            ("sensor", "lidar_range", -1),
+            ("sensor", "lidar_range", 0),
+            ("sensor", "lidar_range", math.nan),
+            ("sensor", "p_miss", 1.5),
+            ("sensor", "p_miss", -0.1),
+            ("sensor", "clutter", -1),
+            ("sensor", "sigma_emb", -0.05),
+        ],
+    )
+    def test_invalid_sensor_and_planner_values_rejected(self, section, key, value):
+        doc = minimal_doc()
+        doc[section] = {key: value}
+        with pytest.raises(ValidationError, match=f"{section}.{key}"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("planner", "step_interval", 1),
+            ("planner", "robot_radius", 0),
+            ("sensor", "lidar_rays", 1),
+            ("sensor", "p_miss", 1),
+            ("sensor", "clutter", 0),
+            ("sensor", "sigma_emb", 0),
+        ],
+    )
+    def test_boundary_sensor_and_planner_values_accepted(self, section, key, value):
+        doc = minimal_doc()
+        doc[section] = {key: value}
+        assert getattr(getattr(parse_scenario(doc), section), key) == value
+
     def test_roundtrip_identity(self):
         spec = parse_scenario(minimal_doc())
         again = load_scenario(serialize_scenario(spec))
