@@ -56,6 +56,7 @@ from .sensing import (
     bbox_from_geometry,
     camera_observe,
     line_of_sight,
+    lines_of_sight,
     lidar_update,
     observation_rng,
     project_detection,
@@ -538,28 +539,57 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
 # --------------------------------------------------------------------------
 
 
+_LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
+_RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
+
+
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest drivable path to any cell that can confirm the
-    target on the fully known map; inf when no such cell is reachable."""
+    target on the fully known map; inf when no such cell is reachable.
+
+    A cell confirms the target when its centre lies within
+    ``(0, cam_range + resolution]`` of the target and has a line of sight to
+    it.  Reachable cells are ranked by path length with a stable sort and
+    the first confirming one wins.
+
+    The range filter runs on whole arrays with ``np.hypot`` and a small
+    relative margin; the cells it keeps are then tested in rank order, in
+    chunks of ``_LOS_CHUNK``, with the exact ``math.hypot`` range test and one
+    :func:`lines_of_sight` call per chunk.  ``np.hypot`` can differ from
+    ``math.hypot`` by one ulp, so it only discards cells that are clearly out
+    of range and ``math.hypot`` keeps the final decision, as it did when each
+    cell was tested on its own.  The chunks stay small because most searches
+    end on their first candidates.
+    """
     grid = scenario.map
     target = scenario.target
     trav = traversable_mask(BeliefMap.fully_known(grid), scenario.planner.robot_radius)
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     trav[start[1], start[0]] = True
     dist = distance_field(trav, grid.resolution, [start])
-    hp = scenario.hyperparams
-    slack = target.radius + 2.0 * grid.resolution
-    max_range = hp.cam_range + grid.resolution  # half-cell tolerance at the rim
+    res = grid.resolution
+    slack = target.radius + 2.0 * res
+    max_range = scenario.hyperparams.cam_range + res  # half-cell tolerance at the rim
+    tx, ty = target.position
     ys, xs = np.nonzero(np.isfinite(dist))
-    order = np.argsort(dist[ys, xs], kind="stable")
-    for idx in order:
-        x, y = int(xs[idx]), int(ys[idx])
-        cx, cy = grid.cell_to_world(x, y)
-        d = math.hypot(target.position[0] - cx, target.position[1] - cy)
-        if d <= 0.0 or d > max_range:
+    cx = (xs + 0.5) * res
+    cy = (ys + 0.5) * res
+    near = np.flatnonzero(np.hypot(tx - cx, ty - cy) <= max_range * (1.0 + _RANGE_MARGIN))
+    near = near[np.argsort(dist[ys[near], xs[near]], kind="stable")]
+    for lo in range(0, near.size, _LOS_CHUNK):
+        chunk = near[lo : lo + _LOS_CHUNK]
+        dxs = (tx - cx[chunk]).tolist()
+        dys = (ty - cy[chunk]).tolist()
+        keep = [
+            i for i, dx, dy in zip(chunk.tolist(), dxs, dys)
+            if 0.0 < math.hypot(dx, dy) <= max_range
+        ]
+        if not keep:
             continue
-        if line_of_sight(grid, (cx, cy), target.position, slack):
-            return float(dist[y, x])
+        seen = lines_of_sight(grid, np.column_stack((cx[keep], cy[keep])), target.position, slack)
+        if seen.any():
+            i = keep[int(np.argmax(seen))]
+            return float(dist[ys[i], xs[i]])
     return math.inf
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DomainError, EmbeddingLookupError
 from .knowledge import WordVectorStore, phrase_vector
 
-EMBEDDING_DIM_DEFAULT = 64
 UNKNOWN_LABEL = "unknown"
 UNIT_NORM_TOL = 1e-6
 SCORE_SCALE = 100.0
@@ -45,23 +44,11 @@ class TextEmbeddingStore:
     def __init__(self, embeddings: dict[str, np.ndarray]):
         self._embeddings = {p.lower(): unit(v) for p, v in embeddings.items()}
 
-    def __contains__(self, phrase: str) -> bool:
-        return phrase.lower() in self._embeddings
-
-    def __len__(self) -> int:
-        return len(self._embeddings)
-
     def get(self, phrase: str) -> np.ndarray:
         try:
             return self._embeddings[phrase.lower()]
         except KeyError:
             raise EmbeddingLookupError(f"phrase {phrase!r} not in embedding store") from None
-
-    def add(self, phrase: str, vector: np.ndarray) -> None:
-        self._embeddings[phrase.lower()] = unit(vector)
-
-    def phrases(self) -> list[str]:
-        return sorted(self._embeddings)
 
     @classmethod
     def from_word_vectors(

@@ -162,6 +162,40 @@ def bbox_from_geometry(rel_bearing: float, distance: float, radius: float, fov: 
     return BBox(x_min, y_min, x_max, y_max)
 
 
+def lines_of_sight(
+    world: GridMap,
+    origins,
+    points,
+    slacks,
+) -> np.ndarray:
+    """:func:`line_of_sight` for many (origin, point, slack) triples at once.
+
+    ``origins`` and ``points`` are (x, y) pairs or (n, 2) arrays and
+    ``slacks`` is one value or n; they broadcast against each other.  All
+    rays go through one :func:`raycast_batch` call, with per-ray origins and
+    ranges.  Each ray's range and bearing come from ``math.hypot`` and
+    ``math.atan2`` on that pair alone, so every flag equals the one-pair
+    result bit for bit.
+    """
+    origin_array = np.asarray(origins, dtype=np.float64)
+    pairs = np.asarray(points, dtype=np.float64).reshape(-1, 2) - origin_array.reshape(-1, 2)
+    n = pairs.shape[0]
+    dxs, dys = pairs.T.tolist()
+    distance = np.array([math.hypot(dx, dy) for dx, dy in zip(dxs, dys)])
+    visible = distance <= 0.0  # a point at the origin is always seen
+    cast = np.flatnonzero(~visible)
+    if cast.size:
+        bearings = np.array([math.atan2(dys[i], dxs[i]) for i in cast.tolist()])
+        reach = distance[cast]
+        if origin_array.ndim > 1:
+            origins = np.broadcast_to(origin_array, (n, 2))[cast]
+        # else one shared origin, passed on as given
+        dist, blocked = raycast_batch(world, origins, bearings, reach)
+        slack = np.broadcast_to(np.asarray(slacks, dtype=np.float64), (n,))[cast]
+        visible[cast] = ~blocked | (dist >= reach - slack)
+    return visible
+
+
 def line_of_sight(
     world: GridMap,
     origin: tuple[float, float],
@@ -173,13 +207,7 @@ def line_of_sight(
     ``slack`` absorbs the entity's own extent: a hit within ``slack`` of the
     point (its own footprint face) still counts as visible.
     """
-    dx, dy = point[0] - origin[0], point[1] - origin[1]
-    distance = math.hypot(dx, dy)
-    if distance <= 0.0:
-        return True
-    bearing = math.atan2(dy, dx)
-    dist, blocked = raycast_batch(world, origin, np.array([bearing]), distance)
-    return (not bool(blocked[0])) or float(dist[0]) >= distance - slack
+    return bool(lines_of_sight(world, origin, point, slack)[0])
 
 
 def camera_observe(
@@ -212,6 +240,9 @@ def camera_observe(
         (ob.id, ob.name, ob.position, ob.radius, False, ob.radius + 2.0 * res)
         for ob in scenario.objects
     ]
+    # Range and field-of-view gates first, then one occlusion test for every
+    # entity that passed them; none of the three draws from the rng.
+    in_view = []
     for entity_id, name, center, radius, known, slack in entities:
         distance = math.hypot(center[0] - pose.x, center[1] - pose.y)
         if distance <= 0.0 or distance > hp.cam_range:
@@ -219,8 +250,13 @@ def camera_observe(
         rel = relative_bearing(pose, center)
         if abs(rel) > half_fov:
             continue
-        if not line_of_sight(grid, origin, center, slack):
-            continue
+        in_view.append((entity_id, name, center, radius, known, slack, distance, rel))
+    if in_view:
+        seen = lines_of_sight(
+            grid, origin, [e[2] for e in in_view], [e[5] for e in in_view]
+        )
+        in_view = [e for e, ok in zip(in_view, seen.tolist()) if ok]
+    for entity_id, name, _, radius, known, _, distance, rel in in_view:
         if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
             continue
         canonical = store.get(name)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DomainError, SchemaError, ValidationError
 
 TWO_PI = 2.0 * math.pi
+_FREE_CHAR, _WALL_CHAR = ord("."), ord("#")  # map row characters
+_ROW_CHARS = np.array([_FREE_CHAR, _WALL_CHAR], dtype=np.uint8)  # indexed by CellState
 
 
 class CellState(IntEnum):
@@ -54,7 +56,7 @@ class GridMap:
             raise ValidationError(
                 f"map.cells: expected shape {(self.height, self.width)}, got {cells.shape}"
             )
-        if not np.isin(cells, (CellState.FREE, CellState.OCCUPIED)).all():
+        if not (cells <= CellState.OCCUPIED).all():  # uint8: Free (0) or Occupied (1)
             raise ValidationError("map.cells: cells must be Free or Occupied")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
@@ -92,22 +94,25 @@ class GridMap:
         if not rows:
             raise ValidationError("map.rows: must contain at least one row")
         width = len(rows[0])
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValidationError(f"map.rows[{i}]: length {len(row)} != {width}")
-            bad = set(row) - {".", "#"}
-            if bad:
-                raise ValidationError(f"map.rows[{i}]: unexpected characters {sorted(bad)}")
-        cells = np.array(
-            [[1 if ch == "#" else 0 for ch in row] for row in reversed(rows)],
-            dtype=np.uint8,
-        )
+        ragged = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        # One byte per character; anything outside ASCII becomes "?".
+        codes = np.frombuffer(
+            "".join(rows[:ragged]).encode("ascii", errors="replace"), dtype=np.uint8
+        ).reshape(ragged, width)
+        bad_rows = ((codes != _FREE_CHAR) & (codes != _WALL_CHAR)).any(axis=1)
+        if bad_rows.any():
+            i = int(np.argmax(bad_rows))
+            bad = set(rows[i]) - {".", "#"}
+            raise ValidationError(f"map.rows[{i}]: unexpected characters {sorted(bad)}")
+        if ragged < len(rows):
+            row = rows[ragged]
+            raise ValidationError(f"map.rows[{ragged}]: length {len(row)} != {width}")
+        cells = (codes[::-1] == _WALL_CHAR).astype(np.uint8)
         return cls(width=width, height=len(rows), resolution=resolution, cells=cells)
 
     def to_rows(self) -> list[str]:
-        return [
-            "".join("#" if c else "." for c in row) for row in reversed(self.cells.tolist())
-        ]
+        text = _ROW_CHARS[self.cells[::-1]].tobytes().decode("ascii")
+        return [text[i : i + self.width] for i in range(0, len(text), self.width)]
 
 
 @dataclass(frozen=True)
@@ -240,19 +245,22 @@ class RayHit(NamedTuple):
 
 def raycast_batch(
     grid: GridMap,
-    origin: tuple[float, float],
+    origin,
     bearings: np.ndarray,
-    max_range: float,
+    max_range,
     free_mask: np.ndarray | None = None,
     hit_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trace many rays at once with a closed-form voxel traversal.
 
+    ``origin`` is one (x, y) point shared by every ray or an (n, 2) array
+    with one origin per ray; ``max_range`` is one range or one per ray.
     Returns (distances, blocked).  A ray's distance is the range at which it
-    enters the first occupied cell, or ``max_range`` if it leaves the map or
-    exhausts its range first.  When ``free_mask``/``hit_mask`` arrays are
-    given, traversed free cells and hit cells are flagged in them; this is
-    what the lidar simulation uses to grow a belief map.
+    enters the first occupied cell, or its ``max_range`` if it leaves the map
+    or exhausts its range first; a ray from an occupied cell is blocked at 0.
+    When ``free_mask``/``hit_mask`` arrays are given, traversed free cells
+    and hit cells (origin cells included) are flagged in them; this is what
+    the lidar simulation uses to grow a belief map.
 
     The cells a ray visits are those of the Amanatides & Woo (1987) grid
     walk, taken in one pass instead of step by step: every vertical and
@@ -260,31 +268,97 @@ def raycast_batch(
     cumulative sum, so the crossing ranges are bit-identical to stepping),
     the two sequences are merged with the vertical crossing first on ties,
     and each ray is cut at its first step outside the map or onto an
-    occupied cell.
+    occupied cell.  Every per-ray quantity is computed elementwise, so a
+    ray's result does not depend on the other rays traced with it.
     """
-    x0, y0 = float(origin[0]), float(origin[1])
-    ix0, iy0 = grid.world_to_cell(x0, y0)
-    if not grid.in_bounds(ix0, iy0):
-        raise DomainError(f"raycast origin {origin} outside map bounds")
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
-    if grid.cells[iy0, ix0] == CellState.OCCUPIED:
-        if hit_mask is not None:
-            hit_mask[iy0, ix0] = True
-        return np.zeros(n), np.ones(n, dtype=bool)
+    max_range = np.asarray(max_range, dtype=np.float64)
+    if max_range.ndim == 0:
+        max_range = float(max_range)
+    points = np.asarray(origin, dtype=np.float64)
+    if points.ndim == 1:
+        # One origin for all rays: trace with scalars, which numpy applies
+        # to every ray alike.
+        x0, y0 = float(points[0]), float(points[1])
+        ix0, iy0 = grid.world_to_cell(x0, y0)
+        if not grid.in_bounds(ix0, iy0):
+            raise DomainError(f"raycast origin {origin} outside map bounds")
+        if grid.cells[iy0, ix0] == CellState.OCCUPIED:
+            if hit_mask is not None:
+                hit_mask[iy0, ix0] = True
+            return np.zeros(n), np.ones(n, dtype=bool)
+        if free_mask is not None:
+            free_mask[iy0, ix0] = True
+        return _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask)
+
+    # One origin per ray.
+    x0, y0 = points.T
+    cols = np.floor(x0 / grid.resolution)
+    rows = np.floor(y0 / grid.resolution)
+    outside = ~((cols >= 0) & (cols < grid.width) & (rows >= 0) & (rows < grid.height))
+    if outside.any():
+        bad = tuple(points[np.argmax(outside)].tolist())
+        raise DomainError(f"raycast origin {bad} outside map bounds")
+    ix0 = cols.astype(np.int64)
+    iy0 = rows.astype(np.int64)
+    occupied = grid.cells[iy0, ix0] == CellState.OCCUPIED
+    if hit_mask is not None:
+        hit_mask[iy0[occupied], ix0[occupied]] = True
     if free_mask is not None:
-        free_mask[iy0, ix0] = True
-    dist = np.full(n, float(max_range))
+        free_mask[iy0[~occupied], ix0[~occupied]] = True
+    if isinstance(max_range, np.ndarray):
+        max_range = np.broadcast_to(max_range, (n,))
+    if not occupied.any():
+        return _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask)
+    # Rays from occupied cells stop where they start.
+    dist = np.zeros(n)
+    blocked = np.ones(n, dtype=bool)
+    live = np.flatnonzero(~occupied)
+    if live.size:
+        dist[live], blocked[live] = _trace(
+            grid, x0[live], y0[live], ix0[live], iy0[live], bearings[live],
+            _per_ray(max_range, live), free_mask, hit_mask,
+        )
+    return dist, blocked
+
+
+def _per_ray(value, rays):
+    """The given rays' entries of a per-ray array; a value shared by all rays as is."""
+    return value[rays] if isinstance(value, np.ndarray) else value
+
+
+def _column(value):
+    """A per-ray array as a column that broadcasts along each ray's steps."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask):
+    """Trace rays from free origin cells, in blocks of bounded working memory.
+
+    Origins and ranges are scalars shared by every ray or per-ray arrays.
+    """
+    n = bearings.shape[0]
+    dist = np.full(n, max_range)
     blocked = np.zeros(n, dtype=bool)
+    if n == 0:
+        return dist, blocked
     # Crossings per axis that can matter: every one within range (the first
     # lies within one cell, later ones at least a cell apart; two spare ones
-    # absorb rounding), but no more than it takes to leave the map.
-    limit = min(float(max(grid.width, grid.height)), max_range / grid.resolution + 3.0)
+    # absorb rounding), but no more than it takes to leave the map.  Rays
+    # traced together share the count of the longest range (the map's size
+    # if a range is NaN); spare crossings lie beyond a ray's range or
+    # outside the map and never reach its result.
+    longest = float(max_range.max()) if isinstance(max_range, np.ndarray) else max_range
+    limit = min(float(max(grid.width, grid.height)), longest / grid.resolution + 3.0)
     crossings = int(max(1.0, limit))
     block = max(1, _BLOCK_CROSSINGS // (2 * crossings))
     for lo in range(0, n, block):
         hi = lo + block
-        _trace_block(grid, x0, y0, ix0, iy0, bearings[lo:hi], max_range, crossings,
+        x0_, y0_, ix0_, iy0_, reach = (
+            _per_ray(v, slice(lo, hi)) for v in (x0, y0, ix0, iy0, max_range)
+        )
+        _trace_block(grid, x0_, y0_, ix0_, iy0_, bearings[lo:hi], reach, crossings,
                      dist[lo:hi], blocked[lo:hi], free_mask, hit_mask)
     return dist, blocked
 
@@ -318,7 +392,8 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     # Merge: a stable sort of two sorted runs puts the x crossing first on
     # ties, as the walk does.  Crossings beyond range sort last and are dropped.
     order = np.argsort(t, axis=1, kind="stable")
-    steps = int(np.count_nonzero(t <= max_range, axis=1).max())
+    reach = _column(max_range)
+    steps = int(np.count_nonzero(t <= reach, axis=1).max())
     if steps == 0:
         return
     order = order[:, :steps]
@@ -328,9 +403,9 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     # can have.
     t[:, 0] = np.minimum(tmax_x, tmax_y)
     nx = np.cumsum(order < crossings, axis=1)
-    ix = ix0 + step_x[:, None] * nx
-    iy = iy0 + step_y[:, None] * (np.arange(1, steps + 1) - nx)
-    alive = (t <= max_range) & (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
+    ix = _column(ix0) + step_x[:, None] * nx
+    iy = _column(iy0) + step_y[:, None] * (np.arange(1, steps + 1) - nx)
+    alive = (t <= reach) & (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
     np.logical_and.accumulate(alive, axis=1, out=alive)
     occupied = alive & (grid.cells[np.where(alive, iy, 0), np.where(alive, ix, 0)]
                         == CellState.OCCUPIED)
@@ -537,11 +612,14 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
             raise ValidationError(f"landmark {lm.id}: footprint must have positive area")
         if x0 < 0 or y0 < 0 or x1 > w_m or y1 > h_m:
             raise ValidationError(f"landmark {lm.id}: footprint outside map bounds")
-        for ix, iy in footprint_cells(grid, lm.footprint):
-            if grid.cells[iy, ix] != CellState.OCCUPIED:
-                raise ValidationError(
-                    f"landmark {lm.id}: footprint cell ({ix}, {iy}) is not occupied in the map"
-                )
+        rows, cols, inside = _footprint_window(grid, lm.footprint)
+        free = inside & (grid.cells[rows, cols] != CellState.OCCUPIED)
+        if free.any():
+            iy, ix = np.unravel_index(int(np.argmax(free)), free.shape)  # first in row-major order
+            raise ValidationError(
+                f"landmark {lm.id}: footprint cell ({ix + cols.start}, {iy + rows.start}) "
+                "is not occupied in the map"
+            )
 
     targets = [o for o in spec.objects if o.is_target]
     if len(targets) != 1:
@@ -600,19 +678,29 @@ def _validate_scenario(spec: ScenarioSpec) -> None:
         raise ValidationError("planner.robot_radius: must be non-negative and finite")
 
 
-def footprint_cells(grid: GridMap, footprint: tuple[float, float, float, float]):
-    """Yield (ix, iy) for every cell whose center lies inside the rectangle."""
+def _footprint_window(
+    grid: GridMap, footprint: tuple[float, float, float, float]
+) -> tuple[slice, slice, np.ndarray]:
+    """(rows, cols, inside): the grid window around a footprint rectangle and
+    the mask of window cells whose center lies inside it."""
     x0, y0, x1, y1 = footprint
     res = grid.resolution
     ix0 = max(0, int(math.floor(x0 / res)))
     iy0 = max(0, int(math.floor(y0 / res)))
     ix1 = min(grid.width - 1, int(math.floor(x1 / res)))
     iy1 = min(grid.height - 1, int(math.floor(y1 / res)))
-    for iy in range(iy0, iy1 + 1):
-        for ix in range(ix0, ix1 + 1):
-            cx, cy = grid.cell_to_world(ix, iy)
-            if x0 <= cx <= x1 and y0 <= cy <= y1:
-                yield ix, iy
+    cx = (np.arange(ix0, ix1 + 1) + 0.5) * res
+    cy = (np.arange(iy0, iy1 + 1) + 0.5) * res
+    inside = ((y0 <= cy) & (cy <= y1))[:, None] & ((x0 <= cx) & (cx <= x1))[None, :]
+    return slice(iy0, iy1 + 1), slice(ix0, ix1 + 1), inside
+
+
+def footprint_cells(grid: GridMap, footprint: tuple[float, float, float, float]):
+    """Yield (ix, iy) for every cell whose center lies inside the rectangle,
+    in row-major order."""
+    rows, cols, inside = _footprint_window(grid, footprint)
+    iys, ixs = np.nonzero(inside)
+    yield from zip((ixs + cols.start).tolist(), (iys + rows.start).tolist())
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:

@@ -225,3 +225,63 @@ class TestRaycastMatchesStepwiseWalk:
         grid = random_grid(rng)
         for origin in free_origins(grid, rng, 4):
             assert_same_as_reference(grid, origin, AXIS_AND_DIAGONAL, max_range)
+
+
+def assert_per_ray_same_as_reference(grid, origins, bearings, ranges):
+    """One origin and range per ray: each ray equals its own single-ray walk,
+    and the masks are the union of the single-ray masks."""
+    got_free = np.zeros((grid.height, grid.width), dtype=bool)
+    got_hit = np.zeros_like(got_free)
+    want_free = np.zeros_like(got_free)
+    want_hit = np.zeros_like(got_free)
+    dist, blocked = raycast_batch(grid, np.array(origins), bearings, ranges, got_free, got_hit)
+    for k, (origin, bearing, reach) in enumerate(zip(origins, bearings, ranges)):
+        want = stepwise_raycast_batch(grid, origin, np.array([bearing]), reach,
+                                      want_free, want_hit)
+        assert dist[k : k + 1].tobytes() == want[0].tobytes()
+        assert blocked[k] == want[1][0]
+    assert np.array_equal(got_free, want_free)
+    assert np.array_equal(got_hit, want_hit)
+
+
+class TestPerRayOriginsAndRanges:
+    def test_random_maps(self):
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            grid = random_grid(rng)
+            origins = free_origins(grid, rng, 40)
+            bearings = rng.uniform(-math.pi, math.pi, size=40)
+            assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 40))
+
+    def test_grid_lines_corners_and_occupied_origins(self):
+        rows = empty_rows(12, 12, border=False)
+        rows[5] = rows[5][:6] + "#" + rows[5][7:]
+        grid = GridMap.from_rows(rows, 0.5)
+        origins = [(3.0, 3.0), (3.0, 3.2), (2.7, 3.0), (2.5, 3.5), (0.0, 0.0), (3.5, 3.0),
+                   (3.25, 3.25)]  # the last one lies in the occupied cell (6, 6)
+        assert grid.cells[6, 6] == CellState.OCCUPIED
+        bearings = np.concatenate([AXIS_AND_DIAGONAL, np.linspace(-3.0, 3.0, 13)])
+        cases = [(o, b) for o in origins for b in bearings]
+        ranges = np.resize([4.0, 0.5, 2.0, 0.0, 6.0], len(cases))
+        assert_per_ray_same_as_reference(
+            grid, [o for o, _ in cases], np.array([b for _, b in cases]), ranges
+        )
+
+    def test_mixed_ranges_including_invalid_ones(self):
+        rng = np.random.default_rng(22)
+        grid = random_grid(rng, 30, 25, density=0.1)
+        origins = free_origins(grid, rng, 12)
+        ranges = np.array([0.0, -1.0, -math.inf, math.nan, 0.05, 1.0, 2.5, 50.0] + [3.0] * 4)
+        assert_per_ray_same_as_reference(grid, origins, rng.uniform(-3.0, 3.0, 12), ranges)
+
+    def test_more_rays_than_one_block(self):
+        rng = np.random.default_rng(23)
+        grid = random_grid(rng, 30, 25, density=0.1)
+        origins = free_origins(grid, rng, 2500)
+        bearings = rng.uniform(-math.pi, math.pi, size=2500)
+        assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 2500))
+
+    def test_origin_outside_the_map_is_named(self):
+        grid = GridMap.from_rows(["...", "..."], 1.0)
+        with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
+            raycast_batch(grid, np.array([(0.5, 0.5), (3.5, 0.5)]), np.zeros(2), 1.0)

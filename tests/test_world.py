@@ -50,6 +50,44 @@ class TestGridMap:
         with pytest.raises(ValidationError):
             GridMap(2, 2, -0.1, np.zeros((2, 2), dtype=np.uint8))
 
+    def test_map_row_errors(self):
+        cases = [
+            (["..", "..."], "map.rows[1]: length 3 != 2"),
+            (["..", ".x"], "map.rows[1]: unexpected characters ['x']"),
+            (["#.", "é#", "a"], "map.rows[1]: unexpected characters ['é']"),
+            (["...", "x", "b.!"], "map.rows[1]: length 1 != 3"),
+            (["...", ".x.", ""], "map.rows[1]: unexpected characters ['x']"),
+            (["..", "..", "?.", "y"], "map.rows[2]: unexpected characters ['?']"),
+            ([".", " ", "\t"], "map.rows[1]: unexpected characters [' ']"),
+            (["#.#.", "ab.c"], "map.rows[1]: unexpected characters ['a', 'b', 'c']"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ValidationError) as err:
+                grid_from_rows(rows)
+            assert str(err.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda w: st.lists(st.text(".#", min_size=w, max_size=w), min_size=1, max_size=30)
+        ),
+        st.sampled_from([0.05, 0.1, 0.25]),
+    )
+    def test_rows_round_trip(self, rows, res):
+        grid = GridMap.from_rows(rows, res)
+        assert grid.to_rows() == rows
+        assert GridMap.from_rows(grid.to_rows(), res) == grid
+        for r, row in enumerate(rows):
+            iy = len(rows) - 1 - r
+            assert [int(c) for c in grid.cells[iy]] == [int(ch == "#") for ch in row]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_grid_round_trip(self, width, height, seed):
+        cells = (np.random.default_rng(seed).random((height, width)) < 0.4).astype(np.uint8)
+        grid = GridMap(width, height, 0.1, cells)
+        assert GridMap.from_rows(grid.to_rows(), 0.1) == grid
+
     def test_cells_immutable(self):
         grid = grid_from_rows(["..", ".."])
         with pytest.raises(ValueError):
@@ -283,6 +321,22 @@ class TestScenarioParsing:
         doc["landmarks"][0]["footprint"] = [0.5, 0.4, 0.7, 0.6]  # open space
         with pytest.raises(ValidationError, match="not occupied"):
             parse_scenario(doc)
+
+    def test_first_free_footprint_cell_is_named(self):
+        # Cells (3, 7) and (2, 8) of the footprint are free; (3, 7) comes
+        # first in row-major order.
+        doc = minimal_doc()
+        rows = doc["map"]["rows"]
+        for ix, iy in ((3, 7), (2, 8)):
+            r = 10 - 1 - iy
+            rows[r] = rows[r][:ix] + "." + rows[r][ix + 1 :]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == "landmark L0: footprint cell (3, 7) is not occupied in the map"
+        doc["landmarks"][0]["footprint"] = [0.5, 0.4, 0.7, 0.6]  # open space
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == "landmark L0: footprint cell (5, 4) is not occupied in the map"
 
     def test_target_phrase_must_match_object(self):
         doc = minimal_doc()
