@@ -177,8 +177,8 @@ def lines_of_sight(
     ``math.atan2`` on that pair alone, so every flag equals the one-pair
     result bit for bit.
     """
-    origin_array = np.asarray(origins, dtype=np.float64)
-    pairs = np.asarray(points, dtype=np.float64).reshape(-1, 2) - origin_array.reshape(-1, 2)
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
+    pairs = np.asarray(points, dtype=np.float64).reshape(-1, 2) - origins
     n = pairs.shape[0]
     dxs, dys = pairs.T.tolist()
     distance = np.array([math.hypot(dx, dy) for dx, dy in zip(dxs, dys)])
@@ -187,9 +187,7 @@ def lines_of_sight(
     if cast.size:
         bearings = np.array([math.atan2(dys[i], dxs[i]) for i in cast.tolist()])
         reach = distance[cast]
-        if origin_array.ndim > 1:
-            origins = np.broadcast_to(origin_array, (n, 2))[cast]
-        # else one shared origin, passed on as given
+        origins = np.broadcast_to(origins, (n, 2))[cast]
         dist, blocked = raycast_batch(world, origins, bearings, reach)
         slack = np.broadcast_to(np.asarray(slacks, dtype=np.float64), (n,))[cast]
         visible[cast] = ~blocked | (dist >= reach - slack)
@@ -240,9 +238,6 @@ def camera_observe(
         (ob.id, ob.name, ob.position, ob.radius, False, ob.radius + 2.0 * res)
         for ob in scenario.objects
     ]
-    # Range and field-of-view gates first, then one occlusion test for every
-    # entity that passed them; none of the three draws from the rng.
-    in_view = []
     for entity_id, name, center, radius, known, slack in entities:
         distance = math.hypot(center[0] - pose.x, center[1] - pose.y)
         if distance <= 0.0 or distance > hp.cam_range:
@@ -250,13 +245,8 @@ def camera_observe(
         rel = relative_bearing(pose, center)
         if abs(rel) > half_fov:
             continue
-        in_view.append((entity_id, name, center, radius, known, slack, distance, rel))
-    if in_view:
-        seen = lines_of_sight(
-            grid, origin, [e[2] for e in in_view], [e[5] for e in in_view]
-        )
-        in_view = [e for e, ok in zip(in_view, seen.tolist()) if ok]
-    for entity_id, name, _, radius, known, _, distance, rel in in_view:
+        if not line_of_sight(grid, origin, center, slack):
+            continue
         if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
             continue
         canonical = store.get(name)

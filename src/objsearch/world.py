@@ -56,7 +56,7 @@ class GridMap:
             raise ValidationError(
                 f"map.cells: expected shape {(self.height, self.width)}, got {cells.shape}"
             )
-        if not (cells <= CellState.OCCUPIED).all():  # uint8: Free (0) or Occupied (1)
+        if not np.isin(cells, (CellState.FREE, CellState.OCCUPIED)).all():
             raise ValidationError("map.cells: cells must be Free or Occupied")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
@@ -273,93 +273,54 @@ def raycast_batch(
     """
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
-    max_range = np.asarray(max_range, dtype=np.float64)
-    if max_range.ndim == 0:
-        max_range = float(max_range)
-    points = np.asarray(origin, dtype=np.float64)
-    if points.ndim == 1:
-        # One origin for all rays: trace with scalars, which numpy applies
-        # to every ray alike.
-        x0, y0 = float(points[0]), float(points[1])
-        ix0, iy0 = grid.world_to_cell(x0, y0)
-        if not grid.in_bounds(ix0, iy0):
-            raise DomainError(f"raycast origin {origin} outside map bounds")
-        if grid.cells[iy0, ix0] == CellState.OCCUPIED:
-            if hit_mask is not None:
-                hit_mask[iy0, ix0] = True
-            return np.zeros(n), np.ones(n, dtype=bool)
-        if free_mask is not None:
-            free_mask[iy0, ix0] = True
-        return _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask)
-
-    # One origin per ray.
-    x0, y0 = points.T
-    cols = np.floor(x0 / grid.resolution)
-    rows = np.floor(y0 / grid.resolution)
-    outside = ~((cols >= 0) & (cols < grid.width) & (rows >= 0) & (rows < grid.height))
-    if outside.any():
-        bad = tuple(points[np.argmax(outside)].tolist())
+    points = np.asarray(origin, dtype=np.float64).reshape(-1, 2)
+    cell = np.floor(points / grid.resolution)
+    inside = ((cell >= 0) & (cell < (grid.width, grid.height))).all(axis=1)
+    if not inside.all():
+        bad = tuple(points[np.argmin(inside)].tolist())
         raise DomainError(f"raycast origin {bad} outside map bounds")
-    ix0 = cols.astype(np.int64)
-    iy0 = rows.astype(np.int64)
+    ix0, iy0 = cell.astype(np.int64).T
     occupied = grid.cells[iy0, ix0] == CellState.OCCUPIED
     if hit_mask is not None:
         hit_mask[iy0[occupied], ix0[occupied]] = True
     if free_mask is not None:
         free_mask[iy0[~occupied], ix0[~occupied]] = True
-    if isinstance(max_range, np.ndarray):
-        max_range = np.broadcast_to(max_range, (n,))
-    if not occupied.any():
-        return _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask)
-    # Rays from occupied cells stop where they start.
+    # Each ray's origin row (row 0 for a shared origin).  Rays from occupied
+    # cells stop where they start; the others are traced.
+    row = np.broadcast_to(np.arange(len(points)), (n,))
+    live = np.flatnonzero(~occupied[row])
+    row = row[live]
+    reach = np.broadcast_to(np.asarray(max_range, dtype=np.float64), (n,))[live]
     dist = np.zeros(n)
     blocked = np.ones(n, dtype=bool)
-    live = np.flatnonzero(~occupied)
     if live.size:
         dist[live], blocked[live] = _trace(
-            grid, x0[live], y0[live], ix0[live], iy0[live], bearings[live],
-            _per_ray(max_range, live), free_mask, hit_mask,
+            grid, points[row, 0], points[row, 1], ix0[row], iy0[row], bearings[live], reach,
+            free_mask, hit_mask,
         )
     return dist, blocked
 
 
-def _per_ray(value, rays):
-    """The given rays' entries of a per-ray array; a value shared by all rays as is."""
-    return value[rays] if isinstance(value, np.ndarray) else value
-
-
-def _column(value):
-    """A per-ray array as a column that broadcasts along each ray's steps."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
-
-
 def _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask):
-    """Trace rays from free origin cells, in blocks of bounded working memory.
-
-    Origins and ranges are scalars shared by every ray or per-ray arrays.
-    """
+    """Trace rays from free origin cells, in blocks of bounded working memory."""
     n = bearings.shape[0]
-    dist = np.full(n, max_range)
+    dist = max_range.copy()
     blocked = np.zeros(n, dtype=bool)
-    if n == 0:
-        return dist, blocked
     # Crossings per axis that can matter: every one within range (the first
     # lies within one cell, later ones at least a cell apart; two spare ones
     # absorb rounding), but no more than it takes to leave the map.  Rays
     # traced together share the count of the longest range (the map's size
     # if a range is NaN); spare crossings lie beyond a ray's range or
     # outside the map and never reach its result.
-    longest = float(max_range.max()) if isinstance(max_range, np.ndarray) else max_range
+    longest = float(max_range.max())
     limit = min(float(max(grid.width, grid.height)), longest / grid.resolution + 3.0)
     crossings = int(max(1.0, limit))
     block = max(1, _BLOCK_CROSSINGS // (2 * crossings))
     for lo in range(0, n, block):
         hi = lo + block
-        x0_, y0_, ix0_, iy0_, reach = (
-            _per_ray(v, slice(lo, hi)) for v in (x0, y0, ix0, iy0, max_range)
-        )
-        _trace_block(grid, x0_, y0_, ix0_, iy0_, bearings[lo:hi], reach, crossings,
-                     dist[lo:hi], blocked[lo:hi], free_mask, hit_mask)
+        _trace_block(grid, x0[lo:hi], y0[lo:hi], ix0[lo:hi], iy0[lo:hi], bearings[lo:hi],
+                     max_range[lo:hi], crossings, dist[lo:hi], blocked[lo:hi],
+                     free_mask, hit_mask)
     return dist, blocked
 
 
@@ -392,7 +353,7 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     # Merge: a stable sort of two sorted runs puts the x crossing first on
     # ties, as the walk does.  Crossings beyond range sort last and are dropped.
     order = np.argsort(t, axis=1, kind="stable")
-    reach = _column(max_range)
+    reach = max_range[:, None]
     steps = int(np.count_nonzero(t <= reach, axis=1).max())
     if steps == 0:
         return
@@ -403,8 +364,8 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     # can have.
     t[:, 0] = np.minimum(tmax_x, tmax_y)
     nx = np.cumsum(order < crossings, axis=1)
-    ix = _column(ix0) + step_x[:, None] * nx
-    iy = _column(iy0) + step_y[:, None] * (np.arange(1, steps + 1) - nx)
+    ix = ix0[:, None] + step_x[:, None] * nx
+    iy = iy0[:, None] + step_y[:, None] * (np.arange(1, steps + 1) - nx)
     alive = (t <= reach) & (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
     np.logical_and.accumulate(alive, axis=1, out=alive)
     occupied = alive & (grid.cells[np.where(alive, iy, 0), np.where(alive, ix, 0)]

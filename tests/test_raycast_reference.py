@@ -217,6 +217,7 @@ class TestRaycastMatchesStepwiseWalk:
         rows = ["...", ".#.", "..."]
         grid = GridMap.from_rows(rows, 1.0)
         assert_same_as_reference(grid, (0.5, 0.5), np.zeros(0), 2.0)
+        assert_same_as_reference(grid, (1.5, 1.5), np.zeros(0), 2.0)
         assert_same_as_reference(grid, (1.5, 1.5), np.array([0.0, 1.0]), 2.0)
 
     @pytest.mark.parametrize("max_range", [0.0, -1.0, -math.inf, math.nan])
@@ -285,3 +286,6 @@ class TestPerRayOriginsAndRanges:
         grid = GridMap.from_rows(["...", "..."], 1.0)
         with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
             raycast_batch(grid, np.array([(0.5, 0.5), (3.5, 0.5)]), np.zeros(2), 1.0)
+        for rays in (2, 0):  # a shared origin is checked even when no ray is cast
+            with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
+                raycast_batch(grid, (3.5, 0.5), np.zeros(rays), 1.0)
