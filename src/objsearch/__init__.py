@@ -2,7 +2,7 @@
 
 from .assets import AssetContext
 from .batch import AggregateReport, RunConfig, run_batch
-from .episode import EpisodeResult, oracle_confirm, run_episode
+from .episode import EpisodeResult, run_episode
 from .knowledge import GenerationTable, WordVectorStore, cooccurrence, phrase_vector
 from .matching import (
     TextEmbeddingStore,

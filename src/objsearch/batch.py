@@ -167,14 +167,7 @@ def run_batch(config: RunConfig, asset_root: Path | None = None) -> AggregateRep
             records = list(pool.map(_run_one, tasks))
     records.sort(key=lambda r: r.episode)
 
-    report = AggregateReport(
-        preset=config.preset,
-        episodes=len(records),
-        sr=success_rate(records),
-        spl=spl(records),
-        mean_waypoints=mean_waypoints(records),
-        records=records,
-    )
+    report = score_records(records, config.preset)
     if config.out_dir is not None:
         write_report(report, Path(config.out_dir))
     return report

@@ -108,7 +108,6 @@ class EpisodeState:
     belief: BeliefMap
     seed: int
     registry: list[LandmarkEntry] = field(default_factory=list)
-    visited: set[str] = field(default_factory=set)
     candidates: list[CandidatePatch] = field(default_factory=list)
     traveled: float = 0.0
     waypoints_visited: int = 0
@@ -317,13 +316,6 @@ def _confirm_candidate(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
     return iou > IOU_CONFIRM or ioa > IOA_CONFIRM
 
 
-def oracle_confirm(candidates: Sequence[CandidatePatch], scenario: ScenarioSpec) -> list[bool]:
-    """Automated stand-in for asking a human about each candidate patch."""
-    if not candidates:
-        raise DomainError("oracle_confirm needs at least one candidate")
-    return [_confirm_candidate(c, scenario) for c in candidates]
-
-
 def _judge_new_candidates(
     state: EpisodeState, scenario: ScenarioSpec, confirm_fn: ConfirmFn
 ) -> CandidatePatch | None:
@@ -474,7 +466,6 @@ def visit_waypoint(
     if outcome is _NavOutcome.BUDGET:
         return outcome
     state.pose = vp.pose
-    state.visited.add(vp.landmark_id)
     for entry in state.registry:
         if entry.id == vp.landmark_id:
             entry.visited = True
@@ -504,7 +495,7 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
         if entry.visited or entry.skipped:
             continue
         vp = generate_viewpoints(
-            state.belief, entry.position, _current_cell(state),
+            state.belief, entry.position,
             entry.id, entry.name, entry.cooccur, entry.sem_uncert,
             planner, trav, dist,
         )
@@ -642,7 +633,7 @@ def run_episode(
             len(state.registry),
             round(state.traveled, 9),
             len(state.candidates),
-            len(state.visited),
+            state.waypoints_visited,
         )
         if progress == prev_progress:
             _emit(state, "explore_exhausted", reason="no_progress")
@@ -666,8 +657,7 @@ def run_episode(
             break
 
         frontier = nearest_frontier(
-            state.belief, state.pose, scenario.planner,
-            _traversable_now(state, scenario), _distance_now(state, scenario),
+            state.belief, scenario.planner, _distance_now(state, scenario)
         )
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")

@@ -25,14 +25,6 @@ class NoPathError(ObjSearchError):
     """The goal cell is unreachable or not traversable."""
 
 
-class CalibrationError(ObjSearchError):
-    """Uncertainty calibration needs at least two samples with nonzero spread."""
-
-
-class DegenerateLossError(ObjSearchError):
-    """The classification loss is infinite (a mixture assigns zero mass to the label)."""
-
-
 class GenerationError(ObjSearchError):
     """Procedural scenario generation could not satisfy a placement constraint."""
 

@@ -71,13 +71,6 @@ class WordVectorStore:
         except OSError as exc:
             raise AssetError(f"cannot read word vectors from {path}: {exc}") from exc
 
-    def dumps(self) -> str:
-        lines = []
-        for word in sorted(self._vectors):
-            values = " ".join(f"{v:.6f}" for v in self._vectors[word])
-            lines.append(f"{word} {values}")
-        return "\n".join(lines) + "\n"
-
 
 def phrase_vector(phrase: str, store: WordVectorStore) -> np.ndarray:
     """Unit-norm mean of the phrase's in-vocabulary word vectors."""
@@ -138,9 +131,6 @@ class GenerationTable:
                 return cls.loads(fh.read())
         except OSError as exc:
             raise AssetError(f"cannot read generation table from {path}: {exc}") from exc
-
-    def dumps(self) -> str:
-        return json.dumps(dict(sorted(self._entries.items())), indent=2) + "\n"
 
 
 def cooccurrence(

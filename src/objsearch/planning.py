@@ -1,8 +1,9 @@
 """Planning: grid A*, viewpoint generation, greedy waypoint ordering, frontiers.
 
 Paths are 8-connected over observed-free cells; unknown space never counts as
-traversable.  Navigation-facing callers pass an obstacle-inflated traversable
-mask so the point robot keeps its physical radius away from walls.
+traversable.  Callers pass the obstacle-inflated traversable mask (and the
+distance field over it) they plan with, so the point robot keeps its physical
+radius away from walls.
 """
 
 from __future__ import annotations
@@ -90,33 +91,40 @@ class Frontier:
     closest_cell: tuple[int, int]
 
 
-def free_mask(belief: BeliefMap) -> np.ndarray:
-    return belief.cells == BeliefState.FREE
+def _radius_cells(radius: float, resolution: float) -> int:
+    """Smallest whole number of cells that covers a metric radius."""
+    return int(math.ceil(radius / resolution - 1e-9))
+
+
+def _disk_offsets(radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dy, dx) offsets of the cells within ``radius_cells`` of a centre cell."""
+    span = np.arange(-radius_cells, radius_cells + 1)
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    disk = (dx * dx + dy * dy) <= radius_cells * radius_cells + 1e-9
+    return dy[disk], dx[disk]
 
 
 def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
     """Dilate an occupancy mask by a disk of the given cell radius."""
     if radius_cells <= 0:
         return occupied.copy()
-    span = np.arange(-radius_cells, radius_cells + 1)
-    dy, dx = np.meshgrid(span, span, indexing="ij")
-    disk = (dx * dx + dy * dy) <= radius_cells * radius_cells + 1e-9
     # OR of the mask shifted by every disk offset; cells beyond the border
     # count as free.
     height, width = occupied.shape
     padded = np.zeros((height + 2 * radius_cells, width + 2 * radius_cells), dtype=bool)
     padded[radius_cells:-radius_cells, radius_cells:-radius_cells] = occupied
     out = np.zeros((height, width), dtype=bool)
-    for oy, ox in zip(*np.nonzero(disk)):
+    for dy, dx in zip(*_disk_offsets(radius_cells)):
+        oy, ox = dy + radius_cells, dx + radius_cells
         out |= padded[oy : oy + height, ox : ox + width]
     return out
 
 
 def traversable_mask(belief: BeliefMap, robot_radius: float) -> np.ndarray:
     """Free cells that keep the robot body clear of observed obstacles."""
-    radius_cells = int(math.ceil(robot_radius / belief.resolution - 1e-9))
     occupied = belief.cells == BeliefState.OCCUPIED
-    return free_mask(belief) & ~inflate_occupied(occupied, radius_cells)
+    inflated = inflate_occupied(occupied, _radius_cells(robot_radius, belief.resolution))
+    return (belief.cells == BeliefState.FREE) & ~inflated
 
 
 def clear_robot_disk(
@@ -128,15 +136,13 @@ def clear_robot_disk(
     point inflation would swallow the cell it is standing on and strand it.
     The robot's body is proof those free cells are passable.
     """
-    radius_cells = int(math.ceil(robot_radius / belief.resolution - 1e-9))
     cx, cy = cell
-    for dy in range(-radius_cells, radius_cells + 1):
-        for dx in range(-radius_cells, radius_cells + 1):
-            if dx * dx + dy * dy > radius_cells * radius_cells + 1e-9:
-                continue
-            x, y = cx + dx, cy + dy
-            if belief.in_bounds(x, y) and belief.cells[y, x] == BeliefState.FREE:
-                trav[y, x] = True
+    dy, dx = _disk_offsets(_radius_cells(robot_radius, belief.resolution))
+    xs, ys = cx + dx, cy + dy
+    inside = (xs >= 0) & (xs < belief.width) & (ys >= 0) & (ys < belief.height)
+    xs, ys = xs[inside], ys[inside]
+    free = belief.cells[ys, xs] == BeliefState.FREE
+    trav[ys[free], xs[free]] = True
     trav[cy, cx] = True
     return trav
 
@@ -145,17 +151,14 @@ def plan_path(
     belief: BeliefMap,
     start: tuple[int, int],
     goal: tuple[int, int],
-    traversable: np.ndarray | None = None,
+    traversable: np.ndarray,
 ) -> Path:
     """Shortest 8-connected path by A* with an octile heuristic.
 
     Ties in the open list break on the flat cell index, so equal-cost maps
-    always produce the same path.  Unknown cells are never traversable;
-    callers may pass an inflated ``traversable`` mask instead of the default
-    raw free mask.
+    always produce the same path.  Only cells set in ``traversable`` are
+    entered; navigation passes the inflated mask of :func:`traversable_mask`.
     """
-    if traversable is None:
-        traversable = free_mask(belief)
     width, height = belief.width, belief.height
     sx, sy = int(start[0]), int(start[1])
     gx, gy = int(goal[0]), int(goal[1])
@@ -260,30 +263,26 @@ def distance_field(
 def generate_viewpoints(
     belief: BeliefMap,
     landmark_position: tuple[float, float],
-    robot_cell: tuple[int, int],
     landmark_id: str,
     landmark_name: str,
     cooccur: float,
     sem_uncert: float,
-    params: PlannerParams = PlannerParams(),
-    traversable: np.ndarray | None = None,
-    dist_field: np.ndarray | None = None,
+    params: PlannerParams,
+    traversable: np.ndarray,
+    dist_field: np.ndarray,
 ) -> Viewpoint | None:
     """Best observation pose on a ring around a landmark, or None if unreachable.
 
     Candidates sit at ``view_radius`` from the landmark center at evenly
     spaced angles, facing the center.  A candidate survives when its cell is
-    observed-free and reachable; the reachable candidate with the shortest
-    path distance from the robot wins (ties go to the lower angle index).
+    observed-free, traversable and reachable; the one with the smallest
+    ``dist_field`` value (the robot's travel distance) wins, and ties go to
+    the lower angle index.
     """
     lx, ly = landmark_position
     ix, iy = belief.world_to_cell(lx, ly)
     if not belief.in_bounds(ix, iy):
         raise DomainError(f"landmark position {landmark_position} outside map bounds")
-    if traversable is None:
-        traversable = traversable_mask(belief, params.robot_radius)
-    if dist_field is None:
-        dist_field = distance_field(traversable, belief.resolution, [robot_cell])
 
     best: Viewpoint | None = None
     best_dist = math.inf
@@ -361,17 +360,14 @@ def frontier_cells_mask(belief: BeliefMap) -> np.ndarray:
 
 
 def nearest_frontier(
-    belief: BeliefMap,
-    pose: Pose,
-    params: PlannerParams = PlannerParams(),
-    traversable: np.ndarray | None = None,
-    dist_field: np.ndarray | None = None,
+    belief: BeliefMap, params: PlannerParams, dist_field: np.ndarray
 ) -> Frontier | None:
     """Closest sufficiently large frontier cluster, or None when explored out.
 
     Clusters are 8-connected, clusters smaller than ``min_frontier_cells``
-    are noise, and distance is the shortest-path distance from the pose to
-    the cluster's nearest reachable member.
+    are noise, and a cluster's distance is the smallest ``dist_field`` value
+    (the robot's travel distance) among its members; ties go to the lowest
+    cluster label.
     """
     mask = frontier_cells_mask(belief)
     if not mask.any():
@@ -379,11 +375,6 @@ def nearest_frontier(
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if count == 0:
         return None
-    if traversable is None:
-        traversable = traversable_mask(belief, params.robot_radius)
-    if dist_field is None:
-        robot_cell = belief.world_to_cell(pose.x, pose.y)
-        dist_field = distance_field(traversable, belief.resolution, [robot_cell])
 
     best_label = None
     best_dist = math.inf

@@ -199,3 +199,44 @@ class TestCliExitCodes:
         path.write_text("{", encoding="utf-8")
         assert main(["batch", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestCliHappyPath:
+    # A travel budget of 8 m makes this small suite end in both outcomes.
+    SUITE_DOC = {"count": 4, "rooms": 2, "landmarks": 3, "map_side": 8.0,
+                 "hyperparams": {"fail_distance": 8.0}, "seed": 0}
+
+    def test_gen_suite_batch_score_and_run(self, tmp_path, capsys):
+        params = tmp_path / "suite.json"
+        params.write_text(json.dumps(self.SUITE_DOC), encoding="utf-8")
+        suite_dir = tmp_path / "suite"
+        assert main(["gen-suite", str(params), "--out", str(suite_dir)]) == 0
+        paths = sorted(suite_dir.glob("suite-*.json"))
+        assert len(paths) == 4
+
+        out = tmp_path / "out"
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({"scenarios": [str(p) for p in paths], "out": str(out)}),
+                          encoding="utf-8")
+        assert main(["batch", str(config)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["records.jsonl", "report.json",
+                                                         "report.txt"]
+
+        # Scoring the written records reproduces the batch report; only the
+        # preset name differs, because records do not carry it.
+        scored = tmp_path / "scored"
+        assert main(["score", str(out / "records.jsonl"), "--report", str(scored)]) == 0
+        assert (scored / "records.jsonl").read_bytes() == (out / "records.jsonl").read_bytes()
+        batch_report = (out / "report.json").read_text(encoding="utf-8")
+        assert '"preset": "full"' in batch_report
+        assert (scored / "report.json").read_text(encoding="utf-8") == batch_report.replace(
+            '"preset": "full"', '"preset": "scored"'
+        )
+        capsys.readouterr()
+
+        records = load_records_jsonl((out / "records.jsonl").read_text(encoding="utf-8"))
+        assert {r.success for r in records} == {True, False}
+        for record, path in zip(records, paths):
+            code = main(["run", str(path), "--seed", str(record.seed)])
+            status = capsys.readouterr().out.split(":")[0]
+            assert (code, status) == ((0, "success") if record.success else (1, "failure"))

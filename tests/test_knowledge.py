@@ -43,11 +43,13 @@ class TestWordVectorStore:
             toy_store(a=[np.inf, 0.0])
 
     def test_dump_roundtrip(self, tmp_path):
-        store = toy_store(desk=[0.25, -1.5], bed=[3.0, 0.0])
         p = tmp_path / "words.txt"
-        p.write_text(store.dumps(), encoding="utf-8")
+        p.write_text("# comment\nbed 3.000000 0.000000\n\ndesk 0.250000 -1.500000\n",
+                     encoding="utf-8")
         loaded = WordVectorStore.load(p)
+        assert len(loaded) == 2 and loaded.dim == 2
         np.testing.assert_allclose(loaded.get("desk"), [0.25, -1.5], atol=1e-6)
+        np.testing.assert_allclose(loaded.get("bed"), [3.0, 0.0], atol=1e-6)
 
 
 class TestPhraseVector:

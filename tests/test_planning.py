@@ -1,9 +1,10 @@
-"""Planning kernels against references: distance fields, A* lengths, inflation.
+"""Planning kernels against references, and viewpoint and frontier choice.
 
 ``coo_distance_field`` is the per-call graph build ``distance_field`` used
 before: four rolled neighbour masks assembled into a COO matrix.  The current
 build must give bit-equal fields, which is what lets the episode loop and the
-SPL reference keep byte-identical traces and records.
+SPL reference keep byte-identical traces and records.  ``loop_clear_robot_disk``
+is the cell-by-cell footprint whitelist that ``clear_robot_disk`` replaced.
 """
 
 from __future__ import annotations
@@ -16,9 +17,18 @@ from scipy import ndimage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from objsearch.errors import NoPathError
-from objsearch.planning import SQRT2, distance_field, inflate_occupied, plan_path
+from objsearch.errors import DomainError, NoPathError
+from objsearch.planning import (
+    SQRT2,
+    clear_robot_disk,
+    distance_field,
+    generate_viewpoints,
+    inflate_occupied,
+    nearest_frontier,
+    plan_path,
+)
 from objsearch.sensing import BeliefMap, BeliefState
+from objsearch.world import PlannerParams
 
 
 def coo_distance_field(traversable, resolution, sources):
@@ -125,3 +135,163 @@ class TestInflation:
             occupied = rng.random(shape) < density
             want = ndimage.binary_dilation(occupied, structure=disk) if radius else occupied
             assert np.array_equal(inflate_occupied(occupied, radius), want)
+
+
+def loop_clear_robot_disk(trav, belief, cell, robot_radius):
+    """Reference: the footprint whitelist walked cell by cell."""
+    radius_cells = int(math.ceil(robot_radius / belief.resolution - 1e-9))
+    cx, cy = cell
+    for dy in range(-radius_cells, radius_cells + 1):
+        for dx in range(-radius_cells, radius_cells + 1):
+            if dx * dx + dy * dy > radius_cells * radius_cells + 1e-9:
+                continue
+            x, y = cx + dx, cy + dy
+            if belief.in_bounds(x, y) and belief.cells[y, x] == BeliefState.FREE:
+                trav[y, x] = True
+    trav[cy, cx] = True
+    return trav
+
+
+class TestClearRobotDisk:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (12, 12), (30, 20)])
+    @pytest.mark.parametrize("robot_radius", [0.0, 0.05, 0.1, 0.2, 0.25, 0.45])
+    def test_matches_cell_loop(self, shape, robot_radius):
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width + int(robot_radius * 100))
+        for _ in range(8):
+            cells = rng.integers(0, 3, size=shape).astype(np.uint8)
+            belief = BeliefMap(width, height, 0.1, cells)
+            trav = rng.random(shape) < 0.3
+            corners = [(0, 0), (width - 1, height - 1), (0, height - 1), (width - 1, 0)]
+            for cell in corners + [(int(rng.integers(width)), int(rng.integers(height)))]:
+                want = loop_clear_robot_disk(trav.copy(), belief, cell, robot_radius)
+                got = trav.copy()
+                assert clear_robot_disk(got, belief, cell, robot_radius) is got
+                assert np.array_equal(got, want)
+
+
+def open_belief(width, height, unknown=()):
+    """An all-free belief at 1 m per cell, with the given cells still unknown."""
+    cells = np.full((height, width), BeliefState.FREE, dtype=np.uint8)
+    for x, y in unknown:
+        cells[y, x] = BeliefState.UNKNOWN
+    return BeliefMap(width, height, 1.0, cells)
+
+
+class TestGenerateViewpoints:
+    """Landmark at the centre of cell (5, 5); the ring of radius 3 m has four
+    poses, at angle indices 0-3 in cells (8, 5), (5, 8), (2, 5) and (5, 2)."""
+
+    PARAMS = PlannerParams(view_radius=3.0, view_directions=4)
+    RING = [(8, 5), (5, 8), (2, 5), (5, 2)]
+
+    def choose(self, belief, trav, dist, position=(5.5, 5.5)):
+        return generate_viewpoints(belief, position, "lm000", "desk", 0.5, 0.1,
+                                   self.PARAMS, trav, dist)
+
+    def field(self, *values):
+        dist = np.full((11, 11), np.inf)
+        for (x, y), value in zip(self.RING, values):
+            dist[y, x] = value
+        return dist
+
+    def test_nearest_reachable_pose_wins(self):
+        belief = open_belief(11, 11)
+        trav = np.ones((11, 11), dtype=bool)
+        vp = self.choose(belief, trav, distance_field(trav, 1.0, [(9, 5)]))
+        assert (vp.landmark_id, vp.landmark_name, vp.cooccur, vp.sem_uncert) == (
+            "lm000", "desk", 0.5, 0.1)
+        assert vp.pose.x == pytest.approx(8.5) and vp.pose.y == pytest.approx(5.5)
+        assert vp.pose.theta == pytest.approx(-math.pi)  # faces the landmark
+        vp = self.choose(belief, trav, self.field(4.0, 3.0, 2.0, 5.0))
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((2.5, 5.5))
+        assert vp.pose.theta == pytest.approx(0.0, abs=1e-12)
+
+    def test_tie_goes_to_lower_angle_index(self):
+        belief = open_belief(11, 11)
+        trav = np.ones((11, 11), dtype=bool)
+        vp = self.choose(belief, trav, distance_field(trav, 1.0, [(5, 5)]))
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((8.5, 5.5))
+        vp = self.choose(belief, trav, self.field(3.0, 2.0, 2.0, 2.0))
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((5.5, 8.5))
+
+    def test_blocked_or_unreachable_candidates_are_skipped(self):
+        belief = open_belief(11, 11)
+        trav = np.ones((11, 11), dtype=bool)
+        dist = self.field(1.0, 2.0, 2.0, 3.0)
+        trav[5, 8] = False  # not traversable
+        assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
+        trav[5, 8] = True
+        belief.cells[5, 8] = BeliefState.OCCUPIED  # not observed free
+        assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
+        belief.cells[5, 8] = BeliefState.FREE
+        vp = self.choose(belief, trav, self.field(np.inf, 2.0, np.inf, np.inf))  # unreachable
+        assert vp.pose.y == pytest.approx(8.5)
+
+    def test_no_usable_candidate_gives_none(self):
+        belief = open_belief(11, 11)
+        trav = np.ones((11, 11), dtype=bool)
+        assert self.choose(belief, trav, self.field()) is None
+        trav[5, 8] = trav[8, 5] = False
+        belief.cells[5, 2] = belief.cells[2, 5] = BeliefState.UNKNOWN
+        assert self.choose(belief, trav, self.field(1.0, 1.0, 1.0, 1.0)) is None
+
+    def test_ring_poses_off_the_map_are_skipped(self):
+        belief = open_belief(11, 11)
+        trav = np.ones((11, 11), dtype=bool)
+        dist = np.zeros((11, 11))
+        vp = self.choose(belief, trav, dist, position=(9.5, 9.5))  # only 180 and 270 deg fit
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((6.5, 9.5))
+        with pytest.raises(DomainError):
+            self.choose(belief, trav, dist, position=(11.5, 5.5))
+
+
+class TestNearestFrontier:
+    """Unknown cell (2, 2) leaves a 4-cell frontier cluster (label 1); unknown
+    cells (10, 6) and (11, 6) leave a 6-cell cluster (label 2)."""
+
+    UNKNOWN = [(2, 2), (10, 6), (11, 6)]
+    SMALL = [(1, 2), (2, 1), (2, 3), (3, 2)]
+    LARGE = [(9, 6), (10, 5), (10, 7), (11, 5), (11, 7), (12, 6)]
+
+    def belief(self):
+        return open_belief(15, 10, self.UNKNOWN)
+
+    def field(self, small, large):
+        dist = np.full((10, 15), np.inf)
+        for cells, value in ((self.SMALL, small), (self.LARGE, large)):
+            for x, y in cells:
+                dist[y, x] = value
+        return dist
+
+    def choose(self, small, large, params=PlannerParams()):
+        frontier = nearest_frontier(self.belief(), params, self.field(small, large))
+        return None if frontier is None else list(frontier.cells)
+
+    def test_closest_cluster_wins(self):
+        belief = self.belief()
+        free = belief.cells == BeliefState.FREE
+        frontier = nearest_frontier(belief, PlannerParams(), distance_field(free, 1.0, [(0, 0)]))
+        assert frontier.cells == tuple(self.SMALL)
+        assert frontier.centroid == pytest.approx((2.5, 2.5))
+        assert frontier.closest_cell == (2, 1)  # ties with (1, 2); first in row order
+        frontier = nearest_frontier(belief, PlannerParams(), distance_field(free, 1.0, [(14, 9)]))
+        assert frontier.cells == tuple(self.LARGE)
+        assert frontier.closest_cell == (12, 6)
+
+    def test_tie_goes_to_lowest_label(self):
+        assert self.choose(5.0, 5.0) == self.SMALL
+        assert self.choose(5.0, 4.0) == self.LARGE
+
+    def test_small_clusters_are_ignored(self):
+        assert self.choose(1.0, 9.0, PlannerParams(min_frontier_cells=5)) == self.LARGE
+        assert self.choose(1.0, 9.0, PlannerParams(min_frontier_cells=7)) is None
+
+    def test_unreachable_clusters_are_skipped(self):
+        assert self.choose(np.inf, 9.0) == self.LARGE
+        assert self.choose(np.inf, np.inf) is None
+
+    def test_fully_explored_belief_gives_none(self):
+        belief = open_belief(15, 10)
+        belief.cells[4:6, 4:9] = BeliefState.OCCUPIED
+        assert nearest_frontier(belief, PlannerParams(), np.zeros((10, 15))) is None
