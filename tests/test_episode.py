@@ -2,7 +2,8 @@
 
 The digests pin the exact bytes of the episode traces and batch records of a
 small generated suite, so a change that alters behaviour, even in the last
-digit of a float, fails here and has to re-pin them on purpose.  The last
+digit of a float, fails here and has to re-pin them on purpose.  A second
+trace digest covers a suite with camera misses and clutter.  The last
 two tests check that the layers an episode reuses (skipped sweeps, cached
 traversable masks and distance fields) equal fresh computations.
 """
@@ -27,6 +28,11 @@ SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
 TRACE_SHA256 = "c9027593f8eb429d7b730c6b08f272e984d447dc5ea6dafabe1d90531a9b9330"
 RECORDS_SHA256 = "8f41f5871dce475b0b5399893d295921ac539e67d512badcf403ecfd316b5196"
+# A noisy-sensor suite: the clean goldens never draw a miss or a clutter
+# detection, so this one pins the camera stream's draw order on those paths.
+CLUTTER_SUITE = SuiteParams(count=4, rooms=3, landmarks=6, map_side=14.0,
+                            sensor={"clutter": 2, "p_miss": 0.1})
+CLUTTER_TRACE_SHA256 = "91d45324865e5231f7c0a3552db49c6e9eacfa5015a6b40837e69b66aaad249e"
 
 
 def sha256(text: str) -> str:
@@ -61,6 +67,14 @@ def serial_records():
 
 def test_golden_trace(traces):
     assert sha256("".join(traces)) == TRACE_SHA256
+
+
+def test_golden_clutter_trace(ctx):
+    scenarios = generate_suite(CLUTTER_SUITE, SUITE_SEED, ctx=ctx)
+    traces = [
+        trace_to_jsonl(run_episode(s, ctx=ctx, seed=i).trace) for i, s in enumerate(scenarios)
+    ]
+    assert sha256("".join(traces)) == CLUTTER_TRACE_SHA256
 
 
 def test_golden_records(serial_records):
