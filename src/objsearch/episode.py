@@ -2,9 +2,13 @@
 
 One episode owns its belief map and rng stream exclusively.  Every camera
 call uses a stream keyed by (scenario seed, call counter), so a scenario and
-seed replay to a bit-identical trace.  The trace is a list of plain dicts
-with a stable schema; ``plan`` events carry the full candidate set so the
-greedy ordering can be replayed from the trace alone.
+seed replay to a bit-identical trace.  The counter advances on every camera
+call, but a call's stream is built lazily, on its first draw: a frame that
+draws nothing (no clutter, and no visible entity to miss or to add noise
+to) builds no Generator, and a stream that is built is the eager one, drawn
+in the same order.  The trace is a list of plain dicts with a stable schema;
+``plan`` events carry the full candidate set so the greedy ordering can be
+replayed from the trace alone.
 
 Within one ``run_episode`` call the loop reuses work it has already done,
 resting on two facts: the world is static, and a belief cell never changes
@@ -164,8 +168,26 @@ def trace_to_jsonl(trace: Sequence[dict]) -> str:
 # --------------------------------------------------------------------------
 
 
-def _next_rng(state: EpisodeState):
-    rng = observation_rng(state.seed, state.obs_counter)
+class _LazyStream:
+    """The camera stream of one frame, built on the frame's first draw.
+
+    Stands in for the Generator ``observation_rng(seed, counter)`` returns:
+    the first attribute looked up builds that Generator, and every lookup is
+    forwarded to it, so the draws are the eager stream's draws.
+    """
+
+    def __init__(self, seed: int, counter: int) -> None:
+        self._key = (seed, counter)
+        self._rng = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = observation_rng(*self._key)
+        return getattr(self._rng, name)
+
+
+def _next_rng(state: EpisodeState) -> _LazyStream:
+    rng = _LazyStream(state.seed, state.obs_counter)
     state.obs_counter += 1
     return rng
 
@@ -552,9 +574,17 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     cell was tested on its own.  The chunks stay small because most searches
     end on their first candidates.
     """
+    trav = traversable_mask(BeliefMap.fully_known(scenario.map), scenario.planner.robot_radius)
+    return _shortest_over(scenario, trav)
+
+
+def _shortest_over(scenario: ScenarioSpec, trav: np.ndarray) -> float:
+    """:func:`ground_truth_shortest` over ``trav``, the traversable mask of
+    the fully known map, which a caller that already holds it can share;
+    ``trav`` is not modified."""
     grid = scenario.map
     target = scenario.target
-    trav = traversable_mask(BeliefMap.fully_known(grid), scenario.planner.robot_radius)
+    trav = trav.copy()
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     trav[start[1], start[0]] = True
     dist = distance_field(trav, grid.resolution, [start])

@@ -8,6 +8,7 @@ radius away from walls.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -96,12 +97,19 @@ def _radius_cells(radius: float, resolution: float) -> int:
     return int(math.ceil(radius / resolution - 1e-9))
 
 
+@functools.cache
 def _disk_offsets(radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dy, dx) offsets of the cells within ``radius_cells`` of a centre cell."""
+    """(dy, dx) offsets of the cells within ``radius_cells`` of a centre cell.
+
+    Built once per radius and shared, so the arrays are read-only.
+    """
     span = np.arange(-radius_cells, radius_cells + 1)
     dy, dx = np.meshgrid(span, span, indexing="ij")
     disk = (dx * dx + dy * dy) <= radius_cells * radius_cells + 1e-9
-    return dy[disk], dx[disk]
+    dy, dx = dy[disk], dx[disk]
+    dy.setflags(write=False)
+    dx.setflags(write=False)
+    return dy, dx
 
 
 def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .assets import AssetContext
-from .episode import ground_truth_shortest
+from .episode import _shortest_over
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrence
 from .planning import traversable_mask
@@ -302,12 +302,14 @@ def _cells_near_rect(
     y1 = min(n - 1, int((rect[3] + max_dist) / res) + 1)
     out = []
     for iy in range(y0, y1 + 1):
+        row = occ[iy].tolist()
+        cy = (iy + 0.5) * res
+        dy = max(rect[1] - cy, cy - rect[3], 0.0)
         for ix in range(x0, x1 + 1):
-            if occ[iy, ix]:
+            if row[ix]:
                 continue
-            cx, cy = (ix + 0.5) * res, (iy + 0.5) * res
+            cx = (ix + 0.5) * res
             dx = max(rect[0] - cx, cx - rect[2], 0.0)
-            dy = max(rect[1] - cy, cy - rect[3], 0.0)
             d = math.hypot(dx, dy)
             if 0.0 < d <= max_dist:
                 out.append((ix, iy))
@@ -440,7 +442,9 @@ def _generate_one(
         seed=int(rng.integers(2**31)),
     )
     spec = load_scenario(serialize_scenario(spec))  # full schema round-trip check
-    if not math.isfinite(ground_truth_shortest(spec)):
+    # The round trip keeps the map and the robot radius, so ``trav`` is still
+    # the fully known map's traversable mask.
+    if not math.isfinite(_shortest_over(spec, trav)):
         raise _Retry("target is not observable from any reachable cell")
     return spec
 

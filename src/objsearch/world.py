@@ -268,8 +268,12 @@ def raycast_batch(
     cumulative sum, so the crossing ranges are bit-identical to stepping),
     the two sequences are merged with the vertical crossing first on ties,
     and each ray is cut at its first step outside the map or onto an
-    occupied cell.  Every per-ray quantity is computed elementwise, so a
-    ray's result does not depend on the other rays traced with it.
+    occupied cell.  Both sequences are sorted, so the crossings within range
+    form a prefix of the merge, and so do the steps inside the map: the
+    kernel counts the first on the unmerged crossings and needs no running
+    scan for either, and it reads a crossing's range back only at each ray's
+    hit step.  Every per-ray quantity is computed elementwise, so a ray's
+    result does not depend on the other rays traced with it.
     """
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
@@ -326,13 +330,28 @@ def _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask):
 
 def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
                  dist, blocked, free_mask, hit_mask) -> None:
-    """Trace one block of rays, writing into the ``dist``/``blocked`` views."""
+    """Trace one block of rays, writing into the ``dist``/``blocked`` views.
+
+    Each crossing run starts at its first crossing and adds a positive
+    spacing, so it is sorted, and so is the merge of the two.  The crossings
+    within a ray's range are therefore a prefix of the merged sequence, and
+    its length is the count of in-range crossings in the unmerged runs.  The
+    walk moves monotonically in x and in y, so a ray that leaves the map
+    never comes back, and the steps inside the map are a prefix as well.
+    A ray's free cells are the steps before its hit (or exit) step, and the
+    range is read back only at that step.
+    """
     res = grid.resolution
+    width = grid.width
     n = bearings.shape[0]
+    # A ray takes at most 2 * crossings <= 2 * side steps, so its cell
+    # coordinates lie in [-2 side, 3 side] and its flat cell index below
+    # 6 side**2 in magnitude: int32 holds it whenever this bound does.
+    index = np.int32 if 16 * max(width, grid.height) ** 2 < 2**31 else np.int64
     dx = np.cos(bearings)
     dy = np.sin(bearings)
-    step_x = np.sign(dx).astype(np.int64)
-    step_y = np.sign(dy).astype(np.int64)
+    step_x = np.sign(dx).astype(index)
+    step_y = np.sign(dy).astype(index)
     with np.errstate(divide="ignore"):
         inv_dx = np.where(dx != 0.0, 1.0 / dx, np.inf)
         inv_dy = np.where(dy != 0.0, 1.0 / dy, np.inf)
@@ -341,45 +360,45 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     with np.errstate(invalid="ignore"):
         tmax_x = np.where(step_x != 0, ((ix0 + (step_x > 0)) * res - x0) * inv_dx, np.inf)
         tmax_y = np.where(step_y != 0, ((iy0 + (step_y > 0)) * res - y0) * inv_dy, np.inf)
-    tdelta_x = np.where(step_x != 0, res * np.abs(inv_dx), np.inf)
-    tdelta_y = np.where(step_y != 0, res * np.abs(inv_dy), np.inf)
-    t = np.empty((n, 2 * crossings))
-    t[:, 0] = tmax_x
-    t[:, 1:crossings] = tdelta_x[:, None]
-    t[:, crossings] = tmax_y
-    t[:, crossings + 1 :] = tdelta_y[:, None]
-    np.cumsum(t[:, :crossings], axis=1, out=t[:, :crossings])
-    np.cumsum(t[:, crossings:], axis=1, out=t[:, crossings:])
-    # Merge: a stable sort of two sorted runs puts the x crossing first on
-    # ties, as the walk does.  Crossings beyond range sort last and are dropped.
-    order = np.argsort(t, axis=1, kind="stable")
-    reach = max_range[:, None]
-    steps = int(np.count_nonzero(t <= reach, axis=1).max())
+    t = np.empty((n, 2, crossings))
+    t[:, 0, 0] = tmax_x
+    t[:, 0, 1:] = np.where(step_x != 0, res * np.abs(inv_dx), np.inf)[:, None]
+    t[:, 1, 0] = tmax_y
+    t[:, 1, 1:] = np.where(step_y != 0, res * np.abs(inv_dy), np.inf)[:, None]
+    np.cumsum(t, axis=2, out=t)
+    t = t.reshape(n, 2 * crossings)
+    within = np.count_nonzero(t <= max_range[:, None], axis=1)
+    steps = int(within.max())
     if steps == 0:
         return
-    order = order[:, :steps]
-    t = np.take_along_axis(t, order, axis=1)
+    # Merge: a stable sort of two sorted runs puts the x crossing first on
+    # ties, as the walk does.  Only the first ``steps`` merged crossings count.
+    order = np.argsort(t, axis=1, kind="stable")[:, :steps]
+    nx = np.cumsum(order < crossings, axis=1, dtype=index)
+    ix = ix0.astype(index)[:, None] + step_x[:, None] * nx
+    ny = np.arange(1, steps + 1, dtype=index) - nx
+    iy = iy0.astype(index)[:, None] + step_y[:, None] * ny
+    alive = ((np.arange(steps) < within[:, None]) & (ix >= 0) & (ix < width)
+             & (iy >= 0) & (iy < grid.height))
+    cell = iy * width + ix
+    # Steps that are not alive may index any cell, or none; clipping keeps
+    # the read in bounds and ``alive`` discards it.
+    occupied = alive & (np.take(grid.cells, cell, mode="clip") == CellState.OCCUPIED)
+    first = np.argmax(occupied, axis=1)
+    hit = occupied[np.arange(n), first]
+    rows = np.flatnonzero(hit)
+    hit_step = first[rows]
     # The walk enters a cell at min(tmax_x, tmax_y), which is tmax_y on a tie;
     # the two differ only in the sign of a zero, which only the first step
     # can have.
-    t[:, 0] = np.minimum(tmax_x, tmax_y)
-    nx = np.cumsum(order < crossings, axis=1)
-    ix = ix0[:, None] + step_x[:, None] * nx
-    iy = iy0[:, None] + step_y[:, None] * (np.arange(1, steps + 1) - nx)
-    alive = (t <= reach) & (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-    np.logical_and.accumulate(alive, axis=1, out=alive)
-    occupied = alive & (grid.cells[np.where(alive, iy, 0), np.where(alive, ix, 0)]
-                        == CellState.OCCUPIED)
-    first = np.argmax(occupied, axis=1)
-    rows = np.flatnonzero(occupied[np.arange(n), first])
-    hit_step = first[rows]
-    dist[rows] = t[rows, hit_step]
+    dist[rows] = np.where(hit_step == 0, np.minimum(tmax_x[rows], tmax_y[rows]),
+                          t[rows, order[rows, hit_step]])
     blocked[rows] = True
     if hit_mask is not None:
-        hit_mask[iy[rows, hit_step], ix[rows, hit_step]] = True
+        np.put(hit_mask, cell[rows, hit_step], True)
     if free_mask is not None:
-        free = alive & ~np.logical_or.accumulate(occupied, axis=1)
-        free_mask[iy[free], ix[free]] = True
+        stop = np.where(hit, first, np.count_nonzero(alive, axis=1))
+        np.put(free_mask, cell[np.arange(steps) < stop[:, None]], True)
 
 
 def raycast(

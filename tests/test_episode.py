@@ -3,14 +3,18 @@
 The digests pin the exact bytes of the episode traces and batch records of a
 small generated suite, so a change that alters behaviour, even in the last
 digit of a float, fails here and has to re-pin them on purpose.  A second
-trace digest covers a suite with camera misses and clutter.  The last
-two tests check that the layers an episode reuses (skipped sweeps, cached
-traversable masks and distance fields) equal fresh computations.
+trace digest covers a suite with camera misses and clutter.  The lazy-stream
+tests check that a frame's camera stream, built on its first draw, draws what
+the eager Generator draws.  The last two tests check that the layers an
+episode reuses (skipped sweeps, cached traversable masks and distance fields)
+equal fresh computations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +23,9 @@ from objsearch import episode
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.planning import clear_robot_disk, distance_field, traversable_mask
-from objsearch.sensing import BeliefMap, lidar_update
+from objsearch.sensing import BeliefMap, camera_observe, lidar_update, observation_rng
 from objsearch.suitegen import SuiteParams, generate_suite
-from objsearch.world import Pose
+from objsearch.world import Pose, SensorParams
 from util import box_scenario
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
@@ -163,3 +167,81 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     for i, scenario in enumerate(scenarios):
         episode.run_episode(scenario, ctx=ctx, seed=i)
     assert min(checks.values()) > 10
+
+
+def observation_key(obs):
+    return [
+        (d.source_object, d.label, d.bbox, d.patch_embedding.tobytes(), d.range, d.bearing)
+        for d in obs.detections
+    ]
+
+
+def count_streams(monkeypatch):
+    built = []
+
+    def counted(seed, counter):
+        built.append((seed, counter))
+        return observation_rng(seed, counter)
+
+    monkeypatch.setattr(episode, "observation_rng", counted)
+    return built
+
+
+@pytest.mark.parametrize("sensor", [
+    {"p_miss": 0.3},
+    {"sigma_emb": 0.2},
+    {"clutter": 2},
+    {"p_miss": 0.3, "sigma_emb": 0.2, "clutter": 2},
+    {"sigma_emb": 0.0},
+])
+def test_lazy_streams_draw_what_eager_ones_draw(scenarios, ctx, sensor, monkeypatch):
+    built = count_streams(monkeypatch)
+    scenario = dataclasses.replace(scenarios[0], sensor=SensorParams(**sensor))
+    store = ctx.text_store_for(scenario)
+    state = episode.EpisodeState(
+        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=7
+    )
+    rng = np.random.default_rng(0)
+    free = np.argwhere(scenario.map.cells == 0)
+    frames = detections = 0
+    for iy, ix in free[rng.choice(len(free), size=12, replace=False)]:
+        x, y = scenario.map.cell_to_world(int(ix), int(iy))
+        for h in range(8):
+            pose = Pose(x, y, 2.0 * math.pi * h / 8)
+            counter = state.obs_counter
+            lazy = camera_observe(scenario, store, pose, episode._next_rng(state))
+            eager = camera_observe(scenario, store, pose, observation_rng(7, counter))
+            assert observation_key(lazy) == observation_key(eager)
+            frames += 1
+            detections += len(eager.detections)
+    assert state.obs_counter == frames
+    assert detections > 0
+    assert len(built) <= frames and len(set(built)) == len(built)
+    if sensor.get("clutter") or sensor.get("sigma_emb"):
+        assert built  # these frames do draw
+
+
+def test_a_frame_that_draws_nothing_builds_no_stream(scenarios, ctx, monkeypatch):
+    """Under p_miss alone a frame draws once per visible entity, so exactly
+    the frames that see something build their stream, each once."""
+    built = count_streams(monkeypatch)
+    scenario = scenarios[0]
+    noisy = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.5, sigma_emb=0.0))
+    clean = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.0, sigma_emb=0.0))
+    store = ctx.text_store_for(scenario)
+    state = episode.EpisodeState(
+        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=3
+    )
+    rng = np.random.default_rng(1)
+    free = np.argwhere(scenario.map.cells == 0)
+    seeing = []
+    for iy, ix in free[rng.choice(len(free), size=10, replace=False)]:
+        x, y = scenario.map.cell_to_world(int(ix), int(iy))
+        for h in range(8):
+            pose = Pose(x, y, 2.0 * math.pi * h / 8)
+            if camera_observe(clean, store, pose, episode._next_rng(state)).detections:
+                seeing.append(state.obs_counter)
+            camera_observe(noisy, store, pose, episode._next_rng(state))
+    assert state.obs_counter == 160
+    assert 0 < len(seeing) < 80
+    assert built == [(3, c) for c in seeing]

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from objsearch.errors import DomainError, NoPathError
 from objsearch.planning import (
     SQRT2,
+    _disk_offsets,
     clear_robot_disk,
     distance_field,
     generate_viewpoints,
@@ -295,3 +296,18 @@ class TestNearestFrontier:
         belief = open_belief(15, 10)
         belief.cells[4:6, 4:9] = BeliefState.OCCUPIED
         assert nearest_frontier(belief, PlannerParams(), np.zeros((10, 15))) is None
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_disk_offsets_are_shared_read_only_and_exact(radius):
+    span = np.arange(-radius, radius + 1)
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    disk = (dx * dx + dy * dy) <= radius * radius + 1e-9
+    got_dy, got_dx = _disk_offsets(radius)
+    assert np.array_equal(got_dy, dy[disk]) and np.array_equal(got_dx, dx[disk])
+    assert got_dy.dtype == dy.dtype and got_dx.dtype == dx.dtype
+    assert not got_dy.flags.writeable and not got_dx.flags.writeable
+    again = _disk_offsets(radius)
+    assert again[0] is got_dy and again[1] is got_dx
+    with pytest.raises(ValueError):
+        got_dx[0] = 99

@@ -282,6 +282,21 @@ class TestPerRayOriginsAndRanges:
         bearings = rng.uniform(-math.pi, math.pi, size=2500)
         assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 2500))
 
+    def test_map_too_large_for_int32_cell_indices(self):
+        # 16 * side**2 >= 2**31 from a side of 11586 cells, so this 3-cell
+        # wide corridor is traced with int64 cell indices.
+        height = 12_000
+        cells = np.zeros((height, 3), dtype=np.uint8)
+        cells[::997, 1] = CellState.OCCUPIED
+        grid = GridMap(3, height, 0.1, cells)
+        rng = np.random.default_rng(24)
+        origins = [(0.05, 1199.95), (0.25, 600.05), (0.15, 0.35), (0.05, 1000.0)]
+        bearings = np.array([-math.pi / 2, math.pi / 2, 1.5, -1.57])
+        ranges = np.array([1300.0, 700.0, 3.0, 2.0])
+        assert_per_ray_same_as_reference(grid, origins, bearings, ranges)
+        bearings = rng.uniform(-math.pi, math.pi, size=40)
+        assert_same_as_reference(grid, (0.15, 5.05), bearings, 120.0)
+
     def test_origin_outside_the_map_is_named(self):
         grid = GridMap.from_rows(["...", "..."], 1.0)
         with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):

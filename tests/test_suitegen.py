@@ -1,16 +1,24 @@
-"""Golden digest of generated scenarios.
+"""Golden digest of generated scenarios, and generation helpers against references.
 
 The digest pins the exact serialized bytes of a small suite of the
 benchmark's generation shape, so a change to map building, placement, the
 scenario round trip or the SPL reference search that alters any scenario,
-or which scenarios are rejected, fails here.
+or which scenarios are rejected, fails here.  ``loop_cells_near_rect`` is
+the cell-by-cell window scan ``_cells_near_rect`` replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
-from objsearch.suitegen import SuiteParams, generate_suite
+import numpy as np
+import pytest
+
+from objsearch.episode import _shortest_over, ground_truth_shortest
+from objsearch.planning import traversable_mask
+from objsearch.sensing import BeliefMap
+from objsearch.suitegen import SuiteParams, _cells_near_rect, generate_suite
 from objsearch.world import load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
@@ -24,3 +32,59 @@ def test_generated_scenarios_are_pinned(ctx):
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == SCENARIOS_SHA256
     for text in texts:
         assert serialize_scenario(load_scenario(text)) == text
+
+
+def loop_cells_near_rect(occ, rect, res, max_dist):
+    """Reference: every term computed per cell."""
+    n = occ.shape[0]
+    x0 = max(0, int((rect[0] - max_dist) / res) - 1)
+    y0 = max(0, int((rect[1] - max_dist) / res) - 1)
+    x1 = min(n - 1, int((rect[2] + max_dist) / res) + 1)
+    y1 = min(n - 1, int((rect[3] + max_dist) / res) + 1)
+    out = []
+    for iy in range(y0, y1 + 1):
+        for ix in range(x0, x1 + 1):
+            if occ[iy, ix]:
+                continue
+            cx, cy = (ix + 0.5) * res, (iy + 0.5) * res
+            dx = max(rect[0] - cx, cx - rect[2], 0.0)
+            dy = max(rect[1] - cy, cy - rect[3], 0.0)
+            d = math.hypot(dx, dy)
+            if 0.0 < d <= max_dist:
+                out.append((ix, iy))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cells_near_rect_matches_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    occ = rng.random((n, n)) < 0.3
+    res = 0.1
+    for _ in range(25):
+        x0, y0 = rng.uniform(-0.5, n * res, size=2)
+        rect = (x0, y0, x0 + rng.uniform(0.0, 1.5), y0 + rng.uniform(0.0, 1.5))
+        max_dist = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
+        assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
+            occ, rect, res, max_dist
+        )
+    # Windows reaching past the map's edges, or lying wholly beyond them.
+    for rect in ((-0.6, -0.6, -0.35, -0.35), (-2.0, 1.0, -1.5, 2.0), (5.5, 5.5, 6.5, 6.5),
+                 (-0.3, -0.3, 0.2, 0.2), (1.0, -3.0, 2.0, -2.5)):
+        for max_dist in (0.05, 0.5, 1.0):
+            assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
+                occ, rect, res, max_dist
+            )
+
+
+def test_shared_mask_gives_the_public_result_and_is_not_modified(ctx):
+    for scenario in generate_suite(SuiteParams(count=2, rooms=3, landmarks=6, map_side=14.0),
+                                   5, ctx=ctx):
+        trav = traversable_mask(BeliefMap.fully_known(scenario.map),
+                                scenario.planner.robot_radius)
+        before = trav.copy()
+        ix, iy = scenario.map.world_to_cell(scenario.start.x, scenario.start.y)
+        trav[iy, ix] = before[iy, ix] = False  # the helper marks it on its own copy
+        got = _shortest_over(scenario, trav)
+        assert np.array_equal(trav, before)
+        assert math.isfinite(got) and got == ground_truth_shortest(scenario)
