@@ -270,10 +270,10 @@ def raycast_batch(
     and each ray is cut at its first step outside the map or onto an
     occupied cell.  Both sequences are sorted, so the crossings within range
     form a prefix of the merge, and so do the steps inside the map: the
-    kernel counts the first on the unmerged crossings and needs no running
-    scan for either, and it reads a crossing's range back only at each ray's
-    hit step.  Every per-ray quantity is computed elementwise, so a ray's
-    result does not depend on the other rays traced with it.
+    kernel counts the in-range crossings on the unmerged runs, needs no
+    running scan to cut a ray, and reads a crossing's range back only at
+    each ray's hit step.  Every per-ray quantity is computed elementwise, so
+    a ray's result does not depend on the other rays traced with it.
     """
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
