@@ -44,14 +44,14 @@ from .metrics import iou_ioa
 from .planning import (
     Path,
     Viewpoint,
-    clear_robot_disk,
     distance_field,
+    drivable_mask,
     generate_viewpoints,
+    ground_truth_shortest,
     nearest_frontier,
     passes_thresholds,
     plan_path,
     plan_waypoints,
-    traversable_mask,
 )
 from .sensing import (
     BeliefMap,
@@ -59,12 +59,11 @@ from .sensing import (
     DetectionRecord,
     bbox_from_geometry,
     camera_observe,
-    line_of_sight,
-    lines_of_sight,
     lidar_update,
+    object_slack,
     observation_rng,
     project_detection,
-    relative_bearing,
+    sighting,
 )
 from .world import Pose, ScenarioSpec
 
@@ -323,16 +322,11 @@ def _confirm_candidate(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
     apply the IoU / IoA success rule."""
     target = scenario.target
     hp = scenario.hyperparams
-    pose = cand.obs_pose
-    distance = math.hypot(target.position[0] - pose.x, target.position[1] - pose.y)
-    if distance <= 0.0 or distance > hp.cam_range:
+    slack = object_slack(target, scenario.map.resolution)
+    seen = sighting(scenario.map, hp, cand.obs_pose, target.position, slack)
+    if seen is None:
         return False
-    rel = relative_bearing(pose, target.position)
-    if abs(rel) > hp.fov / 2.0:
-        return False
-    slack = target.radius + 2.0 * scenario.map.resolution
-    if not line_of_sight(scenario.map, (pose.x, pose.y), target.position, slack):
-        return False
+    distance, rel = seen
     gt_box = bbox_from_geometry(rel, distance, target.radius, hp.fov)
     iou, ioa = iou_ioa(cand.detection.bbox, gt_box)
     return iou > IOU_CONFIRM or ioa > IOA_CONFIRM
@@ -377,15 +371,14 @@ def _nav_maps(state: EpisodeState, scenario: ScenarioSpec) -> _NavMaps:
     cell = _current_cell(state)
     key = (state.belief.known_count(), cell)
     if state.nav_maps is None or state.nav_maps.key != key:
-        radius = scenario.planner.robot_radius
-        trav = clear_robot_disk(traversable_mask(state.belief, radius), state.belief, cell, radius)
+        trav = drivable_mask(state.belief, cell, scenario.planner.robot_radius)
         trav.setflags(write=False)
         state.nav_maps = _NavMaps(key, trav)
     return state.nav_maps
 
 
 def _traversable_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
-    """Inflated traversable mask for the current belief and robot cell."""
+    """Drivable mask for the current belief and robot cell."""
     return _nav_maps(state, scenario).trav
 
 
@@ -545,73 +538,6 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
         skipped=skipped,
     )
     return ordered
-
-
-# --------------------------------------------------------------------------
-# Ground-truth shortest path for SPL
-# --------------------------------------------------------------------------
-
-
-_LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
-_RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
-
-
-def ground_truth_shortest(scenario: ScenarioSpec) -> float:
-    """Length of the shortest drivable path to any cell that can confirm the
-    target on the fully known map; inf when no such cell is reachable.
-
-    A cell confirms the target when its centre lies within
-    ``(0, cam_range + resolution]`` of the target and has a line of sight to
-    it.  Reachable cells are ranked by path length with a stable sort and
-    the first confirming one wins.
-
-    The range filter runs on whole arrays with ``np.hypot`` and a small
-    relative margin; the cells it keeps are then tested in rank order, in
-    chunks of ``_LOS_CHUNK``, with the exact ``math.hypot`` range test and one
-    :func:`lines_of_sight` call per chunk.  ``np.hypot`` can differ from
-    ``math.hypot`` by one ulp, so it only discards cells that are clearly out
-    of range and ``math.hypot`` keeps the final decision, as it did when each
-    cell was tested on its own.  The chunks stay small because most searches
-    end on their first candidates.
-    """
-    trav = traversable_mask(BeliefMap.fully_known(scenario.map), scenario.planner.robot_radius)
-    return _shortest_over(scenario, trav)
-
-
-def _shortest_over(scenario: ScenarioSpec, trav: np.ndarray) -> float:
-    """:func:`ground_truth_shortest` over ``trav``, the traversable mask of
-    the fully known map, which a caller that already holds it can share;
-    ``trav`` is not modified."""
-    grid = scenario.map
-    target = scenario.target
-    trav = trav.copy()
-    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    trav[start[1], start[0]] = True
-    dist = distance_field(trav, grid.resolution, [start])
-    res = grid.resolution
-    slack = target.radius + 2.0 * res
-    max_range = scenario.hyperparams.cam_range + res  # half-cell tolerance at the rim
-    tx, ty = target.position
-    ys, xs = np.nonzero(np.isfinite(dist))
-    cx = (xs + 0.5) * res
-    cy = (ys + 0.5) * res
-    near = np.flatnonzero(np.hypot(tx - cx, ty - cy) <= max_range * (1.0 + _RANGE_MARGIN))
-    near = near[np.argsort(dist[ys[near], xs[near]], kind="stable")]
-    for lo in range(0, near.size, _LOS_CHUNK):
-        chunk = near[lo : lo + _LOS_CHUNK]
-        dxs = (tx - cx[chunk]).tolist()
-        dys = (ty - cy[chunk]).tolist()
-        keep = [
-            i for i, dx, dy in zip(chunk.tolist(), dxs, dys)
-            if 0.0 < math.hypot(dx, dy) <= max_range
-        ]
-        if not keep:
-            continue
-        seen = lines_of_sight(grid, np.column_stack((cx[keep], cy[keep])), target.position, slack)
-        if seen.any():
-            i = keep[int(np.argmax(seen))]
-            return float(dist[ys[i], xs[i]])
-    return math.inf
 
 
 # --------------------------------------------------------------------------

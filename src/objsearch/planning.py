@@ -1,9 +1,9 @@
-"""Planning: grid A*, viewpoint generation, greedy waypoint ordering, frontiers.
+"""Planning: the drivable rule, grid A*, viewpoints, waypoint order, frontiers, SPL.
 
 Paths are 8-connected over observed-free cells; unknown space never counts as
-traversable.  Callers pass the obstacle-inflated traversable mask (and the
-distance field over it) they plan with, so the point robot keeps its physical
-radius away from walls.
+traversable.  The robot drives by one rule, :func:`drivable_mask`: the episode
+plans over it, and :func:`ground_truth_shortest`, the path SPL is scored
+against, searches it on the fully known map.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import DomainError, NoPathError
-from .sensing import BeliefMap, BeliefState
-from .world import HyperParams, PlannerParams, Pose, normalize_angle
+from .sensing import BeliefMap, BeliefState, lines_of_sight, object_slack
+from .world import GridMap, HyperParams, ObjectSpec, PlannerParams, Pose, ScenarioSpec
+from .world import normalize_angle
 
 SQRT2 = math.sqrt(2.0)
 COST_FLOOR = 1e-3  # keeps the co-occurrence penalty positive at cooccur = 1
@@ -155,6 +156,16 @@ def clear_robot_disk(
     return trav
 
 
+def drivable_mask(
+    belief: BeliefMap, cell: tuple[int, int], robot_radius: float, trav: np.ndarray | None = None
+) -> np.ndarray:
+    """The one drivable rule: :func:`traversable_mask` plus the free cells of
+    the robot's disk at ``cell`` (:func:`clear_robot_disk`).  ``trav``, the
+    belief's traversable mask if the caller holds it, is copied, not modified."""
+    trav = traversable_mask(belief, robot_radius) if trav is None else trav.copy()
+    return clear_robot_disk(trav, belief, cell, robot_radius)
+
+
 def plan_path(
     belief: BeliefMap,
     start: tuple[int, int],
@@ -165,7 +176,7 @@ def plan_path(
 
     Ties in the open list break on the flat cell index, so equal-cost maps
     always produce the same path.  Only cells set in ``traversable`` are
-    entered; navigation passes the inflated mask of :func:`traversable_mask`.
+    entered; navigation passes its :func:`drivable_mask`.
     """
     width, height = belief.width, belief.height
     sx, sy = int(start[0]), int(start[1])
@@ -409,3 +420,79 @@ def nearest_frontier(
     cy = float(np.mean([belief.cell_to_world(x, y)[1] for x, y in cells]))
     assert best_cell is not None
     return Frontier(cells=cells, centroid=(cx, cy), closest_cell=best_cell)
+
+
+# --------------------------------------------------------------------------
+# Ground-truth shortest path for SPL
+# --------------------------------------------------------------------------
+
+
+_LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
+_RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
+
+
+def confirming_cells(
+    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """The one confirming-cell rule: which cells (``xs``, ``ys``) have their
+    centre within ``(0, cam_range + resolution]`` of the target by
+    ``math.hypot`` (half a cell of tolerance at the rim) and in line of sight
+    of it, past its :func:`object_slack`.  The robot can turn, so the field of
+    view does not matter."""
+    res = grid.resolution
+    tx, ty = target.position
+    cx, cy = (xs + 0.5) * res, (ys + 0.5) * res
+    near = [
+        k for k, (dx, dy) in enumerate(zip((tx - cx).tolist(), (ty - cy).tolist()))
+        if 0.0 < math.hypot(dx, dy) <= cam_range + res
+    ]
+    seen = np.zeros(cx.shape, dtype=bool)
+    if near:
+        origins = np.column_stack((cx[near], cy[near]))
+        seen[near] = lines_of_sight(grid, origins, target.position, object_slack(target, res))
+    return seen
+
+
+def ground_truth_shortest(scenario: ScenarioSpec) -> float:
+    """Length of the shortest drivable path from the start to a cell that
+    confirms the target on the fully known map; inf when none is reachable.
+
+    The search drives by :func:`drivable_mask` at the start, as the episode
+    does, so a start inside the inflated walls drives out of its own disk.
+    Reachable cells are ranked by path length with a stable sort and the
+    first one :func:`confirming_cells` accepts wins.
+    """
+    known = BeliefMap.fully_known(scenario.map)
+    return ground_truth_shortest_over(
+        scenario, known, traversable_mask(known, scenario.planner.robot_radius)
+    )
+
+
+def ground_truth_shortest_over(scenario: ScenarioSpec, known: BeliefMap, trav: np.ndarray) -> float:
+    """:func:`ground_truth_shortest` given ``known``, the fully known belief of
+    the map, and ``trav``, its traversable mask, which a caller that holds
+    them shares; neither is modified.
+
+    ``np.hypot`` on whole arrays, with a small relative margin for its
+    one-ulp differences from ``math.hypot``, discards the cells clearly out
+    of range; the rest go to :func:`confirming_cells` in rank order, in
+    chunks of ``_LOS_CHUNK``, because most searches end on their first few.
+    """
+    grid = scenario.map
+    res = grid.resolution
+    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+    dist = distance_field(drivable_mask(known, start, scenario.planner.robot_radius, trav), res,
+                          [start])
+    target = scenario.target
+    cam_range = scenario.hyperparams.cam_range
+    ys, xs = np.nonzero(np.isfinite(dist))
+    gap = np.hypot(target.position[0] - (xs + 0.5) * res, target.position[1] - (ys + 0.5) * res)
+    near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
+    near = near[np.argsort(dist[ys[near], xs[near]], kind="stable")]
+    for lo in range(0, near.size, _LOS_CHUNK):
+        chunk = near[lo : lo + _LOS_CHUNK]
+        seen = confirming_cells(grid, target, cam_range, xs[chunk], ys[chunk])
+        if seen.any():
+            i = chunk[int(np.argmax(seen))]
+            return float(dist[ys[i], xs[i]])
+    return math.inf

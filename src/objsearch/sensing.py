@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError
 from .matching import UNKNOWN_LABEL, TextEmbeddingStore, unit
-from .world import CellState, GridMap, Pose, ScenarioSpec, normalize_angle, raycast_batch
+from .world import CellState, GridMap, HyperParams, ObjectSpec, Pose, ScenarioSpec
+from .world import normalize_angle, raycast_batch
 
 IMAGE_WIDTH = 640.0
 IMAGE_HEIGHT = 480.0
@@ -144,11 +145,6 @@ def lidar_update(
     return belief
 
 
-def relative_bearing(pose: Pose, point: tuple[float, float]) -> float:
-    """Bearing of a world point relative to the pose heading, in [-pi, pi)."""
-    return normalize_angle(math.atan2(point[1] - pose.y, point[0] - pose.x) - pose.theta)
-
-
 def bbox_from_geometry(rel_bearing: float, distance: float, radius: float, fov: float) -> BBox:
     """Project an entity to a square image box with the angular-size model."""
     u_center = (0.5 - rel_bearing / fov) * IMAGE_WIDTH
@@ -208,6 +204,26 @@ def line_of_sight(
     return bool(lines_of_sight(world, origin, point, slack)[0])
 
 
+def object_slack(obj: ObjectSpec, resolution: float) -> float:
+    """Occlusion slack of an object: its radius plus two cells."""
+    return obj.radius + 2.0 * resolution
+
+
+def sighting(
+    grid: GridMap, hp: HyperParams, pose: Pose, point: tuple[float, float], slack: float
+) -> tuple[float, float] | None:
+    """The one sighting rule: (range, relative bearing) of a point the camera
+    at ``pose`` sees, that is within ``(0, cam_range]``, inside the field of
+    view and in :func:`line_of_sight`; None when it does not see it."""
+    distance = math.hypot(point[0] - pose.x, point[1] - pose.y)
+    if distance <= 0.0 or distance > hp.cam_range:
+        return None
+    rel = normalize_angle(math.atan2(point[1] - pose.y, point[0] - pose.x) - pose.theta)
+    if abs(rel) > hp.fov / 2.0 or not line_of_sight(grid, (pose.x, pose.y), point, slack):
+        return None
+    return distance, rel
+
+
 def camera_observe(
     scenario: ScenarioSpec,
     store: TextEmbeddingStore,
@@ -235,18 +251,14 @@ def camera_observe(
         (lm.id, lm.name, lm.center, lm.radius, lm.known, lm.radius + res)
         for lm in scenario.landmarks
     ] + [
-        (ob.id, ob.name, ob.position, ob.radius, False, ob.radius + 2.0 * res)
+        (ob.id, ob.name, ob.position, ob.radius, False, object_slack(ob, res))
         for ob in scenario.objects
     ]
     for entity_id, name, center, radius, known, slack in entities:
-        distance = math.hypot(center[0] - pose.x, center[1] - pose.y)
-        if distance <= 0.0 or distance > hp.cam_range:
+        seen = sighting(grid, hp, pose, center, slack)
+        if seen is None:
             continue
-        rel = relative_bearing(pose, center)
-        if abs(rel) > half_fov:
-            continue
-        if not line_of_sight(grid, origin, center, slack):
-            continue
+        distance, rel = seen
         if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
             continue
         canonical = store.get(name)

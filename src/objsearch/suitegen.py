@@ -15,11 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .assets import AssetContext
-from .episode import _shortest_over
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrence
-from .planning import traversable_mask
-from .sensing import BeliefMap, line_of_sight
+from .planning import confirming_cells, ground_truth_shortest_over, traversable_mask
+from .sensing import BeliefMap
 from .world import (
     GridMap,
     HyperParams,
@@ -414,18 +413,16 @@ def _generate_one(
     sensor = SensorParams(**params.sensor)
     planner = PlannerParams(**params.planner)
 
-    trav = traversable_mask(BeliefMap.fully_known(grid), planner.robot_radius)
+    known = BeliefMap.fully_known(grid)
+    trav = traversable_mask(known, planner.robot_radius)
     start = None
-    slack = _TARGET_RADIUS + 2.0 * res
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))
         if not trav[iy, ix] or (ix, iy) in used:
             continue
-        cx, cy = (ix + 0.5) * res, (iy + 0.5) * res
-        d = math.hypot(target_pos[0] - cx, target_pos[1] - cy)
-        if d <= hyper.cam_range + res and line_of_sight(grid, (cx, cy), target_pos, slack):
+        if confirming_cells(grid, objects[0], hyper.cam_range, np.array([ix]), np.array([iy]))[0]:
             continue  # the target must not be confirmable from the start
-        start = Pose(cx, cy, float(rng.uniform(-math.pi, math.pi)))
+        start = Pose((ix + 0.5) * res, (iy + 0.5) * res, float(rng.uniform(-math.pi, math.pi)))
         break
     if start is None:
         raise _Retry("no valid start cell")
@@ -442,9 +439,9 @@ def _generate_one(
         seed=int(rng.integers(2**31)),
     )
     spec = load_scenario(serialize_scenario(spec))  # full schema round-trip check
-    # The round trip keeps the map and the robot radius, so ``trav`` is still
-    # the fully known map's traversable mask.
-    if not math.isfinite(_shortest_over(spec, trav)):
+    # The round trip keeps the map and the robot radius, so ``known`` and
+    # ``trav`` still describe the scenario's fully known map.
+    if not math.isfinite(ground_truth_shortest_over(spec, known, trav)):
         raise _Retry("target is not observable from any reachable cell")
     return spec
 

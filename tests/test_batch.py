@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -7,10 +9,13 @@ from objsearch.batch import (
     RunConfig,
     load_records_jsonl,
     records_to_jsonl,
+    run_batch,
     run_config_from_dict,
 )
 from objsearch.cli import main
 from objsearch.errors import DomainError, SchemaError
+from objsearch.planning import ground_truth_shortest, traversable_mask
+from objsearch.sensing import BeliefMap
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from objsearch.world import serialize_scenario
 from util import box_scenario
@@ -240,3 +245,24 @@ class TestCliHappyPath:
             code = main(["run", str(path), "--seed", str(record.seed)])
             status = capsys.readouterr().out.split(":")[0]
             assert (code, status) == ((0, "success") if record.success else (1, "failure"))
+
+
+class TestStartInsideInflatedWalls:
+    # With a 0.45 m robot, scenarios 5, 15 and 20 of this suite start inside
+    # the inflated walls.  The episode's robot drives out of its own disk, so
+    # the SPL ground truth must too, or a success has no finite shortest path.
+    SHAPE = SuiteParams(count=30, rooms=4, landmarks=6, map_side=14.0)
+
+    def test_shortest_is_finite_and_the_batch_completes(self, tmp_path, ctx):
+        suite = generate_suite(self.SHAPE, 5, ctx=ctx)
+        for index, want in ((5, 8.83), (15, 17.14), (20, 10.06)):
+            scenario = suite[index]
+            planner = dataclasses.replace(scenario.planner, robot_radius=0.45)
+            scenario = dataclasses.replace(scenario, planner=planner)
+            ix, iy = scenario.map.world_to_cell(scenario.start.x, scenario.start.y)
+            assert not traversable_mask(BeliefMap.fully_known(scenario.map), 0.45)[iy, ix]
+            assert ground_truth_shortest(scenario) == pytest.approx(want, abs=0.005)
+            path = tmp_path / f"suite-{index:04d}.json"
+            path.write_text(serialize_scenario(scenario), encoding="utf-8")
+            report = run_batch(RunConfig(scenario_paths=(path,), seed_base=index))
+            assert math.isfinite(report.records[0].shortest)

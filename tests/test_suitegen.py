@@ -15,8 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from objsearch.episode import _shortest_over, ground_truth_shortest
-from objsearch.planning import traversable_mask
+from objsearch.planning import ground_truth_shortest, ground_truth_shortest_over, traversable_mask
 from objsearch.sensing import BeliefMap
 from objsearch.suitegen import SuiteParams, _cells_near_rect, generate_suite
 from objsearch.world import load_scenario, serialize_scenario
@@ -80,11 +79,12 @@ def test_cells_near_rect_matches_cell_loop(seed):
 def test_shared_mask_gives_the_public_result_and_is_not_modified(ctx):
     for scenario in generate_suite(SuiteParams(count=2, rooms=3, landmarks=6, map_side=14.0),
                                    5, ctx=ctx):
-        trav = traversable_mask(BeliefMap.fully_known(scenario.map),
-                                scenario.planner.robot_radius)
-        before = trav.copy()
+        known = BeliefMap.fully_known(scenario.map)
+        trav = traversable_mask(known, scenario.planner.robot_radius)
+        before, known_before = trav.copy(), known.cells.copy()
         ix, iy = scenario.map.world_to_cell(scenario.start.x, scenario.start.y)
-        trav[iy, ix] = before[iy, ix] = False  # the helper marks it on its own copy
-        got = _shortest_over(scenario, trav)
+        trav[iy, ix] = before[iy, ix] = False  # the search frees the start disk on its own copy
+        got = ground_truth_shortest_over(scenario, known, trav)
         assert np.array_equal(trav, before)
+        assert np.array_equal(known.cells, known_before)
         assert math.isfinite(got) and got == ground_truth_shortest(scenario)

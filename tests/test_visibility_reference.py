@@ -2,8 +2,9 @@
 
 ``reference_line_of_sight`` is the single-pair occlusion test: one ray with
 a shared origin and a scalar range.  ``stepwise_ground_truth_shortest`` is
-the SPL reference search that walked the reachable cells in distance order
-and tested range and line of sight one cell at a time.  The batched versions
+the SPL reference search: it frees the robot's disk at the start cell by
+cell, then walks the reachable cells in distance order and tests range and
+line of sight one cell at a time.  The batched versions
 must give the same flags and the same float, bit for bit.
 """
 
@@ -16,8 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from objsearch.episode import ground_truth_shortest
-from objsearch.planning import distance_field, traversable_mask
+from objsearch.planning import distance_field, ground_truth_shortest, traversable_mask
 from objsearch.sensing import BeliefMap, line_of_sight, lines_of_sight
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
@@ -47,9 +47,17 @@ def reference_line_of_sight(world, origin, point, slack):
 def stepwise_ground_truth_shortest(scenario):
     grid = scenario.map
     target = scenario.target
-    trav = traversable_mask(BeliefMap.fully_known(grid), scenario.planner.robot_radius)
-    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    trav[start[1], start[0]] = True
+    radius = scenario.planner.robot_radius
+    trav = traversable_mask(BeliefMap.fully_known(grid), radius)
+    start = sx, sy = grid.world_to_cell(scenario.start.x, scenario.start.y)
+    # The free cells of the robot's disk at the start are drivable.
+    r = math.ceil(radius / grid.resolution - 1e-9)
+    for iy in range(sy - r, sy + r + 1):
+        for ix in range(sx - r, sx + r + 1):
+            inside = (ix - sx) ** 2 + (iy - sy) ** 2 <= r * r
+            if inside and grid.in_bounds(ix, iy) and grid.is_free(ix, iy):
+                trav[iy, ix] = True
+    trav[sy, sx] = True
     dist = distance_field(trav, grid.resolution, [start])
     hp = scenario.hyperparams
     slack = target.radius + 2.0 * grid.resolution
@@ -182,9 +190,11 @@ class TestGroundTruthShortest:
 
     def test_moved_starts_and_wider_robot(self, ctx):
         # Other start cells and a wider robot reach the target from other
-        # cells, or not at all.
+        # cells.  Starts inside the inflated walls drive out of the robot's
+        # own disk, as the episode's robot does.
         rng = np.random.default_rng(36)
         results = []
+        swallowed = []
         for scenario in generate_suite(dataclasses.replace(NAV_SHAPE, count=12), 8, ctx=ctx):
             grid = scenario.map
             free = np.argwhere(grid.cells == CellState.FREE)
@@ -197,8 +207,10 @@ class TestGroundTruthShortest:
                     planner=dataclasses.replace(scenario.planner, robot_radius=radius),
                 )
                 results.append(assert_same_shortest(moved))
-        assert any(math.isinf(r) for r in results)
-        assert any(math.isfinite(r) and r > 0.0 for r in results)
+                swallowed.append(not traversable_mask(BeliefMap.fully_known(grid), radius)[iy, ix])
+        assert any(swallowed)
+        assert all(math.isfinite(r) for r in results)
+        assert any(r > 0.0 for r in results)
 
     def test_unreachable_target(self):
         # The target sits in a closed room the start cannot reach.
@@ -242,11 +254,15 @@ class TestGroundTruthShortest:
         trav = traversable_mask(BeliefMap.fully_known(scenario.map), scenario.planner.robot_radius)
         assert not trav[2, 2]
         assert assert_same_shortest(scenario) > 0.0
-        # With nowhere to go, the start cell itself still counts.
+        # A wider robot is walled in at the start cell and its diagonal
+        # neighbour; it drives out of its own disk.
         boxed = dataclasses.replace(
             scenario, planner=dataclasses.replace(scenario.planner, robot_radius=0.3)
         )
-        assert assert_same_shortest(boxed) == math.inf
+        wide = traversable_mask(BeliefMap.fully_known(scenario.map), 0.3)
+        assert not wide[2, 2] and not wide[3, 3]
+        assert 0.0 < assert_same_shortest(boxed) < math.inf
+        # The start cell itself still counts.
         near = dataclasses.replace(boxed, objects=[
             dataclasses.replace(scenario.target, position=(1.5, 1.5))
         ])
