@@ -195,7 +195,6 @@ class PlannerParams:
     min_frontier_cells: int = 3
     robot_radius: float = 0.2  # obstacle inflation before path planning
     step_interval: int = 5  # cells between lidar refreshes while driving
-    detect_en_route: bool = False
 
 
 @dataclass(eq=True)
@@ -484,10 +483,7 @@ def _parse_config(doc: Any, cls: type, where: str):
     _reject_unknown(doc, set(spec_fields), where)
     kwargs = {}
     for name, value in doc.items():
-        target_type = spec_fields[name].type
-        if target_type == "bool":
-            kwargs[name] = _boolean(value, f"{where}.{name}")
-        elif target_type == "int":
+        if spec_fields[name].type == "int":
             kwargs[name] = _integer(value, f"{where}.{name}")
         else:
             kwargs[name] = _number(value, f"{where}.{name}")

@@ -22,7 +22,7 @@ from objsearch.world import load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
-SCENARIOS_SHA256 = "ad84d57db23b7db18f675bb3b713cdf07a11e25a38504f4ab20fba10831620d9"
+SCENARIOS_SHA256 = "40f62b965db93baf89807b90b65ceee2bfcd81d92067beac7c554576298d5eda"
 
 
 def test_generated_scenarios_are_pinned(ctx):

@@ -303,6 +303,10 @@ class TestScenarioParsing:
         doc["hyperparams"] = {"bogus": 2.0}
         with pytest.raises(SchemaError, match="bogus"):
             parse_scenario(doc)
+        doc = minimal_doc()
+        doc["planner"] = {"detect_en_route": False}  # a deleted field nothing read
+        with pytest.raises(SchemaError, match="detect_en_route"):
+            parse_scenario(doc)
 
     def test_error_names_offending_field(self):
         doc = minimal_doc()
