@@ -39,7 +39,6 @@ class AssetContext:
 
     words: WordVectorStore
     generations: GenerationTable
-    p_fallback: float = 0.5
 
     @classmethod
     def load(cls, root: Path | None = None, table_file: str = GENERATION_TABLE_FILE) -> "AssetContext":

@@ -19,7 +19,7 @@ from pathlib import Path
 from .assets import GENERATION_TABLE_FILE, WEB_TABLE_FILE, AssetContext
 from .episode import run_episode
 from .errors import DomainError, SchemaError
-from .metrics import mean_waypoints, spl, success_rate
+from .metrics import mean_waypoints, spl, spl_fault, success_rate
 from .suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from .world import (
     ScenarioSpec,
@@ -86,6 +86,7 @@ class AggregateReport:
     sr: float
     spl: float
     mean_waypoints: float
+    spl_faults: int  # successes scored 0 because their lengths are faulty
     records: list[EpisodeRecord] = field(default_factory=list)
 
     def summary_table(self) -> str:
@@ -94,7 +95,8 @@ class AggregateReport:
             f"{self.preset:<16}{self.spl:>8.4f}{self.sr:>8.2f}"
             f"{self.mean_waypoints:>7.2f}"
         )
-        return header + "\n" + row + "\n"
+        faults = f"SPL faults: {self.spl_faults} successes scored 0\n" if self.spl_faults else ""
+        return header + "\n" + row + "\n" + faults
 
 
 def apply_preset(scenario: ScenarioSpec, preset: str) -> ScenarioSpec:
@@ -186,6 +188,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> None:
         "sr": report.sr,
         "spl": report.spl,
         "mean_waypoints": report.mean_waypoints,
+        "spl_faults": report.spl_faults,
     }
     (out_dir / "report.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -236,6 +239,7 @@ def score_records(records: list[EpisodeRecord], preset: str = "scored") -> Aggre
         sr=success_rate(records),
         spl=spl(records),
         mean_waypoints=mean_waypoints(records),
+        spl_faults=sum(map(spl_fault, records)),
         records=records,
     )
 

@@ -195,9 +195,7 @@ def _target_cooccur(
     state: EpisodeState, scenario: ScenarioSpec, ctx: AssetContext, name: str, cache: dict
 ) -> float:
     if name not in cache:
-        cache[name] = cooccurrence(
-            scenario.target_phrase, name, ctx.generations, ctx.words, ctx.p_fallback
-        )
+        cache[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
         if scenario.target_phrase not in ctx.generations and not state.fallback_flagged:
             state.fallback_flagged = True
             _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)

@@ -20,24 +20,28 @@ def iou_ioa(a: BBox, b: BBox) -> tuple[float, float]:
     return inter / union, inter / a.area
 
 
+def spl_fault(ep) -> bool:
+    """True for a success SPL cannot weigh: its shortest path is negative or
+    not finite, or its traveled length is negative."""
+    return bool(ep.success) and not (0.0 <= ep.shortest < math.inf and ep.traveled >= 0.0)
+
+
 def spl(episodes: Sequence) -> float:
     """Mean of success * shortest / max(shortest, traveled) over episodes.
 
     Failures contribute zero.  A success that needed no travel from an
-    already-optimal start (both lengths zero) counts as a perfect 1.0.
+    already-optimal start (both lengths zero) counts as a perfect 1.0.  A
+    faulty success (:func:`spl_fault`) contributes zero too, so one bad
+    record cannot abort scoring; callers count and report those.
     Episodes need ``success``, ``traveled`` and ``shortest`` attributes.
     """
     if len(episodes) == 0:
         raise DomainError("spl needs at least one episode")
     total = 0.0
     for ep in episodes:
-        if not ep.success:
+        if not ep.success or spl_fault(ep):
             continue
         shortest, traveled = float(ep.shortest), float(ep.traveled)
-        if traveled < 0.0 or shortest < 0.0 or not math.isfinite(shortest):
-            raise DomainError(
-                f"success episode has invalid lengths (shortest={shortest}, traveled={traveled})"
-            )
         denom = max(shortest, traveled)
         total += 1.0 if denom == 0.0 else shortest / denom
     return total / len(episodes)

@@ -1,9 +1,8 @@
 """Planning: the drivable rule, grid A*, viewpoints, waypoint order, frontiers, SPL.
 
 Paths are 8-connected over observed-free cells; unknown space never counts as
-traversable.  The robot drives by one rule, :func:`drivable_mask`: the episode
-plans over it, and :func:`ground_truth_shortest`, the path SPL is scored
-against, searches it on the fully known map.
+traversable.  The robot drives by one rule, :func:`drivable_mask`, which the
+episode plans over and :func:`ground_truth_shortest` searches for SPL.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class Path:
     def from_cells(cls, cells: Sequence[tuple[int, int]], resolution: float) -> "Path":
         if not cells:
             raise DomainError("a path needs at least one cell")
-        length = 0.0
         straight = diagonal = 0
         for (ax, ay), (bx, by) in zip(cells, cells[1:]):
             dx, dy = abs(bx - ax), abs(by - ay)
@@ -392,8 +390,6 @@ def nearest_frontier(
     if not mask.any():
         return None
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    if count == 0:
-        return None
 
     best_label = None
     best_dist = math.inf
@@ -422,11 +418,6 @@ def nearest_frontier(
     return Frontier(cells=cells, centroid=(cx, cy), closest_cell=best_cell)
 
 
-# --------------------------------------------------------------------------
-# Ground-truth shortest path for SPL
-# --------------------------------------------------------------------------
-
-
 _LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
 _RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
 
@@ -447,42 +438,35 @@ def confirming_cells(
         if 0.0 < math.hypot(dx, dy) <= cam_range + res
     ]
     seen = np.zeros(cx.shape, dtype=bool)
-    if near:
-        origins = np.column_stack((cx[near], cy[near]))
-        seen[near] = lines_of_sight(grid, origins, target.position, object_slack(target, res))
+    origins = np.column_stack((cx[near], cy[near]))
+    seen[near] = lines_of_sight(grid, origins, target.position, object_slack(target, res))
     return seen
 
 
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
-    """Length of the shortest drivable path from the start to a cell that
-    confirms the target on the fully known map; inf when none is reachable.
-
-    The search drives by :func:`drivable_mask` at the start, as the episode
-    does, so a start inside the inflated walls drives out of its own disk.
-    Reachable cells are ranked by path length with a stable sort and the
-    first one :func:`confirming_cells` accepts wins.
-    """
+    """Length of the shortest path from the start, driving by the episode's
+    :func:`drivable_mask` on the fully known map, to a cell that
+    :func:`confirming_cells` accepts; inf when none is reachable.  So a start
+    inside the inflated walls drives out of the robot's own disk."""
     known = BeliefMap.fully_known(scenario.map)
-    return ground_truth_shortest_over(
-        scenario, known, traversable_mask(known, scenario.planner.robot_radius)
-    )
+    trav = traversable_mask(known, scenario.planner.robot_radius)
+    return ground_truth_shortest_over(scenario, known, trav)
 
 
 def ground_truth_shortest_over(scenario: ScenarioSpec, known: BeliefMap, trav: np.ndarray) -> float:
-    """:func:`ground_truth_shortest` given ``known``, the fully known belief of
-    the map, and ``trav``, its traversable mask, which a caller that holds
-    them shares; neither is modified.
+    """:func:`ground_truth_shortest` given the fully known belief and its
+    traversable mask, which a caller that holds them shares unmodified.
 
-    ``np.hypot`` on whole arrays, with a small relative margin for its
-    one-ulp differences from ``math.hypot``, discards the cells clearly out
-    of range; the rest go to :func:`confirming_cells` in rank order, in
-    chunks of ``_LOS_CHUNK``, because most searches end on their first few.
-    """
+    Reachable cells are ranked by path length with a stable sort.  ``np.hypot``
+    on whole arrays, with a margin for its one-ulp differences from
+    ``math.hypot``, drops those clearly out of range; the rest go to
+    :func:`confirming_cells` in rank order, ``_LOS_CHUNK`` at a time, because
+    most searches end on their first few."""
     grid = scenario.map
     res = grid.resolution
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    dist = distance_field(drivable_mask(known, start, scenario.planner.robot_radius, trav), res,
-                          [start])
+    drivable = drivable_mask(known, start, scenario.planner.robot_radius, trav)
+    dist = distance_field(drivable, res, [start])
     target = scenario.target
     cam_range = scenario.hyperparams.cam_range
     ys, xs = np.nonzero(np.isfinite(dist))

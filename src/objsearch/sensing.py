@@ -242,8 +242,6 @@ def camera_observe(
         raise DomainError("camera pose is not in free space")
     hp = scenario.hyperparams
     sp = scenario.sensor
-    half_fov = hp.fov / 2.0
-    origin = (pose.x, pose.y)
     res = grid.resolution
 
     detections: list[DetectionRecord] = []
@@ -278,10 +276,9 @@ def camera_observe(
         )
 
     for _ in range(sp.clutter):
-        rel = rng.uniform(-half_fov, half_fov)
-        ray_dist, _ = raycast_batch(
-            grid, origin, np.array([pose.theta + rel]), hp.cam_range
-        )
+        rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
+        bearing = np.array([pose.theta + rel])
+        ray_dist, _ = raycast_batch(grid, (pose.x, pose.y), bearing, hp.cam_range)
         limit = float(ray_dist[0]) - res
         if limit <= _CLUTTER_MIN_RANGE:
             continue

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
@@ -209,8 +210,6 @@ def _split_rooms(
 
 
 def _connected(occ: np.ndarray) -> bool:
-    from scipy import ndimage
-
     free = ~occ
     if not free.any():
         return False
@@ -328,7 +327,7 @@ def _host_weights(
     if params.placement == "uniform":
         return np.ones(len(landmarks))
     scores = [
-        max(0.0, cooccurrence(target, lm.name, ctx.generations, ctx.words, ctx.p_fallback))
+        max(0.0, cooccurrence(target, lm.name, ctx.generations, ctx.words))
         for lm in landmarks
     ]
     return np.array(scores) ** params.placement_power

@@ -126,9 +126,6 @@ class Pose:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", normalize_angle(float(self.theta)))
 
-    def distance_to(self, other: "Pose") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class LandmarkSpec:
@@ -483,10 +480,8 @@ def _parse_config(doc: Any, cls: type, where: str):
     _reject_unknown(doc, set(spec_fields), where)
     kwargs = {}
     for name, value in doc.items():
-        if spec_fields[name].type == "int":
-            kwargs[name] = _integer(value, f"{where}.{name}")
-        else:
-            kwargs[name] = _number(value, f"{where}.{name}")
+        parse = _integer if spec_fields[name].type == "int" else _number
+        kwargs[name] = parse(value, f"{where}.{name}")
     return cls(**kwargs)
 
 

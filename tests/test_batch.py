@@ -199,6 +199,16 @@ class TestCliExitCodes:
         assert main(["gen-suite", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "suite.targets" in capsys.readouterr().err
 
+    def test_score_counts_a_success_without_shortest_path(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        faulty = {**RECORD, "episode": 1, "shortest": None}
+        records.write_text(json.dumps(RECORD) + "\n" + json.dumps(faulty) + "\n", encoding="utf-8")
+        assert main(["score", str(records), "--report", str(tmp_path / "report")]) == 0
+        assert "SPL faults: 1 " in capsys.readouterr().out
+        doc = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+        assert doc["spl_faults"] == 1
+        assert doc["spl"] == pytest.approx(4.0 / 4.5 / 2)
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{", encoding="utf-8")
