@@ -18,7 +18,7 @@ from objsearch.world import (
     scenario_to_dict,
     serialize_scenario,
 )
-from util import box_scenario, empty_rows
+from util import box_scenario, empty_rows, minimal_doc
 
 
 def grid_from_rows(rows, res=0.1):
@@ -251,25 +251,6 @@ class TestRaycast:
 # --------------------------------------------------------------------------
 # Scenario documents
 # --------------------------------------------------------------------------
-
-
-def minimal_doc():
-    rows = empty_rows(10, 10)
-    # one landmark footprint occupying a cell block
-    for iy in (7, 8):
-        r = 10 - 1 - iy
-        rows[r] = rows[r][:2] + "##" + rows[r][4:]
-    return {
-        "map": {"rows": rows, "resolution": 0.1},
-        "landmarks": [
-            {"id": "L0", "name": "desk", "known": False, "footprint": [0.2, 0.7, 0.4, 0.9]}
-        ],
-        "objects": [
-            {"id": "T0", "name": "book", "position": [0.5, 0.5], "radius": 0.1, "is_target": True}
-        ],
-        "start": [0.55, 0.25, 0.0],
-        "target": "book",
-    }
 
 
 class TestScenarioParsing:

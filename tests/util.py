@@ -74,3 +74,23 @@ def box_scenario(
     if planner:
         doc["planner"] = planner
     return load_scenario(json.dumps(doc))
+
+
+def minimal_doc() -> dict:
+    """A valid 10 x 10 scenario document with one landmark and the target."""
+    rows = empty_rows(10, 10)
+    # one landmark footprint occupying a cell block
+    for iy in (7, 8):
+        r = 10 - 1 - iy
+        rows[r] = rows[r][:2] + "##" + rows[r][4:]
+    return {
+        "map": {"rows": rows, "resolution": 0.1},
+        "landmarks": [
+            {"id": "L0", "name": "desk", "known": False, "footprint": [0.2, 0.7, 0.4, 0.9]}
+        ],
+        "objects": [
+            {"id": "T0", "name": "book", "position": [0.5, 0.5], "radius": 0.1, "is_target": True}
+        ],
+        "start": [0.55, 0.25, 0.0],
+        "target": "book",
+    }
