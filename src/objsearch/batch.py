@@ -23,14 +23,14 @@ from .metrics import mean_waypoints, spl, spl_fault, success_rate
 from .suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from .world import (
     ScenarioSpec,
-    _boolean,
     _integer,
     _number,
     _reject_unknown,
-    _require,
     _string,
     _strings,
+    fields_dict,
     load_scenario_file,
+    parse_fields,
 )
 
 PRESETS = ("full", "nearest_point", "no_cooccurrence", "no_uncertainty", "web_table")
@@ -62,18 +62,18 @@ class RunConfig:
             raise DomainError("exactly one of scenario_paths or suite must be given")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpisodeRecord:
     episode: int
-    scenario: str
-    seed: int
+    scenario: str = ""
+    seed: int = 0
     success: bool
     traveled: float
-    shortest: float
+    shortest: float = math.inf  # no drivable path to the target; written as null
     waypoints_visited: int
 
     def to_json_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
+        doc = fields_dict(self)
         if not math.isfinite(self.shortest):
             doc["shortest"] = None
         return doc
@@ -182,25 +182,25 @@ def records_to_jsonl(records: list[EpisodeRecord]) -> str:
 def write_report(report: AggregateReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "records.jsonl").write_text(records_to_jsonl(report.records), encoding="utf-8")
-    doc = {
-        "preset": report.preset,
-        "episodes": report.episodes,
-        "sr": report.sr,
-        "spl": report.spl,
-        "mean_waypoints": report.mean_waypoints,
-        "spl_faults": report.spl_faults,
-    }
+    doc = fields_dict(report)
+    del doc["records"]  # written to records.jsonl
     (out_dir / "report.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out_dir / "report.txt").write_text(report.summary_table(), encoding="utf-8")
 
 
-_RECORD_KEYS = {f.name for f in dataclasses.fields(EpisodeRecord)}
+def _shortest(value, where: str) -> float:
+    return math.inf if value is None else _number(value, where)
 
 
 def load_records_jsonl(text: str) -> list[EpisodeRecord]:
-    """Parse records written by :func:`records_to_jsonl`, rejecting loose types."""
+    """Parse records written by :func:`records_to_jsonl`, rejecting loose types.
+
+    The keys are ``EpisodeRecord``'s fields, read by
+    :func:`~objsearch.world.parse_fields`, so an absent ``scenario``, ``seed``
+    or ``shortest`` takes the field's default; a null ``shortest`` is inf too.
+    """
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -210,23 +210,7 @@ def load_records_jsonl(text: str) -> list[EpisodeRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{where}: expected an object")
-        _reject_unknown(doc, _RECORD_KEYS, where)
-        shortest = doc.get("shortest")
-        records.append(
-            EpisodeRecord(
-                episode=_integer(_require(doc, "episode", where), f"{where}.episode"),
-                scenario=_string(doc.get("scenario", ""), f"{where}.scenario"),
-                seed=_integer(doc.get("seed", 0), f"{where}.seed"),
-                success=_boolean(_require(doc, "success", where), f"{where}.success"),
-                traveled=_number(_require(doc, "traveled", where), f"{where}.traveled"),
-                shortest=math.inf if shortest is None else _number(shortest, f"{where}.shortest"),
-                waypoints_visited=_integer(
-                    _require(doc, "waypoints_visited", where), f"{where}.waypoints_visited"
-                ),
-            )
-        )
+        records.append(parse_fields(EpisodeRecord, doc, where, {"shortest": _shortest}))
     if not records:
         raise SchemaError("records file contains no episodes")
     return records

@@ -29,14 +29,11 @@ from .world import (
     Pose,
     ScenarioSpec,
     SensorParams,
-    _integer,
     _number,
-    _parse_config,
-    _reject_unknown,
-    _string,
-    _strings,
+    _parse_section,
     footprint_cells,
     load_scenario,
+    parse_fields,
     serialize_scenario,
 )
 
@@ -126,26 +123,14 @@ def _config_fields(cls: type):
     """Parser for a partial scenario config section, kept as a dict of its given keys."""
 
     def parse(value, where: str) -> dict:
-        parsed = _parse_config(value, cls, where)
+        parsed = _parse_section(cls, value, where)
         return {name: getattr(parsed, name) for name in value or {}}
 
     return parse
 
 
-_SUITE_FIELDS = {
-    "count": _integer,
-    "rooms": _integer,
-    "landmarks": _integer,
-    "map_side": _number,
-    "resolution": _number,
-    "known_landmarks": _integer,
-    "distractors": _integer,
-    "targets": _strings,
-    "known_pool": _strings,
-    "unknown_pool": _strings,
-    "placement": _string,
+_SUITE_PARSERS = {
     "placement_weights": _weights,
-    "placement_power": _number,
     "hyperparams": _config_fields(HyperParams),
     "sensor": _config_fields(SensorParams),
     "planner": _config_fields(PlannerParams),
@@ -153,13 +138,13 @@ _SUITE_FIELDS = {
 
 
 def suite_params_from_dict(doc: dict) -> SuiteParams:
-    """Parse generator settings from JSON, with the scenario parser's strictness."""
-    if not isinstance(doc, dict):
-        raise SchemaError("suite: expected an object")
-    _reject_unknown(doc, set(_SUITE_FIELDS), "suite")
-    return SuiteParams(
-        **{key: _SUITE_FIELDS[key](value, f"suite.{key}") for key, value in doc.items()}
-    )
+    """Parse generator settings from JSON, with the scenario parser's strictness.
+
+    The keys are ``SuiteParams``' fields, read by
+    :func:`~objsearch.world.parse_fields`.  The placement weights and the
+    config sections have their own checks, and a section keeps only the keys
+    it is given."""
+    return parse_fields(SuiteParams, doc, "suite", _SUITE_PARSERS)
 
 
 def _pick(rng: np.random.Generator, items: Sequence):

@@ -5,14 +5,21 @@ Scenario files are JSON documents with top-level keys ``map``, ``landmarks``,
 and ``seed``.  Unknown keys are rejected at every level so typos fail loudly.
 Maps are ASCII art: ``.`` is free space, ``#`` is an obstacle, and the first
 row of the document is the northernmost row (largest y).
+
+Every JSON object that stands for a dataclass (a landmark, an object, a
+config section, a suite config, an episode record) has the dataclass's
+fields as its schema.  :func:`parse_fields` reads it: the field names are
+the keys, a field without a default is required, and the field's annotation
+picks the value's check.  :func:`fields_dict` writes it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
+from functools import partial
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -464,25 +471,63 @@ def _boolean(value: Any, where: str) -> bool:
     return value
 
 
-def _numbers(value: Any, count: int, where: str) -> tuple[float, ...]:
+def _numbers(value: Any, where: str, count: int) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or len(value) != count:
         raise SchemaError(f"{where}: expected {count} numbers")
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_config(doc: Any, cls: type, where: str):
-    """Fill a frozen config dataclass from a partial dict, rejecting unknowns."""
-    if doc is None:
-        return cls()
+# The check for each field annotation (a string: annotations are postponed).
+_FIELD_PARSERS = {
+    "int": _integer,
+    "float": _number,
+    "str": _string,
+    "bool": _boolean,
+    "tuple[str, ...]": _strings,
+    "tuple[float, float]": partial(_numbers, count=2),
+    "tuple[float, float, float, float]": partial(_numbers, count=4),
+}
+
+
+def parse_fields(cls: type, doc: Any, where: str, parsers: dict | None = None):
+    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Unknown keys are rejected and a field without a default is required.
+    Each given value passes the check its field's annotation picks from
+    ``_FIELD_PARSERS``, unless ``parsers`` maps the field name to its own.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
-    spec_fields = {f.name: f for f in fields(cls)}
-    _reject_unknown(doc, set(spec_fields), where)
+    spec_fields = fields(cls)
+    _reject_unknown(doc, {f.name for f in spec_fields}, where)
+    parsers = parsers or {}
     kwargs = {}
-    for name, value in doc.items():
-        parse = _integer if spec_fields[name].type == "int" else _number
-        kwargs[name] = parse(value, f"{where}.{name}")
+    for f in spec_fields:
+        if f.name in doc:
+            parse = parsers.get(f.name) or _FIELD_PARSERS[f.type]
+            kwargs[f.name] = parse(doc[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SchemaError(f"{where}.{f.name} required")
     return cls(**kwargs)
+
+
+def fields_dict(obj) -> dict:
+    """The JSON object of a dataclass that :func:`parse_fields` reads back;
+    tuples are written as lists."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+
+def _parse_section(cls: type, value: Any, where: str):
+    """A config section: an object of ``cls``'s fields, or ``null`` for all defaults."""
+    return parse_fields(cls, {} if value is None else value, where)
+
+
+def _parse_list(doc: dict, key: str, cls: type) -> list:
+    entries = _require(doc, key, "scenario")
+    if not isinstance(entries, list):
+        raise SchemaError(f"scenario.{key}: expected a list")
+    return [parse_fields(cls, e, f"scenario.{key}[{i}]") for i, e in enumerate(entries)]
 
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
@@ -499,53 +544,19 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     resolution = _number(_require(map_doc, "resolution", "scenario.map"), "scenario.map.resolution")
     grid = GridMap.from_rows(rows, resolution)
 
-    landmarks_doc = _require(doc, "landmarks", "scenario")
-    if not isinstance(landmarks_doc, list):
-        raise SchemaError("scenario.landmarks: expected a list")
-    landmarks: list[LandmarkSpec] = []
-    for i, lm in enumerate(landmarks_doc):
-        where = f"scenario.landmarks[{i}]"
-        if not isinstance(lm, dict):
-            raise SchemaError(f"{where}: expected an object")
-        _reject_unknown(lm, {"id", "name", "known", "footprint"}, where)
-        landmarks.append(
-            LandmarkSpec(
-                id=_string(_require(lm, "id", where), f"{where}.id"),
-                name=_string(_require(lm, "name", where), f"{where}.name"),
-                known=_boolean(_require(lm, "known", where), f"{where}.known"),
-                footprint=_numbers(_require(lm, "footprint", where), 4, f"{where}.footprint"),
-            )
-        )
+    landmarks = _parse_list(doc, "landmarks", LandmarkSpec)
+    objects = _parse_list(doc, "objects", ObjectSpec)
 
-    objects_doc = _require(doc, "objects", "scenario")
-    if not isinstance(objects_doc, list):
-        raise SchemaError("scenario.objects: expected a list")
-    objects: list[ObjectSpec] = []
-    for i, ob in enumerate(objects_doc):
-        where = f"scenario.objects[{i}]"
-        if not isinstance(ob, dict):
-            raise SchemaError(f"{where}: expected an object")
-        _reject_unknown(ob, {"id", "name", "position", "radius", "is_target"}, where)
-        objects.append(
-            ObjectSpec(
-                id=_string(_require(ob, "id", where), f"{where}.id"),
-                name=_string(_require(ob, "name", where), f"{where}.name"),
-                position=_numbers(_require(ob, "position", where), 2, f"{where}.position"),
-                radius=_number(_require(ob, "radius", where), f"{where}.radius"),
-                is_target=_boolean(ob.get("is_target", False), f"{where}.is_target"),
-            )
-        )
-
-    start_vals = _numbers(_require(doc, "start", "scenario"), 3, "scenario.start")
+    start_vals = _numbers(_require(doc, "start", "scenario"), "scenario.start", 3)
     start = Pose(*start_vals)
 
     if "target" not in doc:
         raise SchemaError("target_phrase required")
     target_phrase = _string(doc["target"], "scenario.target")
 
-    hyper = _parse_config(doc.get("hyperparams"), HyperParams, "scenario.hyperparams")
-    sensor = _parse_config(doc.get("sensor"), SensorParams, "scenario.sensor")
-    planner = _parse_config(doc.get("planner"), PlannerParams, "scenario.planner")
+    hyper = _parse_section(HyperParams, doc.get("hyperparams"), "scenario.hyperparams")
+    sensor = _parse_section(SensorParams, doc.get("sensor"), "scenario.sensor")
+    planner = _parse_section(PlannerParams, doc.get("planner"), "scenario.planner")
 
     seed = doc.get("seed", 0)
     seed = _integer(seed, "scenario.seed")
@@ -678,30 +689,13 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     """Inverse of :func:`parse_scenario` (defaults are written out explicitly)."""
     return {
         "map": {"rows": spec.map.to_rows(), "resolution": spec.map.resolution},
-        "landmarks": [
-            {
-                "id": lm.id,
-                "name": lm.name,
-                "known": lm.known,
-                "footprint": list(lm.footprint),
-            }
-            for lm in spec.landmarks
-        ],
-        "objects": [
-            {
-                "id": ob.id,
-                "name": ob.name,
-                "position": list(ob.position),
-                "radius": ob.radius,
-                "is_target": ob.is_target,
-            }
-            for ob in spec.objects
-        ],
+        "landmarks": [fields_dict(lm) for lm in spec.landmarks],
+        "objects": [fields_dict(ob) for ob in spec.objects],
         "start": [spec.start.x, spec.start.y, spec.start.theta],
         "target": spec.target_phrase,
-        "hyperparams": {f.name: getattr(spec.hyperparams, f.name) for f in fields(HyperParams)},
-        "sensor": {f.name: getattr(spec.sensor, f.name) for f in fields(SensorParams)},
-        "planner": {f.name: getattr(spec.planner, f.name) for f in fields(PlannerParams)},
+        "hyperparams": fields_dict(spec.hyperparams),
+        "sensor": fields_dict(spec.sensor),
+        "planner": fields_dict(spec.planner),
         "seed": spec.seed,
     }
 

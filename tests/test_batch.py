@@ -123,8 +123,10 @@ RECORD = {
 class TestRecordsParsing:
     def test_roundtrip(self):
         records = [
-            EpisodeRecord(0, "a.json", 3, True, 4.5, 4.0, 2),
-            EpisodeRecord(1, "b.json", 4, False, 7.25, float("inf"), 0),
+            EpisodeRecord(episode=0, scenario="a.json", seed=3, success=True, traveled=4.5,
+                          shortest=4.0, waypoints_visited=2),
+            EpisodeRecord(episode=1, scenario="b.json", seed=4, success=False, traveled=7.25,
+                          shortest=float("inf"), waypoints_visited=0),
         ]
         assert load_records_jsonl(records_to_jsonl(records)) == records
 

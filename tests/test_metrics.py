@@ -39,7 +39,8 @@ def test_faulty_successes_score_zero_and_are_counted():
     assert [spl_fault(e) for e in episodes] == [False, True, True, True, False]
     assert spl(episodes) == pytest.approx(0.8 / 5)
     records = [
-        EpisodeRecord(i, "s.json", i, e.success, e.traveled, e.shortest, 0)
+        EpisodeRecord(episode=i, scenario="s.json", seed=i, success=e.success,
+                      traveled=e.traveled, shortest=e.shortest, waypoints_visited=0)
         for i, e in enumerate(episodes)
     ]
     report = score_records(records)
