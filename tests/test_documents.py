@@ -1,7 +1,8 @@
 """The JSON documents' contract: scenarios, suite configs and episode records.
 
-Each single fault in a document gives one exact error message, and a few
-absent or null values read as documented defaults.
+Each single fault in a document gives one exact error message, a few
+absent or null values read as documented defaults, and every dataclass a
+document stands for survives a trip through JSON.
 """
 
 import json
@@ -9,13 +10,17 @@ import math
 
 import pytest
 
-from objsearch.batch import load_records_jsonl
+from objsearch.batch import EpisodeRecord, load_records_jsonl, records_to_jsonl
 from objsearch.errors import SchemaError
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from objsearch.world import (
     HyperParams,
+    LandmarkSpec,
+    ObjectSpec,
     PlannerParams,
     SensorParams,
+    fields_dict,
+    parse_fields,
     parse_scenario,
     scenario_to_dict,
     serialize_scenario,
@@ -197,3 +202,54 @@ def test_scenario_dict_is_json_native(ctx):
     params = SuiteParams(count=3, rooms=3, landmarks=6, hyperparams={"lambda1": 2.0})
     for spec in generate_suite(params, 0, ctx=ctx):
         assert scenario_to_dict(spec) == json.loads(serialize_scenario(spec))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        HyperParams(),
+        HyperParams(lambda1=2.5, lambda2=0.0, t_c=0.1, t_u=1.0, m_t=27.5, temperature=0.5,
+                    fail_distance=30.0, fov=1.0, cam_range=3.0, scan_headings=6, pan_views=1),
+        SensorParams(),
+        SensorParams(lidar_rays=90, lidar_range=2.5, sigma_emb=0.0, p_miss=0.1, clutter=2),
+        PlannerParams(),
+        PlannerParams(view_radius=1.0, view_directions=4, min_frontier_cells=1,
+                      robot_radius=0.3, step_interval=2),
+        LandmarkSpec(id="L0", name="desk", known=False, footprint=(0.2, 0.7, 0.4, 0.9)),
+        LandmarkSpec(id="L1", name="sofa", known=True, footprint=(1, 1.5, 2, 2.25)),
+        ObjectSpec(id="T0", name="book", position=(0.5, 0.5), radius=0.1),
+        ObjectSpec(id="T1", name="cup", position=(1.25, 3), radius=0.2, is_target=True),
+    ],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_world_dataclass_round_trip(obj):
+    doc = json.loads(json.dumps(fields_dict(obj)))
+    assert parse_fields(type(obj), doc, "doc") == obj
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SuiteParams(),
+        SuiteParams(count=3, rooms=1, landmarks=4, map_side=9.5, resolution=0.2,
+                    known_landmarks=0, distractors=0, targets=("cup",), known_pool=(),
+                    unknown_pool=("desk", "bed"), placement="uniform",
+                    placement_weights={"desk": 2.0, "bed": 0.5}, placement_power=0.5,
+                    hyperparams={"lambda1": 2.0, "scan_headings": 6}, sensor={"clutter": 1},
+                    planner={"robot_radius": 0.3}),
+    ],
+)
+def test_suite_params_round_trip(params):
+    assert suite_params_from_dict(json.loads(json.dumps(fields_dict(params)))) == params
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        EpisodeRecord(episode=0, success=False, traveled=0.0, waypoints_visited=0),
+        EpisodeRecord(episode=3, scenario="a.json", seed=7, success=True, traveled=4.5,
+                      shortest=4.0, waypoints_visited=2),
+    ],
+)
+def test_record_round_trip(record):
+    assert load_records_jsonl(records_to_jsonl([record])) == [record]
