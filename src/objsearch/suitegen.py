@@ -109,6 +109,13 @@ class SuiteParams:
             raise SchemaError(
                 "suite.unknown_pool: must not be empty when landmarks > known_landmarks"
             )
+        if not (math.isfinite(self.placement_power) and self.placement_power >= 0):
+            raise SchemaError("suite.placement_power: must be non-negative and finite")
+        for name, weight in (self.placement_weights or {}).items():
+            if not (math.isfinite(weight) and weight >= 0):
+                raise SchemaError(
+                    f"suite.placement_weights.{name}: must be non-negative and finite"
+                )
 
 
 def _weights(value, where: str) -> dict[str, float] | None:

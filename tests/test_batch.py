@@ -81,6 +81,13 @@ class TestSuiteParamsParsing:
             {"planner": [1]},
             {"resolution": 0.0},
             {"bogus": 1},
+            {"placement_power": -1.0},
+            {"placement_power": math.inf},
+            {"placement_power": math.nan},
+            {"placement_weights": {"desk": 1, "bed": -0.5}},
+            {"placement_weights": {"desk": math.inf}},
+            json.loads('{"placement_weights": {"desk": NaN}}'),
+            json.loads('{"placement_power": Infinity}'),
         ],
     )
     def test_bad_values_rejected(self, doc):
