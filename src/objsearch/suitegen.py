@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -126,21 +127,17 @@ def _weights(value, where: str) -> dict[str, float] | None:
     return {k: _number(v, f"{where}.{k}") for k, v in value.items()}
 
 
-def _config_fields(cls: type):
-    """Parser for a partial scenario config section, kept as a dict of its given keys."""
-
-    def parse(value, where: str) -> dict:
-        parsed = _parse_section(cls, value, where)
-        return {name: getattr(parsed, name) for name in value or {}}
-
-    return parse
+def _config_fields(value, where: str, cls: type) -> dict:
+    """A partial scenario config section, kept as a dict of its given keys."""
+    parsed = _parse_section(cls, value, where)
+    return {name: getattr(parsed, name) for name in value or {}}
 
 
 _SUITE_PARSERS = {
     "placement_weights": _weights,
-    "hyperparams": _config_fields(HyperParams),
-    "sensor": _config_fields(SensorParams),
-    "planner": _config_fields(PlannerParams),
+    "hyperparams": partial(_config_fields, cls=HyperParams),
+    "sensor": partial(_config_fields, cls=SensorParams),
+    "planner": partial(_config_fields, cls=PlannerParams),
 }
 
 
