@@ -31,7 +31,6 @@ from .world import (
     Pose,
     ScenarioSpec,
     load_scenario,
-    raycast,
     serialize_scenario,
 )
 

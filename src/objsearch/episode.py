@@ -10,13 +10,13 @@ in the same order.  The trace is a list of plain dicts with a stable schema;
 ``plan`` events carry the full candidate set so the greedy ordering can be
 replayed from the trace alone.
 
-Within one ``run_episode`` call the loop reuses work it has already done,
-resting on two facts: the world is static, and a belief cell never changes
-value once known (a sweep only writes true cell states).  So a lidar sweep
-from a point already swept in this episode is skipped, and
-``belief.known_count()`` identifies the belief exactly: the traversable mask
-and the distance field are reused, read-only, while (known count, robot cell)
-is unchanged.  Nothing is reused across episodes.
+Within one ``run_episode`` call the loop reuses work it has already done.
+The world is static and a sweep only writes true cell states, so a lidar
+sweep from a point already swept in this episode is skipped.  The sweep is
+the only code that writes the belief, and each one it runs drops the
+traversable mask and distance field; until the next, they are reused,
+read-only, while the robot stays in one cell.  Nothing is reused across
+episodes.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .matching import (
 )
 from .metrics import iou_ioa
 from .planning import (
+    LandmarkEntry,
     Path,
     Viewpoint,
     distance_field,
@@ -84,23 +85,10 @@ class CandidatePatch:
 
 
 @dataclass
-class LandmarkEntry:
-    """Merged registry record of one sighted landmark."""
-
-    id: str
-    name: str
-    position: tuple[float, float]
-    cooccur: float
-    sem_uncert: float
-    visited: bool = False
-    skipped: bool = False  # permanently excluded by the threshold rule
-
-
-@dataclass
 class _NavMaps:
-    """Read-only planning layers for one (known cell count, robot cell) key."""
+    """Read-only planning layers for the current belief and one robot cell."""
 
-    key: tuple[int, tuple[int, int]]
+    cell: tuple[int, int]
     trav: np.ndarray
     dist: np.ndarray | None = None
 
@@ -118,6 +106,7 @@ class EpisodeState:
     confirm_cursor: int = 0  # candidates before this index are already judged
     trace: list[dict] = field(default_factory=list)
     fallback_flagged: bool = False
+    cooccur_by_name: dict[str, float] = field(default_factory=dict)  # with the target phrase
     # Per-episode reuse; see the module docstring.
     swept: set[tuple[float, float]] = field(default_factory=set)
     nav_maps: _NavMaps | None = None
@@ -192,14 +181,15 @@ def _next_rng(state: EpisodeState) -> _LazyStream:
 
 
 def _target_cooccur(
-    state: EpisodeState, scenario: ScenarioSpec, ctx: AssetContext, name: str, cache: dict
+    state: EpisodeState, scenario: ScenarioSpec, ctx: AssetContext, name: str
 ) -> float:
-    if name not in cache:
-        cache[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
+    known = state.cooccur_by_name
+    if name not in known:
+        known[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
         if scenario.target_phrase not in ctx.generations and not state.fallback_flagged:
             state.fallback_flagged = True
             _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
-    return cache[name]
+    return known[name]
 
 
 def _register_sighting(
@@ -253,18 +243,20 @@ def _process_observation(
     ctx: AssetContext,
     store: TextEmbeddingStore,
     obs: CameraObservation,
-    register_landmarks: bool,
-    match_all_labels: bool,
-    cooccur_cache: dict,
+    scanning: bool,
 ) -> None:
+    """Register the landmarks a frame shows and keep its target matches.
+
+    A scan frame (``scanning``) does both for every detection; a pan view at
+    a viewpoint only matches the detections of unknown label."""
     hp = scenario.hyperparams
     unknown_names = scenario.unknown_landmark_names
     target_vec = store.get(scenario.target_phrase)
     for det in obs.detections:
         position = project_detection(det, obs.pose)
-        if register_landmarks:
+        if scanning:
             if det.label != UNKNOWN_LABEL:
-                value = _target_cooccur(state, scenario, ctx, det.label, cooccur_cache)
+                value = _target_cooccur(state, scenario, ctx, det.label)
                 _register_sighting(state, scenario, det.label, position, 0.0, value)
             elif unknown_names:
                 name, score = best_landmark_match(det.patch_embedding, unknown_names, store)
@@ -272,11 +264,11 @@ def _process_observation(
                     prob = landmark_probability(
                         det.patch_embedding, unknown_names, store, hp.temperature
                     )
-                    value = _target_cooccur(state, scenario, ctx, name, cooccur_cache)
+                    value = _target_cooccur(state, scenario, ctx, name)
                     _register_sighting(
                         state, scenario, name, position, semantic_uncertainty(prob), value
                     )
-        if match_all_labels or det.label == UNKNOWN_LABEL:
+        if scanning or det.label == UNKNOWN_LABEL:
             score = matching_score(target_vec, det.patch_embedding)
             if score > hp.m_t:
                 state.candidates.append(
@@ -290,7 +282,6 @@ def initial_scan(
     scenario: ScenarioSpec,
     ctx: AssetContext,
     store: TextEmbeddingStore,
-    cooccur_cache: dict,
 ) -> None:
     """One lidar sweep plus a full camera rotation; registers landmarks and
     matches the target on every detection."""
@@ -303,10 +294,7 @@ def initial_scan(
             scenario, store, Pose(state.pose.x, state.pose.y, heading), _next_rng(state)
         )
         detections += len(obs.detections)
-        _process_observation(
-            state, scenario, ctx, store, obs,
-            register_landmarks=True, match_all_labels=True, cooccur_cache=cooccur_cache,
-        )
+        _process_observation(state, scenario, ctx, store, obs, scanning=True)
     _emit(state, "scan", pose=state.pose, headings=hp.scan_headings, detections=detections)
 
 
@@ -357,21 +345,22 @@ def _current_cell(state: EpisodeState) -> tuple[int, int]:
 
 def _sweep(state: EpisodeState, scenario: ScenarioSpec) -> None:
     """Lidar sweep from the current pose, unless this episode already swept
-    from the same point: the repeat would write the same cells again."""
+    from the same point: the repeat would write the same cells again.  A sweep
+    that runs drops the planning layers built on the belief before it."""
     origin = (state.pose.x, state.pose.y)
     if origin not in state.swept:
         lidar_update(state.belief, scenario.map, state.pose, scenario.sensor.lidar_rays,
                      scenario.sensor.lidar_range)
         state.swept.add(origin)
+        state.nav_maps = None
 
 
 def _nav_maps(state: EpisodeState, scenario: ScenarioSpec) -> _NavMaps:
     cell = _current_cell(state)
-    key = (state.belief.known_count(), cell)
-    if state.nav_maps is None or state.nav_maps.key != key:
+    if state.nav_maps is None or state.nav_maps.cell != cell:
         trav = drivable_mask(state.belief, cell, scenario.planner.robot_radius)
         trav.setflags(write=False)
-        state.nav_maps = _NavMaps(key, trav)
+        state.nav_maps = _NavMaps(cell, trav)
     return state.nav_maps
 
 
@@ -384,7 +373,7 @@ def _distance_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
     """Travel distance field from the robot cell over the traversable mask."""
     maps = _nav_maps(state, scenario)
     if maps.dist is None:
-        maps.dist = distance_field(maps.trav, state.belief.resolution, [maps.key[1]])
+        maps.dist = distance_field(maps.trav, state.belief.resolution, [maps.cell])
         maps.dist.setflags(write=False)
     return maps.dist
 
@@ -467,39 +456,34 @@ def visit_waypoint(
     ctx: AssetContext,
     store: TextEmbeddingStore,
     vp: Viewpoint,
-    cooccur_cache: dict,
 ) -> _NavOutcome:
     """Navigate to a viewpoint and sweep the camera for target matches."""
-    _emit(state, "visit_start", id=vp.landmark_id, pose=vp.pose)
+    landmark = vp.landmark
+    _emit(state, "visit_start", id=landmark.id, pose=vp.pose)
     goal = state.belief.world_to_cell(vp.pose.x, vp.pose.y)
     outcome = _navigate(state, scenario, goal)
     if outcome is _NavOutcome.NO_PATH:
-        _emit(state, "abandon", id=vp.landmark_id, reason="no_path")
+        _emit(state, "abandon", id=landmark.id, reason="no_path")
         return outcome
     if outcome is _NavOutcome.BUDGET:
         return outcome
     state.pose = vp.pose
-    for entry in state.registry:
-        if entry.id == vp.landmark_id:
-            entry.visited = True
+    landmark.visited = True
     state.waypoints_visited += 1
-    _emit(state, "arrive", id=vp.landmark_id)
+    _emit(state, "arrive", id=landmark.id)
     for offset in _pan_offsets(scenario.hyperparams.pan_views):
         obs = camera_observe(
             scenario, store,
             Pose(vp.pose.x, vp.pose.y, vp.pose.theta + offset),
             _next_rng(state),
         )
-        _process_observation(
-            state, scenario, ctx, store, obs,
-            register_landmarks=False, match_all_labels=False, cooccur_cache=cooccur_cache,
-        )
+        _process_observation(state, scenario, ctx, store, obs, scanning=False)
     return _NavOutcome.ARRIVED
 
 
 def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
-    """Generate viewpoints for pending landmarks and order them greedily."""
-    planner = scenario.planner
+    """Generate viewpoints for pending landmarks, mark skipped those that fail
+    the skip rule, and order the rest greedily."""
     hp = scenario.hyperparams
     trav = _traversable_now(state, scenario)
     dist = _distance_now(state, scenario)
@@ -507,33 +491,28 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
     for entry in state.registry:
         if entry.visited or entry.skipped:
             continue
-        vp = generate_viewpoints(
-            state.belief, entry.position,
-            entry.id, entry.name, entry.cooccur, entry.sem_uncert,
-            planner, trav, dist,
-        )
+        vp = generate_viewpoints(state.belief, entry, scenario.planner, trav, dist)
         if vp is not None:
             candidates.append(vp)
-    ordered = plan_waypoints(state.pose, candidates, hp)
-    skipped = [vp.landmark_id for vp in candidates if not passes_thresholds(vp, hp)]
-    for entry in state.registry:
-        if entry.id in skipped:
-            entry.skipped = True
+            entry.skipped = not passes_thresholds(vp, hp)
+    ordered = plan_waypoints(
+        state.pose, [vp for vp in candidates if not vp.landmark.skipped], hp
+    )
     _emit(
         state,
         "plan",
         candidates=[
             {
-                "id": vp.landmark_id,
-                "name": vp.landmark_name,
+                "id": vp.landmark.id,
+                "name": vp.landmark.name,
                 "pose": vp.pose,
-                "cooccur": vp.cooccur,
-                "sem_uncert": vp.sem_uncert,
+                "cooccur": vp.landmark.cooccur,
+                "sem_uncert": vp.landmark.sem_uncert,
             }
             for vp in candidates
         ],
-        order=[vp.landmark_id for vp in ordered],
-        skipped=skipped,
+        order=[vp.landmark.id for vp in ordered],
+        skipped=[vp.landmark.id for vp in candidates if vp.landmark.skipped],
     )
     return ordered
 
@@ -573,12 +552,11 @@ def run_episode(
     _emit(state, "episode_start", seed=episode_seed, target=scenario.target_phrase,
           start=scenario.start)
     shortest = ground_truth_shortest(scenario)
-    cooccur_cache: dict[str, float] = {}
 
     success = False
     prev_progress: tuple | None = None
     for _ in range(_MAX_CYCLES):
-        initial_scan(state, scenario, ctx, store, cooccur_cache)
+        initial_scan(state, scenario, ctx, store)
         if _judge_new_candidates(state, scenario, confirm_fn) is not None:
             success = True
             break
@@ -597,7 +575,7 @@ def run_episode(
         ordered = _plan_cycle(state, scenario)
         stop = False
         for vp in ordered:
-            outcome = visit_waypoint(state, scenario, ctx, store, vp, cooccur_cache)
+            outcome = visit_waypoint(state, scenario, ctx, store, vp)
             if outcome is _NavOutcome.BUDGET:
                 stop = True
                 break

@@ -41,21 +41,35 @@ _FORWARD_NEIGHBORS = ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2))
 _FORWARD_STEPS = np.array([step for _, _, step in _FORWARD_NEIGHBORS])
 
 
-@dataclass(frozen=True)
-class Viewpoint:
-    """A pose from which a landmark is observable, with its planning scores."""
+@dataclass
+class LandmarkEntry:
+    """Registry record of one sighted landmark, the planner's input for it.
 
-    landmark_id: str
-    landmark_name: str
-    pose: Pose
+    The scores are checked on every write, so a merge that replaces them is
+    checked as well as the first sighting."""
+
+    id: str
+    name: str
+    position: tuple[float, float]
     cooccur: float
     sem_uncert: float
+    visited: bool = False
+    skipped: bool = False  # permanently excluded by the threshold rule
 
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.cooccur <= 1.0:
-            raise DomainError(f"cooccur {self.cooccur} outside [-1, 1]")
-        if self.sem_uncert < 0.0:
-            raise DomainError(f"sem_uncert {self.sem_uncert} must be >= 0")
+    def __setattr__(self, name: str, value) -> None:
+        if name == "cooccur" and not -1.0 <= value <= 1.0:
+            raise DomainError(f"cooccur {value} outside [-1, 1]")
+        if name == "sem_uncert" and value < 0.0:
+            raise DomainError(f"sem_uncert {value} must be >= 0")
+        super().__setattr__(name, value)
+
+
+@dataclass(frozen=True)
+class Viewpoint:
+    """A pose from which a registry landmark is observable."""
+
+    landmark: LandmarkEntry
+    pose: Pose
 
 
 @dataclass(frozen=True)
@@ -279,11 +293,7 @@ def distance_field(
 
 def generate_viewpoints(
     belief: BeliefMap,
-    landmark_position: tuple[float, float],
-    landmark_id: str,
-    landmark_name: str,
-    cooccur: float,
-    sem_uncert: float,
+    landmark: LandmarkEntry,
     params: PlannerParams,
     traversable: np.ndarray,
     dist_field: np.ndarray,
@@ -296,10 +306,10 @@ def generate_viewpoints(
     ``dist_field`` value (the robot's travel distance) wins, and ties go to
     the lower angle index.
     """
-    lx, ly = landmark_position
+    lx, ly = landmark.position
     ix, iy = belief.world_to_cell(lx, ly)
     if not belief.in_bounds(ix, iy):
-        raise DomainError(f"landmark position {landmark_position} outside map bounds")
+        raise DomainError(f"landmark position {landmark.position} outside map bounds")
 
     best: Viewpoint | None = None
     best_dist = math.inf
@@ -316,13 +326,7 @@ def generate_viewpoints(
         if not math.isfinite(dist) or dist >= best_dist:
             continue
         theta = normalize_angle(math.atan2(ly - py, lx - px))
-        best = Viewpoint(
-            landmark_id=landmark_id,
-            landmark_name=landmark_name,
-            pose=Pose(px, py, theta),
-            cooccur=cooccur,
-            sem_uncert=sem_uncert,
-        )
+        best = Viewpoint(landmark, Pose(px, py, theta))
         best_dist = dist
     return best
 
@@ -330,30 +334,33 @@ def generate_viewpoints(
 def viewpoint_cost(current: Pose, candidate: Viewpoint, hp: HyperParams) -> float:
     """Travel distance plus weighted co-occurrence and uncertainty penalties."""
     travel = math.hypot(candidate.pose.x - current.x, candidate.pose.y - current.y)
+    landmark = candidate.landmark
     return (
         travel
-        + hp.lambda1 * (1.0 + COST_FLOOR - candidate.cooccur)
-        + hp.lambda2 * candidate.sem_uncert
+        + hp.lambda1 * (1.0 + COST_FLOOR - landmark.cooccur)
+        + hp.lambda2 * landmark.sem_uncert
     )
 
 
 def passes_thresholds(vp: Viewpoint, hp: HyperParams) -> bool:
-    """Skip rule: drop viewpoints with low co-occurrence or high uncertainty."""
-    return vp.cooccur >= hp.t_c and vp.sem_uncert <= hp.t_u
+    """Skip rule: a viewpoint is planned only when its landmark's co-occurrence
+    is at least ``t_c`` and its uncertainty at most ``t_u`` (both inclusive).
+    The episode applies it once per candidate and marks a landmark that fails
+    it skipped for good."""
+    return vp.landmark.cooccur >= hp.t_c and vp.landmark.sem_uncert <= hp.t_u
 
 
 def plan_waypoints(
     current: Pose, candidates: Iterable[Viewpoint], hp: HyperParams
 ) -> list[Viewpoint]:
-    """Greedy visit order: repeatedly take the cheapest remaining viewpoint.
+    """Greedy visit order: repeatedly take the cheapest remaining viewpoint,
+    its cost measured from the pose taken last (``current`` first).
 
-    Threshold-violating candidates are discarded first; cost ties break on
-    landmark id.  An empty result tells the caller to go explore.
+    The candidates are taken as given, so the caller drops those that fail
+    :func:`passes_thresholds` first.  Cost ties break on landmark id.  An
+    empty result tells the caller to go explore.
     """
-    pool = sorted(
-        (vp for vp in candidates if passes_thresholds(vp, hp)),
-        key=lambda vp: vp.landmark_id,
-    )
+    pool = sorted(candidates, key=lambda vp: vp.landmark.id)
     ordered: list[Viewpoint] = []
     anchor = current
     while pool:

@@ -94,8 +94,8 @@ class SuiteParams:
             raise SchemaError("suite.landmarks: must be in 3..8")
         if not 8.0 <= self.map_side <= 20.0:
             raise SchemaError("suite.map_side: must be in 8..20 meters")
-        if not self.resolution > 0.0:
-            raise SchemaError("suite.resolution: must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0.0):
+            raise SchemaError("suite.resolution: must be positive and finite")
         if self.placement not in ("cooccurrence", "uniform"):
             raise SchemaError("suite.placement: expected 'cooccurrence' or 'uniform'")
         if not 0 <= self.known_landmarks <= self.landmarks:
@@ -112,6 +112,11 @@ class SuiteParams:
             )
         if not (math.isfinite(self.placement_power) and self.placement_power >= 0):
             raise SchemaError("suite.placement_power: must be non-negative and finite")
+        strays = set(self.placement_weights or ()) - {*self.known_pool, *self.unknown_pool}
+        if strays:
+            raise SchemaError(
+                f"suite.placement_weights: names in neither landmark pool {sorted(strays)}"
+            )
         for name, weight in (self.placement_weights or {}).items():
             if not (math.isfinite(weight) and weight >= 0):
                 raise SchemaError(

@@ -20,7 +20,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -241,11 +241,6 @@ class ScenarioSpec:
 _BLOCK_CROSSINGS = 1 << 16  # grid-line crossings traced together; bounds working memory
 
 
-class RayHit(NamedTuple):
-    distance: float
-    blocked: bool
-
-
 def raycast_batch(
     grid: GridMap,
     origin,
@@ -402,14 +397,6 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
     if free_mask is not None:
         stop = np.where(hit, first, np.count_nonzero(alive, axis=1))
         np.put(free_mask, cell[np.arange(steps) < stop[:, None]], True)
-
-
-def raycast(
-    grid: GridMap, origin: tuple[float, float], bearing: float, max_range: float
-) -> RayHit:
-    """Trace a single ray; see :func:`raycast_batch` for semantics."""
-    dist, blocked = raycast_batch(grid, origin, np.array([bearing]), max_range)
-    return RayHit(float(dist[0]), bool(blocked[0]))
 
 
 # --------------------------------------------------------------------------

@@ -98,6 +98,31 @@ class TestSuiteParamsParsing:
         with pytest.raises(DomainError):
             generate_suite(SuiteParams(count=1), -1, ctx=ctx)
 
+    @pytest.mark.parametrize("doc", [
+        {"count": 1, "resolution": math.inf},
+        {"count": 1, "resolution": math.nan},
+        json.loads('{"count": 1, "resolution": 1e400}'),
+    ])
+    def test_non_finite_resolution_rejected(self, doc):
+        with pytest.raises(SchemaError, match="suite.resolution: must be positive and finite"):
+            suite_params_from_dict(doc)
+
+    def test_unknown_placement_weight_names_rejected(self):
+        doc = {"count": 1, "placement_weights": {"zzz": 0.0, "desk": 1.0, "dsk": 1.0}}
+        with pytest.raises(SchemaError) as err:
+            suite_params_from_dict(doc)
+        assert str(err.value) == (
+            "suite.placement_weights: names in neither landmark pool ['dsk', 'zzz']"
+        )
+
+    @pytest.mark.parametrize("doc", [
+        {"placement_weights": {"tv monitor": 2.0, "desk": 1.0}},
+        {"known_pool": ["lamp"], "unknown_pool": ["rug"], "placement_weights": {"lamp": 1.0}},
+        {"placement_weights": {}},
+    ])
+    def test_placement_weights_may_name_either_pool(self, doc):
+        assert suite_params_from_dict(doc).placement_weights == doc["placement_weights"]
+
     @pytest.mark.parametrize(
         "doc",
         [

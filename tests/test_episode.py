@@ -5,15 +5,18 @@ small generated suite, so a change that alters behaviour, even in the last
 digit of a float, fails here and has to re-pin them on purpose.  A second
 trace digest covers a suite with camera misses and clutter.  The lazy-stream
 tests check that a frame's camera stream, built on its first draw, draws what
-the eager Generator draws.  The last two tests check that the layers an
-episode reuses (skipped sweeps, cached traversable masks and distance fields)
-equal fresh computations.
+the eager Generator draws.  The ranking tests replay every ``plan`` event
+of the golden traces and check that a landmark the skip rule drops is never
+planned again.  The reuse tests check that the layers an episode reuses
+(skipped sweeps, cached traversable masks and distance fields) equal fresh
+computations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -22,7 +25,15 @@ import pytest
 from objsearch import episode
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
-from objsearch.planning import clear_robot_disk, distance_field, traversable_mask
+from objsearch.planning import (
+    LandmarkEntry,
+    Viewpoint,
+    clear_robot_disk,
+    distance_field,
+    passes_thresholds,
+    plan_waypoints,
+    traversable_mask,
+)
 from objsearch.sensing import BeliefMap, camera_observe, lidar_update, observation_rng
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import Pose, SensorParams
@@ -73,12 +84,17 @@ def test_golden_trace(traces):
     assert sha256("".join(traces)) == TRACE_SHA256
 
 
-def test_golden_clutter_trace(ctx):
+@pytest.fixture(scope="module")
+def clutter(ctx):
+    """The clutter suite's scenarios and the trace JSONL of each."""
     scenarios = generate_suite(CLUTTER_SUITE, SUITE_SEED, ctx=ctx)
-    traces = [
+    return scenarios, [
         trace_to_jsonl(run_episode(s, ctx=ctx, seed=i).trace) for i, s in enumerate(scenarios)
     ]
-    assert sha256("".join(traces)) == CLUTTER_TRACE_SHA256
+
+
+def test_golden_clutter_trace(clutter):
+    assert sha256("".join(clutter[1])) == CLUTTER_TRACE_SHA256
 
 
 def test_golden_records(serial_records):
@@ -92,6 +108,79 @@ def test_same_seed_same_trace(scenarios, traces, ctx):
 
 def test_parallel_records_match_serial(serial_records):
     assert batch_records(2) == serial_records
+
+
+def replayed_plans(scenario, jsonl):
+    """Each ``plan`` event of a trace, with its skipped list and greedy order
+    recomputed from the event's candidates, the pose of the scan before it and
+    the scenario's hyperparameters (landmark positions, which the ranking does
+    not read, come from the landmark events)."""
+    hp = scenario.hyperparams
+    plans, positions = [], {}
+    for line in jsonl.splitlines():
+        event = json.loads(line)
+        if event["event"] in ("landmark_new", "landmark_update"):
+            positions[event["id"]] = tuple(event["pos"])
+        elif event["event"] == "scan":
+            anchor = Pose(*event["pose"])
+        elif event["event"] == "plan":
+            vps = [
+                Viewpoint(LandmarkEntry(c["id"], c["name"], positions[c["id"]], c["cooccur"],
+                                        c["sem_uncert"]), Pose(*c["pose"]))
+                for c in event["candidates"]
+            ]
+            skipped = [vp.landmark.id for vp in vps if not passes_thresholds(vp, hp)]
+            passing = [vp for vp in vps if vp.landmark.id not in skipped]
+            order = [vp.landmark.id for vp in plan_waypoints(anchor, passing, hp)]
+            plans.append((event, skipped, order))
+    return plans
+
+
+@pytest.mark.parametrize("suite", ["clean", "clutter"])
+def test_greedy_order_replays_from_the_trace(suite, scenarios, traces, clutter):
+    if suite == "clutter":
+        scenarios, traces = clutter
+    ordered = 0
+    for scenario, jsonl in zip(scenarios, traces):
+        for event, skipped, order in replayed_plans(scenario, jsonl):
+            assert (event["skipped"], event["order"]) == (skipped, order)
+            ordered += len(order)
+    assert ordered > 0
+
+
+def planning_state(*entries):
+    """An episode state in a swept open room, with the given registry."""
+    scenario = box_scenario(size_m=8.0, res=0.25, start=(4.0, 4.0, 0.0),
+                            sensor={"lidar_range": 12.0},
+                            hyperparams={"t_c": 0.2, "t_u": 0.5})
+    state = episode.EpisodeState(
+        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=0,
+        registry=list(entries),
+    )
+    episode._sweep(state, scenario)
+    return scenario, state
+
+
+def test_skipped_landmark_is_never_planned_again():
+    at_thresholds = LandmarkEntry("lm000", "desk", (2.0, 4.0), 0.2, 0.5)
+    low_cooccur = LandmarkEntry("lm001", "bed", (6.0, 4.0), math.nextafter(0.2, 0), 0.0)
+    high_uncert = LandmarkEntry("lm002", "sofa", (4.0, 6.0), 0.9, math.nextafter(0.5, 1))
+    scenario, state = planning_state(at_thresholds, low_cooccur, high_uncert)
+    ordered = episode._plan_cycle(state, scenario)
+    plan = state.trace[-1]
+    assert [c["id"] for c in plan["candidates"]] == ["lm000", "lm001", "lm002"]
+    assert plan["skipped"] == ["lm001", "lm002"] and plan["order"] == ["lm000"]
+    assert [vp.landmark.id for vp in ordered] == ["lm000"]
+    assert [e.skipped for e in state.registry] == [False, True, True]
+    # Better scores later do not bring a skipped landmark back.
+    low_cooccur.cooccur, high_uncert.sem_uncert = 1.0, 0.0
+    episode._plan_cycle(state, scenario)
+    plan = state.trace[-1]
+    assert [c["id"] for c in plan["candidates"]] == ["lm000"]
+    assert plan["skipped"] == [] and plan["order"] == ["lm000"]
+    at_thresholds.visited = True
+    episode._plan_cycle(state, scenario)
+    assert state.trace[-1]["candidates"] == [] and state.trace[-1]["order"] == []
 
 
 def fresh_trav(state, scenario):
@@ -117,8 +206,11 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
     before = state.belief.known_count()
     stale_trav = episode._traversable_now(state, scenario)
     stale_dist = episode._distance_now(state, scenario)
-    # Another point in the same cell is a new origin, and what it reveals is a
-    # new belief for the same robot cell.
+    episode._sweep(state, scenario)  # a repeat is skipped and keeps the layers
+    assert episode._traversable_now(state, scenario) is stale_trav
+    assert episode._distance_now(state, scenario) is stale_dist
+    # Another point in the same cell is a new origin; its sweep drops the
+    # layers, and what it reveals is a new belief for the same robot cell.
     state.pose = Pose(1.45, 1.05, 0.0)
     assert episode._current_cell(state) == (2, 2)
     episode._sweep(state, scenario)

@@ -20,16 +20,21 @@ from scipy.sparse.csgraph import dijkstra
 from objsearch.errors import DomainError, NoPathError
 from objsearch.planning import (
     SQRT2,
+    LandmarkEntry,
+    Viewpoint,
     _disk_offsets,
     clear_robot_disk,
     distance_field,
     generate_viewpoints,
     inflate_occupied,
     nearest_frontier,
+    passes_thresholds,
     plan_path,
+    plan_waypoints,
+    viewpoint_cost,
 )
 from objsearch.sensing import BeliefMap, BeliefState
-from objsearch.world import PlannerParams
+from objsearch.world import HyperParams, PlannerParams, Pose
 
 
 def coo_distance_field(traversable, resolution, sources):
@@ -187,8 +192,8 @@ class TestGenerateViewpoints:
     RING = [(8, 5), (5, 8), (2, 5), (5, 2)]
 
     def choose(self, belief, trav, dist, position=(5.5, 5.5)):
-        return generate_viewpoints(belief, position, "lm000", "desk", 0.5, 0.1,
-                                   self.PARAMS, trav, dist)
+        landmark = LandmarkEntry("lm000", "desk", position, 0.5, 0.1)
+        return generate_viewpoints(belief, landmark, self.PARAMS, trav, dist)
 
     def field(self, *values):
         dist = np.full((11, 11), np.inf)
@@ -200,8 +205,8 @@ class TestGenerateViewpoints:
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
         vp = self.choose(belief, trav, distance_field(trav, 1.0, [(9, 5)]))
-        assert (vp.landmark_id, vp.landmark_name, vp.cooccur, vp.sem_uncert) == (
-            "lm000", "desk", 0.5, 0.1)
+        assert (vp.landmark.id, vp.landmark.name, vp.landmark.cooccur,
+                vp.landmark.sem_uncert) == ("lm000", "desk", 0.5, 0.1)
         assert vp.pose.x == pytest.approx(8.5) and vp.pose.y == pytest.approx(5.5)
         assert vp.pose.theta == pytest.approx(-math.pi)  # faces the landmark
         vp = self.choose(belief, trav, self.field(4.0, 3.0, 2.0, 5.0))
@@ -245,6 +250,94 @@ class TestGenerateViewpoints:
         assert (vp.pose.x, vp.pose.y) == pytest.approx((6.5, 9.5))
         with pytest.raises(DomainError):
             self.choose(belief, trav, dist, position=(11.5, 5.5))
+
+
+def viewpoint(landmark_id, x, y, cooccur=0.5, sem_uncert=0.0):
+    """A viewpoint at (x, y) for a landmark with the given scores."""
+    return Viewpoint(LandmarkEntry(landmark_id, "desk", (x, y), cooccur, sem_uncert), Pose(x, y))
+
+
+def order(current, candidates, hp=HyperParams()):
+    return [vp.landmark.id for vp in plan_waypoints(current, candidates, hp)]
+
+
+class TestLandmarkEntry:
+    @pytest.mark.parametrize("cooccur, sem_uncert", [(1.5, 0.0), (-1.01, 0.0), (math.nan, 0.0),
+                                                     (0.5, -0.1)])
+    def test_bad_scores_rejected(self, cooccur, sem_uncert):
+        with pytest.raises(DomainError):
+            LandmarkEntry("lm000", "desk", (1.0, 1.0), cooccur, sem_uncert)
+
+    def test_bounds_are_inclusive_and_writes_are_checked(self):
+        entry = LandmarkEntry("lm000", "desk", (1.0, 1.0), -1.0, 0.0)
+        entry.cooccur, entry.sem_uncert = 1.0, 3.0  # a merge with better scores
+        with pytest.raises(DomainError):
+            entry.cooccur = 1.25
+        with pytest.raises(DomainError):
+            entry.sem_uncert = -1e-9
+        assert (entry.cooccur, entry.sem_uncert) == (1.0, 3.0)
+
+
+class TestRanking:
+    """The greedy visit order of :func:`plan_waypoints` and the skip rule."""
+
+    START = Pose(0.0, 0.0)
+    ZERO = HyperParams(lambda1=0.0, lambda2=0.0)
+
+    def test_anchor_moves_to_each_chosen_pose(self):
+        # From the start the order by distance is lm000, lm001, lm002; from
+        # lm000's pose lm002 is nearer than lm001.
+        vps = [viewpoint("lm000", 1.0, 0.0), viewpoint("lm001", -1.5, 0.0),
+               viewpoint("lm002", 2.2, 0.0)]
+        assert order(self.START, vps) == ["lm000", "lm002", "lm001"]
+        assert order(Pose(-1.0, 0.0), vps) == ["lm001", "lm000", "lm002"]
+
+    def test_cost_ties_break_on_landmark_id(self):
+        east, north = viewpoint("lm001", 1.0, 0.0), viewpoint("lm000", 0.0, 1.0)
+        hp = HyperParams()
+        assert viewpoint_cost(self.START, east, hp) == viewpoint_cost(self.START, north, hp)
+        assert order(self.START, [east, north]) == ["lm000", "lm001"]
+        assert order(self.START, [north, east]) == ["lm000", "lm001"]
+        west, south = viewpoint("lm003", -1.0, 0.0), viewpoint("lm002", 0.0, -1.0)
+        assert order(self.START, [west, east, south, north]) == ["lm000", "lm001", "lm002",
+                                                                   "lm003"]
+
+    def test_thresholds_are_inclusive(self):
+        hp = HyperParams(t_c=0.2, t_u=0.5)
+        assert passes_thresholds(viewpoint("lm000", 1.0, 0.0, 0.2, 0.5), hp)
+        assert not passes_thresholds(viewpoint("lm000", 1.0, 0.0, math.nextafter(0.2, -1.0),
+                                               0.5), hp)
+        assert not passes_thresholds(viewpoint("lm000", 1.0, 0.0, 0.2,
+                                               math.nextafter(0.5, 1.0)), hp)
+
+    def test_cost_terms(self):
+        vp = viewpoint("lm000", 3.0, 4.0, cooccur=0.25, sem_uncert=2.0)
+        hp = HyperParams(lambda1=2.0, lambda2=0.5)
+        assert viewpoint_cost(self.START, vp, hp) == 5.0 + 2.0 * (1.001 - 0.25) + 0.5 * 2.0
+        assert viewpoint_cost(self.START, vp, self.ZERO) == 5.0
+
+    def test_zero_lambdas_order_by_straight_line_distance(self):
+        # On a ray from the start the greedy chain is the order by distance,
+        # whatever the scores.
+        scores = [(1.0, 0.0), (0.2, 2.5), (0.6, 1.0), (0.9, 0.1)]
+        vps = [viewpoint(f"lm{k:03d}", d * 0.6, d * 0.8, *scores[k])
+               for k, d in enumerate((3.0, 1.0, 4.0, 2.0))]
+        assert order(self.START, vps, self.ZERO) == ["lm001", "lm003", "lm000", "lm002"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_lambdas_follow_the_nearest_neighbour_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        vps = [viewpoint(f"lm{k:03d}", *rng.uniform(-5.0, 5.0, size=2),
+                         cooccur=rng.uniform(0.2, 1.0), sem_uncert=rng.uniform(0.0, 2.5))
+               for k in range(8)]
+        want, anchor, pool = [], (0.0, 0.0), list(vps)
+        while pool:
+            best = min(pool, key=lambda vp: (math.hypot(vp.pose.x - anchor[0],
+                                                        vp.pose.y - anchor[1]), vp.landmark.id))
+            pool.remove(best)
+            want.append(best.landmark.id)
+            anchor = (best.pose.x, best.pose.y)
+        assert order(self.START, vps, self.ZERO) == want
 
 
 class TestNearestFrontier:

@@ -1,8 +1,7 @@
 """Belief-map invariants of the lidar simulation.
 
-The episode loop skips a sweep from an origin it already swept and keys its
-traversable mask and distance field on ``known_count()``.  Both rest on the
-facts checked here: a sweep only ever writes a cell's true state, so
+The episode loop skips a sweep from an origin it already swept.  That rests
+on the facts checked here: a sweep only ever writes a cell's true state, so
 repeating it changes nothing and a known cell never changes value.
 """
 

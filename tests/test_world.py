@@ -1,5 +1,6 @@
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from objsearch.world import (
     load_scenario,
     normalize_angle,
     parse_scenario,
-    raycast,
     raycast_batch,
     scenario_to_dict,
     serialize_scenario,
@@ -144,6 +144,15 @@ def walk_raycast(grid, origin, bearing, max_range):
         if grid.cells[iy, ix] == 1:
             return t0, True
     return max_range, False
+
+
+RayHit = namedtuple("RayHit", "distance blocked")
+
+
+def raycast(grid, origin, bearing, max_range):
+    """One ray through :func:`raycast_batch`."""
+    dist, blocked = raycast_batch(grid, origin, np.array([bearing]), max_range)
+    return RayHit(float(dist[0]), bool(blocked[0]))
 
 
 class TestRaycast:
