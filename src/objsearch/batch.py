@@ -20,7 +20,7 @@ from .assets import GENERATION_TABLE_FILE, WEB_TABLE_FILE, AssetContext
 from .episode import run_episode
 from .errors import DomainError, SchemaError
 from .metrics import mean_waypoints, spl, spl_fault, success_rate
-from .suitegen import SuiteParams, generate_suite, suite_params_from_dict
+from .suitegen import SuiteParams, generate_suite, suite_from_dict
 from .world import (
     ScenarioSpec,
     _integer,
@@ -90,11 +90,8 @@ class AggregateReport:
     records: list[EpisodeRecord] = field(default_factory=list)
 
     def summary_table(self) -> str:
-        header = f"{'preset':<16}{'SPL':>8}{'SR(%)':>8}{'#':>7}"
-        row = (
-            f"{self.preset:<16}{self.spl:>8.4f}{self.sr:>8.2f}"
-            f"{self.mean_waypoints:>7.2f}"
-        )
+        header = f"{'preset':<16}{'SPL':>8}{'SR(%)':>8}{'waypoints':>11}"
+        row = f"{self.preset:<16}{self.spl:>8.4f}{self.sr:>8.2f}{self.mean_waypoints:>11.2f}"
         faults = f"SPL faults: {self.spl_faults} successes scored 0\n" if self.spl_faults else ""
         return header + "\n" + row + "\n" + faults
 
@@ -229,7 +226,11 @@ def score_records(records: list[EpisodeRecord], preset: str = "scored") -> Aggre
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    """Parse a batch-config JSON document, with the scenario parser's strictness."""
+    """Parse a batch-config JSON document, with the scenario parser's strictness.
+
+    The ``suite`` section is a suite document as ``objsearch gen-suite`` reads
+    it (:func:`~objsearch.suitegen.suite_from_dict`); its ``seed`` stands for
+    ``suite_seed``."""
     if not isinstance(doc, dict):
         raise SchemaError("batch: expected a JSON object")
     allowed = {
@@ -244,6 +245,11 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     }
     _reject_unknown(doc, allowed, "batch")
     paths = tuple(Path(p) for p in _strings(doc.get("scenarios", []), "batch.scenarios"))
+    suite, seed = suite_from_dict(doc["suite"]) if "suite" in doc else (None, None)
+    if seed is None:
+        seed = _integer(doc.get("suite_seed", 0), "batch.suite_seed")
+    elif "suite_seed" in doc:
+        raise SchemaError("batch: suite.seed and suite_seed both given; set one")
     return RunConfig(
         preset=_string(doc.get("preset", "full"), "batch.preset"),
         episodes=_integer(doc.get("episodes", len(paths) or 1), "batch.episodes"),
@@ -251,6 +257,6 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         parallelism=_integer(doc.get("parallelism", 1), "batch.parallelism"),
         out_dir=Path(_string(doc["out"], "batch.out")) if "out" in doc else None,
         scenario_paths=paths,
-        suite=suite_params_from_dict(doc["suite"]) if "suite" in doc else None,
-        suite_seed=_integer(doc.get("suite_seed", 0), "batch.suite_seed"),
+        suite=suite,
+        suite_seed=seed,
     )

@@ -25,8 +25,8 @@ from .batch import (
 )
 from .episode import CandidatePatch, run_episode, trace_to_jsonl
 from .errors import ObjSearchError, SchemaError
-from .suitegen import generate_suite, suite_params_from_dict
-from .world import ScenarioSpec, _integer, load_scenario_file, serialize_scenario
+from .suitegen import generate_suite, suite_from_dict
+from .world import ScenarioSpec, load_scenario_file, serialize_scenario
 
 
 def _interactive_confirm(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
@@ -71,13 +71,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_suite(args: argparse.Namespace) -> int:
-    doc = _load_json(args.params)
-    if not isinstance(doc, dict):
-        raise SchemaError("suite: expected an object")
-    seed = _integer(doc.pop("seed", 0), "suite.seed")
-    params = suite_params_from_dict(doc)
+    params, seed = suite_from_dict(_load_json(args.params))
     ctx = AssetContext.load(root=args.assets)
-    scenarios = generate_suite(params, seed, ctx=ctx)
+    scenarios = generate_suite(params, seed or 0, ctx=ctx)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, scenario in enumerate(scenarios):

@@ -168,14 +168,10 @@ def clear_robot_disk(
     return trav
 
 
-def drivable_mask(
-    belief: BeliefMap, cell: tuple[int, int], robot_radius: float, trav: np.ndarray | None = None
-) -> np.ndarray:
+def drivable_mask(belief: BeliefMap, cell: tuple[int, int], robot_radius: float) -> np.ndarray:
     """The one drivable rule: :func:`traversable_mask` plus the free cells of
-    the robot's disk at ``cell`` (:func:`clear_robot_disk`).  ``trav``, the
-    belief's traversable mask if the caller holds it, is copied, not modified."""
-    trav = traversable_mask(belief, robot_radius) if trav is None else trav.copy()
-    return clear_robot_disk(trav, belief, cell, robot_radius)
+    the robot's disk at ``cell`` (:func:`clear_robot_disk`)."""
+    return clear_robot_disk(traversable_mask(belief, robot_radius), belief, cell, robot_radius)
 
 
 def plan_path(
@@ -454,15 +450,7 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest path from the start, driving by the episode's
     :func:`drivable_mask` on the fully known map, to a cell that
     :func:`confirming_cells` accepts; inf when none is reachable.  So a start
-    inside the inflated walls drives out of the robot's own disk."""
-    known = BeliefMap.fully_known(scenario.map)
-    trav = traversable_mask(known, scenario.planner.robot_radius)
-    return ground_truth_shortest_over(scenario, known, trav)
-
-
-def ground_truth_shortest_over(scenario: ScenarioSpec, known: BeliefMap, trav: np.ndarray) -> float:
-    """:func:`ground_truth_shortest` given the fully known belief and its
-    traversable mask, which a caller that holds them shares unmodified.
+    inside the inflated walls drives out of the robot's own disk.
 
     Reachable cells are ranked by path length with a stable sort.  ``np.hypot``
     on whole arrays, with a margin for its one-ulp differences from
@@ -472,7 +460,7 @@ def ground_truth_shortest_over(scenario: ScenarioSpec, known: BeliefMap, trav: n
     grid = scenario.map
     res = grid.resolution
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    drivable = drivable_mask(known, start, scenario.planner.robot_radius, trav)
+    drivable = drivable_mask(BeliefMap.fully_known(grid), start, scenario.planner.robot_radius)
     dist = distance_field(drivable, res, [start])
     target = scenario.target
     cam_range = scenario.hyperparams.cam_range

@@ -19,7 +19,7 @@ from scipy import ndimage
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrence
-from .planning import confirming_cells, ground_truth_shortest_over, traversable_mask
+from .planning import confirming_cells, ground_truth_shortest, traversable_mask
 from .sensing import BeliefMap
 from .world import (
     GridMap,
@@ -30,12 +30,11 @@ from .world import (
     Pose,
     ScenarioSpec,
     SensorParams,
+    _footprint_window,
+    _integer,
     _number,
     _parse_section,
-    footprint_cells,
-    load_scenario,
     parse_fields,
-    serialize_scenario,
 )
 
 DEFAULT_TARGET_POOL = (
@@ -122,6 +121,9 @@ class SuiteParams:
                 raise SchemaError(
                     f"suite.placement_weights.{name}: must be non-negative and finite"
                 )
+        HyperParams(**self.hyperparams)  # each section checks its own values
+        SensorParams(**self.sensor)
+        PlannerParams(**self.planner)
 
 
 def _weights(value, where: str) -> dict[str, float] | None:
@@ -154,6 +156,15 @@ def suite_params_from_dict(doc: dict) -> SuiteParams:
     config sections have their own checks, and a section keeps only the keys
     it is given."""
     return parse_fields(SuiteParams, doc, "suite", _SUITE_PARSERS)
+
+
+def suite_from_dict(doc: dict) -> tuple[SuiteParams, int | None]:
+    """A suite document: :func:`suite_params_from_dict`'s keys plus the suite
+    ``seed``, which is None when the document has none."""
+    if not isinstance(doc, dict):
+        raise SchemaError("suite: expected an object")
+    seed = _integer(doc["seed"], "suite.seed") if "seed" in doc else None
+    return suite_params_from_dict({k: v for k, v in doc.items() if k != "seed"}), seed
 
 
 def _pick(rng: np.random.Generator, items: Sequence):
@@ -248,16 +259,13 @@ def _place_landmarks(
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
             rect = _wall_footprint(rng, n, res)
-            cells = list(footprint_cells(grid_probe, rect))
-            if not cells:
-                continue
-            if any(occ[iy, ix] for ix, iy in cells):
+            rows, cols, inside = _footprint_window(grid_probe, rect)
+            if not inside.any() or (occ[rows, cols] & inside).any():
                 continue
             if any(_rect_distance(rect, lm.footprint) < 0.5 for lm in placed):
                 continue
             trial = occ.copy()
-            for ix, iy in cells:
-                trial[iy, ix] = True
+            trial[rows, cols] |= inside
             if not _connected(trial):
                 continue
             cx = 0.5 * (rect[0] + rect[2])
@@ -406,8 +414,7 @@ def _generate_one(
     sensor = SensorParams(**params.sensor)
     planner = PlannerParams(**params.planner)
 
-    known = BeliefMap.fully_known(grid)
-    trav = traversable_mask(known, planner.robot_radius)
+    trav = traversable_mask(BeliefMap.fully_known(grid), planner.robot_radius)
     start = None
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))
@@ -421,20 +428,10 @@ def _generate_one(
         raise _Retry("no valid start cell")
 
     spec = ScenarioSpec(
-        map=grid,
-        landmarks=landmarks,
-        objects=objects,
-        start=start,
-        target_phrase=target_name,
-        hyperparams=hyper,
-        sensor=sensor,
-        planner=planner,
+        grid, landmarks, objects, start, target_name, hyper, sensor, planner,
         seed=int(rng.integers(2**31)),
     )
-    spec = load_scenario(serialize_scenario(spec))  # full schema round-trip check
-    # The round trip keeps the map and the robot radius, so ``known`` and
-    # ``trav`` still describe the scenario's fully known map.
-    if not math.isfinite(ground_truth_shortest_over(spec, known, trav)):
+    if not math.isfinite(ground_truth_shortest(spec)):
         raise _Retry("target is not observable from any reachable cell")
     return spec
 

@@ -11,6 +11,11 @@ config section, a suite config, an episode record) has the dataclass's
 fields as its schema.  :func:`parse_fields` reads it: the field names are
 the keys, a field without a default is required, and the field's annotation
 picks the value's check.  :func:`fields_dict` writes it.
+
+Value checks live in the dataclasses, so a spec built in code is as valid
+as a parsed one: each landmark, object and config section checks its own
+fields, and :class:`ScenarioSpec` checks what spans its parts (unique ids,
+landmark footprints on occupied cells, one target, a free start cell).
 """
 
 from __future__ import annotations
@@ -143,6 +148,13 @@ class LandmarkSpec:
     known: bool
     footprint: tuple[float, float, float, float]  # x0, y0, x1, y1 in meters
 
+    def __post_init__(self) -> None:
+        if not self.name.strip():
+            raise ValidationError(f"landmark {self.id}: name must be non-empty")
+        x0, y0, x1, y1 = self.footprint
+        if not (x0 < x1 and y0 < y1):
+            raise ValidationError(f"landmark {self.id}: footprint must have positive area")
+
     @property
     def center(self) -> tuple[float, float]:
         x0, y0, x1, y1 = self.footprint
@@ -163,6 +175,10 @@ class ObjectSpec:
     radius: float
     is_target: bool = False
 
+    def __post_init__(self) -> None:
+        if not (self.radius > 0.0):
+            raise ValidationError(f"object {self.id}: radius must be positive")
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -180,6 +196,21 @@ class HyperParams:
     scan_headings: int = 12
     pan_views: int = 3
 
+    def __post_init__(self) -> None:
+        for name in ("lambda1", "lambda2", "t_c", "t_u", "m_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"hyperparams.{name}: must be finite")
+        if not self.fail_distance > 0:
+            raise ValidationError("hyperparams.fail_distance: must be positive")
+        if not self.temperature > 0:
+            raise ValidationError("hyperparams.temperature: must be positive")
+        if not (0 < self.fov <= TWO_PI):
+            raise ValidationError("hyperparams.fov: must be in (0, 2*pi]")
+        if not self.cam_range > 0:
+            raise ValidationError("hyperparams.cam_range: must be positive")
+        if self.scan_headings < 1 or self.pan_views < 1:
+            raise ValidationError("hyperparams: scan_headings and pan_views must be >= 1")
+
 
 @dataclass(frozen=True)
 class SensorParams:
@@ -191,6 +222,18 @@ class SensorParams:
     p_miss: float = 0.0  # probability of dropping a visible detection
     clutter: int = 0  # spurious detections added per camera frame
 
+    def __post_init__(self) -> None:
+        if self.lidar_rays < 1:
+            raise ValidationError("sensor.lidar_rays: must be >= 1")
+        if not (math.isfinite(self.lidar_range) and self.lidar_range > 0):
+            raise ValidationError("sensor.lidar_range: must be positive and finite")
+        if not 0.0 <= self.p_miss <= 1.0:
+            raise ValidationError("sensor.p_miss: must be in [0, 1]")
+        if self.clutter < 0:
+            raise ValidationError("sensor.clutter: must be >= 0")
+        if not (math.isfinite(self.sigma_emb) and self.sigma_emb >= 0):
+            raise ValidationError("sensor.sigma_emb: must be non-negative and finite")
+
 
 @dataclass(frozen=True)
 class PlannerParams:
@@ -200,10 +243,19 @@ class PlannerParams:
     robot_radius: float = 0.2  # obstacle inflation before path planning
     step_interval: int = 5  # cells between lidar refreshes while driving
 
+    def __post_init__(self) -> None:
+        if self.step_interval < 1:
+            raise ValidationError("planner.step_interval: must be >= 1")
+        if self.view_directions < 1:
+            raise ValidationError("planner.view_directions: must be >= 1")
+        if not (math.isfinite(self.robot_radius) and self.robot_radius >= 0):
+            raise ValidationError("planner.robot_radius: must be non-negative and finite")
+
 
 @dataclass(eq=True)
 class ScenarioSpec:
-    """A fully validated search scenario."""
+    """A search scenario, valid once built: its parts check their own fields,
+    and ``__post_init__`` checks what spans them."""
 
     map: GridMap
     landmarks: list[LandmarkSpec]
@@ -214,6 +266,49 @@ class ScenarioSpec:
     sensor: SensorParams = field(default_factory=SensorParams)
     planner: PlannerParams = field(default_factory=PlannerParams)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        grid = self.map
+        w_m, h_m = grid.size_meters
+
+        ids = [lm.id for lm in self.landmarks] + [o.id for o in self.objects]
+        if len(ids) != len(set(ids)):
+            raise ValidationError("scenario: landmark/object ids must be unique")
+
+        for lm in self.landmarks:
+            x0, y0, x1, y1 = lm.footprint
+            if x0 < 0 or y0 < 0 or x1 > w_m or y1 > h_m:
+                raise ValidationError(f"landmark {lm.id}: footprint outside map bounds")
+            rows, cols, inside = _footprint_window(grid, lm.footprint)
+            free = inside & (grid.cells[rows, cols] != CellState.OCCUPIED)
+            if free.any():
+                # The first free cell in row-major order.
+                iy, ix = np.unravel_index(int(np.argmax(free)), free.shape)
+                raise ValidationError(
+                    f"landmark {lm.id}: footprint cell ({ix + cols.start}, {iy + rows.start}) "
+                    "is not occupied in the map"
+                )
+
+        targets = [o for o in self.objects if o.is_target]
+        if len(targets) != 1:
+            raise ValidationError(
+                f"scenario: expected exactly one target object, got {len(targets)}"
+            )
+        for ob in self.objects:
+            ox, oy = ob.position
+            if not (0.0 <= ox < w_m and 0.0 <= oy < h_m):
+                raise ValidationError(f"object {ob.id}: position outside map bounds")
+        if targets[0].name != self.target_phrase:
+            raise ValidationError(
+                f"scenario: target phrase {self.target_phrase!r} does not match "
+                f"target object name {targets[0].name!r}"
+            )
+
+        six, siy = grid.world_to_cell(self.start.x, self.start.y)
+        if not grid.in_bounds(six, siy):
+            raise ValidationError("scenario.start: outside map bounds")
+        if grid.cells[siy, six] != CellState.FREE:
+            raise ValidationError("scenario.start: start cell is inside an obstacle")
 
     @property
     def target(self) -> ObjectSpec:
@@ -518,7 +613,8 @@ def _parse_list(doc: dict, key: str, cls: type) -> list:
 
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
-    """Validate a scenario document and build the spec; see module docstring."""
+    """Check a scenario document's schema and build the spec, which checks its
+    values; see module docstring."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario: expected a JSON object at top level")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
@@ -533,118 +629,19 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 
     landmarks = _parse_list(doc, "landmarks", LandmarkSpec)
     objects = _parse_list(doc, "objects", ObjectSpec)
-
-    start_vals = _numbers(_require(doc, "start", "scenario"), "scenario.start", 3)
-    start = Pose(*start_vals)
-
+    start = Pose(*_numbers(_require(doc, "start", "scenario"), "scenario.start", 3))
     if "target" not in doc:
         raise SchemaError("target_phrase required")
     target_phrase = _string(doc["target"], "scenario.target")
-
     hyper = _parse_section(HyperParams, doc.get("hyperparams"), "scenario.hyperparams")
     sensor = _parse_section(SensorParams, doc.get("sensor"), "scenario.sensor")
     planner = _parse_section(PlannerParams, doc.get("planner"), "scenario.planner")
-
-    seed = doc.get("seed", 0)
-    seed = _integer(seed, "scenario.seed")
+    seed = _integer(doc.get("seed", 0), "scenario.seed")
     if seed < 0:
         raise SchemaError("scenario.seed: must be non-negative")
-
-    spec = ScenarioSpec(
-        map=grid,
-        landmarks=landmarks,
-        objects=objects,
-        start=start,
-        target_phrase=target_phrase,
-        hyperparams=hyper,
-        sensor=sensor,
-        planner=planner,
-        seed=seed,
+    return ScenarioSpec(
+        grid, landmarks, objects, start, target_phrase, hyper, sensor, planner, seed
     )
-    _validate_scenario(spec)
-    return spec
-
-
-def _validate_scenario(spec: ScenarioSpec) -> None:
-    grid = spec.map
-    w_m, h_m = grid.size_meters
-
-    ids = [lm.id for lm in spec.landmarks] + [o.id for o in spec.objects]
-    if len(ids) != len(set(ids)):
-        raise ValidationError("scenario: landmark/object ids must be unique")
-
-    for lm in spec.landmarks:
-        if not lm.name.strip():
-            raise ValidationError(f"landmark {lm.id}: name must be non-empty")
-        x0, y0, x1, y1 = lm.footprint
-        if not (x0 < x1 and y0 < y1):
-            raise ValidationError(f"landmark {lm.id}: footprint must have positive area")
-        if x0 < 0 or y0 < 0 or x1 > w_m or y1 > h_m:
-            raise ValidationError(f"landmark {lm.id}: footprint outside map bounds")
-        rows, cols, inside = _footprint_window(grid, lm.footprint)
-        free = inside & (grid.cells[rows, cols] != CellState.OCCUPIED)
-        if free.any():
-            iy, ix = np.unravel_index(int(np.argmax(free)), free.shape)  # first in row-major order
-            raise ValidationError(
-                f"landmark {lm.id}: footprint cell ({ix + cols.start}, {iy + rows.start}) "
-                "is not occupied in the map"
-            )
-
-    targets = [o for o in spec.objects if o.is_target]
-    if len(targets) != 1:
-        raise ValidationError(f"scenario: expected exactly one target object, got {len(targets)}")
-    for ob in spec.objects:
-        if not (ob.radius > 0.0):
-            raise ValidationError(f"object {ob.id}: radius must be positive")
-        ox, oy = ob.position
-        if not (0.0 <= ox < w_m and 0.0 <= oy < h_m):
-            raise ValidationError(f"object {ob.id}: position outside map bounds")
-    if targets[0].name != spec.target_phrase:
-        raise ValidationError(
-            f"scenario: target phrase {spec.target_phrase!r} does not match "
-            f"target object name {targets[0].name!r}"
-        )
-
-    six, siy = grid.world_to_cell(spec.start.x, spec.start.y)
-    if not grid.in_bounds(six, siy):
-        raise ValidationError("scenario.start: outside map bounds")
-    if grid.cells[siy, six] != CellState.FREE:
-        raise ValidationError("scenario.start: start cell is inside an obstacle")
-
-    hp = spec.hyperparams
-    for name in ("lambda1", "lambda2", "t_c", "t_u", "m_t"):
-        if not math.isfinite(getattr(hp, name)):
-            raise ValidationError(f"hyperparams.{name}: must be finite")
-    if not hp.fail_distance > 0:
-        raise ValidationError("hyperparams.fail_distance: must be positive")
-    if not hp.temperature > 0:
-        raise ValidationError("hyperparams.temperature: must be positive")
-    if not (0 < hp.fov <= TWO_PI):
-        raise ValidationError("hyperparams.fov: must be in (0, 2*pi]")
-    if not hp.cam_range > 0:
-        raise ValidationError("hyperparams.cam_range: must be positive")
-    if hp.scan_headings < 1 or hp.pan_views < 1:
-        raise ValidationError("hyperparams: scan_headings and pan_views must be >= 1")
-
-    sp = spec.sensor
-    if sp.lidar_rays < 1:
-        raise ValidationError("sensor.lidar_rays: must be >= 1")
-    if not (math.isfinite(sp.lidar_range) and sp.lidar_range > 0):
-        raise ValidationError("sensor.lidar_range: must be positive and finite")
-    if not 0.0 <= sp.p_miss <= 1.0:
-        raise ValidationError("sensor.p_miss: must be in [0, 1]")
-    if sp.clutter < 0:
-        raise ValidationError("sensor.clutter: must be >= 0")
-    if not (math.isfinite(sp.sigma_emb) and sp.sigma_emb >= 0):
-        raise ValidationError("sensor.sigma_emb: must be non-negative and finite")
-
-    pp = spec.planner
-    if pp.step_interval < 1:
-        raise ValidationError("planner.step_interval: must be >= 1")
-    if pp.view_directions < 1:
-        raise ValidationError("planner.view_directions: must be >= 1")
-    if not (math.isfinite(pp.robot_radius) and pp.robot_radius >= 0):
-        raise ValidationError("planner.robot_radius: must be non-negative and finite")
 
 
 def _footprint_window(
@@ -662,14 +659,6 @@ def _footprint_window(
     cy = (np.arange(iy0, iy1 + 1) + 0.5) * res
     inside = ((y0 <= cy) & (cy <= y1))[:, None] & ((x0 <= cx) & (cx <= x1))[None, :]
     return slice(iy0, iy1 + 1), slice(ix0, ix1 + 1), inside
-
-
-def footprint_cells(grid: GridMap, footprint: tuple[float, float, float, float]):
-    """Yield (ix, iy) for every cell whose center lies inside the rectangle,
-    in row-major order."""
-    rows, cols, inside = _footprint_window(grid, footprint)
-    iys, ixs = np.nonzero(inside)
-    yield from zip((ixs + cols.start).tolist(), (iys + rows.start).tolist())
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:

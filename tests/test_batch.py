@@ -43,6 +43,8 @@ class TestRunConfigParsing:
             {"suite": SUITE, "preset": 1},
             {"suite": SUITE, "out": 5},
             {"suite": SUITE, "suite_seed": 0.5},
+            {"suite": {**SUITE, "seed": 0.5}},
+            {"suite": {**SUITE, "seed": None}},
             {"scenarios": "ab"},
             {"scenarios": ["a.json", 3]},
             {"suite": {"count": "2"}},
@@ -54,10 +56,25 @@ class TestRunConfigParsing:
         with pytest.raises(SchemaError):
             run_config_from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["seed_base", "suite_seed"])
-    def test_negative_seeds_rejected(self, key):
+    @pytest.mark.parametrize(
+        "doc",
+        [{"suite": SUITE, "seed_base": -3}, {"suite": SUITE, "suite_seed": -3},
+         {"suite": {**SUITE, "seed": -3}}],
+        ids=["seed_base", "suite_seed", "suite.seed"],
+    )
+    def test_negative_seeds_rejected(self, doc):
         with pytest.raises(DomainError):
-            run_config_from_dict({"suite": SUITE, key: -3})
+            run_config_from_dict(doc)
+
+    def test_suite_document_seed_is_the_suite_seed(self):
+        config = run_config_from_dict({"suite": {**SUITE, "seed": 4}})
+        assert config == run_config_from_dict({"suite": SUITE, "suite_seed": 4})
+        assert config.suite_seed == 4
+
+    def test_both_suite_seeds_rejected(self):
+        with pytest.raises(SchemaError) as err:
+            run_config_from_dict({"suite": {**SUITE, "seed": 4}, "suite_seed": 4})
+        assert "suite.seed" in str(err.value) and "suite_seed" in str(err.value)
 
 
 class TestSuiteParamsParsing:
@@ -203,6 +220,7 @@ class TestCliExitCodes:
             ("gen-suite", {"count": 1, "seed": -1}),
             ("gen-suite", {"count": 1, "seed": "7"}),
             ("gen-suite", [1]),
+            ("gen-suite", {"count": 1, "sensor": {"lidar_rays": 0}}),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, doc):
@@ -285,6 +303,18 @@ class TestCliHappyPath:
 
         records = load_records_jsonl((out / "records.jsonl").read_text(encoding="utf-8"))
         assert {r.success for r in records} == {True, False}
+
+        # The same suite document, seed included, is a batch config's suite:
+        # the records differ from those of the written files only in their labels.
+        suite_out = tmp_path / "suite-out"
+        config.write_text(json.dumps({"suite": self.SUITE_DOC, "episodes": 4,
+                                      "out": str(suite_out)}), encoding="utf-8")
+        assert main(["batch", str(config)]) == 0
+        assert capsys.readouterr().out.split()[:4] == ["preset", "SPL", "SR(%)", "waypoints"]
+        from_suite = load_records_jsonl((suite_out / "records.jsonl").read_text(encoding="utf-8"))
+        assert [dataclasses.replace(r, scenario="") for r in from_suite] == [
+            dataclasses.replace(r, scenario="") for r in records
+        ]
         for record, path in zip(records, paths):
             code = main(["run", str(path), "--seed", str(record.seed)])
             status = capsys.readouterr().out.split(":")[0]

@@ -5,19 +5,26 @@ absent or null values read as documented defaults, and every dataclass a
 document stands for survives a trip through JSON.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from objsearch.batch import EpisodeRecord, load_records_jsonl, records_to_jsonl
-from objsearch.errors import SchemaError
+from objsearch.batch import (
+    EpisodeRecord,
+    load_records_jsonl,
+    records_to_jsonl,
+    run_config_from_dict,
+)
+from objsearch.errors import SchemaError, ValidationError
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from objsearch.world import (
     HyperParams,
     LandmarkSpec,
     ObjectSpec,
     PlannerParams,
+    Pose,
     SensorParams,
     fields_dict,
     parse_fields,
@@ -167,6 +174,53 @@ def test_record_fault_messages(line, message):
     with pytest.raises(SchemaError) as err:
         load_records_jsonl(line)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: suite_params_from_dict({"sensor": {"lidar_rays": 0}}),
+         "sensor.lidar_rays: must be >= 1"),
+        (lambda: suite_params_from_dict({"hyperparams": {"t_u": math.nan}}),
+         "hyperparams.t_u: must be finite"),
+        (lambda: suite_params_from_dict({"planner": {"step_interval": 0}}),
+         "planner.step_interval: must be >= 1"),
+        (lambda: run_config_from_dict({"suite": {"hyperparams": {"fov": 7.0}}}),
+         "hyperparams.fov: must be in (0, 2*pi]"),
+        (lambda: run_config_from_dict({"suite": {"sensor": {"p_miss": 1.5}, "seed": 3}}),
+         "sensor.p_miss: must be in [0, 1]"),
+        (lambda: SuiteParams(planner={"robot_radius": -0.1}),
+         "planner.robot_radius: must be non-negative and finite"),
+        (lambda: SuiteParams(hyperparams={"cam_range": 0.0}),
+         "hyperparams.cam_range: must be positive"),
+        (lambda: HyperParams(t_u=math.nan), "hyperparams.t_u: must be finite"),
+        (lambda: SensorParams(lidar_range=math.inf),
+         "sensor.lidar_range: must be positive and finite"),
+        (lambda: PlannerParams(view_directions=0), "planner.view_directions: must be >= 1"),
+        (lambda: LandmarkSpec(**{**LANDMARK, "name": " "}), "landmark L0: name must be non-empty"),
+        (lambda: LandmarkSpec(**{**LANDMARK, "footprint": (0.2, 0.7, 0.2, 0.9)}),
+         "landmark L0: footprint must have positive area"),
+        (lambda: ObjectSpec(**{**OBJECT, "radius": 0.0}), "object T0: radius must be positive"),
+    ],
+    ids=["suite-sensor", "suite-hyperparams", "suite-planner", "batch-hyperparams",
+         "batch-seeded-sensor", "SuiteParams-planner", "SuiteParams-hyperparams",
+         "HyperParams", "SensorParams", "PlannerParams", "LandmarkSpec-name",
+         "LandmarkSpec-footprint", "ObjectSpec"],
+)
+def test_out_of_range_values_fail_where_built(build, message):
+    """Each part of a scenario checks its values when it is built, so a suite
+    or batch config fails as it is read, not later inside ``generate_suite``."""
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_scenario_checks_its_parts_when_built():
+    spec = parse_scenario(minimal_doc())
+    with pytest.raises(ValidationError, match="start cell is inside an obstacle"):
+        dataclasses.replace(spec, start=Pose(0.05, 0.05))
+    with pytest.raises(ValidationError, match="ids must be unique"):
+        dataclasses.replace(spec, objects=spec.objects * 2)
 
 
 def test_record_defaults():

@@ -1,10 +1,12 @@
 """Golden digest of generated scenarios, and generation helpers against references.
 
 The digest pins the exact serialized bytes of a small suite of the
-benchmark's generation shape, so a change to map building, placement, the
-scenario round trip or the SPL reference search that alters any scenario,
-or which scenarios are rejected, fails here.  ``loop_cells_near_rect`` is
-the cell-by-cell window scan ``_cells_near_rect`` replaced.
+benchmark's generation shape, so a change to map building, placement or
+the SPL reference search that alters any scenario, or which scenarios are
+rejected, fails here.  Generation builds its scenarios directly, without a
+trip through JSON, so every generated scenario must also survive that trip
+unchanged and serialize to stable bytes.  ``loop_cells_near_rect`` is the
+cell-by-cell window scan ``_cells_near_rect`` replaced.
 """
 
 from __future__ import annotations
@@ -15,22 +17,30 @@ import math
 import numpy as np
 import pytest
 
-from objsearch.planning import ground_truth_shortest, ground_truth_shortest_over, traversable_mask
-from objsearch.sensing import BeliefMap
 from objsearch.suitegen import SuiteParams, _cells_near_rect, generate_suite
 from objsearch.world import load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
 SCENARIOS_SHA256 = "40f62b965db93baf89807b90b65ceee2bfcd81d92067beac7c554576298d5eda"
+# The noisy-sensor suite of the clutter golden trace in test_episode.
+CLUTTER_SUITE = SuiteParams(count=4, rooms=3, landmarks=6, map_side=14.0,
+                            sensor={"clutter": 2, "p_miss": 0.1})
 
 
 def test_generated_scenarios_are_pinned(ctx):
     texts = [serialize_scenario(s) for s in generate_suite(SUITE, SUITE_SEED, ctx=ctx)]
     blob = "".join(text + "\n" for text in texts)
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == SCENARIOS_SHA256
-    for text in texts:
-        assert serialize_scenario(load_scenario(text)) == text
+
+
+@pytest.mark.parametrize("params", [SUITE, CLUTTER_SUITE], ids=["gen", "clutter"])
+def test_generated_scenarios_survive_json(params, ctx):
+    for scenario in generate_suite(params, SUITE_SEED, ctx=ctx):
+        text = serialize_scenario(scenario)
+        again = load_scenario(text)
+        assert again == scenario
+        assert serialize_scenario(again) == text
 
 
 def loop_cells_near_rect(occ, rect, res, max_dist):
@@ -74,17 +84,3 @@ def test_cells_near_rect_matches_cell_loop(seed):
             assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
                 occ, rect, res, max_dist
             )
-
-
-def test_shared_mask_gives_the_public_result_and_is_not_modified(ctx):
-    for scenario in generate_suite(SuiteParams(count=2, rooms=3, landmarks=6, map_side=14.0),
-                                   5, ctx=ctx):
-        known = BeliefMap.fully_known(scenario.map)
-        trav = traversable_mask(known, scenario.planner.robot_radius)
-        before, known_before = trav.copy(), known.cells.copy()
-        ix, iy = scenario.map.world_to_cell(scenario.start.x, scenario.start.y)
-        trav[iy, ix] = before[iy, ix] = False  # the search frees the start disk on its own copy
-        got = ground_truth_shortest_over(scenario, known, trav)
-        assert np.array_equal(trav, before)
-        assert np.array_equal(known.cells, known_before)
-        assert math.isfinite(got) and got == ground_truth_shortest(scenario)
