@@ -21,7 +21,7 @@ from .planning import (
     plan_waypoints,
     viewpoint_cost,
 )
-from .sensing import BeliefMap, CameraObservation, DetectionRecord, camera_observe, lidar_update
+from .sensing import CameraObservation, DetectionRecord, camera_observe, lidar_update
 from .suitegen import SuiteParams, generate_suite
 from .world import (
     GridMap,

@@ -55,7 +55,6 @@ from .planning import (
     plan_waypoints,
 )
 from .sensing import (
-    BeliefMap,
     CameraObservation,
     DetectionRecord,
     bbox_from_geometry,
@@ -66,7 +65,7 @@ from .sensing import (
     project_detection,
     sighting,
 )
-from .world import Pose, ScenarioSpec
+from .world import CellState, GridMap, Pose, ScenarioSpec
 
 IOU_CONFIRM = 0.3
 IOA_CONFIRM = 0.5
@@ -96,7 +95,7 @@ class _NavMaps:
 @dataclass
 class EpisodeState:
     pose: Pose
-    belief: BeliefMap
+    belief: GridMap
     seed: int
     registry: list[LandmarkEntry] = field(default_factory=list)
     candidates: list[CandidatePatch] = field(default_factory=list)
@@ -544,9 +543,11 @@ def run_episode(
     if episode_seed < 0:
         raise DomainError(f"episode seed {episode_seed} must be >= 0")
 
+    grid = scenario.map
     state = EpisodeState(
         pose=scenario.start,
-        belief=BeliefMap.for_grid(scenario.map),
+        belief=GridMap(grid.width, grid.height, grid.resolution,
+                       np.full(grid.cells.shape, CellState.UNKNOWN, dtype=np.uint8)),
         seed=episode_seed,
     )
     _emit(state, "episode_start", seed=episode_seed, target=scenario.target_phrase,
@@ -561,7 +562,7 @@ def run_episode(
             success = True
             break
         progress = (
-            state.belief.known_count(),
+            int(np.count_nonzero(state.belief.cells)),  # known cells
             len(state.registry),
             round(state.traveled, 9),
             len(state.candidates),

@@ -1,8 +1,10 @@
 """Planning: the drivable rule, grid A*, viewpoints, waypoint order, frontiers, SPL.
 
-Paths are 8-connected over observed-free cells; unknown space never counts as
-traversable.  The robot drives by one rule, :func:`drivable_mask`, which the
-episode plans over and :func:`ground_truth_shortest` searches for SPL.
+Every map here is a :class:`~objsearch.world.GridMap`.  Paths are
+8-connected over Free cells; Unknown space never counts as traversable.  The
+robot drives by one rule, :func:`drivable_mask`, which the episode applies to
+its belief and :func:`ground_truth_shortest` to the scenario's fully known
+map for SPL.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import DomainError, NoPathError
-from .sensing import BeliefMap, BeliefState, lines_of_sight, object_slack
-from .world import GridMap, HyperParams, ObjectSpec, PlannerParams, Pose, ScenarioSpec
+from .sensing import lines_of_sight, object_slack
+from .world import CellState, GridMap, HyperParams, ObjectSpec, PlannerParams, Pose, ScenarioSpec
 from .world import normalize_angle
 
 SQRT2 = math.sqrt(2.0)
@@ -141,15 +143,15 @@ def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
     return out
 
 
-def traversable_mask(belief: BeliefMap, robot_radius: float) -> np.ndarray:
-    """Free cells that keep the robot body clear of observed obstacles."""
-    occupied = belief.cells == BeliefState.OCCUPIED
-    inflated = inflate_occupied(occupied, _radius_cells(robot_radius, belief.resolution))
-    return (belief.cells == BeliefState.FREE) & ~inflated
+def traversable_mask(grid: GridMap, robot_radius: float) -> np.ndarray:
+    """Free cells that keep the robot body clear of known obstacles."""
+    occupied = grid.cells == CellState.OCCUPIED
+    inflated = inflate_occupied(occupied, _radius_cells(robot_radius, grid.resolution))
+    return (grid.cells == CellState.FREE) & ~inflated
 
 
 def clear_robot_disk(
-    trav: np.ndarray, belief: BeliefMap, cell: tuple[int, int], robot_radius: float
+    trav: np.ndarray, grid: GridMap, cell: tuple[int, int], robot_radius: float
 ) -> np.ndarray:
     """Whitelist the free cells under the robot's own footprint.
 
@@ -158,24 +160,24 @@ def clear_robot_disk(
     The robot's body is proof those free cells are passable.
     """
     cx, cy = cell
-    dy, dx = _disk_offsets(_radius_cells(robot_radius, belief.resolution))
+    dy, dx = _disk_offsets(_radius_cells(robot_radius, grid.resolution))
     xs, ys = cx + dx, cy + dy
-    inside = (xs >= 0) & (xs < belief.width) & (ys >= 0) & (ys < belief.height)
+    inside = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
     xs, ys = xs[inside], ys[inside]
-    free = belief.cells[ys, xs] == BeliefState.FREE
+    free = grid.cells[ys, xs] == CellState.FREE
     trav[ys[free], xs[free]] = True
     trav[cy, cx] = True
     return trav
 
 
-def drivable_mask(belief: BeliefMap, cell: tuple[int, int], robot_radius: float) -> np.ndarray:
+def drivable_mask(grid: GridMap, cell: tuple[int, int], robot_radius: float) -> np.ndarray:
     """The one drivable rule: :func:`traversable_mask` plus the free cells of
     the robot's disk at ``cell`` (:func:`clear_robot_disk`)."""
-    return clear_robot_disk(traversable_mask(belief, robot_radius), belief, cell, robot_radius)
+    return clear_robot_disk(traversable_mask(grid, robot_radius), grid, cell, robot_radius)
 
 
 def plan_path(
-    belief: BeliefMap,
+    belief: GridMap,
     start: tuple[int, int],
     goal: tuple[int, int],
     traversable: np.ndarray,
@@ -288,7 +290,7 @@ def distance_field(
 
 
 def generate_viewpoints(
-    belief: BeliefMap,
+    belief: GridMap,
     landmark: LandmarkEntry,
     params: PlannerParams,
     traversable: np.ndarray,
@@ -316,7 +318,7 @@ def generate_viewpoints(
         cx, cy = belief.world_to_cell(px, py)
         if not belief.in_bounds(cx, cy):
             continue
-        if belief.cells[cy, cx] != BeliefState.FREE or not traversable[cy, cx]:
+        if belief.cells[cy, cx] != CellState.FREE or not traversable[cy, cx]:
             continue
         dist = float(dist_field[cy, cx])
         if not math.isfinite(dist) or dist >= best_dist:
@@ -367,10 +369,10 @@ def plan_waypoints(
     return ordered
 
 
-def frontier_cells_mask(belief: BeliefMap) -> np.ndarray:
+def frontier_cells_mask(belief: GridMap) -> np.ndarray:
     """Free cells with at least one unknown 4-neighbor."""
-    free = belief.cells == BeliefState.FREE
-    unknown = belief.cells == BeliefState.UNKNOWN
+    free = belief.cells == CellState.FREE
+    unknown = belief.cells == CellState.UNKNOWN
     near_unknown = np.zeros_like(free)
     near_unknown[1:, :] |= unknown[:-1, :]
     near_unknown[:-1, :] |= unknown[1:, :]
@@ -380,7 +382,7 @@ def frontier_cells_mask(belief: BeliefMap) -> np.ndarray:
 
 
 def nearest_frontier(
-    belief: BeliefMap, params: PlannerParams, dist_field: np.ndarray
+    belief: GridMap, params: PlannerParams, dist_field: np.ndarray
 ) -> Frontier | None:
     """Closest sufficiently large frontier cluster, or None when explored out.
 
@@ -460,7 +462,7 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     grid = scenario.map
     res = grid.resolution
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    drivable = drivable_mask(BeliefMap.fully_known(grid), start, scenario.planner.robot_radius)
+    drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
     dist = distance_field(drivable, res, [start])
     target = scenario.target
     cam_range = scenario.hyperparams.cam_range

@@ -1,5 +1,9 @@
 """Simulated sensors: lidar occupancy updates and synthetic open-set detections.
 
+The lidar grows the robot's belief, a :class:`~objsearch.world.GridMap` that
+starts all Unknown, from the scenario's ground-truth map; it only ever writes
+true cell states, so known cells never change.
+
 The camera stands in for a trained open-set detector.  Every landmark or
 object that is in range, inside the field of view and not occluded yields a
 detection whose patch embedding is its name embedding plus seeded noise.
@@ -12,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
@@ -27,49 +30,6 @@ MIN_BBOX_PX = 4.0
 CLUTTER_SOURCE = "clutter"
 _CLUTTER_RADIUS = 0.2
 _CLUTTER_MIN_RANGE = 0.3
-
-
-class BeliefState(IntEnum):
-    UNKNOWN = 0
-    FREE = 1
-    OCCUPIED = 2
-
-
-@dataclass(eq=False)
-class BeliefMap:
-    """Robot-observed occupancy; starts all Unknown and only ever gains knowledge."""
-
-    width: int
-    height: int
-    resolution: float
-    cells: np.ndarray
-
-    @classmethod
-    def for_grid(cls, grid: GridMap) -> "BeliefMap":
-        return cls(
-            width=grid.width,
-            height=grid.height,
-            resolution=grid.resolution,
-            cells=np.zeros((grid.height, grid.width), dtype=np.uint8),
-        )
-
-    @classmethod
-    def fully_known(cls, grid: GridMap) -> "BeliefMap":
-        """A belief that has observed every cell of the grid exactly."""
-        cells = np.where(grid.cells == CellState.OCCUPIED, BeliefState.OCCUPIED, BeliefState.FREE)
-        return cls(grid.width, grid.height, grid.resolution, cells.astype(np.uint8))
-
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        return 0 <= ix < self.width and 0 <= iy < self.height
-
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
-        return int(math.floor(x / self.resolution)), int(math.floor(y / self.resolution))
-
-    def cell_to_world(self, ix: int, iy: int) -> tuple[float, float]:
-        return (ix + 0.5) * self.resolution, (iy + 0.5) * self.resolution
-
-    def known_count(self) -> int:
-        return int((self.cells != BeliefState.UNKNOWN).sum())
 
 
 @dataclass(frozen=True)
@@ -120,12 +80,12 @@ class CameraObservation:
 
 
 def lidar_update(
-    belief: BeliefMap,
+    belief: GridMap,
     world: GridMap,
     pose: Pose,
     rays: int = 360,
     max_range: float = 3.5,
-) -> BeliefMap:
+) -> GridMap:
     """Sweep ``rays`` evenly spaced bearings, growing the belief map in place.
 
     Cells crossed before a hit become Free, hit cells become Occupied; known
@@ -140,8 +100,8 @@ def lidar_update(
     free_mask = np.zeros_like(belief.cells, dtype=bool)
     hit_mask = np.zeros_like(belief.cells, dtype=bool)
     raycast_batch(world, (pose.x, pose.y), bearings, max_range, free_mask, hit_mask)
-    belief.cells[free_mask] = BeliefState.FREE
-    belief.cells[hit_mask] = BeliefState.OCCUPIED
+    belief.cells[free_mask] = CellState.FREE
+    belief.cells[hit_mask] = CellState.OCCUPIED
     return belief
 
 

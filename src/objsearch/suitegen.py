@@ -20,8 +20,8 @@ from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrence
 from .planning import confirming_cells, ground_truth_shortest, traversable_mask
-from .sensing import BeliefMap
 from .world import (
+    CellState,
     GridMap,
     HyperParams,
     LandmarkSpec,
@@ -121,9 +121,9 @@ class SuiteParams:
                 raise SchemaError(
                     f"suite.placement_weights.{name}: must be non-negative and finite"
                 )
-        HyperParams(**self.hyperparams)  # each section checks its own values
-        SensorParams(**self.sensor)
-        PlannerParams(**self.planner)
+        for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams),
+                          ("planner", PlannerParams)):
+            _parse_section(cls, getattr(self, name), f"suite.{name}")  # as in a document
 
 
 def _weights(value, where: str) -> dict[str, float] | None:
@@ -255,7 +255,7 @@ def _place_landmarks(
 ) -> list[LandmarkSpec]:
     n = occ.shape[0]
     placed: list[LandmarkSpec] = []
-    grid_probe = GridMap(n, n, res, occ.astype(np.uint8))
+    grid_probe = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
             rect = _wall_footprint(rng, n, res)
@@ -409,12 +409,12 @@ def _generate_one(
             ObjectSpec(id=f"D{d}", name=name, position=pos, radius=_TARGET_RADIUS)
         )
 
-    grid = GridMap(n, n, res, occ.astype(np.uint8))
+    grid = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     hyper = HyperParams(**params.hyperparams)
     sensor = SensorParams(**params.sensor)
     planner = PlannerParams(**params.planner)
 
-    trav = traversable_mask(BeliefMap.fully_known(grid), planner.robot_radius)
+    trav = traversable_mask(grid, planner.robot_radius)
     start = None
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))

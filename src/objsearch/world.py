@@ -1,4 +1,9 @@
-"""Ground-truth world model: occupancy grid, poses, scenario files, raycasting.
+"""World model: occupancy grid, poses, scenario files, raycasting.
+
+:class:`GridMap` is the one occupancy grid.  A scenario's map is the ground
+truth and holds only Free and Occupied cells, read-only once the scenario is
+built; the robot's belief is a writable grid of the same shape that starts
+all Unknown and is grown by the lidar.
 
 Scenario files are JSON documents with top-level keys ``map``, ``landmarks``,
 ``objects``, ``start``, ``target``, ``hyperparams``, ``sensor``, ``planner``
@@ -14,8 +19,9 @@ picks the value's check.  :func:`fields_dict` writes it.
 
 Value checks live in the dataclasses, so a spec built in code is as valid
 as a parsed one: each landmark, object and config section checks its own
-fields, and :class:`ScenarioSpec` checks what spans its parts (unique ids,
-landmark footprints on occupied cells, one target, a free start cell).
+fields, and :class:`ScenarioSpec` checks what spans its parts (a fully known
+map, unique ids, landmark footprints on occupied cells, one target, a free
+start cell).
 """
 
 from __future__ import annotations
@@ -33,12 +39,15 @@ from .errors import DomainError, SchemaError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 _FREE_CHAR, _WALL_CHAR = ord("."), ord("#")  # map row characters
-_ROW_CHARS = np.array([_FREE_CHAR, _WALL_CHAR], dtype=np.uint8)  # indexed by CellState
+_ROW_CHARS = np.array([0, _FREE_CHAR, _WALL_CHAR], dtype=np.uint8)  # indexed by CellState
 
 
 class CellState(IntEnum):
-    FREE = 0
-    OCCUPIED = 1
+    """Unknown is 0, so the known cells of a grid are its nonzero ones."""
+
+    UNKNOWN = 0
+    FREE = 1
+    OCCUPIED = 2
 
 
 def normalize_angle(theta: float) -> float:
@@ -51,7 +60,8 @@ def normalize_angle(theta: float) -> float:
 
 @dataclass(eq=False)
 class GridMap:
-    """Row-major occupancy grid; ``cells[iy, ix]`` with y growing northward."""
+    """Row-major grid of :class:`CellState` values; ``cells[iy, ix]`` with y
+    growing northward."""
 
     width: int
     height: int
@@ -68,10 +78,9 @@ class GridMap:
             raise ValidationError(
                 f"map.cells: expected shape {(self.height, self.width)}, got {cells.shape}"
             )
-        if not np.isin(cells, (CellState.FREE, CellState.OCCUPIED)).all():
-            raise ValidationError("map.cells: cells must be Free or Occupied")
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
+        if (cells > CellState.OCCUPIED).any():
+            raise ValidationError("map.cells: cells must be Unknown, Free or Occupied")
+        self.cells = cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridMap):
@@ -82,6 +91,10 @@ class GridMap:
             and self.resolution == other.resolution
             and np.array_equal(self.cells, other.cells)
         )
+
+    def __hash__(self) -> int:
+        # Equal maps have equal geometry; the cells of a belief change in place.
+        return hash((self.width, self.height, self.resolution))
 
     def in_bounds(self, ix: int, iy: int) -> bool:
         return 0 <= ix < self.width and 0 <= iy < self.height
@@ -119,10 +132,13 @@ class GridMap:
         if ragged < len(rows):
             row = rows[ragged]
             raise ValidationError(f"map.rows[{ragged}]: length {len(row)} != {width}")
-        cells = (codes[::-1] == _WALL_CHAR).astype(np.uint8)
+        cells = np.where(codes[::-1] == _WALL_CHAR, CellState.OCCUPIED, CellState.FREE)
         return cls(width=width, height=len(rows), resolution=resolution, cells=cells)
 
     def to_rows(self) -> list[str]:
+        """Inverse of :func:`from_rows`, for a map without Unknown cells."""
+        if not self.cells.all():
+            raise DomainError("map: Unknown cells have no row character")
         text = _ROW_CHARS[self.cells[::-1]].tobytes().decode("ascii")
         return [text[i : i + self.width] for i in range(0, len(text), self.width)]
 
@@ -255,7 +271,7 @@ class PlannerParams:
 @dataclass(eq=True)
 class ScenarioSpec:
     """A search scenario, valid once built: its parts check their own fields,
-    and ``__post_init__`` checks what spans them."""
+    and ``__post_init__`` checks what spans them and makes the map read-only."""
 
     map: GridMap
     landmarks: list[LandmarkSpec]
@@ -269,6 +285,9 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         grid = self.map
+        if not grid.cells.all():
+            raise ValidationError("map.cells: cells must be Free or Occupied")
+        grid.cells.setflags(write=False)
         w_m, h_m = grid.size_meters
 
         ids = [lm.id for lm in self.landmarks] + [o.id for o in self.objects]

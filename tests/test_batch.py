@@ -15,7 +15,6 @@ from objsearch.batch import (
 from objsearch.cli import main
 from objsearch.errors import DomainError, SchemaError
 from objsearch.planning import ground_truth_shortest, traversable_mask
-from objsearch.sensing import BeliefMap
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from objsearch.world import serialize_scenario
 from util import box_scenario
@@ -334,7 +333,7 @@ class TestStartInsideInflatedWalls:
             planner = dataclasses.replace(scenario.planner, robot_radius=0.45)
             scenario = dataclasses.replace(scenario, planner=planner)
             ix, iy = scenario.map.world_to_cell(scenario.start.x, scenario.start.y)
-            assert not traversable_mask(BeliefMap.fully_known(scenario.map), 0.45)[iy, ix]
+            assert not traversable_mask(scenario.map, 0.45)[iy, ix]
             assert ground_truth_shortest(scenario) == pytest.approx(want, abs=0.005)
             path = tmp_path / f"suite-{index:04d}.json"
             path.write_text(serialize_scenario(scenario), encoding="utf-8")

@@ -193,6 +193,10 @@ def test_record_fault_messages(line, message):
          "planner.robot_radius: must be non-negative and finite"),
         (lambda: SuiteParams(hyperparams={"cam_range": 0.0}),
          "hyperparams.cam_range: must be positive"),
+        (lambda: SuiteParams(hyperparams={"bogus": 1}),
+         "suite.hyperparams: unknown keys ['bogus']"),
+        (lambda: SuiteParams(sensor={"lidar_rays": "5"}),
+         "suite.sensor.lidar_rays: expected an integer, got str"),
         (lambda: HyperParams(t_u=math.nan), "hyperparams.t_u: must be finite"),
         (lambda: SensorParams(lidar_range=math.inf),
          "sensor.lidar_range: must be positive and finite"),
@@ -204,13 +208,15 @@ def test_record_fault_messages(line, message):
     ],
     ids=["suite-sensor", "suite-hyperparams", "suite-planner", "batch-hyperparams",
          "batch-seeded-sensor", "SuiteParams-planner", "SuiteParams-hyperparams",
+         "SuiteParams-unknown-key", "SuiteParams-mistyped-value",
          "HyperParams", "SensorParams", "PlannerParams", "LandmarkSpec-name",
          "LandmarkSpec-footprint", "ObjectSpec"],
 )
 def test_out_of_range_values_fail_where_built(build, message):
     """Each part of a scenario checks its values when it is built, so a suite
-    or batch config fails as it is read, not later inside ``generate_suite``."""
-    with pytest.raises(ValidationError) as err:
+    or batch config fails as it is read, not later inside ``generate_suite``;
+    a section of a ``SuiteParams`` built in code is read as a document's is."""
+    with pytest.raises((SchemaError, ValidationError)) as err:
         build()
     assert str(err.value) == message
 

@@ -34,10 +34,10 @@ from objsearch.planning import (
     plan_waypoints,
     traversable_mask,
 )
-from objsearch.sensing import BeliefMap, camera_observe, lidar_update, observation_rng
+from objsearch.sensing import camera_observe, lidar_update, observation_rng
 from objsearch.suitegen import SuiteParams, generate_suite
-from objsearch.world import Pose, SensorParams
-from util import box_scenario
+from objsearch.world import CellState, GridMap, Pose, SensorParams
+from util import box_scenario, unknown_belief
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
@@ -154,7 +154,7 @@ def planning_state(*entries):
                             sensor={"lidar_range": 12.0},
                             hyperparams={"t_c": 0.2, "t_u": 0.5})
     state = episode.EpisodeState(
-        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=0,
+        pose=scenario.start, belief=unknown_belief(scenario.map), seed=0,
         registry=list(entries),
     )
     episode._sweep(state, scenario)
@@ -193,7 +193,7 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
     scenario = box_scenario(size_m=6.0, res=0.5, start=(1.25, 1.25, 0.0),
                             sensor={"lidar_range": 1.5})
     state = episode.EpisodeState(
-        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=0
+        pose=scenario.start, belief=unknown_belief(scenario.map), seed=0
     )
     sweeps = []
     monkeypatch.setattr(episode, "lidar_update", lambda *args: sweeps.append(args[2]))
@@ -203,7 +203,7 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
     monkeypatch.undo()
 
     episode._sweep(state, scenario)
-    before = state.belief.known_count()
+    before = np.count_nonzero(state.belief.cells)
     stale_trav = episode._traversable_now(state, scenario)
     stale_dist = episode._distance_now(state, scenario)
     episode._sweep(state, scenario)  # a repeat is skipped and keeps the layers
@@ -214,7 +214,7 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
     state.pose = Pose(1.45, 1.05, 0.0)
     assert episode._current_cell(state) == (2, 2)
     episode._sweep(state, scenario)
-    assert state.belief.known_count() > before
+    assert np.count_nonzero(state.belief.cells) > before
     trav = episode._traversable_now(state, scenario)
     assert not np.array_equal(trav, stale_trav)
     assert np.array_equal(trav, fresh_trav(state, scenario))
@@ -232,8 +232,8 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
 
     def checked_sweep(state, scenario):
         sweep(state, scenario)
-        again = BeliefMap(state.belief.width, state.belief.height, state.belief.resolution,
-                          state.belief.cells.copy())
+        again = GridMap(state.belief.width, state.belief.height, state.belief.resolution,
+                        state.belief.cells.copy())
         lidar_update(again, scenario.map, state.pose, scenario.sensor.lidar_rays,
                      scenario.sensor.lidar_range)
         assert np.array_equal(again.cells, state.belief.cells)
@@ -259,6 +259,24 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     for i, scenario in enumerate(scenarios):
         episode.run_episode(scenario, ctx=ctx, seed=i)
     assert min(checks.values()) > 10
+
+
+def test_belief_never_contradicts_the_truth(scenarios, ctx, monkeypatch):
+    """After every sweep of the golden episodes, each known belief cell holds
+    the state of that cell in the scenario's map."""
+    sweeps = []
+    sweep = episode._sweep
+
+    def checked_sweep(state, scenario):
+        sweep(state, scenario)
+        known = state.belief.cells != CellState.UNKNOWN
+        assert np.array_equal(state.belief.cells[known], scenario.map.cells[known])
+        sweeps.append(np.count_nonzero(known))
+
+    monkeypatch.setattr(episode, "_sweep", checked_sweep)
+    for i, scenario in enumerate(scenarios):
+        episode.run_episode(scenario, ctx=ctx, seed=i)
+    assert len(sweeps) > 10 and max(sweeps) > 0
 
 
 def observation_key(obs):
@@ -291,10 +309,10 @@ def test_lazy_streams_draw_what_eager_ones_draw(scenarios, ctx, sensor, monkeypa
     scenario = dataclasses.replace(scenarios[0], sensor=SensorParams(**sensor))
     store = ctx.text_store_for(scenario)
     state = episode.EpisodeState(
-        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=7
+        pose=scenario.start, belief=unknown_belief(scenario.map), seed=7
     )
     rng = np.random.default_rng(0)
-    free = np.argwhere(scenario.map.cells == 0)
+    free = np.argwhere(scenario.map.cells == CellState.FREE)
     frames = detections = 0
     for iy, ix in free[rng.choice(len(free), size=12, replace=False)]:
         x, y = scenario.map.cell_to_world(int(ix), int(iy))
@@ -322,10 +340,10 @@ def test_a_frame_that_draws_nothing_builds_no_stream(scenarios, ctx, monkeypatch
     clean = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.0, sigma_emb=0.0))
     store = ctx.text_store_for(scenario)
     state = episode.EpisodeState(
-        pose=scenario.start, belief=BeliefMap.for_grid(scenario.map), seed=3
+        pose=scenario.start, belief=unknown_belief(scenario.map), seed=3
     )
     rng = np.random.default_rng(1)
-    free = np.argwhere(scenario.map.cells == 0)
+    free = np.argwhere(scenario.map.cells == CellState.FREE)
     seeing = []
     for iy, ix in free[rng.choice(len(free), size=10, replace=False)]:
         x, y = scenario.map.cell_to_world(int(ix), int(iy))

@@ -39,7 +39,7 @@ def test_no_unused_imports(path):
 
 
 PUBLIC_NAMES = [
-    "AggregateReport", "AssetContext", "BeliefMap", "CameraObservation", "DetectionRecord",
+    "AggregateReport", "AssetContext", "CameraObservation", "DetectionRecord",
     "EpisodeResult", "Frontier", "GenerationTable", "GridMap", "HyperParams", "LandmarkSpec",
     "ObjectSpec", "Path", "Pose", "RunConfig", "ScenarioSpec", "SuiteParams",
     "TextEmbeddingStore", "Viewpoint", "WordVectorStore", "camera_observe", "cooccurrence",
@@ -57,4 +57,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 39
+    assert len(names) == 38

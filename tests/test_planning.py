@@ -33,8 +33,7 @@ from objsearch.planning import (
     plan_waypoints,
     viewpoint_cost,
 )
-from objsearch.sensing import BeliefMap, BeliefState
-from objsearch.world import HyperParams, PlannerParams, Pose
+from objsearch.world import CellState, GridMap, HyperParams, PlannerParams, Pose
 
 
 def coo_distance_field(traversable, resolution, sources):
@@ -113,8 +112,8 @@ class TestDistanceField:
         checked = unreachable = 0
         for k in range(40):
             trav = rng.random((25, 25)) < (0.75 if k % 2 else 0.45)
-            cells = np.where(trav, BeliefState.FREE, BeliefState.OCCUPIED).astype(np.uint8)
-            belief = BeliefMap(25, 25, 0.1, cells)
+            cells = np.where(trav, CellState.FREE, CellState.OCCUPIED).astype(np.uint8)
+            belief = GridMap(25, 25, 0.1, cells)
             start, goal = random_sources(rng, trav, 2)
             field = distance_field(trav, 0.1, [start])
             want = field[goal[1], goal[0]]
@@ -152,7 +151,7 @@ def loop_clear_robot_disk(trav, belief, cell, robot_radius):
             if dx * dx + dy * dy > radius_cells * radius_cells + 1e-9:
                 continue
             x, y = cx + dx, cy + dy
-            if belief.in_bounds(x, y) and belief.cells[y, x] == BeliefState.FREE:
+            if belief.in_bounds(x, y) and belief.cells[y, x] == CellState.FREE:
                 trav[y, x] = True
     trav[cy, cx] = True
     return trav
@@ -165,8 +164,8 @@ class TestClearRobotDisk:
         height, width = shape
         rng = np.random.default_rng(height * 100 + width + int(robot_radius * 100))
         for _ in range(8):
-            cells = rng.integers(0, 3, size=shape).astype(np.uint8)
-            belief = BeliefMap(width, height, 0.1, cells)
+            cells = rng.integers(0, len(CellState), size=shape)  # all three states
+            belief = GridMap(width, height, 0.1, cells)
             trav = rng.random(shape) < 0.3
             corners = [(0, 0), (width - 1, height - 1), (0, height - 1), (width - 1, 0)]
             for cell in corners + [(int(rng.integers(width)), int(rng.integers(height)))]:
@@ -178,10 +177,10 @@ class TestClearRobotDisk:
 
 def open_belief(width, height, unknown=()):
     """An all-free belief at 1 m per cell, with the given cells still unknown."""
-    cells = np.full((height, width), BeliefState.FREE, dtype=np.uint8)
+    cells = np.full((height, width), CellState.FREE, dtype=np.uint8)
     for x, y in unknown:
-        cells[y, x] = BeliefState.UNKNOWN
-    return BeliefMap(width, height, 1.0, cells)
+        cells[y, x] = CellState.UNKNOWN
+    return GridMap(width, height, 1.0, cells)
 
 
 class TestGenerateViewpoints:
@@ -228,9 +227,9 @@ class TestGenerateViewpoints:
         trav[5, 8] = False  # not traversable
         assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
         trav[5, 8] = True
-        belief.cells[5, 8] = BeliefState.OCCUPIED  # not observed free
+        belief.cells[5, 8] = CellState.OCCUPIED  # not observed free
         assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
-        belief.cells[5, 8] = BeliefState.FREE
+        belief.cells[5, 8] = CellState.FREE
         vp = self.choose(belief, trav, self.field(np.inf, 2.0, np.inf, np.inf))  # unreachable
         assert vp.pose.y == pytest.approx(8.5)
 
@@ -239,7 +238,7 @@ class TestGenerateViewpoints:
         trav = np.ones((11, 11), dtype=bool)
         assert self.choose(belief, trav, self.field()) is None
         trav[5, 8] = trav[8, 5] = False
-        belief.cells[5, 2] = belief.cells[2, 5] = BeliefState.UNKNOWN
+        belief.cells[5, 2] = belief.cells[2, 5] = CellState.UNKNOWN
         assert self.choose(belief, trav, self.field(1.0, 1.0, 1.0, 1.0)) is None
 
     def test_ring_poses_off_the_map_are_skipped(self):
@@ -364,7 +363,7 @@ class TestNearestFrontier:
 
     def test_closest_cluster_wins(self):
         belief = self.belief()
-        free = belief.cells == BeliefState.FREE
+        free = belief.cells == CellState.FREE
         frontier = nearest_frontier(belief, PlannerParams(), distance_field(free, 1.0, [(0, 0)]))
         assert frontier.cells == tuple(self.SMALL)
         assert frontier.centroid == pytest.approx((2.5, 2.5))
@@ -387,7 +386,7 @@ class TestNearestFrontier:
 
     def test_fully_explored_belief_gives_none(self):
         belief = open_belief(15, 10)
-        belief.cells[4:6, 4:9] = BeliefState.OCCUPIED
+        belief.cells[4:6, 4:9] = CellState.OCCUPIED
         assert nearest_frontier(belief, PlannerParams(), np.zeros((10, 15))) is None
 
 

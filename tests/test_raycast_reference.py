@@ -101,13 +101,13 @@ def assert_same_as_reference(grid, origin, bearings, max_range):
 
 
 def random_grid(rng, width=24, height=18, density=0.2, res=0.1):
-    cells = (rng.random((height, width)) < density).astype(np.uint8)
+    cells = np.where(rng.random((height, width)) < density, CellState.OCCUPIED, CellState.FREE)
     return GridMap(width, height, res, cells)
 
 
 def free_origins(grid, rng, count):
     """Cell centres and off-centre points inside free cells."""
-    free = np.argwhere(grid.cells == 0)
+    free = np.argwhere(grid.cells == CellState.FREE)
     res = grid.resolution
     out = []
     for k in range(count):
@@ -179,7 +179,7 @@ class TestRaycastMatchesStepwiseWalk:
         # column or row before leaving.  One ray per call, so the free cells
         # of one ray are not covered up by its neighbours'.
         for width, height in ((12, 5), (5, 12), (9, 9)):
-            grid = GridMap(width, height, 0.1, np.zeros((height, width), dtype=np.uint8))
+            grid = GridMap(width, height, 0.1, np.full((height, width), CellState.FREE))
             for origin in ((0.05, 0.05), (width * 0.1 - 0.05, height * 0.1 - 0.05), (0.0, 0.0)):
                 for bearing in np.linspace(-math.pi, math.pi, 73):
                     assert_same_as_reference(grid, origin, np.array([bearing]), 100.0)
@@ -286,7 +286,7 @@ class TestPerRayOriginsAndRanges:
         # 16 * side**2 >= 2**31 from a side of 11586 cells, so this 3-cell
         # wide corridor is traced with int64 cell indices.
         height = 12_000
-        cells = np.zeros((height, 3), dtype=np.uint8)
+        cells = np.full((height, 3), CellState.FREE, dtype=np.uint8)
         cells[::997, 1] = CellState.OCCUPIED
         grid = GridMap(3, height, 0.1, cells)
         rng = np.random.default_rng(24)

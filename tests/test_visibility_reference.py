@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from objsearch.planning import distance_field, ground_truth_shortest, traversable_mask
-from objsearch.sensing import BeliefMap, line_of_sight, lines_of_sight
+from objsearch.sensing import line_of_sight, lines_of_sight
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
     CellState,
@@ -48,7 +48,7 @@ def stepwise_ground_truth_shortest(scenario):
     grid = scenario.map
     target = scenario.target
     radius = scenario.planner.robot_radius
-    trav = traversable_mask(BeliefMap.fully_known(grid), radius)
+    trav = traversable_mask(grid, radius)
     start = sx, sy = grid.world_to_cell(scenario.start.x, scenario.start.y)
     # The free cells of the robot's disk at the start are drivable.
     r = math.ceil(radius / grid.resolution - 1e-9)
@@ -100,7 +100,7 @@ def assert_same_shortest(scenario):
 
 
 def random_grid(rng, width=30, height=25, density=0.2, res=0.1):
-    cells = (rng.random((height, width)) < density).astype(np.uint8)
+    cells = np.where(rng.random((height, width)) < density, CellState.OCCUPIED, CellState.FREE)
     return GridMap(width, height, res, cells)
 
 
@@ -207,7 +207,7 @@ class TestGroundTruthShortest:
                     planner=dataclasses.replace(scenario.planner, robot_radius=radius),
                 )
                 results.append(assert_same_shortest(moved))
-                swallowed.append(not traversable_mask(BeliefMap.fully_known(grid), radius)[iy, ix])
+                swallowed.append(not traversable_mask(grid, radius)[iy, ix])
         assert any(swallowed)
         assert all(math.isfinite(r) for r in results)
         assert any(r > 0.0 for r in results)
@@ -251,7 +251,7 @@ class TestGroundTruthShortest:
 
     def test_start_cell_blocked_by_inflation(self):
         scenario = box_scenario(size_m=8.0, start=(0.25, 0.25, 0.0))
-        trav = traversable_mask(BeliefMap.fully_known(scenario.map), scenario.planner.robot_radius)
+        trav = traversable_mask(scenario.map, scenario.planner.robot_radius)
         assert not trav[2, 2]
         assert assert_same_shortest(scenario) > 0.0
         # A wider robot is walled in at the start cell and its diagonal
@@ -259,7 +259,7 @@ class TestGroundTruthShortest:
         boxed = dataclasses.replace(
             scenario, planner=dataclasses.replace(scenario.planner, robot_radius=0.3)
         )
-        wide = traversable_mask(BeliefMap.fully_known(scenario.map), 0.3)
+        wide = traversable_mask(scenario.map, 0.3)
         assert not wide[2, 2] and not wide[3, 3]
         assert 0.0 < assert_same_shortest(boxed) < math.inf
         # The start cell itself still counts.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import namedtuple
@@ -8,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objsearch.errors import DomainError, SchemaError, ValidationError
+from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
+    CellState,
     GridMap,
     Pose,
+    ScenarioSpec,
     load_scenario,
     normalize_angle,
     parse_scenario,
@@ -25,12 +29,17 @@ def grid_from_rows(rows, res=0.1):
     return GridMap.from_rows(rows, res)
 
 
+def random_cells(rng, shape, density):
+    """Cells that are Occupied with probability ``density`` and Free otherwise."""
+    return np.where(rng.random(shape) < density, CellState.OCCUPIED, CellState.FREE)
+
+
 class TestGridMap:
     def test_from_rows_orientation(self):
         # first document row is the northernmost row
         grid = grid_from_rows(["#.", ".."])
-        assert grid.cells[1, 0] == 1  # (ix=0, iy=1) is the '#'
-        assert grid.cells[0, 0] == 0
+        assert grid.cells[1, 0] == CellState.OCCUPIED  # (ix=0, iy=1) is the '#'
+        assert grid.cells[0, 0] == CellState.FREE
         assert grid.to_rows() == ["#.", ".."]
 
     def test_transforms_inverse_on_centers(self):
@@ -48,7 +57,9 @@ class TestGridMap:
         with pytest.raises(ValidationError):
             grid_from_rows(["..", ".x"])
         with pytest.raises(ValidationError):
-            GridMap(2, 2, -0.1, np.zeros((2, 2), dtype=np.uint8))
+            GridMap(2, 2, -0.1, np.full((2, 2), CellState.FREE))
+        with pytest.raises(ValidationError, match="Unknown, Free or Occupied"):
+            GridMap(2, 2, 0.1, np.full((2, 2), CellState.OCCUPIED + 1))
 
     def test_map_row_errors(self):
         cases = [
@@ -79,19 +90,49 @@ class TestGridMap:
         assert GridMap.from_rows(grid.to_rows(), res) == grid
         for r, row in enumerate(rows):
             iy = len(rows) - 1 - r
-            assert [int(c) for c in grid.cells[iy]] == [int(ch == "#") for ch in row]
+            want = [CellState.OCCUPIED if ch == "#" else CellState.FREE for ch in row]
+            assert grid.cells[iy].tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
     def test_grid_round_trip(self, width, height, seed):
-        cells = (np.random.default_rng(seed).random((height, width)) < 0.4).astype(np.uint8)
+        cells = random_cells(np.random.default_rng(seed), (height, width), 0.4)
         grid = GridMap(width, height, 0.1, cells)
         assert GridMap.from_rows(grid.to_rows(), 0.1) == grid
 
-    def test_cells_immutable(self):
-        grid = grid_from_rows(["..", ".."])
-        with pytest.raises(ValueError):
-            grid.cells[0, 0] = 1
+    def test_unknown_cells_have_no_rows(self):
+        grid = grid_from_rows(["#.", ".."])
+        grid.cells[0, 1] = CellState.UNKNOWN  # a bare grid, such as a belief, is writable
+        with pytest.raises(DomainError, match="Unknown cells"):
+            grid.to_rows()
+
+    def test_equal_maps_hash_equal(self):
+        grid = grid_from_rows(["#.", ".."])
+        same = GridMap(2, 2, 0.1, grid.cells.copy())
+        assert same == grid and hash(same) == hash(grid)
+        assert {grid: 1}[same] == 1
+
+    def test_cells_immutable(self, ctx):
+        """A scenario's map is read-only however the scenario was made."""
+        parsed = parse_scenario(minimal_doc())
+        generated = generate_suite(SuiteParams(count=1, rooms=1, landmarks=3, map_side=8.0), 0,
+                                   ctx=ctx)[0]
+        fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(parsed)}
+        in_code = ScenarioSpec(**{**fields, "map": grid_from_rows(parsed.map.to_rows())})
+        fresh = GridMap(parsed.map.width, parsed.map.height, 0.1, parsed.map.cells.copy())
+        replaced = dataclasses.replace(parsed, map=fresh)
+        for spec in (parsed, generated, in_code, replaced):
+            with pytest.raises(ValueError):
+                spec.map.cells[0, 0] = CellState.FREE
+
+    def test_scenario_map_must_be_fully_known(self):
+        spec = parse_scenario(minimal_doc())
+        cells = spec.map.cells.copy()
+        cells[0, 0] = CellState.UNKNOWN
+        unknown = GridMap(spec.map.width, spec.map.height, spec.map.resolution, cells)
+        with pytest.raises(ValidationError) as err:
+            dataclasses.replace(spec, map=unknown)
+        assert str(err.value) == "map.cells: cells must be Free or Occupied"
 
 
 class TestPose:
@@ -141,7 +182,7 @@ def walk_raycast(grid, origin, bearing, max_range):
         ix, iy = grid.world_to_cell(x0 + tm * dx, y0 + tm * dy)
         if not grid.in_bounds(ix, iy):
             return max_range, False
-        if grid.cells[iy, ix] == 1:
+        if grid.cells[iy, ix] == CellState.OCCUPIED:
             return t0, True
     return max_range, False
 
@@ -196,10 +237,10 @@ class TestRaycast:
     def test_matches_sampling_oracle_on_random_maps(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            cells = (rng.random((20, 20)) < 0.2).astype(np.uint8)
+            cells = random_cells(rng, (20, 20), 0.2)
             grid = GridMap(20, 20, 0.1, cells)
             # free origin
-            free = np.argwhere(cells == 0)
+            free = np.argwhere(cells == CellState.FREE)
             iy, ix = free[rng.integers(len(free))]
             origin = ((ix + 0.5) * 0.1, (iy + 0.5) * 0.1)
             for _ in range(8):
@@ -236,7 +277,7 @@ class TestRaycast:
             ix, iy = grid.world_to_cell(x, y)
             rix, riy = rot.world_to_cell(y, size - x)
             assert grid.cells[iy, ix] == rot.cells[riy, rix]
-            if grid.cells[iy, ix] == 1:
+            if grid.cells[iy, ix] == CellState.OCCUPIED:
                 continue
             bearing = rng.uniform(-math.pi, math.pi)
             a = raycast(grid, (x, y), bearing, 2.5)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import json
 import math
 
-from objsearch.world import ScenarioSpec, load_scenario
+import numpy as np
+
+from objsearch.world import CellState, GridMap, ScenarioSpec, load_scenario
+
+
+def unknown_belief(grid: GridMap) -> GridMap:
+    """An all-Unknown belief of the grid's shape, as an episode starts with."""
+    return GridMap(grid.width, grid.height, grid.resolution,
+                   np.full(grid.cells.shape, CellState.UNKNOWN, dtype=np.uint8))
 
 
 def empty_rows(width: int, height: int, border: bool = True) -> list[str]:
