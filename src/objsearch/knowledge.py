@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -145,22 +146,52 @@ def cooccurrence(
     Targets missing from the table score ``p_fallback`` so unlisted objects
     stay searchable; callers can test membership to flag the fallback.
     Raises :class:`EmbeddingLookupError` if the landmark (or every generation)
-    is fully out of vocabulary.
+    is fully out of vocabulary.  The one-landmark case of
+    :func:`cooccurrences`.
     """
-    landmark_vec = phrase_vector(landmark, store)
-    if target not in table:
-        return p_fallback
-    best = None
+    return cooccurrences(target, [landmark], table, store, p_fallback)[0]
+
+
+def cooccurrences(
+    target: str,
+    landmarks: Sequence[str],
+    table: GenerationTable,
+    store: WordVectorStore,
+    p_fallback: float = 0.5,
+) -> list[float]:
+    """:func:`cooccurrence` of each landmark, embedding the target's
+    generations once.
+
+    Errors come as from calling :func:`cooccurrence` on each landmark in
+    turn: a landmark's own vector is looked up before the generations are
+    first needed.
+    """
+    gen_vecs = None
+    scores = []
+    for landmark in landmarks:
+        landmark_vec = phrase_vector(landmark, store)
+        if target not in table:
+            scores.append(p_fallback)
+            continue
+        if gen_vecs is None:
+            gen_vecs = _generation_vectors(target, table, store)
+        best = max(float(np.dot(landmark_vec, gen_vec)) for gen_vec in gen_vecs)
+        scores.append(min(1.0, max(-1.0, best)))
+    return scores
+
+
+def _generation_vectors(
+    target: str, table: GenerationTable, store: WordVectorStore
+) -> list[np.ndarray]:
+    """Phrase vectors of the target's generations that have one, in table order."""
+    vecs = []
     for gen in table.get(target):
         try:
-            gen_vec = phrase_vector(gen, store)
+            vecs.append(phrase_vector(gen, store))
         except EmbeddingLookupError:
             continue
-        sim = float(np.dot(landmark_vec, gen_vec))
-        if best is None or sim > best:
-            best = sim
-    if best is None:
+    if not vecs:
         raise EmbeddingLookupError(
             f"no generation of {target!r} has an in-vocabulary phrase vector"
         )
-    return min(1.0, max(-1.0, best))
+    return vecs

@@ -448,32 +448,68 @@ def confirming_cells(
     return seen
 
 
+def _first_confirming(
+    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray,
+    rank: np.ndarray | None = None,
+) -> int | None:
+    """Index into (``xs``, ``ys``) of the first cell :func:`confirming_cells`
+    accepts, or None.  Cells are taken in the given order, or by ``rank``
+    (a stable sort) when one is given.
+
+    ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
+    from ``math.hypot``, drops the cells clearly out of range; the rest go to
+    :func:`confirming_cells` ``_LOS_CHUNK`` at a time, because most searches
+    end on their first few."""
+    res = grid.resolution
+    tx, ty = target.position
+    gap = np.hypot(tx - (xs + 0.5) * res, ty - (ys + 0.5) * res)
+    near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
+    if rank is not None:
+        near = near[np.argsort(rank[near], kind="stable")]
+    for lo in range(0, near.size, _LOS_CHUNK):
+        chunk = near[lo : lo + _LOS_CHUNK]
+        seen = confirming_cells(grid, target, cam_range, xs[chunk], ys[chunk])
+        if seen.any():
+            return int(chunk[int(np.argmax(seen))])
+    return None
+
+
+def _scenario_drivable(scenario: ScenarioSpec) -> tuple[np.ndarray, tuple[int, int]]:
+    """The episode's :func:`drivable_mask` at the start, on the fully known map."""
+    grid = scenario.map
+    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+    return drivable_mask(grid, start, scenario.planner.robot_radius), start
+
+
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest path from the start, driving by the episode's
     :func:`drivable_mask` on the fully known map, to a cell that
     :func:`confirming_cells` accepts; inf when none is reachable.  So a start
     inside the inflated walls drives out of the robot's own disk.
 
-    Reachable cells are ranked by path length with a stable sort.  ``np.hypot``
-    on whole arrays, with a margin for its one-ulp differences from
-    ``math.hypot``, drops those clearly out of range; the rest go to
-    :func:`confirming_cells` in rank order, ``_LOS_CHUNK`` at a time, because
-    most searches end on their first few."""
-    grid = scenario.map
-    res = grid.resolution
-    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
-    dist = distance_field(drivable, res, [start])
-    target = scenario.target
-    cam_range = scenario.hyperparams.cam_range
+    Reachable cells are tried in order of path length (a stable sort).  The
+    length is finite exactly when :func:`target_observable` holds, which
+    answers that without the distance field."""
+    drivable, start = _scenario_drivable(scenario)
+    dist = distance_field(drivable, scenario.map.resolution, [start])
     ys, xs = np.nonzero(np.isfinite(dist))
-    gap = np.hypot(target.position[0] - (xs + 0.5) * res, target.position[1] - (ys + 0.5) * res)
-    near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
-    near = near[np.argsort(dist[ys[near], xs[near]], kind="stable")]
-    for lo in range(0, near.size, _LOS_CHUNK):
-        chunk = near[lo : lo + _LOS_CHUNK]
-        seen = confirming_cells(grid, target, cam_range, xs[chunk], ys[chunk])
-        if seen.any():
-            i = chunk[int(np.argmax(seen))]
-            return float(dist[ys[i], xs[i]])
-    return math.inf
+    hit = _first_confirming(
+        scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys, dist[ys, xs]
+    )
+    return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
+
+
+def target_observable(scenario: ScenarioSpec) -> bool:
+    """Whether :func:`ground_truth_shortest` is finite: some cell that
+    :func:`confirming_cells` accepts is reachable from the start.
+
+    The reachable cells are the start's 8-connected component of the
+    drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
+    the same graph :func:`distance_field` searches (diagonal steps need no
+    free side cell).  They are tried in row-major order, since only whether
+    one confirms matters."""
+    drivable, (sx, sy) = _scenario_drivable(scenario)
+    labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
+    ys, xs = np.nonzero(labels == labels[sy, sx])
+    hit = _first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    return hit is not None

@@ -4,6 +4,14 @@ Rooms come from recursive splits with a guaranteed door per wall, landmarks
 hug the walls, and the target object lands next to a landmark drawn from a
 co-occurrence-weighted distribution (so knowledge-guided search has something
 to exploit).  Generation is a pure function of (params, seed).
+
+Generation checks what a scenario needs and no more: the free space stays
+one 8-connected region as each landmark is placed, the start cell keeps the
+robot clear of walls and does not confirm the target, and some cell that
+confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
+so every scenario has the finite shortest path SPL divides by.  It never
+computes that path's length: the episode does, once, with
+:func:`~objsearch.planning.ground_truth_shortest`.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from scipy import ndimage
 
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
-from .knowledge import cooccurrence
-from .planning import confirming_cells, ground_truth_shortest, traversable_mask
+from .knowledge import cooccurrences
+from .planning import _RANGE_MARGIN, confirming_cells, target_observable, traversable_mask
 from .world import (
     CellState,
     GridMap,
@@ -214,11 +222,38 @@ def _split_rooms(
             rects[-1:] = [(x0, y0, x1, wall_y), (x0, wall_y + 1, x1, y1)]
 
 
+_EIGHT = np.ones((3, 3), dtype=bool)  # 8-connectivity for ndimage
+
+
 def _connected(occ: np.ndarray) -> bool:
     free = ~occ
     if not free.any():
         return False
-    _, count = ndimage.label(free, structure=np.ones((3, 3), dtype=bool))
+    _, count = ndimage.label(free, structure=_EIGHT)
+    return count == 1
+
+
+def _ring_connected(trial: np.ndarray, rows: slice, cols: slice, inside: np.ndarray) -> bool:
+    """Sufficient test that occupying a footprint kept a connected map connected.
+
+    ``trial`` is the map with the footprint cells (``inside`` of the window
+    ``rows``, ``cols``) occupied, all of which were free before.  The ring is
+    the free cells of ``trial`` 8-adjacent to the footprint.  If the map was
+    8-connected before and the ring is non-empty and 8-connected among its
+    own cells, ``trial`` is 8-connected: a path between two free cells of
+    ``trial`` that crossed the footprint enters it from a ring cell and
+    leaves it to a ring cell, and that stretch can be replaced by a path
+    through the ring.  A False answer proves nothing; the caller then runs
+    :func:`_connected`."""
+    height, width = trial.shape
+    r0, r1 = max(rows.start - 1, 0), min(rows.stop + 1, height)
+    c0, c1 = max(cols.start - 1, 0), min(cols.stop + 1, width)
+    footprint = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    footprint[rows.start - r0 : rows.stop - r0, cols.start - c0 : cols.stop - c0] = inside
+    ring = ndimage.binary_dilation(footprint, structure=_EIGHT) & ~trial[r0:r1, c0:c1]
+    if not ring.any():
+        return False
+    _, count = ndimage.label(ring, structure=_EIGHT)
     return count == 1
 
 
@@ -253,8 +288,13 @@ def _place_landmarks(
     known: set[str],
     res: float,
 ) -> list[LandmarkSpec]:
+    """Place each named landmark on a free wall-flush footprint that keeps the
+    free space 8-connected.  Until one placement has passed the full
+    :func:`_connected` check the map is not known to be connected, so the
+    :func:`_ring_connected` shortcut is used only after that."""
     n = occ.shape[0]
     placed: list[LandmarkSpec] = []
+    connected = False  # occ is known to be 8-connected
     grid_probe = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
@@ -266,7 +306,8 @@ def _place_landmarks(
                 continue
             trial = occ.copy()
             trial[rows, cols] |= inside
-            if not _connected(trial):
+            kept = (connected and _ring_connected(trial, rows, cols, inside)) or _connected(trial)
+            if not kept:
                 continue
             cx = 0.5 * (rect[0] + rect[2])
             cy = 0.5 * (rect[1] + rect[3])
@@ -280,6 +321,7 @@ def _place_landmarks(
             if ring_free == 0:
                 continue
             occ[:] = trial
+            connected = True
             placed.append(
                 LandmarkSpec(
                     id=f"L{idx}", name=name, known=name in known, footprint=rect
@@ -294,26 +336,31 @@ def _place_landmarks(
 def _cells_near_rect(
     occ: np.ndarray, rect: tuple, res: float, max_dist: float
 ) -> list[tuple[int, int]]:
-    """Free cells whose center sits within (0, max_dist] of the rectangle."""
+    """Free cells whose center sits within (0, max_dist] of the rectangle, in
+    row-major order.
+
+    ``np.hypot`` on the window, with a margin for its one-ulp differences
+    from ``math.hypot``, drops the cells clearly out of range; the exact
+    ``math.hypot`` test decides the rest."""
     n = occ.shape[0]
     x0 = max(0, int((rect[0] - max_dist) / res) - 1)
     y0 = max(0, int((rect[1] - max_dist) / res) - 1)
     x1 = min(n - 1, int((rect[2] + max_dist) / res) + 1)
     y1 = min(n - 1, int((rect[3] + max_dist) / res) + 1)
-    out = []
-    for iy in range(y0, y1 + 1):
-        row = occ[iy].tolist()
-        cy = (iy + 0.5) * res
-        dy = max(rect[1] - cy, cy - rect[3], 0.0)
-        for ix in range(x0, x1 + 1):
-            if row[ix]:
-                continue
-            cx = (ix + 0.5) * res
-            dx = max(rect[0] - cx, cx - rect[2], 0.0)
-            d = math.hypot(dx, dy)
-            if 0.0 < d <= max_dist:
-                out.append((ix, iy))
-    return out
+    if x0 > x1 or y0 > y1:  # the window lies wholly outside the map
+        return []
+    cx = (np.arange(x0, x1 + 1) + 0.5) * res
+    cy = (np.arange(y0, y1 + 1) + 0.5) * res
+    dx = np.maximum(np.maximum(rect[0] - cx, cx - rect[2]), 0.0)
+    dy = np.maximum(np.maximum(rect[1] - cy, cy - rect[3]), 0.0)
+    near = np.hypot(dx[None, :], dy[:, None]) <= max_dist * (1.0 + _RANGE_MARGIN)
+    near &= ~occ[y0 : y1 + 1, x0 : x1 + 1]
+    dxs, dys = dx.tolist(), dy.tolist()
+    return [
+        (x0 + kx, y0 + ky)
+        for ky, kx in zip(*(k.tolist() for k in np.nonzero(near)))
+        if 0.0 < math.hypot(dxs[kx], dys[ky]) <= max_dist
+    ]
 
 
 def _host_weights(
@@ -328,11 +375,8 @@ def _host_weights(
         )
     if params.placement == "uniform":
         return np.ones(len(landmarks))
-    scores = [
-        max(0.0, cooccurrence(target, lm.name, ctx.generations, ctx.words))
-        for lm in landmarks
-    ]
-    return np.array(scores) ** params.placement_power
+    scores = cooccurrences(target, [lm.name for lm in landmarks], ctx.generations, ctx.words)
+    return np.array([max(0.0, score) for score in scores]) ** params.placement_power
 
 
 def _weighted_pick(rng: np.random.Generator, weights: np.ndarray) -> int:
@@ -431,7 +475,7 @@ def _generate_one(
         grid, landmarks, objects, start, target_name, hyper, sensor, planner,
         seed=int(rng.integers(2**31)),
     )
-    if not math.isfinite(ground_truth_shortest(spec)):
+    if not target_observable(spec):
         raise _Retry("target is not observable from any reachable cell")
     return spec
 

@@ -10,6 +10,7 @@ from objsearch.knowledge import (
     GenerationTable,
     WordVectorStore,
     cooccurrence,
+    cooccurrences,
     phrase_vector,
 )
 
@@ -178,6 +179,71 @@ class TestCooccurrence:
             for landmark in ("desk", "bed", "sofa", "armchair", "coffee table"):
                 v = cooccurrence(target, landmark, ctx.generations, ctx.words)
                 assert -1.0 <= v <= 1.0
+
+
+def raised(call):
+    """(type, message) of the error ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return None
+
+
+def loop_cooccurrence(target, landmark, table, store, p_fallback=0.5):
+    """Reference: the one-landmark score, each generation embedded in turn."""
+    landmark_vec = phrase_vector(landmark, store)
+    if target not in table:
+        return p_fallback
+    best = None
+    for gen in table.get(target):
+        try:
+            gen_vec = phrase_vector(gen, store)
+        except EmbeddingLookupError:
+            continue
+        sim = float(np.dot(landmark_vec, gen_vec))
+        if best is None or sim > best:
+            best = sim
+    if best is None:
+        raise EmbeddingLookupError(
+            f"no generation of {target!r} has an in-vocabulary phrase vector"
+        )
+    return min(1.0, max(-1.0, best))
+
+
+def one_at_a_time(target, landmarks, table, store):
+    """Reference: the score of each landmark in turn, stopping at the first error."""
+    return [loop_cooccurrence(target, lm, table, store) for lm in landmarks]
+
+
+class TestBatchCooccurrence:
+    LANDMARKS = ("tv monitor", "sofa", "dining table", "armchair", "side table",
+                 "coffee table", "desk", "bed", "drawer")
+
+    def test_equals_one_landmark_form_exactly(self, ctx):
+        # Every shipped target, and one that takes the fallback.
+        for target in [*ctx.generations.targets(), "flux capacitor"]:
+            batch = cooccurrences(target, self.LANDMARKS, ctx.generations, ctx.words)
+            single = one_at_a_time(target, self.LANDMARKS, ctx.generations, ctx.words)
+            assert batch == single
+            assert [cooccurrence(target, lm, ctx.generations, ctx.words)
+                    for lm in self.LANDMARKS] == single
+        assert cooccurrences("flux capacitor", ["desk"], ctx.generations, ctx.words) == [0.5]
+        assert cooccurrences("book", [], ctx.generations, ctx.words) == []
+
+    @pytest.mark.parametrize("target, landmarks, table", [
+        ("book", ["desk", "qwertyuiop"], {"book": ["desk"]}),  # out-of-vocabulary landmark
+        ("flux capacitor", ["desk", "qwertyuiop"], {"book": ["desk"]}),  # ... under the fallback
+        ("book", ["desk", "qwertyuiop"], {"book": ["zorp"]}),  # no generation has a vector
+        ("book", ["qwertyuiop", "desk"], {"book": ["zorp"]}),  # the landmark is looked up first
+    ])
+    def test_same_exception_in_the_same_order(self, target, landmarks, table):
+        store = toy_store(desk=[1.0, 0.0])
+        table = GenerationTable(table)
+        want = raised(lambda: one_at_a_time(target, landmarks, table, store))
+        assert want is not None
+        assert raised(lambda: cooccurrences(target, landmarks, table, store)) == want
+        assert raised(lambda: [cooccurrence(target, lm, table, store) for lm in landmarks]) == want
 
 
 class TestShippedAssets:

@@ -7,6 +7,10 @@ rejected, fails here.  Generation builds its scenarios directly, without a
 trip through JSON, so every generated scenario must also survive that trip
 unchanged and serialize to stable bytes.  ``loop_cells_near_rect`` is the
 cell-by-cell window scan ``_cells_near_rect`` replaced.
+
+The suites pinned here never take the rejecting branches of generation's
+checks (every placement keeps the map connected and every target is
+observable), so those branches are tested directly.
 """
 
 from __future__ import annotations
@@ -16,8 +20,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from objsearch.suitegen import SuiteParams, _cells_near_rect, generate_suite
+from objsearch import planning, suitegen
+from objsearch.errors import GenerationError
+from objsearch.suitegen import (
+    SuiteParams,
+    _cells_near_rect,
+    _connected,
+    _place_landmarks,
+    _ring_connected,
+    _Retry,
+    generate_suite,
+)
 from objsearch.world import load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
@@ -84,3 +101,67 @@ def test_cells_near_rect_matches_cell_loop(seed):
             assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
                 occ, rect, res, max_dist
             )
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.45))
+@settings(max_examples=300, deadline=None)
+def test_ring_shortcut_never_accepts_a_disconnected_map(seed, density):
+    # A random connected map (the largest free region of a random grid) and a
+    # random footprint of free cells in a random window.
+    rng = np.random.default_rng(seed)
+    height, width = (int(v) for v in rng.integers(3, 13, size=2))
+    occ = rng.random((height, width)) < density
+    labels, count = ndimage.label(~occ, structure=np.ones((3, 3), dtype=bool))
+    if count == 0:
+        return
+    occ = labels != 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
+    assert _connected(occ)
+    r0, c0 = int(rng.integers(height)), int(rng.integers(width))
+    rows = slice(r0, int(rng.integers(r0, height)) + 1)
+    cols = slice(c0, int(rng.integers(c0, width)) + 1)
+    inside = (rng.random(occ[rows, cols].shape) < 0.8) & ~occ[rows, cols]
+    if not inside.any():
+        return
+    trial = occ.copy()
+    trial[rows, cols] |= inside
+    if _ring_connected(trial, rows, cols, inside):
+        assert _connected(trial)
+
+
+def test_ring_shortcut_answers_both_ways():
+    occ = np.zeros((8, 8), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    # A block in the open keeps its ring; one across the room cuts it.
+    for rows, cols, want in ((slice(3, 5), slice(3, 5), True), (slice(1, 7), slice(4, 5), False)):
+        trial = occ.copy()
+        inside = np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+        trial[rows, cols] |= inside
+        assert _ring_connected(trial, rows, cols, inside) == want == _connected(trial)
+
+
+def test_placement_on_a_disconnected_map_is_rejected():
+    # A wall with no door splits the map.  Each footprint's ring is connected,
+    # so the shortcut alone would accept one; the full check comes first.
+    occ = np.zeros((80, 80), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = occ[:, 40] = True
+    before = occ.copy()
+    with pytest.raises(_Retry, match="could not place landmark 'desk'"):
+        _place_landmarks(occ, np.random.default_rng(0), ["desk"], set(), 0.1)
+    assert np.array_equal(occ, before)
+
+
+def test_generation_never_measures_a_path(ctx, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generation computed a distance field")
+
+    monkeypatch.setattr(planning, "distance_field", forbidden)
+    monkeypatch.setattr(planning, "ground_truth_shortest", forbidden)
+    assert len(generate_suite(SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0), 1,
+                              ctx=ctx)) == 3
+
+
+def test_unobservable_targets_are_retried(ctx, monkeypatch):
+    monkeypatch.setattr(suitegen, "target_observable", lambda scenario: False)
+    params = SuiteParams(count=1, rooms=1, landmarks=3, map_side=8.0)
+    with pytest.raises(GenerationError, match="target is not observable from any reachable"):
+        generate_suite(params, 0, ctx=ctx)

@@ -5,7 +5,9 @@ a shared origin and a scalar range.  ``stepwise_ground_truth_shortest`` is
 the SPL reference search: it frees the robot's disk at the start cell by
 cell, then walks the reachable cells in distance order and tests range and
 line of sight one cell at a time.  The batched versions
-must give the same flags and the same float, bit for bit.
+must give the same flags and the same float, bit for bit.  Generation's
+reachability test ``target_observable`` must hold exactly when that float is
+finite, which ``assert_same_shortest`` checks on every scenario here.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ import math
 import numpy as np
 import pytest
 
-from objsearch.planning import distance_field, ground_truth_shortest, traversable_mask
+from scipy import ndimage
+
+from objsearch.planning import (
+    distance_field,
+    drivable_mask,
+    ground_truth_shortest,
+    target_observable,
+    traversable_mask,
+)
 from objsearch.sensing import line_of_sight, lines_of_sight
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
@@ -91,6 +101,7 @@ def assert_same_shortest(scenario):
     want = stepwise_ground_truth_shortest(scenario)
     assert math.isinf(got) == math.isinf(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert target_observable(scenario) == math.isfinite(got)
     return got
 
 
@@ -281,3 +292,107 @@ class TestGroundTruthShortest:
             hyperparams=dataclasses.replace(boxed.hyperparams, cam_range=cam_range),
         )
         assert assert_same_shortest(scenario) == 0.0
+
+
+# --------------------------------------------------------------------------
+# target_observable
+# --------------------------------------------------------------------------
+
+
+def set_cells(rows, cells, value):
+    """Set map cells (ix, iy) of bottom-up rows to ``value`` ('#' or '.')."""
+    height = len(rows)
+    for ix, iy in cells:
+        r = height - 1 - iy
+        rows[r] = rows[r][:ix] + value + rows[r][ix + 1 :]
+
+
+def ring(cx, cy, lo, hi):
+    """Cells whose Chebyshev distance from (cx, cy) is in lo..hi."""
+    return [(cx + dx, cy + dy) for dx in range(-hi, hi + 1) for dy in range(-hi, hi + 1)
+            if lo <= max(abs(dx), abs(dy))]
+
+
+class TestTargetObservable:
+    @pytest.mark.parametrize("rooms", [1, 2, 3, 4])
+    def test_generated_maps_with_moved_starts(self, rooms, ctx):
+        # Generated scenarios hold by construction.  Other start cells, and a
+        # robot too wide for the doors, give both answers.
+        params = SuiteParams(count=4, rooms=rooms, landmarks=5, map_side=12.0)
+        rng = np.random.default_rng(40 + rooms)
+        answers = []
+        for scenario in generate_suite(params, rooms, ctx=ctx):
+            assert target_observable(scenario)
+            grid = scenario.map
+            free = np.argwhere(grid.cells == CellState.FREE)
+            for radius in (0.2, 0.6):
+                for iy, ix in free[rng.integers(len(free), size=3)]:
+                    moved = dataclasses.replace(
+                        scenario,
+                        start=Pose(*grid.cell_to_world(int(ix), int(iy))),
+                        planner=dataclasses.replace(scenario.planner, robot_radius=radius),
+                    )
+                    answers.append(target_observable(moved))
+                    assert answers[-1] == math.isfinite(ground_truth_shortest(moved))
+        assert True in answers
+        if rooms > 1:
+            assert False in answers
+
+    def test_sealed_room(self):
+        # A wall at x = 3.0 m with a 1.2 m door near the bottom; the target
+        # at (5, 5) is out of range of every cell on the start's side that
+        # could see it through the door.  Closing the door seals its room.
+        rows = empty_rows(60, 60)
+        set_cells(rows, [(30, iy) for iy in range(60)], "#")
+        set_cells(rows, [(30, iy) for iy in range(5, 17)], ".")
+        scenario = with_map(box_scenario(size_m=6.0, start=(0.55, 5.5, 0.0)), rows, (5.0, 5.0))
+        assert 0.0 < assert_same_shortest(scenario) < math.inf
+        set_cells(rows, [(30, iy) for iy in range(5, 17)], "#")
+        sealed = with_map(scenario, rows, (5.0, 5.0))
+        assert assert_same_shortest(sealed) == math.inf
+
+    def test_diagonal_step_joins_the_rooms(self):
+        # The sealed room's wall doubled, with one diagonal step through it:
+        # free (30, 10) and (31, 11) whose shared neighbours are walls.  A
+        # robot of radius 0 drives every free cell, and diagonal steps need
+        # no free side cell, so the target's room is reachable.
+        rows = empty_rows(60, 60)
+        set_cells(rows, [(ix, iy) for ix in (30, 31) for iy in range(60)], "#")
+        set_cells(rows, [(30, 10), (31, 11)], ".")
+        scenario = with_map(
+            box_scenario(size_m=6.0, start=(0.55, 5.5, 0.0), planner={"robot_radius": 0.0}),
+            rows, (5.0, 5.0),
+        )
+        assert 0.0 < assert_same_shortest(scenario) < math.inf
+
+    def test_every_near_cell_occluded(self):
+        # The target sits in a pocket walled 0.4..0.9 m out: cells within
+        # range of it are reachable around the pocket, and its walls hide the
+        # target from each of them.
+        rows = empty_rows(50, 50)
+        set_cells(rows, ring(25, 25, 4, 8), "#")
+        scenario = with_map(box_scenario(size_m=5.0, start=(0.55, 0.55, 0.0)), rows, (2.55, 2.55))
+        dist = distance_field(
+            drivable_mask(scenario.map, (5, 5), scenario.planner.robot_radius), 0.1, [(5, 5)]
+        )
+        ys, xs = np.nonzero(np.isfinite(dist))
+        gap = np.hypot(2.55 - (xs + 0.5) * 0.1, 2.55 - (ys + 0.5) * 0.1)
+        assert (gap <= scenario.hyperparams.cam_range + 0.1).any()
+        assert assert_same_shortest(scenario) == math.inf
+
+    def test_start_walled_into_its_own_disk(self):
+        # A 3 x 3 pocket around the start: inflation swallows it whole, so
+        # the robot's own disk is all it drives on, and the pocket's walls
+        # hide the target 2 m away.
+        rows = empty_rows(50, 50)
+        set_cells(rows, ring(10, 10, 2, 3), "#")
+        scenario = with_map(box_scenario(size_m=5.0, start=(1.05, 1.05, 0.0)), rows, (3.05, 1.05))
+        radius = scenario.planner.robot_radius
+        assert not traversable_mask(scenario.map, radius)[9:12, 9:12].any()
+        labels, _ = ndimage.label(
+            drivable_mask(scenario.map, (10, 10), radius), structure=np.ones((3, 3), dtype=bool)
+        )
+        assert np.argwhere(labels == labels[10, 10]).tolist() == [
+            [iy, ix] for iy in range(9, 12) for ix in range(9, 12)
+        ]
+        assert assert_same_shortest(scenario) == math.inf
