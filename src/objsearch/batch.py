@@ -60,6 +60,13 @@ class RunConfig:
             raise DomainError("seed_base and suite_seed must be >= 0")
         if bool(self.scenario_paths) == (self.suite is not None):
             raise DomainError("exactly one of scenario_paths or suite must be given")
+        if self.suite is not None and self.episodes > self.suite.count:
+            raise DomainError(f"episodes={self.episodes} exceeds suite size {self.suite.count}")
+        if self.scenario_paths and self.episodes != len(self.scenario_paths):
+            raise DomainError(
+                "episodes must equal the number of scenario paths "
+                f"({self.episodes} != {len(self.scenario_paths)})"
+            )
 
 
 @dataclass(kw_only=True)
@@ -139,19 +146,12 @@ def run_batch(config: RunConfig, asset_root: Path | None = None) -> AggregateRep
     """
     ctx = context_for_preset(config.preset, asset_root)
     if config.suite is not None:
-        scenarios = generate_suite(config.suite, config.suite_seed, ctx=ctx)
-        if config.episodes > len(scenarios):
-            raise DomainError(
-                f"episodes={config.episodes} exceeds suite size {len(scenarios)}"
-            )
-        scenarios = scenarios[: config.episodes]
+        # Scenario i depends only on (suite_seed, i): the first ``episodes``
+        # of the suite are generated alone.
+        suite = dataclasses.replace(config.suite, count=config.episodes)
+        scenarios = generate_suite(suite, config.suite_seed, ctx=ctx)
         labels = [f"suite-{i:04d}" for i in range(len(scenarios))]
     else:
-        if config.episodes != len(config.scenario_paths):
-            raise DomainError(
-                "episodes must equal the number of scenario paths "
-                f"({config.episodes} != {len(config.scenario_paths)})"
-            )
         scenarios = [load_scenario_file(p) for p in config.scenario_paths]
         labels = [str(p) for p in config.scenario_paths]
 

@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,11 +86,19 @@ class CandidatePatch:
 
 @dataclass
 class _NavMaps:
-    """Read-only planning layers for the current belief and one robot cell."""
+    """Read-only planning layers for the current belief and one robot cell;
+    the distance field is built on its first read."""
 
     cell: tuple[int, int]
     trav: np.ndarray
-    dist: np.ndarray | None = None
+    resolution: float
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """Travel distance field from the robot cell over ``trav``."""
+        dist = distance_field(self.trav, self.resolution, [self.cell])
+        dist.setflags(write=False)
+        return dist
 
 
 @dataclass
@@ -200,34 +209,30 @@ def _register_sighting(
     cooccur_value: float,
 ) -> None:
     merge_radius = MERGE_RADIUS_CELLS * scenario.map.resolution
-    for entry in state.registry:
-        if math.dist(entry.position, position) <= merge_radius:
-            if sem_uncert < entry.sem_uncert:
-                entry.name = name
-                entry.position = position
-                entry.cooccur = cooccur_value
-                entry.sem_uncert = sem_uncert
-                _emit(
-                    state,
-                    "landmark_update",
-                    id=entry.id,
-                    name=name,
-                    pos=list(position),
-                    cooccur=cooccur_value,
-                    sem_uncert=sem_uncert,
-                )
-            return
-    entry = LandmarkEntry(
-        id=f"lm{len(state.registry):03d}",
-        name=name,
-        position=position,
-        cooccur=cooccur_value,
-        sem_uncert=sem_uncert,
+    entry = next(
+        (e for e in state.registry if math.dist(e.position, position) <= merge_radius), None
     )
-    state.registry.append(entry)
+    if entry is None:
+        entry = LandmarkEntry(
+            id=f"lm{len(state.registry):03d}",
+            name=name,
+            position=position,
+            cooccur=cooccur_value,
+            sem_uncert=sem_uncert,
+        )
+        state.registry.append(entry)
+        event = "landmark_new"
+    elif sem_uncert < entry.sem_uncert:
+        entry.name = name
+        entry.position = position
+        entry.cooccur = cooccur_value
+        entry.sem_uncert = sem_uncert
+        event = "landmark_update"
+    else:
+        return
     _emit(
         state,
-        "landmark_new",
+        event,
         id=entry.id,
         name=name,
         pos=list(position),
@@ -359,22 +364,8 @@ def _nav_maps(state: EpisodeState, scenario: ScenarioSpec) -> _NavMaps:
     if state.nav_maps is None or state.nav_maps.cell != cell:
         trav = drivable_mask(state.belief, cell, scenario.planner.robot_radius)
         trav.setflags(write=False)
-        state.nav_maps = _NavMaps(cell, trav)
+        state.nav_maps = _NavMaps(cell, trav, state.belief.resolution)
     return state.nav_maps
-
-
-def _traversable_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
-    """Drivable mask for the current belief and robot cell."""
-    return _nav_maps(state, scenario).trav
-
-
-def _distance_now(state: EpisodeState, scenario: ScenarioSpec) -> np.ndarray:
-    """Travel distance field from the robot cell over the traversable mask."""
-    maps = _nav_maps(state, scenario)
-    if maps.dist is None:
-        maps.dist = distance_field(maps.trav, state.belief.resolution, [maps.cell])
-        maps.dist.setflags(write=False)
-    return maps.dist
 
 
 def _walk(
@@ -401,7 +392,7 @@ def _walk(
         if last or k % planner.step_interval == 0:
             _sweep(state, scenario)
             if not last:
-                trav = _traversable_now(state, scenario)
+                trav = _nav_maps(state, scenario).trav
                 if not all(trav[y, x] for x, y in cells[k + 1 :]):
                     return walked, False
     return walked, True
@@ -417,7 +408,7 @@ def _navigate(state: EpisodeState, scenario: ScenarioSpec, goal: tuple[int, int]
     """Drive to a goal cell, replanning when newly seen obstacles intrude."""
     hp = scenario.hyperparams
     while True:
-        trav = _traversable_now(state, scenario)
+        trav = _nav_maps(state, scenario).trav
         try:
             path = plan_path(state.belief, _current_cell(state), goal, trav)
         except NoPathError:
@@ -484,8 +475,8 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
     """Generate viewpoints for pending landmarks, mark skipped those that fail
     the skip rule, and order the rest greedily."""
     hp = scenario.hyperparams
-    trav = _traversable_now(state, scenario)
-    dist = _distance_now(state, scenario)
+    maps = _nav_maps(state, scenario)
+    trav, dist = maps.trav, maps.dist
     candidates: list[Viewpoint] = []
     for entry in state.registry:
         if entry.visited or entry.skipped:
@@ -574,24 +565,19 @@ def run_episode(
         prev_progress = progress
 
         ordered = _plan_cycle(state, scenario)
-        stop = False
+        outcome = None
         for vp in ordered:
             outcome = visit_waypoint(state, scenario, ctx, store, vp)
             if outcome is _NavOutcome.BUDGET:
-                stop = True
                 break
-            if outcome is _NavOutcome.NO_PATH:
-                continue
-            if _judge_new_candidates(state, scenario, confirm_fn) is not None:
+            if (outcome is _NavOutcome.ARRIVED
+                    and _judge_new_candidates(state, scenario, confirm_fn) is not None):
                 success = True
-                stop = True
                 break
-        if stop:
+        if success or outcome is _NavOutcome.BUDGET:
             break
 
-        frontier = nearest_frontier(
-            state.belief, scenario.planner, _distance_now(state, scenario)
-        )
+        frontier = nearest_frontier(state.belief, scenario.planner, _nav_maps(state, scenario).dist)
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")
             break

@@ -389,38 +389,23 @@ def nearest_frontier(
     Clusters are 8-connected, clusters smaller than ``min_frontier_cells``
     are noise, and a cluster's distance is the smallest ``dist_field`` value
     (the robot's travel distance) among its members; ties go to the lowest
-    cluster label.
+    cluster label.  The closest cell is the first member at that distance in
+    row-major order.
     """
     mask = frontier_cells_mask(belief)
-    if not mask.any():
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    large = np.bincount(labels.ravel())[labels] >= params.min_frontier_cells
+    ys, xs = np.nonzero(mask & large & np.isfinite(dist_field))
+    if xs.size == 0:
         return None
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-
-    best_label = None
-    best_dist = math.inf
-    best_cell: tuple[int, int] | None = None
-    for label in range(1, count + 1):
-        ys, xs = np.nonzero(labels == label)
-        if xs.size < params.min_frontier_cells:
-            continue
-        dists = dist_field[ys, xs]
-        finite = np.isfinite(dists)
-        if not finite.any():
-            continue
-        order = np.argmin(np.where(finite, dists, np.inf))
-        cluster_dist = float(dists[order])
-        if cluster_dist < best_dist:
-            best_dist = cluster_dist
-            best_label = label
-            best_cell = (int(xs[order]), int(ys[order]))
-    if best_label is None:
-        return None
-    ys, xs = np.nonzero(labels == best_label)
+    cell_labels = labels[ys, xs]
+    win = np.lexsort((cell_labels, dist_field[ys, xs]))[0]
+    closest = (int(xs[win]), int(ys[win]))
+    ys, xs = np.nonzero(labels == cell_labels[win])
     cells = tuple(sorted((int(x), int(y)) for x, y in zip(xs, ys)))
     cx = float(np.mean([belief.cell_to_world(x, y)[0] for x, y in cells]))
     cy = float(np.mean([belief.cell_to_world(x, y)[1] for x, y in cells]))
-    assert best_cell is not None
-    return Frontier(cells=cells, centroid=(cx, cy), closest_cell=best_cell)
+    return Frontier(cells=cells, centroid=(cx, cy), closest_cell=closest)
 
 
 _LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
@@ -449,12 +434,10 @@ def confirming_cells(
 
 
 def _first_confirming(
-    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray,
-    rank: np.ndarray | None = None,
+    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray
 ) -> int | None:
     """Index into (``xs``, ``ys``) of the first cell :func:`confirming_cells`
-    accepts, or None.  Cells are taken in the given order, or by ``rank``
-    (a stable sort) when one is given.
+    accepts, in the given order, or None.
 
     ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
     from ``math.hypot``, drops the cells clearly out of range; the rest go to
@@ -464,8 +447,6 @@ def _first_confirming(
     tx, ty = target.position
     gap = np.hypot(tx - (xs + 0.5) * res, ty - (ys + 0.5) * res)
     near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
-    if rank is not None:
-        near = near[np.argsort(rank[near], kind="stable")]
     for lo in range(0, near.size, _LOS_CHUNK):
         chunk = near[lo : lo + _LOS_CHUNK]
         seen = confirming_cells(grid, target, cam_range, xs[chunk], ys[chunk])
@@ -493,9 +474,9 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     drivable, start = _scenario_drivable(scenario)
     dist = distance_field(drivable, scenario.map.resolution, [start])
     ys, xs = np.nonzero(np.isfinite(dist))
-    hit = _first_confirming(
-        scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys, dist[ys, xs]
-    )
+    by_length = np.argsort(dist[ys, xs], kind="stable")
+    ys, xs = ys[by_length], xs[by_length]
+    hit = _first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
     return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
 
 

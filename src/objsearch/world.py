@@ -266,6 +266,15 @@ class PlannerParams:
             raise ValidationError("planner.view_directions: must be >= 1")
         if not (math.isfinite(self.robot_radius) and self.robot_radius >= 0):
             raise ValidationError("planner.robot_radius: must be non-negative and finite")
+        if not (math.isfinite(self.view_radius) and self.view_radius > 0):
+            raise ValidationError("planner.view_radius: must be positive and finite")
+
+
+def _check_start(*values: float) -> tuple[float, ...]:
+    """The start pose's (x, y, theta), once each is known to be finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError("scenario.start: x, y and heading must be finite")
+    return values
 
 
 @dataclass(eq=True)
@@ -323,6 +332,7 @@ class ScenarioSpec:
                 f"target object name {targets[0].name!r}"
             )
 
+        _check_start(self.start.x, self.start.y, self.start.theta)
         six, siy = grid.world_to_cell(self.start.x, self.start.y)
         if not grid.in_bounds(six, siy):
             raise ValidationError("scenario.start: outside map bounds")
@@ -648,7 +658,8 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 
     landmarks = _parse_list(doc, "landmarks", LandmarkSpec)
     objects = _parse_list(doc, "objects", ObjectSpec)
-    start = Pose(*_numbers(_require(doc, "start", "scenario"), "scenario.start", 3))
+    # Checked before Pose, which cannot wrap an infinite heading.
+    start = Pose(*_check_start(*_numbers(_require(doc, "start", "scenario"), "scenario.start", 3)))
     if "target" not in doc:
         raise SchemaError("target_phrase required")
     target_phrase = _string(doc["target"], "scenario.target")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from objsearch import batch
 from objsearch.batch import (
     EpisodeRecord,
     RunConfig,
@@ -65,6 +66,15 @@ class TestRunConfigParsing:
         with pytest.raises(DomainError):
             run_config_from_dict(doc)
 
+    def test_episodes_beyond_the_suite_rejected(self):
+        with pytest.raises(DomainError, match="episodes=3 exceeds suite size 2"):
+            run_config_from_dict({"suite": {"count": 2}, "episodes": 3})
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_episodes_must_match_scenario_paths(self, episodes):
+        with pytest.raises(DomainError, match=rf"scenario paths \({episodes} != 2\)"):
+            run_config_from_dict({"scenarios": ["a.json", "b.json"], "episodes": episodes})
+
     def test_suite_document_seed_is_the_suite_seed(self):
         config = run_config_from_dict({"suite": {**SUITE, "seed": 4}})
         assert config == run_config_from_dict({"suite": SUITE, "suite_seed": 4})
@@ -74,6 +84,22 @@ class TestRunConfigParsing:
         with pytest.raises(SchemaError) as err:
             run_config_from_dict({"suite": {**SUITE, "seed": 4}, "suite_seed": 4})
         assert "suite.seed" in str(err.value) and "suite_seed" in str(err.value)
+
+
+def test_suite_batch_generates_only_the_episodes_it_runs(monkeypatch, ctx):
+    shape = SuiteParams(count=3, rooms=1, landmarks=3, map_side=8.0)
+    generated = []
+
+    def generate(params, seed, ctx):
+        generated.append(generate_suite(params, seed, ctx=ctx))
+        return generated[-1]
+
+    monkeypatch.setattr(batch, "generate_suite", generate)
+    report = run_batch(RunConfig(episodes=2, suite=shape, suite_seed=1))
+    assert len(generated) == 1 and len(report.records) == 2
+    assert [serialize_scenario(s) for s in generated[0]] == [
+        serialize_scenario(s) for s in generate_suite(shape, 1, ctx=ctx)[:2]
+    ]
 
 
 class TestSuiteParamsParsing:
@@ -237,6 +263,14 @@ class TestCliExitCodes:
         path.write_text(serialize_scenario(box_scenario()), encoding="utf-8")
         assert main(["run", str(path), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_nan_start_exits_2(self, tmp_path, capsys):
+        doc = json.loads(serialize_scenario(box_scenario()))
+        doc["start"][2] = math.nan
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert "scenario.start" in capsys.readouterr().err
 
     def test_score_string_success_exits_2(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"

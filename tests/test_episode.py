@@ -204,21 +204,21 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
 
     episode._sweep(state, scenario)
     before = np.count_nonzero(state.belief.cells)
-    stale_trav = episode._traversable_now(state, scenario)
-    stale_dist = episode._distance_now(state, scenario)
+    stale_trav = episode._nav_maps(state, scenario).trav
+    stale_dist = episode._nav_maps(state, scenario).dist
     episode._sweep(state, scenario)  # a repeat is skipped and keeps the layers
-    assert episode._traversable_now(state, scenario) is stale_trav
-    assert episode._distance_now(state, scenario) is stale_dist
+    assert episode._nav_maps(state, scenario).trav is stale_trav
+    assert episode._nav_maps(state, scenario).dist is stale_dist
     # Another point in the same cell is a new origin; its sweep drops the
     # layers, and what it reveals is a new belief for the same robot cell.
     state.pose = Pose(1.45, 1.05, 0.0)
     assert episode._current_cell(state) == (2, 2)
     episode._sweep(state, scenario)
     assert np.count_nonzero(state.belief.cells) > before
-    trav = episode._traversable_now(state, scenario)
+    trav = episode._nav_maps(state, scenario).trav
     assert not np.array_equal(trav, stale_trav)
     assert np.array_equal(trav, fresh_trav(state, scenario))
-    dist = episode._distance_now(state, scenario)
+    dist = episode._nav_maps(state, scenario).dist
     assert dist.tobytes() != stale_dist.tobytes()
     assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)]).tobytes()
     assert not trav.flags.writeable and not dist.flags.writeable
@@ -228,7 +228,7 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     """Every sweep skipped, mask and distance field reused within an episode
     is what a fresh computation would give at that moment."""
     checks = {"sweep": 0, "trav": 0, "dist": 0}
-    sweep, trav_now, dist_now = episode._sweep, episode._traversable_now, episode._distance_now
+    sweep, nav_maps = episode._sweep, episode._nav_maps
 
     def checked_sweep(state, scenario):
         sweep(state, scenario)
@@ -239,23 +239,18 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
         assert np.array_equal(again.cells, state.belief.cells)
         checks["sweep"] += 1
 
-    def checked_trav(state, scenario):
-        trav = trav_now(state, scenario)
-        assert np.array_equal(trav, fresh_trav(state, scenario))
+    def checked_nav_maps(state, scenario):
+        maps = nav_maps(state, scenario)
+        trav = fresh_trav(state, scenario)
+        assert np.array_equal(maps.trav, trav)
         checks["trav"] += 1
-        return trav
-
-    def checked_dist(state, scenario):
-        dist = dist_now(state, scenario)
-        fresh = distance_field(fresh_trav(state, scenario), state.belief.resolution,
-                               [episode._current_cell(state)])
-        assert dist.tobytes() == fresh.tobytes()
+        fresh = distance_field(trav, state.belief.resolution, [episode._current_cell(state)])
+        assert maps.dist.tobytes() == fresh.tobytes()
         checks["dist"] += 1
-        return dist
+        return maps
 
     monkeypatch.setattr(episode, "_sweep", checked_sweep)
-    monkeypatch.setattr(episode, "_traversable_now", checked_trav)
-    monkeypatch.setattr(episode, "_distance_now", checked_dist)
+    monkeypatch.setattr(episode, "_nav_maps", checked_nav_maps)
     for i, scenario in enumerate(scenarios):
         episode.run_episode(scenario, ctx=ctx, seed=i)
     assert min(checks.values()) > 10

@@ -4,7 +4,9 @@
 before: four rolled neighbour masks assembled into a COO matrix.  The current
 build must give bit-equal fields, which is what lets the episode loop and the
 SPL reference keep byte-identical traces and records.  ``loop_clear_robot_disk``
-is the cell-by-cell footprint whitelist that ``clear_robot_disk`` replaced.
+is the cell-by-cell footprint whitelist that ``clear_robot_disk`` replaced, and
+``loop_nearest_frontier`` the cluster-by-cluster frontier choice that
+``nearest_frontier`` replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from objsearch.planning import (
     Viewpoint,
     _disk_offsets,
     clear_robot_disk,
+    Frontier,
     distance_field,
+    frontier_cells_mask,
     generate_viewpoints,
     inflate_occupied,
     nearest_frontier,
@@ -339,6 +343,38 @@ class TestRanking:
         assert order(self.START, vps, self.ZERO) == want
 
 
+def loop_nearest_frontier(belief, params, dist_field):
+    """Reference: each cluster's nearest member found one cluster at a time."""
+    mask = frontier_cells_mask(belief)
+    if not mask.any():
+        return None
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    best_label = None
+    best_dist = math.inf
+    best_cell = None
+    for label in range(1, count + 1):
+        ys, xs = np.nonzero(labels == label)
+        if xs.size < params.min_frontier_cells:
+            continue
+        dists = dist_field[ys, xs]
+        finite = np.isfinite(dists)
+        if not finite.any():
+            continue
+        order = np.argmin(np.where(finite, dists, np.inf))
+        cluster_dist = float(dists[order])
+        if cluster_dist < best_dist:
+            best_dist = cluster_dist
+            best_label = label
+            best_cell = (int(xs[order]), int(ys[order]))
+    if best_label is None:
+        return None
+    ys, xs = np.nonzero(labels == best_label)
+    cells = tuple(sorted((int(x), int(y)) for x, y in zip(xs, ys)))
+    cx = float(np.mean([belief.cell_to_world(x, y)[0] for x, y in cells]))
+    cy = float(np.mean([belief.cell_to_world(x, y)[1] for x, y in cells]))
+    return Frontier(cells=cells, centroid=(cx, cy), closest_cell=best_cell)
+
+
 class TestNearestFrontier:
     """Unknown cell (2, 2) leaves a 4-cell frontier cluster (label 1); unknown
     cells (10, 6) and (11, 6) leave a 6-cell cluster (label 2)."""
@@ -383,6 +419,24 @@ class TestNearestFrontier:
     def test_unreachable_clusters_are_skipped(self):
         assert self.choose(np.inf, 9.0) == self.LARGE
         assert self.choose(np.inf, np.inf) is None
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 9), (12, 12), (25, 30)])
+    def test_matches_cluster_loop(self, shape):
+        # Integer distances and few unknown cells make distance ties within
+        # and between clusters common; some fields leave clusters unreachable.
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width)
+        chosen = 0
+        for _ in range(60):
+            cells = rng.choice(len(CellState), size=shape, p=rng.dirichlet([1, 1, 1]))
+            belief = GridMap(width, height, 0.1, cells.astype(np.uint8))
+            dist = rng.integers(0, 4, size=shape).astype(float)
+            dist[rng.random(shape) < rng.uniform(0.0, 0.6)] = np.inf
+            params = PlannerParams(min_frontier_cells=int(rng.integers(1, 6)))
+            want = loop_nearest_frontier(belief, params, dist)
+            assert nearest_frontier(belief, params, dist) == want
+            chosen += want is not None
+        assert chosen > 0 or shape == (1, 1)
 
     def test_fully_explored_belief_gives_none(self):
         belief = open_belief(15, 10)

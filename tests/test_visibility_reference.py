@@ -280,18 +280,31 @@ class TestGroundTruthShortest:
         assert assert_same_shortest(near) == 0.0
 
     def test_range_decided_by_math_hypot(self):
-        # Only the start cell is reachable, and the target lies exactly
-        # cam_range + resolution from its centre by math.hypot.  With glibc,
-        # np.hypot rounds this distance one ulp higher; the cell still counts.
-        boxed = box_scenario(size_m=8.0, start=(0.25, 0.25, 0.0), planner={"robot_radius": 0.3})
-        target = dataclasses.replace(boxed.target, position=(1.39, 2.05))
-        rim = math.hypot(1.39 - 0.25, 2.05 - 0.25)
-        cam_range = cam_range_reaching(rim, 0.1)
-        scenario = dataclasses.replace(
-            boxed, objects=[target],
-            hyperparams=dataclasses.replace(boxed.hyperparams, cam_range=cam_range),
+        # Walls fill the 11 x 11 block around the start cell (20, 20) but for
+        # the disk a 0.3 m robot frees there, so the disk's cells are the only
+        # drivable ones.  Of them only the rim cell (23, 20) is in range: the
+        # target lies exactly cam_range + resolution from its centre by
+        # math.hypot.  With glibc, np.hypot rounds this distance one ulp
+        # higher; the cell still counts.
+        rows = empty_rows(50, 50)
+        set_cells(rows, [(x, y) for x, y in ring(20, 20, 0, 5)
+                         if (x - 20) ** 2 + (y - 20) ** 2 > 9], "#")
+        tx, ty = 2.6346, 2.0575
+        base = with_map(
+            box_scenario(size_m=5.0, start=(2.05, 2.05, 0.0), planner={"robot_radius": 0.3}),
+            rows, (tx, ty),
         )
-        assert assert_same_shortest(scenario) == 0.0
+        cx, cy = base.map.cell_to_world(23, 20)
+        cam_range = cam_range_reaching(math.hypot(tx - cx, ty - cy), 0.1)
+
+        def with_range(value):
+            hp = dataclasses.replace(base.hyperparams, cam_range=value)
+            return dataclasses.replace(base, hyperparams=hp)
+
+        assert assert_same_shortest(with_range(cam_range)) == pytest.approx(0.3)
+        assert target_observable(with_range(cam_range))
+        assert assert_same_shortest(with_range(math.nextafter(cam_range, 0.0))) == math.inf
+        assert not target_observable(with_range(math.nextafter(cam_range, 0.0)))
 
 
 # --------------------------------------------------------------------------

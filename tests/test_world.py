@@ -351,6 +351,20 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="start"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_non_finite_start_rejected(self, index, value):
+        doc = minimal_doc()
+        doc["start"][index] = value
+        with pytest.raises(ValidationError, match=r"scenario\.start"):
+            parse_scenario(doc)
+        spec = parse_scenario(minimal_doc())
+        if index < 2 or math.isnan(value):  # an infinite heading has no Pose
+            start = [spec.start.x, spec.start.y, spec.start.theta]
+            start[index] = value
+            with pytest.raises(ValidationError, match=r"scenario\.start"):
+                dataclasses.replace(spec, start=Pose(*start))
+
     def test_footprint_must_be_occupied(self):
         doc = minimal_doc()
         doc["landmarks"][0]["footprint"] = [0.5, 0.4, 0.7, 0.6]  # open space
@@ -394,6 +408,9 @@ class TestScenarioParsing:
             ("planner", "view_directions", 0),
             ("planner", "robot_radius", -0.1),
             ("planner", "robot_radius", math.inf),
+            ("planner", "view_radius", 0),
+            ("planner", "view_radius", math.nan),
+            ("planner", "view_radius", math.inf),
             ("sensor", "lidar_rays", -4),
             ("sensor", "lidar_rays", 0),
             ("sensor", "lidar_range", -1),
