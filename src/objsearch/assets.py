@@ -1,13 +1,7 @@
-"""Bundled data files: word vectors, generation tables, golden scenarios.
-
-The packaged assets directory can be overridden with the ``OBJSEARCH_ASSETS``
-environment variable, which is handy for suites that ship their own word
-vectors or generation tables.
-"""
+"""Bundled data files: word vectors, generation tables, golden scenarios."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,20 +11,9 @@ from .knowledge import GenerationTable, WordVectorStore
 from .matching import TextEmbeddingStore
 from .world import ScenarioSpec
 
-ASSET_ENV_VAR = "OBJSEARCH_ASSETS"
 WORD_VECTOR_FILE = "word_vectors.txt"
 GENERATION_TABLE_FILE = "generations.json"
 WEB_TABLE_FILE = "generations_web.json"
-
-
-def default_asset_root() -> Path:
-    override = os.environ.get(ASSET_ENV_VAR)
-    if override:
-        root = Path(override)
-        if not root.is_dir():
-            raise AssetError(f"{ASSET_ENV_VAR}={override} is not a directory")
-        return root
-    return Path(str(resources.files("objsearch").joinpath("assets")))
 
 
 @dataclass
@@ -42,7 +25,8 @@ class AssetContext:
 
     @classmethod
     def load(cls, root: Path | None = None, table_file: str = GENERATION_TABLE_FILE) -> "AssetContext":
-        root = root if root is not None else default_asset_root()
+        if root is None:  # the package's own assets
+            root = Path(str(resources.files("objsearch").joinpath("assets")))
         return cls(
             words=WordVectorStore.load(root / WORD_VECTOR_FILE),
             generations=GenerationTable.load(root / table_file),

@@ -31,9 +31,18 @@ from .world import (
     fields_dict,
     load_scenario_file,
     parse_fields,
+    parse_json,
 )
 
-PRESETS = ("full", "nearest_point", "no_cooccurrence", "no_uncertainty", "web_table")
+# name -> (hyperparameter overrides, generation-table file)
+_PRESETS = {
+    "full": ({}, GENERATION_TABLE_FILE),
+    "nearest_point": ({"lambda1": 0.0, "lambda2": 0.0}, GENERATION_TABLE_FILE),
+    "no_cooccurrence": ({"lambda1": 0.0}, GENERATION_TABLE_FILE),
+    "no_uncertainty": ({"lambda2": 0.0}, GENERATION_TABLE_FILE),
+    "web_table": ({}, WEB_TABLE_FILE),
+}
+PRESETS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -103,23 +112,24 @@ class AggregateReport:
         return header + "\n" + row + "\n" + faults
 
 
+def _preset(name: str) -> tuple[dict, str]:
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise DomainError(f"unknown preset {name!r}") from None
+
+
 def apply_preset(scenario: ScenarioSpec, preset: str) -> ScenarioSpec:
     """Rewrite hyperparameters for an ablation preset (table swaps are handled
-    at asset-load time)."""
-    hp = scenario.hyperparams
-    if preset == "nearest_point":
-        hp = dataclasses.replace(hp, lambda1=0.0, lambda2=0.0)
-    elif preset == "no_cooccurrence":
-        hp = dataclasses.replace(hp, lambda1=0.0)
-    elif preset == "no_uncertainty":
-        hp = dataclasses.replace(hp, lambda2=0.0)
-    elif preset not in ("full", "web_table"):
-        raise DomainError(f"unknown preset {preset!r}")
+    at asset-load time, by :func:`context_for_preset`)."""
+    overrides, _ = _preset(preset)
+    hp = dataclasses.replace(scenario.hyperparams, **overrides)
     return dataclasses.replace(scenario, hyperparams=hp)
 
 
 def context_for_preset(preset: str, asset_root: Path | None = None) -> AssetContext:
-    table = WEB_TABLE_FILE if preset == "web_table" else GENERATION_TABLE_FILE
+    """The assets an episode runs on under a preset: its generation table."""
+    _, table = _preset(preset)
     return AssetContext.load(root=asset_root, table_file=table)
 
 
@@ -203,10 +213,7 @@ def load_records_jsonl(text: str) -> list[EpisodeRecord]:
         if not line.strip():
             continue
         where = f"records line {lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+        doc = parse_json(line, where)
         records.append(parse_fields(EpisodeRecord, doc, where, {"shortest": _shortest}))
     if not records:
         raise SchemaError("records file contains no episodes")

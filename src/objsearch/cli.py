@@ -8,7 +8,6 @@ problems.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,9 +23,9 @@ from .batch import (
     PRESETS,
 )
 from .episode import CandidatePatch, run_episode, trace_to_jsonl
-from .errors import ObjSearchError, SchemaError
+from .errors import ObjSearchError
 from .suitegen import generate_suite, suite_from_dict
-from .world import ScenarioSpec, load_scenario_file, serialize_scenario
+from .world import ScenarioSpec, load_scenario_file, parse_json, serialize_scenario
 
 
 def _interactive_confirm(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
@@ -57,10 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _load_json(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+        return parse_json(fh.read(), str(path))
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -103,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--assets",
         type=Path,
         default=None,
-        help="override the bundled asset directory (also: OBJSEARCH_ASSETS)",
+        help="override the bundled asset directory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -113,7 +113,6 @@ class EpisodeState:
     obs_counter: int = 0
     confirm_cursor: int = 0  # candidates before this index are already judged
     trace: list[dict] = field(default_factory=list)
-    fallback_flagged: bool = False
     cooccur_by_name: dict[str, float] = field(default_factory=dict)  # with the target phrase
     # Per-episode reuse; see the module docstring.
     swept: set[tuple[float, float]] = field(default_factory=set)
@@ -194,8 +193,8 @@ def _target_cooccur(
     known = state.cooccur_by_name
     if name not in known:
         known[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
-        if scenario.target_phrase not in ctx.generations and not state.fallback_flagged:
-            state.fallback_flagged = True
+        # Flag the fallback once, on the first name scored.
+        if len(known) == 1 and scenario.target_phrase not in ctx.generations:
             _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
     return known[name]
 

@@ -8,15 +8,24 @@ landmark's phrase vector and any generated location phrase.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AssetError, EmbeddingLookupError, SchemaError
+from .world import parse_json
 
 MAX_GENERATIONS = 20
+FALLBACK_COOCCURRENCE = 0.5  # the score of every landmark for a target the table lacks
+
+
+def _read_asset(path, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise AssetError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 class WordVectorStore:
@@ -66,11 +75,7 @@ class WordVectorStore:
 
     @classmethod
     def load(cls, path) -> "WordVectorStore":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.loads(fh.read())
-        except OSError as exc:
-            raise AssetError(f"cannot read word vectors from {path}: {exc}") from exc
+        return cls.loads(_read_asset(path, "word vectors"))
 
 
 def phrase_vector(phrase: str, store: WordVectorStore) -> np.ndarray:
@@ -117,21 +122,14 @@ class GenerationTable:
 
     @classmethod
     def loads(cls, text: str) -> "GenerationTable":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"generation table: invalid JSON ({exc})") from exc
+        doc = parse_json(text, "generation table")
         if not isinstance(doc, dict):
             raise SchemaError("generation table: expected an object of target -> phrases")
         return cls(doc)
 
     @classmethod
     def load(cls, path) -> "GenerationTable":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.loads(fh.read())
-        except OSError as exc:
-            raise AssetError(f"cannot read generation table from {path}: {exc}") from exc
+        return cls.loads(_read_asset(path, "generation table"))
 
 
 def cooccurrence(
@@ -139,17 +137,17 @@ def cooccurrence(
     landmark: str,
     table: GenerationTable,
     store: WordVectorStore,
-    p_fallback: float = 0.5,
 ) -> float:
     """Best cosine between the landmark and any generated location of the target.
 
-    Targets missing from the table score ``p_fallback`` so unlisted objects
-    stay searchable; callers can test membership to flag the fallback.
+    Targets missing from the table score :data:`FALLBACK_COOCCURRENCE` so
+    unlisted objects stay searchable; callers can test membership to flag the
+    fallback.
     Raises :class:`EmbeddingLookupError` if the landmark (or every generation)
     is fully out of vocabulary.  The one-landmark case of
     :func:`cooccurrences`.
     """
-    return cooccurrences(target, [landmark], table, store, p_fallback)[0]
+    return cooccurrences(target, [landmark], table, store)[0]
 
 
 def cooccurrences(
@@ -157,7 +155,6 @@ def cooccurrences(
     landmarks: Sequence[str],
     table: GenerationTable,
     store: WordVectorStore,
-    p_fallback: float = 0.5,
 ) -> list[float]:
     """:func:`cooccurrence` of each landmark, embedding the target's
     generations once.
@@ -171,7 +168,7 @@ def cooccurrences(
     for landmark in landmarks:
         landmark_vec = phrase_vector(landmark, store)
         if target not in table:
-            scores.append(p_fallback)
+            scores.append(FALLBACK_COOCCURRENCE)
             continue
         if gen_vecs is None:
             gen_vecs = _generation_vectors(target, table, store)

@@ -412,46 +412,36 @@ _LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
 _RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
 
 
-def confirming_cells(
+def first_confirming(
     grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """The one confirming-cell rule: which cells (``xs``, ``ys``) have their
-    centre within ``(0, cam_range + resolution]`` of the target by
-    ``math.hypot`` (half a cell of tolerance at the rim) and in line of sight
-    of it, past its :func:`object_slack`.  The robot can turn, so the field of
-    view does not matter."""
+) -> int | None:
+    """The one confirming-cell rule: index into (``xs``, ``ys``) of the first
+    cell, in the given order, whose centre is within ``(0, cam_range +
+    resolution]`` of the target by ``math.hypot`` (half a cell of tolerance at
+    the rim) and in line of sight of it, past its :func:`object_slack`; None
+    when no cell is.  The robot can turn, so the field of view does not matter.
+
+    ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
+    from ``math.hypot``, drops the cells clearly out of range; the rest are
+    tested ``_LOS_CHUNK`` at a time, because most searches end on their first
+    few.  A ray's answer does not depend on the rays traced with it."""
     res = grid.resolution
     tx, ty = target.position
     cx, cy = (xs + 0.5) * res, (ys + 0.5) * res
-    near = [
-        k for k, (dx, dy) in enumerate(zip((tx - cx).tolist(), (ty - cy).tolist()))
-        if 0.0 < math.hypot(dx, dy) <= cam_range + res
-    ]
-    seen = np.zeros(cx.shape, dtype=bool)
-    origins = np.column_stack((cx[near], cy[near]))
-    seen[near] = lines_of_sight(grid, origins, target.position, object_slack(target, res))
-    return seen
-
-
-def _first_confirming(
-    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray
-) -> int | None:
-    """Index into (``xs``, ``ys``) of the first cell :func:`confirming_cells`
-    accepts, in the given order, or None.
-
-    ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
-    from ``math.hypot``, drops the cells clearly out of range; the rest go to
-    :func:`confirming_cells` ``_LOS_CHUNK`` at a time, because most searches
-    end on their first few."""
-    res = grid.resolution
-    tx, ty = target.position
-    gap = np.hypot(tx - (xs + 0.5) * res, ty - (ys + 0.5) * res)
+    gap = np.hypot(tx - cx, ty - cy)
     near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
+    slack = object_slack(target, res)
     for lo in range(0, near.size, _LOS_CHUNK):
         chunk = near[lo : lo + _LOS_CHUNK]
-        seen = confirming_cells(grid, target, cam_range, xs[chunk], ys[chunk])
+        dxs, dys = (tx - cx[chunk]).tolist(), (ty - cy[chunk]).tolist()
+        in_range = [
+            k for k, dx, dy in zip(chunk.tolist(), dxs, dys)
+            if 0.0 < math.hypot(dx, dy) <= cam_range + res
+        ]
+        origins = np.column_stack((cx[in_range], cy[in_range]))
+        seen = lines_of_sight(grid, origins, target.position, slack)
         if seen.any():
-            return int(chunk[int(np.argmax(seen))])
+            return in_range[int(np.argmax(seen))]
     return None
 
 
@@ -465,7 +455,7 @@ def _scenario_drivable(scenario: ScenarioSpec) -> tuple[np.ndarray, tuple[int, i
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest path from the start, driving by the episode's
     :func:`drivable_mask` on the fully known map, to a cell that
-    :func:`confirming_cells` accepts; inf when none is reachable.  So a start
+    :func:`first_confirming` accepts; inf when none is reachable.  So a start
     inside the inflated walls drives out of the robot's own disk.
 
     Reachable cells are tried in order of path length (a stable sort).  The
@@ -476,13 +466,13 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     ys, xs = np.nonzero(np.isfinite(dist))
     by_length = np.argsort(dist[ys, xs], kind="stable")
     ys, xs = ys[by_length], xs[by_length]
-    hit = _first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    hit = first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
     return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
 
 
 def target_observable(scenario: ScenarioSpec) -> bool:
     """Whether :func:`ground_truth_shortest` is finite: some cell that
-    :func:`confirming_cells` accepts is reachable from the start.
+    :func:`first_confirming` accepts is reachable from the start.
 
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
@@ -492,5 +482,5 @@ def target_observable(scenario: ScenarioSpec) -> bool:
     drivable, (sx, sy) = _scenario_drivable(scenario)
     labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
     ys, xs = np.nonzero(labels == labels[sy, sx])
-    hit = _first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    hit = first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
     return hit is not None

@@ -27,7 +27,7 @@ from scipy import ndimage
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrences
-from .planning import _RANGE_MARGIN, confirming_cells, target_observable, traversable_mask
+from .planning import _RANGE_MARGIN, first_confirming, target_observable, traversable_mask
 from .world import (
     CellState,
     GridMap,
@@ -79,7 +79,7 @@ class SuiteParams:
     rooms: int = 2  # 1..4
     landmarks: int = 5  # 3..8
     map_side: float = 12.0  # 8..20 meters
-    resolution: float = 0.1
+    resolution: float = 0.1  # 0.02..0.5 meters
     known_landmarks: int = 1
     distractors: int = 2
     targets: tuple[str, ...] = DEFAULT_TARGET_POOL
@@ -103,6 +103,8 @@ class SuiteParams:
             raise SchemaError("suite.map_side: must be in 8..20 meters")
         if not (math.isfinite(self.resolution) and self.resolution > 0.0):
             raise SchemaError("suite.resolution: must be positive and finite")
+        if not 0.02 <= self.resolution <= 0.5:
+            raise SchemaError("suite.resolution: must be in 0.02..0.5 meters")
         if self.placement not in ("cooccurrence", "uniform"):
             raise SchemaError("suite.placement: expected 'cooccurrence' or 'uniform'")
         if not 0 <= self.known_landmarks <= self.landmarks:
@@ -380,11 +382,8 @@ def _host_weights(
 
 
 def _weighted_pick(rng: np.random.Generator, weights: np.ndarray) -> int:
-    total = float(weights.sum())
-    if total <= 1e-12:
-        raise _Retry("no landmark has positive placement weight")
     cum = np.cumsum(weights)
-    r = rng.uniform(0.0, total)
+    r = rng.uniform(0.0, float(weights.sum()))
     return int(np.searchsorted(cum, r, side="right").clip(0, len(weights) - 1))
 
 
@@ -419,15 +418,12 @@ def _generate_one(
     names = known_names + unknown_names
     landmarks = _place_landmarks(occ, rng, names, set(known_names), res)
 
-    target_name = None
-    weights = None
     for _ in range(2 * len(params.targets)):
-        candidate = _pick(rng, params.targets)
-        w = _host_weights(params, candidate, landmarks, ctx)
-        if float(w.sum()) > 1e-12:
-            target_name, weights = candidate, w
+        target_name = _pick(rng, params.targets)
+        weights = _host_weights(params, target_name, landmarks, ctx)
+        if float(weights.sum()) > 1e-12:
             break
-    if target_name is None:
+    else:
         raise _Retry("no target in the pool is placeable under the weights")
 
     used: set[tuple[int, int]] = set()
@@ -459,17 +455,16 @@ def _generate_one(
     planner = PlannerParams(**params.planner)
 
     trav = traversable_mask(grid, planner.robot_radius)
-    start = None
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))
         if not trav[iy, ix] or (ix, iy) in used:
             continue
-        if confirming_cells(grid, objects[0], hyper.cam_range, np.array([ix]), np.array([iy]))[0]:
-            continue  # the target must not be confirmable from the start
-        start = Pose((ix + 0.5) * res, (iy + 0.5) * res, float(rng.uniform(-math.pi, math.pi)))
-        break
-    if start is None:
+        hit = first_confirming(grid, objects[0], hyper.cam_range, np.array([ix]), np.array([iy]))
+        if hit is None:
+            break  # a start cell from which the target is not confirmable
+    else:
         raise _Retry("no valid start cell")
+    start = Pose((ix + 0.5) * res, (iy + 0.5) * res, float(rng.uniform(-math.pi, math.pi)))
 
     spec = ScenarioSpec(
         grid, landmarks, objects, start, target_name, hyper, sensor, planner,

@@ -540,6 +540,14 @@ _TOP_KEYS = {
 }
 
 
+def parse_json(text: str, where: str) -> Any:
+    """The document in ``text``; invalid JSON is a :class:`SchemaError` at ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+
+
 def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -712,11 +720,7 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 def load_scenario(source: str) -> ScenarioSpec:
     """Parse a scenario from JSON text."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario: invalid JSON ({exc})") from exc
-    return parse_scenario(doc)
+    return parse_scenario(parse_json(source, "scenario"))
 
 
 def load_scenario_file(path) -> ScenarioSpec:

@@ -6,15 +6,19 @@ import pytest
 
 from objsearch import batch
 from objsearch.batch import (
+    PRESETS,
     EpisodeRecord,
     RunConfig,
+    apply_preset,
+    context_for_preset,
     load_records_jsonl,
     records_to_jsonl,
     run_batch,
     run_config_from_dict,
 )
-from objsearch.cli import main
+from objsearch.cli import build_parser, main
 from objsearch.errors import DomainError, SchemaError
+from objsearch.knowledge import cooccurrence
 from objsearch.planning import ground_truth_shortest, traversable_mask
 from objsearch.suitegen import SuiteParams, generate_suite, suite_params_from_dict
 from objsearch.world import serialize_scenario
@@ -149,6 +153,17 @@ class TestSuiteParamsParsing:
         with pytest.raises(SchemaError, match="suite.resolution: must be positive and finite"):
             suite_params_from_dict(doc)
 
+    @pytest.mark.parametrize("resolution", [100.0, 4.0, 0.01, 1e-4])
+    def test_out_of_range_resolution_rejected(self, resolution):
+        # Rejected as the params are built, before any map is allocated.
+        with pytest.raises(SchemaError) as err:
+            SuiteParams(count=1, resolution=resolution)
+        assert str(err.value) == "suite.resolution: must be in 0.02..0.5 meters"
+
+    @pytest.mark.parametrize("resolution", [0.02, 0.5])
+    def test_resolution_limits_are_inclusive(self, resolution):
+        assert suite_params_from_dict({"resolution": resolution}).resolution == resolution
+
     def test_unknown_placement_weight_names_rejected(self):
         doc = {"count": 1, "placement_weights": {"zzz": 0.0, "desk": 1.0, "dsk": 1.0}}
         with pytest.raises(SchemaError) as err:
@@ -246,6 +261,7 @@ class TestCliExitCodes:
             ("gen-suite", {"count": 1, "seed": "7"}),
             ("gen-suite", [1]),
             ("gen-suite", {"count": 1, "sensor": {"lidar_rays": 0}}),
+            ("gen-suite", {"count": 1, "map_side": 8.0, "resolution": 100.0}),
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, command, doc):
@@ -299,6 +315,44 @@ class TestCliExitCodes:
         path.write_text("{", encoding="utf-8")
         assert main(["batch", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestPresets:
+    OVERRIDES = {
+        "full": {},
+        "nearest_point": {"lambda1": 0.0, "lambda2": 0.0},
+        "no_cooccurrence": {"lambda1": 0.0},
+        "no_uncertainty": {"lambda2": 0.0},
+        "web_table": {},
+    }
+
+    def test_every_preset_is_listed_and_offered_by_the_cli(self):
+        assert PRESETS == tuple(self.OVERRIDES)
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (preset,) = [a for a in commands.choices["run"]._actions if a.dest == "preset"]
+        assert tuple(preset.choices) == PRESETS
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_hyperparameter_overrides(self, preset):
+        scenario = box_scenario()
+        assert scenario.hyperparams.lambda1 != 0.0 and scenario.hyperparams.lambda2 != 0.0
+        got = apply_preset(scenario, preset)
+        want = dataclasses.replace(scenario.hyperparams, **self.OVERRIDES[preset])
+        assert got.hyperparams == want
+        assert dataclasses.replace(got, hyperparams=scenario.hyperparams) == scenario
+
+    def test_web_table_loads_the_web_table(self):
+        full, web = context_for_preset("full"), context_for_preset("web_table")
+        assert cooccurrence("cup", "desk", full.generations, full.words) == 1.0
+        assert cooccurrence("cup", "desk", web.generations, web.words) == pytest.approx(
+            5e-7, rel=0.1
+        )
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(DomainError, match="unknown preset 'bogus'"):
+            apply_preset(box_scenario(), "bogus")
+        with pytest.raises(DomainError, match="unknown preset 'bogus'"):
+            context_for_preset("bogus")
 
 
 class TestCliHappyPath:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from objsearch.errors import AssetError, EmbeddingLookupError, SchemaError
 from objsearch.knowledge import (
+    FALLBACK_COOCCURRENCE,
     GenerationTable,
     WordVectorStore,
     cooccurrence,
@@ -120,8 +121,8 @@ class TestCooccurrence:
     def test_missing_target_uses_fallback(self):
         store = toy_store(desk=[1.0, 0.0])
         table = GenerationTable({"book": ["desk"]})
-        assert cooccurrence("flux capacitor", "desk", table, store) == 0.5
-        assert cooccurrence("flux capacitor", "desk", table, store, p_fallback=0.25) == 0.25
+        assert FALLBACK_COOCCURRENCE == 0.5
+        assert cooccurrence("flux capacitor", "desk", table, store) == FALLBACK_COOCCURRENCE
 
     def test_oov_landmark_errors(self):
         store = toy_store(desk=[1.0, 0.0])
@@ -190,11 +191,11 @@ def raised(call):
     return None
 
 
-def loop_cooccurrence(target, landmark, table, store, p_fallback=0.5):
+def loop_cooccurrence(target, landmark, table, store):
     """Reference: the one-landmark score, each generation embedded in turn."""
     landmark_vec = phrase_vector(landmark, store)
     if target not in table:
-        return p_fallback
+        return FALLBACK_COOCCURRENCE
     best = None
     for gen in table.get(target):
         try:

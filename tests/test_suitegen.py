@@ -150,6 +150,20 @@ def test_placement_on_a_disconnected_map_is_rejected():
     assert np.array_equal(occ, before)
 
 
+@pytest.mark.parametrize("rooms", [1, 2, 3, 4])
+def test_coarsest_resolution_generates_or_fails_cleanly(rooms, ctx):
+    # At the 0.5 m limit every shape gives its scenarios or a GenerationError.
+    for map_side in (8.0, 14.0, 20.0):
+        for landmarks in (3, 5, 8):
+            params = SuiteParams(count=2, rooms=rooms, landmarks=landmarks,
+                                 map_side=map_side, resolution=0.5)
+            try:
+                scenarios = generate_suite(params, 0, ctx=ctx)
+            except GenerationError:
+                continue
+            assert len(scenarios) == 2
+
+
 def test_generation_never_measures_a_path(ctx, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("generation computed a distance field")

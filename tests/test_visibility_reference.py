@@ -4,8 +4,9 @@
 a shared origin and a scalar range.  ``stepwise_ground_truth_shortest`` is
 the SPL reference search: it frees the robot's disk at the start cell by
 cell, then walks the reachable cells in distance order and tests range and
-line of sight one cell at a time.  The batched versions
-must give the same flags and the same float, bit for bit.  Generation's
+line of sight one cell at a time.  ``reference_first_confirming`` is the
+confirming-cell rule tested one cell at a time.  The batched versions
+must give the same flags, indices and float, bit for bit.  Generation's
 reachability test ``target_observable`` must hold exactly when that float is
 finite, which ``assert_same_shortest`` checks on every scenario here.
 """
@@ -22,17 +23,20 @@ import pytest
 from scipy import ndimage
 
 from objsearch.planning import (
+    _LOS_CHUNK,
     distance_field,
     drivable_mask,
+    first_confirming,
     ground_truth_shortest,
     target_observable,
     traversable_mask,
 )
-from objsearch.sensing import line_of_sight, lines_of_sight
+from objsearch.sensing import line_of_sight, lines_of_sight, object_slack
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
     CellState,
     GridMap,
+    ObjectSpec,
     Pose,
     load_scenario,
     raycast_batch,
@@ -176,6 +180,97 @@ class TestLinesOfSight:
     def test_no_pairs(self):
         grid = random_grid(np.random.default_rng(35))
         assert lines_of_sight(grid, np.zeros((0, 2)), np.zeros((0, 2)), 0.1).shape == (0,)
+
+
+# --------------------------------------------------------------------------
+# first_confirming
+# --------------------------------------------------------------------------
+
+
+def reference_first_confirming(grid, target, cam_range, xs, ys):
+    """The confirming-cell rule one cell at a time, in the given order."""
+    res = grid.resolution
+    tx, ty = target.position
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        cx, cy = (x + 0.5) * res, (y + 0.5) * res
+        if not 0.0 < math.hypot(tx - cx, ty - cy) <= cam_range + res:
+            continue
+        if line_of_sight(grid, (cx, cy), target.position, object_slack(target, res)):
+            return i
+    return None
+
+
+class TestFirstConfirming:
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, width=40, height=40, density=rng.uniform(0.1, 0.4))
+        (tx, ty), = random_points(grid, rng, 1)
+        target = ObjectSpec("T0", "cup", (float(tx), float(ty)), 0.15, is_target=True)
+        ys, xs = np.nonzero(np.ones((grid.height, grid.width), dtype=bool))
+        return rng, grid, target, float(rng.uniform(1.0, 2.5)), xs, ys
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_answer_of_a_shuffled_order(self, seed):
+        # Searching what follows each answer in turn walks through every
+        # confirming cell.
+        rng, grid, target, cam_range, xs, ys = self.case(40 + seed)
+        order = rng.permutation(xs.size)
+        xs, ys = xs[order], ys[order]
+        lo = answers = 0
+        while True:
+            got = first_confirming(grid, target, cam_range, xs[lo:], ys[lo:])
+            assert got == reference_first_confirming(grid, target, cam_range, xs[lo:], ys[lo:])
+            if got is None:
+                break
+            lo += got + 1
+            answers += 1
+        assert answers > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_answer_after_many_near_cells(self, seed):
+        # More than a chunk of near cells that do not confirm, then the
+        # confirming ones, each order shuffled.
+        rng, grid, target, cam_range, xs, ys = self.case(50 + seed)
+        res = grid.resolution
+        tx, ty = target.position
+        gap = np.hypot(tx - (xs + 0.5) * res, ty - (ys + 0.5) * res)
+        near = np.flatnonzero((gap > 0.0) & (gap <= cam_range + res))
+        hits = np.array([
+            reference_first_confirming(grid, target, cam_range, xs[[k]], ys[[k]]) == 0
+            for k in near.tolist()
+        ])
+        blind, seen = rng.permutation(near[~hits]), rng.permutation(near[hits])
+        assert blind.size > _LOS_CHUNK and seen.size > 0
+        order = np.concatenate([blind, seen, rng.permutation(np.flatnonzero(gap > cam_range))])
+        got = first_confirming(grid, target, cam_range, xs[order], ys[order])
+        assert got == blind.size
+        assert got == reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_cell_calls(self, seed):
+        rng, grid, target, cam_range, xs, ys = self.case(60 + seed)
+        for k in rng.choice(xs.size, size=300, replace=False).tolist():
+            cell = xs[k : k + 1], ys[k : k + 1]
+            got = first_confirming(grid, target, cam_range, *cell)
+            assert got in (0, None)
+            assert got == reference_first_confirming(grid, target, cam_range, *cell)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_target_cell_is_skipped(self, seed):
+        # A target at a cell centre is 0 from that cell, which never confirms;
+        # the answer still indexes the cells as given.
+        rng, grid, _, cam_range, xs, ys = self.case(80 + seed)
+        ix, iy = (int(v) for v in rng.integers(5, 35, size=2))
+        target = ObjectSpec("T0", "cup", grid.cell_to_world(ix, iy), 0.15, is_target=True)
+        own = np.flatnonzero((xs == ix) & (ys == iy))
+        order = np.concatenate([own, rng.permutation(np.flatnonzero((xs != ix) | (ys != iy)))])
+        got = first_confirming(grid, target, cam_range, xs[order], ys[order])
+        assert got is not None and got > 0
+        assert got == reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
+
+    def test_no_cells(self):
+        _, grid, target, cam_range, xs, ys = self.case(70)
+        assert first_confirming(grid, target, cam_range, xs[:0], ys[:0]) is None
 
 
 # --------------------------------------------------------------------------
