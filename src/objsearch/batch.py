@@ -235,21 +235,15 @@ def score_records(records: list[EpisodeRecord], preset: str = "scored") -> Aggre
 def run_config_from_dict(doc: dict) -> RunConfig:
     """Parse a batch-config JSON document, with the scenario parser's strictness.
 
-    The ``suite`` section is a suite document as ``objsearch gen-suite`` reads
-    it (:func:`~objsearch.suitegen.suite_from_dict`); its ``seed`` stands for
+    The keys are ``RunConfig``'s fields, with ``out_dir`` written as ``out``
+    and ``scenario_paths`` as ``scenarios``.  The ``suite`` section is a suite
+    document as ``objsearch gen-suite`` reads it
+    (:func:`~objsearch.suitegen.suite_from_dict`); its ``seed`` stands for
     ``suite_seed``."""
     if not isinstance(doc, dict):
         raise SchemaError("batch: expected a JSON object")
-    allowed = {
-        "preset",
-        "episodes",
-        "seed_base",
-        "parallelism",
-        "out",
-        "scenarios",
-        "suite",
-        "suite_seed",
-    }
+    renamed = {"out_dir": "out", "scenario_paths": "scenarios"}
+    allowed = {renamed.get(f.name, f.name) for f in dataclasses.fields(RunConfig)}
     _reject_unknown(doc, allowed, "batch")
     paths = tuple(Path(p) for p in _strings(doc.get("scenarios", []), "batch.scenarios"))
     suite, seed = suite_from_dict(doc["suite"]) if "suite" in doc else (None, None)

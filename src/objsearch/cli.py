@@ -33,7 +33,11 @@ def _interactive_confirm(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
         f"Candidate patch (score {cand.score:.1f}) at "
         f"({cand.position[0]:.2f}, {cand.position[1]:.2f}) -- is this the target? [y/N] "
     )
-    answer = input(prompt)
+    try:
+        answer = input(prompt)
+    except EOFError:  # no answer is the prompt's default, N
+        print()
+        return False
     return answer.strip().lower() in ("y", "yes")
 
 

@@ -17,6 +17,10 @@ the only code that writes the belief, and each one it runs drops the
 traversable mask and distance field; until the next, they are reused,
 read-only, while the robot stays in one cell.  Nothing is reused across
 episodes.
+
+An :class:`EpisodeState` holds the episode's fixed inputs beside what the
+loop builds from them, so each step takes the state and its own arguments.
+An episode begins in :func:`start_state`.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ class CandidatePatch:
     obs_pose: Pose
 
 
+ConfirmFn = Callable[[CandidatePatch, ScenarioSpec], bool]
+
+
 @dataclass
 class _NavMaps:
     """Read-only planning layers for the current belief and one robot cell;
@@ -103,6 +110,11 @@ class _NavMaps:
 
 @dataclass
 class EpisodeState:
+    # The episode's inputs, fixed from start_state on.
+    scenario: ScenarioSpec
+    ctx: AssetContext
+    store: TextEmbeddingStore
+    confirm_fn: ConfirmFn
     pose: Pose
     belief: GridMap
     seed: int
@@ -126,9 +138,6 @@ class EpisodeResult:
     shortest: float
     waypoints_visited: int
     trace: list[dict]
-
-
-ConfirmFn = Callable[[CandidatePatch, ScenarioSpec], bool]
 
 
 def _clean(value):
@@ -187,9 +196,8 @@ def _next_rng(state: EpisodeState) -> _LazyStream:
     return rng
 
 
-def _target_cooccur(
-    state: EpisodeState, scenario: ScenarioSpec, ctx: AssetContext, name: str
-) -> float:
+def _target_cooccur(state: EpisodeState, name: str) -> float:
+    scenario, ctx = state.scenario, state.ctx
     known = state.cooccur_by_name
     if name not in known:
         known[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
@@ -200,14 +208,10 @@ def _target_cooccur(
 
 
 def _register_sighting(
-    state: EpisodeState,
-    scenario: ScenarioSpec,
-    name: str,
-    position: tuple[float, float],
-    sem_uncert: float,
+    state: EpisodeState, name: str, position: tuple[float, float], sem_uncert: float,
     cooccur_value: float,
 ) -> None:
-    merge_radius = MERGE_RADIUS_CELLS * scenario.map.resolution
+    merge_radius = MERGE_RADIUS_CELLS * state.scenario.map.resolution
     entry = next(
         (e for e in state.registry if math.dist(e.position, position) <= merge_radius), None
     )
@@ -240,18 +244,12 @@ def _register_sighting(
     )
 
 
-def _process_observation(
-    state: EpisodeState,
-    scenario: ScenarioSpec,
-    ctx: AssetContext,
-    store: TextEmbeddingStore,
-    obs: CameraObservation,
-    scanning: bool,
-) -> None:
+def _process_observation(state: EpisodeState, obs: CameraObservation, scanning: bool) -> None:
     """Register the landmarks a frame shows and keep its target matches.
 
     A scan frame (``scanning``) does both for every detection; a pan view at
     a viewpoint only matches the detections of unknown label."""
+    scenario, store = state.scenario, state.store
     hp = scenario.hyperparams
     unknown_names = scenario.unknown_landmark_names
     target_vec = store.get(scenario.target_phrase)
@@ -259,18 +257,16 @@ def _process_observation(
         position = project_detection(det, obs.pose)
         if scanning:
             if det.label != UNKNOWN_LABEL:
-                value = _target_cooccur(state, scenario, ctx, det.label)
-                _register_sighting(state, scenario, det.label, position, 0.0, value)
+                value = _target_cooccur(state, det.label)
+                _register_sighting(state, det.label, position, 0.0, value)
             elif unknown_names:
                 name, score = best_landmark_match(det.patch_embedding, unknown_names, store)
                 if score > hp.m_t:
                     prob = landmark_probability(
                         det.patch_embedding, unknown_names, store, hp.temperature
                     )
-                    value = _target_cooccur(state, scenario, ctx, name)
-                    _register_sighting(
-                        state, scenario, name, position, semantic_uncertainty(prob), value
-                    )
+                    value = _target_cooccur(state, name)
+                    _register_sighting(state, name, position, semantic_uncertainty(prob), value)
         if scanning or det.label == UNKNOWN_LABEL:
             score = matching_score(target_vec, det.patch_embedding)
             if score > hp.m_t:
@@ -280,24 +276,18 @@ def _process_observation(
                 _emit(state, "candidate", score=score, pos=list(position), obs_pose=obs.pose)
 
 
-def initial_scan(
-    state: EpisodeState,
-    scenario: ScenarioSpec,
-    ctx: AssetContext,
-    store: TextEmbeddingStore,
-) -> None:
+def initial_scan(state: EpisodeState) -> None:
     """One lidar sweep plus a full camera rotation; registers landmarks and
     matches the target on every detection."""
-    hp = scenario.hyperparams
-    _sweep(state, scenario)
+    hp = state.scenario.hyperparams
+    _sweep(state)
     detections = 0
     for h in range(hp.scan_headings):
         heading = 2.0 * math.pi * h / hp.scan_headings
-        obs = camera_observe(
-            scenario, store, Pose(state.pose.x, state.pose.y, heading), _next_rng(state)
-        )
+        pose = Pose(state.pose.x, state.pose.y, heading)
+        obs = camera_observe(state.scenario, state.store, pose, _next_rng(state))
         detections += len(obs.detections)
-        _process_observation(state, scenario, ctx, store, obs, scanning=True)
+        _process_observation(state, obs, scanning=True)
     _emit(state, "scan", pose=state.pose, headings=hp.scan_headings, detections=detections)
 
 
@@ -321,14 +311,12 @@ def _confirm_candidate(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
     return iou > IOU_CONFIRM or ioa > IOA_CONFIRM
 
 
-def _judge_new_candidates(
-    state: EpisodeState, scenario: ScenarioSpec, confirm_fn: ConfirmFn
-) -> CandidatePatch | None:
+def _judge_new_candidates(state: EpisodeState) -> CandidatePatch | None:
     """Run confirmation on candidates not yet judged; return the first hit."""
     fresh = state.candidates[state.confirm_cursor :]
     if not fresh:
         return None
-    results = [bool(confirm_fn(c, scenario)) for c in fresh]
+    results = [bool(state.confirm_fn(c, state.scenario)) for c in fresh]
     state.confirm_cursor = len(state.candidates)
     _emit(state, "confirm", results=results, success=any(results))
     for cand, ok in zip(fresh, results):
@@ -346,36 +334,34 @@ def _current_cell(state: EpisodeState) -> tuple[int, int]:
     return state.belief.world_to_cell(state.pose.x, state.pose.y)
 
 
-def _sweep(state: EpisodeState, scenario: ScenarioSpec) -> None:
+def _sweep(state: EpisodeState) -> None:
     """Lidar sweep from the current pose, unless this episode already swept
     from the same point: the repeat would write the same cells again.  A sweep
     that runs drops the planning layers built on the belief before it."""
     origin = (state.pose.x, state.pose.y)
     if origin not in state.swept:
-        lidar_update(state.belief, scenario.map, state.pose, scenario.sensor.lidar_rays,
-                     scenario.sensor.lidar_range)
+        world, sensor = state.scenario.map, state.scenario.sensor
+        lidar_update(state.belief, world, state.pose, sensor.lidar_rays, sensor.lidar_range)
         state.swept.add(origin)
         state.nav_maps = None
 
 
-def _nav_maps(state: EpisodeState, scenario: ScenarioSpec) -> _NavMaps:
+def _nav_maps(state: EpisodeState) -> _NavMaps:
     cell = _current_cell(state)
     if state.nav_maps is None or state.nav_maps.cell != cell:
-        trav = drivable_mask(state.belief, cell, scenario.planner.robot_radius)
+        trav = drivable_mask(state.belief, cell, state.scenario.planner.robot_radius)
         trav.setflags(write=False)
         state.nav_maps = _NavMaps(cell, trav, state.belief.resolution)
     return state.nav_maps
 
 
-def _walk(
-    state: EpisodeState, scenario: ScenarioSpec, path: Path
-) -> tuple[float, bool]:
+def _walk(state: EpisodeState, path: Path) -> tuple[float, bool]:
     """Follow a planned path, refreshing lidar periodically.
 
     Returns (walked length, arrived).  Walking aborts early when a lidar
     refresh reveals the remainder of the path is no longer traversable.
     """
-    planner = scenario.planner
+    interval = state.scenario.planner.step_interval
     res = state.belief.resolution
     cells = path.cells
     walked = 0.0
@@ -388,10 +374,10 @@ def _walk(
         state.traveled += step
         walked += step
         last = k == len(cells) - 1
-        if last or k % planner.step_interval == 0:
-            _sweep(state, scenario)
+        if last or k % interval == 0:
+            _sweep(state)
             if not last:
-                trav = _nav_maps(state, scenario).trav
+                trav = _nav_maps(state).trav
                 if not all(trav[y, x] for x, y in cells[k + 1 :]):
                     return walked, False
     return walked, True
@@ -403,18 +389,18 @@ class _NavOutcome(Enum):
     BUDGET = "budget"
 
 
-def _navigate(state: EpisodeState, scenario: ScenarioSpec, goal: tuple[int, int]) -> _NavOutcome:
+def _navigate(state: EpisodeState, goal: tuple[int, int]) -> _NavOutcome:
     """Drive to a goal cell, replanning when newly seen obstacles intrude."""
-    hp = scenario.hyperparams
+    fail_distance = state.scenario.hyperparams.fail_distance
     while True:
-        trav = _nav_maps(state, scenario).trav
+        trav = _nav_maps(state).trav
         try:
             path = plan_path(state.belief, _current_cell(state), goal, trav)
         except NoPathError:
             return _NavOutcome.NO_PATH
-        walked, arrived = _walk(state, scenario, path)
+        walked, arrived = _walk(state, path)
         _emit(state, "leg", to=list(goal), length=walked, traveled=state.traveled)
-        if state.traveled > hp.fail_distance:
+        if state.traveled > fail_distance:
             _emit(state, "budget_exceeded", traveled=state.traveled)
             return _NavOutcome.BUDGET
         if arrived:
@@ -439,18 +425,12 @@ def _pan_offsets(count: int) -> list[float]:
     return offsets
 
 
-def visit_waypoint(
-    state: EpisodeState,
-    scenario: ScenarioSpec,
-    ctx: AssetContext,
-    store: TextEmbeddingStore,
-    vp: Viewpoint,
-) -> _NavOutcome:
+def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> _NavOutcome:
     """Navigate to a viewpoint and sweep the camera for target matches."""
     landmark = vp.landmark
     _emit(state, "visit_start", id=landmark.id, pose=vp.pose)
     goal = state.belief.world_to_cell(vp.pose.x, vp.pose.y)
-    outcome = _navigate(state, scenario, goal)
+    outcome = _navigate(state, goal)
     if outcome is _NavOutcome.NO_PATH:
         _emit(state, "abandon", id=landmark.id, reason="no_path")
         return outcome
@@ -460,21 +440,19 @@ def visit_waypoint(
     landmark.visited = True
     state.waypoints_visited += 1
     _emit(state, "arrive", id=landmark.id)
-    for offset in _pan_offsets(scenario.hyperparams.pan_views):
-        obs = camera_observe(
-            scenario, store,
-            Pose(vp.pose.x, vp.pose.y, vp.pose.theta + offset),
-            _next_rng(state),
-        )
-        _process_observation(state, scenario, ctx, store, obs, scanning=False)
+    for offset in _pan_offsets(state.scenario.hyperparams.pan_views):
+        pose = Pose(vp.pose.x, vp.pose.y, vp.pose.theta + offset)
+        obs = camera_observe(state.scenario, state.store, pose, _next_rng(state))
+        _process_observation(state, obs, scanning=False)
     return _NavOutcome.ARRIVED
 
 
-def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
+def _plan_cycle(state: EpisodeState) -> list[Viewpoint]:
     """Generate viewpoints for pending landmarks, mark skipped those that fail
     the skip rule, and order the rest greedily."""
+    scenario = state.scenario
     hp = scenario.hyperparams
-    maps = _nav_maps(state, scenario)
+    maps = _nav_maps(state)
     trav, dist = maps.trav, maps.dist
     candidates: list[Viewpoint] = []
     for entry in state.registry:
@@ -511,10 +489,29 @@ def _plan_cycle(state: EpisodeState, scenario: ScenarioSpec) -> list[Viewpoint]:
 # --------------------------------------------------------------------------
 
 
+def start_state(
+    scenario: ScenarioSpec, ctx: AssetContext, seed: int | None, confirm_fn: ConfirmFn | None
+) -> EpisodeState:
+    """Where an episode begins: the robot at the scenario's start with an
+    all-Unknown belief and an empty registry, and camera streams keyed by
+    ``seed`` (the scenario's own when None).  ``confirm_fn`` None is
+    :func:`_confirm_candidate`."""
+    episode_seed = scenario.seed if seed is None else seed
+    if episode_seed < 0:
+        raise DomainError(f"episode seed {episode_seed} must be >= 0")
+    grid = scenario.map
+    return EpisodeState(
+        scenario=scenario, ctx=ctx, store=ctx.text_store_for(scenario),
+        confirm_fn=_confirm_candidate if confirm_fn is None else confirm_fn,
+        pose=scenario.start,
+        belief=GridMap(grid.width, grid.height, grid.resolution,
+                       np.full(grid.cells.shape, CellState.UNKNOWN, dtype=np.uint8)),
+        seed=episode_seed,
+    )
+
+
 def run_episode(
-    scenario: ScenarioSpec,
-    ctx: AssetContext | None = None,
-    seed: int | None = None,
+    scenario: ScenarioSpec, ctx: AssetContext, seed: int | None = None,
     confirm_fn: ConfirmFn | None = None,
 ) -> EpisodeResult:
     """Execute the full search loop on one scenario.
@@ -524,31 +521,16 @@ def run_episode(
     confirmed, the travel budget is exhausted, or there is nothing left to
     explore.
     """
-    if ctx is None:
-        ctx = AssetContext.load()
-    if confirm_fn is None:
-        confirm_fn = _confirm_candidate
-    store = ctx.text_store_for(scenario)
-    episode_seed = scenario.seed if seed is None else seed
-    if episode_seed < 0:
-        raise DomainError(f"episode seed {episode_seed} must be >= 0")
-
-    grid = scenario.map
-    state = EpisodeState(
-        pose=scenario.start,
-        belief=GridMap(grid.width, grid.height, grid.resolution,
-                       np.full(grid.cells.shape, CellState.UNKNOWN, dtype=np.uint8)),
-        seed=episode_seed,
-    )
-    _emit(state, "episode_start", seed=episode_seed, target=scenario.target_phrase,
+    state = start_state(scenario, ctx, seed, confirm_fn)
+    _emit(state, "episode_start", seed=state.seed, target=scenario.target_phrase,
           start=scenario.start)
     shortest = ground_truth_shortest(scenario)
 
     success = False
     prev_progress: tuple | None = None
     for _ in range(_MAX_CYCLES):
-        initial_scan(state, scenario, ctx, store)
-        if _judge_new_candidates(state, scenario, confirm_fn) is not None:
+        initial_scan(state)
+        if _judge_new_candidates(state) is not None:
             success = True
             break
         progress = (
@@ -563,43 +545,32 @@ def run_episode(
             break
         prev_progress = progress
 
-        ordered = _plan_cycle(state, scenario)
+        ordered = _plan_cycle(state)
         outcome = None
         for vp in ordered:
-            outcome = visit_waypoint(state, scenario, ctx, store, vp)
+            outcome = visit_waypoint(state, vp)
             if outcome is _NavOutcome.BUDGET:
                 break
-            if (outcome is _NavOutcome.ARRIVED
-                    and _judge_new_candidates(state, scenario, confirm_fn) is not None):
+            if outcome is _NavOutcome.ARRIVED and _judge_new_candidates(state) is not None:
                 success = True
                 break
         if success or outcome is _NavOutcome.BUDGET:
             break
 
-        frontier = nearest_frontier(state.belief, scenario.planner, _nav_maps(state, scenario).dist)
+        frontier = nearest_frontier(state.belief, scenario.planner, _nav_maps(state).dist)
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")
             break
         _emit(state, "frontier", goal=list(frontier.closest_cell),
               cells=len(frontier.cells), centroid=list(frontier.centroid))
-        outcome = _navigate(state, scenario, frontier.closest_cell)
+        outcome = _navigate(state, frontier.closest_cell)
         if outcome is _NavOutcome.BUDGET:
             break
         # NO_PATH or arrival both loop back to scanning; the progress guard
         # catches the case where nothing changed.
 
-    _emit(
-        state,
-        "episode_end",
-        success=success,
-        traveled=state.traveled,
-        shortest=None if not math.isfinite(shortest) else shortest,
-        waypoints_visited=state.waypoints_visited,
-    )
-    return EpisodeResult(
-        success=success,
-        traveled=state.traveled,
-        shortest=shortest,
-        waypoints_visited=state.waypoints_visited,
-        trace=state.trace,
-    )
+    _emit(state, "episode_end", success=success, traveled=state.traveled,
+          shortest=shortest if math.isfinite(shortest) else None,
+          waypoints_visited=state.waypoints_visited)
+    return EpisodeResult(success=success, traveled=state.traveled, shortest=shortest,
+                         waypoints_visited=state.waypoints_visited, trace=state.trace)

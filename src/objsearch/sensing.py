@@ -79,13 +79,7 @@ class CameraObservation:
     detections: tuple[DetectionRecord, ...] = field(default_factory=tuple)
 
 
-def lidar_update(
-    belief: GridMap,
-    world: GridMap,
-    pose: Pose,
-    rays: int = 360,
-    max_range: float = 3.5,
-) -> GridMap:
+def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_range: float) -> None:
     """Sweep ``rays`` evenly spaced bearings, growing the belief map in place.
 
     Cells crossed before a hit become Free, hit cells become Occupied; known
@@ -102,7 +96,6 @@ def lidar_update(
     raycast_batch(world, (pose.x, pose.y), bearings, max_range, free_mask, hit_mask)
     belief.cells[free_mask] = CellState.FREE
     belief.cells[hit_mask] = CellState.OCCUPIED
-    return belief
 
 
 def bbox_from_geometry(rel_bearing: float, distance: float, radius: float, fov: float) -> BBox:

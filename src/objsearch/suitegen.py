@@ -289,9 +289,11 @@ def _place_landmarks(
     names: list[str],
     known: set[str],
     res: float,
+    planner: PlannerParams,
 ) -> list[LandmarkSpec]:
     """Place each named landmark on a free wall-flush footprint that keeps the
-    free space 8-connected.  Until one placement has passed the full
+    free space 8-connected and leaves a free point on the planner's viewpoint
+    ring around it.  Until one placement has passed the full
     :func:`_connected` check the map is not known to be connected, so the
     :func:`_ring_connected` shortcut is used only after that."""
     n = occ.shape[0]
@@ -314,9 +316,10 @@ def _place_landmarks(
             cx = 0.5 * (rect[0] + rect[2])
             cy = 0.5 * (rect[1] + rect[3])
             ring_free = 0
-            for a in range(8):
-                px = cx + 1.5 * math.cos(2.0 * math.pi * a / 8)
-                py = cy + 1.5 * math.sin(2.0 * math.pi * a / 8)
+            for a in range(planner.view_directions):
+                angle = 2.0 * math.pi * a / planner.view_directions
+                px = cx + planner.view_radius * math.cos(angle)
+                py = cy + planner.view_radius * math.sin(angle)
                 ix, iy = int(px / res), int(py / res)
                 if 0 <= ix < n and 0 <= iy < n and not trial[iy, ix]:
                     ring_free += 1
@@ -416,7 +419,8 @@ def _generate_one(
         rng, params.unknown_pool, params.landmarks - params.known_landmarks
     )
     names = known_names + unknown_names
-    landmarks = _place_landmarks(occ, rng, names, set(known_names), res)
+    planner = PlannerParams(**params.planner)
+    landmarks = _place_landmarks(occ, rng, names, set(known_names), res, planner)
 
     for _ in range(2 * len(params.targets)):
         target_name = _pick(rng, params.targets)
@@ -452,7 +456,6 @@ def _generate_one(
     grid = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     hyper = HyperParams(**params.hyperparams)
     sensor = SensorParams(**params.sensor)
-    planner = PlannerParams(**params.planner)
 
     trav = traversable_mask(grid, planner.robot_radius)
     for _ in range(300):
@@ -475,14 +478,10 @@ def _generate_one(
     return spec
 
 
-def generate_suite(
-    params: SuiteParams, seed: int, ctx: AssetContext | None = None
-) -> list[ScenarioSpec]:
+def generate_suite(params: SuiteParams, seed: int, ctx: AssetContext) -> list[ScenarioSpec]:
     """Generate ``params.count`` validated scenarios, deterministically."""
     if seed < 0:
         raise DomainError(f"suite seed {seed} must be >= 0")
-    if ctx is None:
-        ctx = AssetContext.load()
     scenarios: list[ScenarioSpec] = []
     for i in range(params.count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

@@ -527,17 +527,8 @@ def _trace_block(grid, x0, y0, ix0, iy0, bearings, max_range, crossings,
 # Scenario document parsing
 # --------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "map",
-    "landmarks",
-    "objects",
-    "start",
-    "target",
-    "hyperparams",
-    "sensor",
-    "planner",
-    "seed",
-}
+# ScenarioSpec's fields, with ``target_phrase`` written as ``target``.
+_TOP_KEYS = {"target" if f.name == "target_phrase" else f.name for f in fields(ScenarioSpec)}
 
 
 def parse_json(text: str, where: str) -> Any:

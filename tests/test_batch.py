@@ -408,6 +408,34 @@ class TestCliHappyPath:
             assert (code, status) == ((0, "success") if record.success else (1, "failure"))
 
 
+class TestInteractiveRun:
+    """``run --interactive`` asks on stdin; no answer (end of input) is the
+    prompt's default, N."""
+
+    def run(self, tmp_path, monkeypatch, answer):
+        def ask(prompt):
+            if answer is None:
+                raise EOFError
+            return answer
+
+        monkeypatch.setattr("builtins.input", ask)
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(box_scenario()), encoding="utf-8")
+        trace = tmp_path / "t.jsonl"
+        code = main(["run", str(path), "--interactive", "--trace", str(trace)])
+        return code, [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+
+    def test_end_of_input_answers_no(self, tmp_path, monkeypatch):
+        code, trace = self.run(tmp_path, monkeypatch, None)
+        confirms = [event for event in trace if event["event"] == "confirm"]
+        assert code == 1 and confirms
+        assert not any(ok for event in confirms for ok in event["results"])
+
+    def test_yes_confirms_the_target(self, tmp_path, monkeypatch):
+        code, trace = self.run(tmp_path, monkeypatch, "y")
+        assert code == 0 and trace[-1]["success"]
+
+
 class TestStartInsideInflatedWalls:
     # With a 0.45 m robot, scenarios 5, 15 and 20 of this suite start inside
     # the inflated walls.  The episode's robot drives out of its own disk, so

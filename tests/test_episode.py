@@ -37,7 +37,7 @@ from objsearch.planning import (
 from objsearch.sensing import camera_observe, lidar_update, observation_rng
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import CellState, GridMap, Pose, SensorParams
-from util import box_scenario, unknown_belief
+from util import box_scenario
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
@@ -148,25 +148,23 @@ def test_greedy_order_replays_from_the_trace(suite, scenarios, traces, clutter):
     assert ordered > 0
 
 
-def planning_state(*entries):
+def planning_state(ctx, *entries):
     """An episode state in a swept open room, with the given registry."""
     scenario = box_scenario(size_m=8.0, res=0.25, start=(4.0, 4.0, 0.0),
                             sensor={"lidar_range": 12.0},
                             hyperparams={"t_c": 0.2, "t_u": 0.5})
-    state = episode.EpisodeState(
-        pose=scenario.start, belief=unknown_belief(scenario.map), seed=0,
-        registry=list(entries),
-    )
-    episode._sweep(state, scenario)
-    return scenario, state
+    state = episode.start_state(scenario, ctx, 0, None)
+    state.registry = list(entries)
+    episode._sweep(state)
+    return state
 
 
-def test_skipped_landmark_is_never_planned_again():
+def test_skipped_landmark_is_never_planned_again(ctx):
     at_thresholds = LandmarkEntry("lm000", "desk", (2.0, 4.0), 0.2, 0.5)
     low_cooccur = LandmarkEntry("lm001", "bed", (6.0, 4.0), math.nextafter(0.2, 0), 0.0)
     high_uncert = LandmarkEntry("lm002", "sofa", (4.0, 6.0), 0.9, math.nextafter(0.5, 1))
-    scenario, state = planning_state(at_thresholds, low_cooccur, high_uncert)
-    ordered = episode._plan_cycle(state, scenario)
+    state = planning_state(ctx, at_thresholds, low_cooccur, high_uncert)
+    ordered = episode._plan_cycle(state)
     plan = state.trace[-1]
     assert [c["id"] for c in plan["candidates"]] == ["lm000", "lm001", "lm002"]
     assert plan["skipped"] == ["lm001", "lm002"] and plan["order"] == ["lm000"]
@@ -174,12 +172,12 @@ def test_skipped_landmark_is_never_planned_again():
     assert [e.skipped for e in state.registry] == [False, True, True]
     # Better scores later do not bring a skipped landmark back.
     low_cooccur.cooccur, high_uncert.sem_uncert = 1.0, 0.0
-    episode._plan_cycle(state, scenario)
+    episode._plan_cycle(state)
     plan = state.trace[-1]
     assert [c["id"] for c in plan["candidates"]] == ["lm000"]
     assert plan["skipped"] == [] and plan["order"] == ["lm000"]
     at_thresholds.visited = True
-    episode._plan_cycle(state, scenario)
+    episode._plan_cycle(state)
     assert state.trace[-1]["candidates"] == [] and state.trace[-1]["order"] == []
 
 
@@ -189,36 +187,34 @@ def fresh_trav(state, scenario):
     return clear_robot_disk(traversable_mask(state.belief, radius), state.belief, cell, radius)
 
 
-def test_reuse_keys_on_sweep_origin_and_known_cells(monkeypatch):
+def test_reuse_keys_on_sweep_origin_and_known_cells(ctx, monkeypatch):
     scenario = box_scenario(size_m=6.0, res=0.5, start=(1.25, 1.25, 0.0),
                             sensor={"lidar_range": 1.5})
-    state = episode.EpisodeState(
-        pose=scenario.start, belief=unknown_belief(scenario.map), seed=0
-    )
+    state = episode.start_state(scenario, ctx, 0, None)
     sweeps = []
     monkeypatch.setattr(episode, "lidar_update", lambda *args: sweeps.append(args[2]))
-    episode._sweep(state, scenario)
-    episode._sweep(state, scenario)
+    episode._sweep(state)
+    episode._sweep(state)
     assert sweeps == [scenario.start]  # the repeat from the same point is skipped
     monkeypatch.undo()
 
-    episode._sweep(state, scenario)
+    episode._sweep(state)
     before = np.count_nonzero(state.belief.cells)
-    stale_trav = episode._nav_maps(state, scenario).trav
-    stale_dist = episode._nav_maps(state, scenario).dist
-    episode._sweep(state, scenario)  # a repeat is skipped and keeps the layers
-    assert episode._nav_maps(state, scenario).trav is stale_trav
-    assert episode._nav_maps(state, scenario).dist is stale_dist
+    stale_trav = episode._nav_maps(state).trav
+    stale_dist = episode._nav_maps(state).dist
+    episode._sweep(state)  # a repeat is skipped and keeps the layers
+    assert episode._nav_maps(state).trav is stale_trav
+    assert episode._nav_maps(state).dist is stale_dist
     # Another point in the same cell is a new origin; its sweep drops the
     # layers, and what it reveals is a new belief for the same robot cell.
     state.pose = Pose(1.45, 1.05, 0.0)
     assert episode._current_cell(state) == (2, 2)
-    episode._sweep(state, scenario)
+    episode._sweep(state)
     assert np.count_nonzero(state.belief.cells) > before
-    trav = episode._nav_maps(state, scenario).trav
+    trav = episode._nav_maps(state).trav
     assert not np.array_equal(trav, stale_trav)
     assert np.array_equal(trav, fresh_trav(state, scenario))
-    dist = episode._nav_maps(state, scenario).dist
+    dist = episode._nav_maps(state).dist
     assert dist.tobytes() != stale_dist.tobytes()
     assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)]).tobytes()
     assert not trav.flags.writeable and not dist.flags.writeable
@@ -230,8 +226,9 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     checks = {"sweep": 0, "trav": 0, "dist": 0}
     sweep, nav_maps = episode._sweep, episode._nav_maps
 
-    def checked_sweep(state, scenario):
-        sweep(state, scenario)
+    def checked_sweep(state):
+        sweep(state)
+        scenario = state.scenario
         again = GridMap(state.belief.width, state.belief.height, state.belief.resolution,
                         state.belief.cells.copy())
         lidar_update(again, scenario.map, state.pose, scenario.sensor.lidar_rays,
@@ -239,9 +236,9 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
         assert np.array_equal(again.cells, state.belief.cells)
         checks["sweep"] += 1
 
-    def checked_nav_maps(state, scenario):
-        maps = nav_maps(state, scenario)
-        trav = fresh_trav(state, scenario)
+    def checked_nav_maps(state):
+        maps = nav_maps(state)
+        trav = fresh_trav(state, state.scenario)
         assert np.array_equal(maps.trav, trav)
         checks["trav"] += 1
         fresh = distance_field(trav, state.belief.resolution, [episode._current_cell(state)])
@@ -262,16 +259,33 @@ def test_belief_never_contradicts_the_truth(scenarios, ctx, monkeypatch):
     sweeps = []
     sweep = episode._sweep
 
-    def checked_sweep(state, scenario):
-        sweep(state, scenario)
+    def checked_sweep(state):
+        sweep(state)
         known = state.belief.cells != CellState.UNKNOWN
-        assert np.array_equal(state.belief.cells[known], scenario.map.cells[known])
+        assert np.array_equal(state.belief.cells[known], state.scenario.map.cells[known])
         sweeps.append(np.count_nonzero(known))
 
     monkeypatch.setattr(episode, "_sweep", checked_sweep)
     for i, scenario in enumerate(scenarios):
         episode.run_episode(scenario, ctx=ctx, seed=i)
     assert len(sweeps) > 10 and max(sweeps) > 0
+
+
+def test_a_custom_rule_judges_each_candidate_with_the_scenario(ctx):
+    """``confirm_fn`` gets every candidate, in the order the trace shows them,
+    together with the scenario."""
+    scenario = box_scenario()
+    judged = []
+
+    def reject(cand, given):
+        judged.append((cand, given))
+        return False
+
+    result = run_episode(scenario, ctx=ctx, confirm_fn=reject)
+    shown = [[e["score"], e["pos"]] for e in result.trace if e["event"] == "candidate"]
+    assert len(shown) > 1 and not result.success
+    assert [[c.score, list(c.position)] for c, _ in judged] == shown
+    assert all(given is scenario for _, given in judged)
 
 
 def observation_key(obs):
@@ -302,10 +316,8 @@ def count_streams(monkeypatch):
 def test_lazy_streams_draw_what_eager_ones_draw(scenarios, ctx, sensor, monkeypatch):
     built = count_streams(monkeypatch)
     scenario = dataclasses.replace(scenarios[0], sensor=SensorParams(**sensor))
-    store = ctx.text_store_for(scenario)
-    state = episode.EpisodeState(
-        pose=scenario.start, belief=unknown_belief(scenario.map), seed=7
-    )
+    state = episode.start_state(scenario, ctx, 7, None)
+    store = state.store
     rng = np.random.default_rng(0)
     free = np.argwhere(scenario.map.cells == CellState.FREE)
     frames = detections = 0
@@ -333,10 +345,8 @@ def test_a_frame_that_draws_nothing_builds_no_stream(scenarios, ctx, monkeypatch
     scenario = scenarios[0]
     noisy = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.5, sigma_emb=0.0))
     clean = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.0, sigma_emb=0.0))
-    store = ctx.text_store_for(scenario)
-    state = episode.EpisodeState(
-        pose=scenario.start, belief=unknown_belief(scenario.map), seed=3
-    )
+    state = episode.start_state(scenario, ctx, 3, None)
+    store = state.store
     rng = np.random.default_rng(1)
     free = np.argwhere(scenario.map.cells == CellState.FREE)
     seeing = []

@@ -1,13 +1,19 @@
 """Every package module reads each name it imports (``__init__`` re-exports),
-and the package's public names are the pinned list."""
+and the package's public names and settable values are the pinned lists."""
 
+import argparse
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
 import pytest
 
 import objsearch
+from objsearch.batch import RunConfig
+from objsearch.cli import build_parser
+from objsearch.suitegen import SuiteParams
+from objsearch.world import HyperParams, PlannerParams, SensorParams
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "objsearch"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -58,3 +64,93 @@ def test_public_names_are_pinned():
     )
     assert names == PUBLIC_NAMES
     assert len(names) == 38
+
+
+# Everything a user or caller can set: config fields, CLI options,
+# environment variables read in the package, and defaulted parameters.
+SETTABLE_VALUES = {
+    "config fields": [
+        "HyperParams.lambda1", "HyperParams.lambda2", "HyperParams.t_c", "HyperParams.t_u",
+        "HyperParams.m_t", "HyperParams.temperature", "HyperParams.fail_distance",
+        "HyperParams.fov", "HyperParams.cam_range", "HyperParams.scan_headings",
+        "HyperParams.pan_views",
+        "SensorParams.lidar_rays", "SensorParams.lidar_range", "SensorParams.sigma_emb",
+        "SensorParams.p_miss", "SensorParams.clutter",
+        "PlannerParams.view_radius", "PlannerParams.view_directions",
+        "PlannerParams.min_frontier_cells", "PlannerParams.robot_radius",
+        "PlannerParams.step_interval",
+        "SuiteParams.count", "SuiteParams.rooms", "SuiteParams.landmarks",
+        "SuiteParams.map_side", "SuiteParams.resolution", "SuiteParams.known_landmarks",
+        "SuiteParams.distractors", "SuiteParams.targets", "SuiteParams.known_pool",
+        "SuiteParams.unknown_pool", "SuiteParams.placement", "SuiteParams.placement_weights",
+        "SuiteParams.placement_power", "SuiteParams.hyperparams", "SuiteParams.sensor",
+        "SuiteParams.planner",
+        "RunConfig.preset", "RunConfig.episodes", "RunConfig.seed_base",
+        "RunConfig.parallelism", "RunConfig.out_dir", "RunConfig.scenario_paths",
+        "RunConfig.suite", "RunConfig.suite_seed",
+    ],
+    "CLI options": [
+        "--assets", "--preset", "--seed", "--trace", "--interactive", "--out", "--report",
+    ],
+    "environment variables": [],
+    "defaulted parameters": [
+        "assets.load.root", "assets.load.table_file", "batch.context_for_preset.asset_root",
+        "batch.run_batch.asset_root", "batch.score_records.preset", "cli.main.argv",
+        "episode.run_episode.seed", "episode.run_episode.confirm_fn",
+        "world.raycast_batch.free_mask", "world.raycast_batch.hit_mask",
+        "world.parse_fields.parsers",
+    ],
+}
+
+
+def config_fields() -> list[str]:
+    classes = (HyperParams, SensorParams, PlannerParams, SuiteParams, RunConfig)
+    return [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)]
+
+
+def cli_options(parser: argparse.ArgumentParser) -> list[str]:
+    """The option strings of a parser and its subcommands, in definition order."""
+    options = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options += cli_options(sub)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            options.append(action.option_strings[0])
+    return options
+
+
+def environment_reads() -> list[str]:
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and getattr(node, "attr", getattr(node, "id", None)) in ("environ", "getenv")
+    ]
+
+
+def defaulted_parameters() -> list[str]:
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args
+            named = args[len(args) - len(node.args.defaults):] + [
+                arg for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+            found += [f"{path.stem}.{node.name}.{arg.arg}" for arg in named]
+    return found
+
+
+def test_settable_values_are_pinned():
+    """A new setting, option or default changes this list on purpose."""
+    assert {
+        "config fields": config_fields(),
+        "CLI options": cli_options(build_parser()),
+        "environment variables": environment_reads(),
+        "defaulted parameters": defaulted_parameters(),
+    } == SETTABLE_VALUES
+    assert sum(map(len, SETTABLE_VALUES.values())) == 63

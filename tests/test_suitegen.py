@@ -35,7 +35,7 @@ from objsearch.suitegen import (
     _Retry,
     generate_suite,
 )
-from objsearch.world import load_scenario, serialize_scenario
+from objsearch.world import PlannerParams, load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
@@ -146,8 +146,21 @@ def test_placement_on_a_disconnected_map_is_rejected():
     occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = occ[:, 40] = True
     before = occ.copy()
     with pytest.raises(_Retry, match="could not place landmark 'desk'"):
-        _place_landmarks(occ, np.random.default_rng(0), ["desk"], set(), 0.1)
+        _place_landmarks(occ, np.random.default_rng(0), ["desk"], set(), 0.1, PlannerParams())
     assert np.array_equal(occ, before)
+
+
+def test_placement_leaves_a_free_point_on_the_planners_ring():
+    # The planner's ring here is one point, 3 m east of the footprint's
+    # centre, so placement must leave that point free.
+    planner = PlannerParams(view_radius=3.0, view_directions=1)
+    for seed in range(40):
+        occ = np.zeros((80, 80), dtype=bool)
+        occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+        (desk,) = _place_landmarks(occ, np.random.default_rng(seed), ["desk"], set(), 0.1, planner)
+        x0, y0, x1, y1 = desk.footprint
+        ix, iy = int((0.5 * (x0 + x1) + 3.0) / 0.1), int(0.5 * (y0 + y1) / 0.1)
+        assert 0 <= ix < 80 and not occ[iy, ix]
 
 
 @pytest.mark.parametrize("rooms", [1, 2, 3, 4])
