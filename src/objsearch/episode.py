@@ -15,8 +15,9 @@ The world is static and a sweep only writes true cell states, so a lidar
 sweep from a point already swept in this episode is skipped.  The sweep is
 the only code that writes the belief, and each one it runs drops the
 traversable mask and distance field; until the next, they are reused,
-read-only, while the robot stays in one cell.  Nothing is reused across
-episodes.
+read-only, while the robot stays in one cell.  The distance field serves
+viewpoint choice, frontier choice and navigation alike: a leg's path is
+walked down the field from its goal.  Nothing is reused across episodes.
 
 An :class:`EpisodeState` holds the episode's fixed inputs beside what the
 loop builds from them, so each step takes the state and its own arguments.
@@ -393,9 +394,8 @@ def _navigate(state: EpisodeState, goal: tuple[int, int]) -> _NavOutcome:
     """Drive to a goal cell, replanning when newly seen obstacles intrude."""
     fail_distance = state.scenario.hyperparams.fail_distance
     while True:
-        trav = _nav_maps(state).trav
         try:
-            path = plan_path(state.belief, _current_cell(state), goal, trav)
+            path = plan_path(_nav_maps(state).dist, goal, state.belief.resolution)
         except NoPathError:
             return _NavOutcome.NO_PATH
         walked, arrived = _walk(state, path)

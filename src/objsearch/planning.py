@@ -1,19 +1,18 @@
-"""Planning: the drivable rule, grid A*, viewpoints, waypoint order, frontiers, SPL.
+"""Planning: the drivable rule, shortest paths, viewpoints, waypoint order, frontiers, SPL.
 
 Every map here is a :class:`~objsearch.world.GridMap`.  Paths are
-8-connected over Free cells; Unknown space never counts as traversable.  The
-robot drives by one rule, :func:`drivable_mask`, which the episode applies to
-its belief and :func:`ground_truth_shortest` to the scenario's fully known
-map for SPL.
+8-connected over Free cells, walked down a Dijkstra distance field; Unknown
+space never counts as traversable.  The robot drives by one rule,
+:func:`drivable_mask`, which the episode applies to its belief and
+:func:`ground_truth_shortest` to the scenario's fully known map for SPL.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -28,16 +27,13 @@ from .world import normalize_angle
 SQRT2 = math.sqrt(2.0)
 COST_FLOOR = 1e-3  # keeps the co-occurrence penalty positive at cooccur = 1
 
-_NEIGHBORS = (
-    (1, 0, 1.0),
-    (-1, 0, 1.0),
-    (0, 1, 1.0),
-    (0, -1, 1.0),
-    (1, 1, SQRT2),
-    (1, -1, SQRT2),
-    (-1, 1, SQRT2),
-    (-1, -1, SQRT2),
+# The 8 neighbours as (dx, dy, step), in order of flat index offset.
+_NEIGHBORS = tuple(
+    (dx, dy, SQRT2 if dx and dy else 1.0) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy
 )
+# Relative gap below which two path lengths are one length up to rounding;
+# distinct 8-connected lengths on any map here differ far more.
+_TIE_TOLERANCE = 1e-9
 # One direction per undirected edge class: E, N, NE, NW.
 _FORWARD_NEIGHBORS = ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2))
 _FORWARD_STEPS = np.array([step for _, _, step in _FORWARD_NEIGHBORS])
@@ -176,70 +172,35 @@ def drivable_mask(grid: GridMap, cell: tuple[int, int], robot_radius: float) -> 
     return clear_robot_disk(traversable_mask(grid, robot_radius), grid, cell, robot_radius)
 
 
-def plan_path(
-    belief: GridMap,
-    start: tuple[int, int],
-    goal: tuple[int, int],
-    traversable: np.ndarray,
-) -> Path:
-    """Shortest 8-connected path by A* with an octile heuristic.
+def plan_path(dist_field: np.ndarray, goal: tuple[int, int], resolution: float) -> Path:
+    """Shortest 8-connected path from the source of a :func:`distance_field`
+    to ``goal``, walked down the field from the goal.
 
-    Ties in the open list break on the flat cell index, so equal-cost maps
-    always produce the same path.  Only cells set in ``traversable`` are
-    entered; navigation passes its :func:`drivable_mask`.
+    Each step goes to the neighbour with the smallest ``dist + step *
+    resolution``; values equal but for rounding tie, and ties go to the lowest
+    flat cell index.  The walk ends at the source, where the distance is 0.
+    A goal off the map or at distance ``inf`` raises :class:`NoPathError`.
     """
-    width, height = belief.width, belief.height
-    sx, sy = int(start[0]), int(start[1])
-    gx, gy = int(goal[0]), int(goal[1])
-    if not (0 <= sx < width and 0 <= sy < height) or not traversable[sy, sx]:
-        raise DomainError(f"start cell {start} is not traversable")
-    if not (0 <= gx < width and 0 <= gy < height) or not traversable[gy, gx]:
-        raise NoPathError(f"goal cell {goal} is not traversable")
-    if (sx, sy) == (gx, gy):
-        return Path.from_cells([(sx, sy)], belief.resolution)
-
-    trav = traversable.ravel().tolist()
-    start_idx = sy * width + sx
-    goal_idx = gy * width + gx
-    g_cost = {start_idx: 0.0}
-    parent: dict[int, int] = {}
-    closed: set[int] = set()
-
-    def heuristic(idx: int) -> float:
-        x, y = idx % width, idx // width
-        dx, dy = abs(x - gx), abs(y - gy)
-        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
-
-    open_heap: list[tuple[float, int]] = [(heuristic(start_idx), start_idx)]
-    while open_heap:
-        _, idx = heapq.heappop(open_heap)
-        if idx in closed:
-            continue
-        if idx == goal_idx:
-            cells = []
-            while True:
-                cells.append((idx % width, idx // width))
-                if idx == start_idx:
-                    break
-                idx = parent[idx]
-            cells.reverse()
-            return Path.from_cells(cells, belief.resolution)
-        closed.add(idx)
-        x, y = idx % width, idx // width
-        base = g_cost[idx]
+    height, width = dist_field.shape
+    x, y = int(goal[0]), int(goal[1])
+    if not (0 <= x < width and 0 <= y < height) or not math.isfinite(dist_field[y, x]):
+        raise NoPathError(f"goal cell {goal} is not reachable")
+    cells = [(x, y)]
+    here = float(dist_field[y, x])
+    while here > 0.0:
+        tolerance = _TIE_TOLERANCE * here
+        best = math.inf
         for dx, dy, step in _NEIGHBORS:
             nx, ny = x + dx, y + dy
-            if not (0 <= nx < width and 0 <= ny < height):
-                continue
-            nidx = ny * width + nx
-            if nidx in closed or not trav[nidx]:
-                continue
-            tentative = base + step
-            if tentative < g_cost.get(nidx, math.inf):
-                g_cost[nidx] = tentative
-                parent[nidx] = idx
-                heapq.heappush(open_heap, (tentative + heuristic(nidx), nidx))
-    raise NoPathError(f"no path from {start} to {goal}")
+            if 0 <= nx < width and 0 <= ny < height:
+                value = float(dist_field[ny, nx]) + step * resolution
+                if value < best - tolerance:
+                    best, bx, by = value, nx, ny
+        x, y = bx, by
+        cells.append((x, y))
+        here = float(dist_field[y, x])
+    cells.reverse()
+    return Path.from_cells(cells, resolution)
 
 
 def _grid_graph(trav: np.ndarray) -> csr_matrix:
@@ -289,6 +250,22 @@ def distance_field(
     return field.reshape(height, width) * resolution
 
 
+def viewpoint_ring(
+    grid: GridMap, center: tuple[float, float], params: PlannerParams
+) -> Iterator[tuple[tuple[float, float], tuple[int, int]]]:
+    """The ring of candidate viewpoints around ``center``: the points at
+    ``view_radius`` at ``view_directions`` evenly spaced angles, in angle
+    order, each with its cell.  Points whose cell is off the map are left out."""
+    x, y = center
+    for i in range(params.view_directions):
+        angle = 2.0 * math.pi * i / params.view_directions
+        px = x + params.view_radius * math.cos(angle)
+        py = y + params.view_radius * math.sin(angle)
+        cell = grid.world_to_cell(px, py)
+        if grid.in_bounds(*cell):
+            yield (px, py), cell
+
+
 def generate_viewpoints(
     belief: GridMap,
     landmark: LandmarkEntry,
@@ -298,26 +275,18 @@ def generate_viewpoints(
 ) -> Viewpoint | None:
     """Best observation pose on a ring around a landmark, or None if unreachable.
 
-    Candidates sit at ``view_radius`` from the landmark center at evenly
-    spaced angles, facing the center.  A candidate survives when its cell is
-    observed-free, traversable and reachable; the one with the smallest
-    ``dist_field`` value (the robot's travel distance) wins, and ties go to
-    the lower angle index.
+    Candidates are the :func:`viewpoint_ring` points, facing the landmark's
+    center.  A candidate survives when its cell is observed-free, traversable
+    and reachable; the one with the smallest ``dist_field`` value (the robot's
+    travel distance) wins, and ties go to the lower angle index.
     """
     lx, ly = landmark.position
-    ix, iy = belief.world_to_cell(lx, ly)
-    if not belief.in_bounds(ix, iy):
+    if not belief.in_bounds(*belief.world_to_cell(lx, ly)):
         raise DomainError(f"landmark position {landmark.position} outside map bounds")
 
     best: Viewpoint | None = None
     best_dist = math.inf
-    for i in range(params.view_directions):
-        angle = 2.0 * math.pi * i / params.view_directions
-        px = lx + params.view_radius * math.cos(angle)
-        py = ly + params.view_radius * math.sin(angle)
-        cx, cy = belief.world_to_cell(px, py)
-        if not belief.in_bounds(cx, cy):
-            continue
+    for (px, py), (cx, cy) in viewpoint_ring(belief, landmark.position, params):
         if belief.cells[cy, cx] != CellState.FREE or not traversable[cy, cx]:
             continue
         dist = float(dist_field[cy, cx])

@@ -27,7 +27,9 @@ from scipy import ndimage
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrences
-from .planning import _RANGE_MARGIN, first_confirming, target_observable, traversable_mask
+from .planning import (
+    _RANGE_MARGIN, first_confirming, target_observable, traversable_mask, viewpoint_ring,
+)
 from .world import (
     CellState,
     GridMap,
@@ -313,17 +315,8 @@ def _place_landmarks(
             kept = (connected and _ring_connected(trial, rows, cols, inside)) or _connected(trial)
             if not kept:
                 continue
-            cx = 0.5 * (rect[0] + rect[2])
-            cy = 0.5 * (rect[1] + rect[3])
-            ring_free = 0
-            for a in range(planner.view_directions):
-                angle = 2.0 * math.pi * a / planner.view_directions
-                px = cx + planner.view_radius * math.cos(angle)
-                py = cy + planner.view_radius * math.sin(angle)
-                ix, iy = int(px / res), int(py / res)
-                if 0 <= ix < n and 0 <= iy < n and not trial[iy, ix]:
-                    ring_free += 1
-            if ring_free == 0:
+            center = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))
+            if all(trial[iy, ix] for _, (ix, iy) in viewpoint_ring(grid_probe, center, planner)):
                 continue
             occ[:] = trial
             connected = True

@@ -9,7 +9,7 @@ the eager Generator draws.  The ranking tests replay every ``plan`` event
 of the golden traces and check that a landmark the skip rule drops is never
 planned again.  The reuse tests check that the layers an episode reuses
 (skipped sweeps, cached traversable masks and distance fields) equal fresh
-computations.
+computations, and that navigation walks down the field a plan cycle built.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from objsearch.planning import (
     clear_robot_disk,
     distance_field,
     passes_thresholds,
+    plan_path,
     plan_waypoints,
     traversable_mask,
 )
@@ -41,13 +42,13 @@ from util import box_scenario
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
-TRACE_SHA256 = "c9027593f8eb429d7b730c6b08f272e984d447dc5ea6dafabe1d90531a9b9330"
-RECORDS_SHA256 = "8f41f5871dce475b0b5399893d295921ac539e67d512badcf403ecfd316b5196"
+TRACE_SHA256 = "e69f438b559f137ed62687266ad94b20db65fc439230c41d6afa774e9d57c4c2"
+RECORDS_SHA256 = "dbd5ab1b6d19fb25dcf158f5c2521f8ef8f29d70fc814688046cf1248d689c2b"
 # A noisy-sensor suite: the clean goldens never draw a miss or a clutter
 # detection, so this one pins the camera stream's draw order on those paths.
 CLUTTER_SUITE = SuiteParams(count=4, rooms=3, landmarks=6, map_side=14.0,
                             sensor={"clutter": 2, "p_miss": 0.1})
-CLUTTER_TRACE_SHA256 = "91d45324865e5231f7c0a3552db49c6e9eacfa5015a6b40837e69b66aaad249e"
+CLUTTER_TRACE_SHA256 = "3eda5881f3a0755b4e5d6044f12b7e21c2357ca63b74d9586cb9b3b0385225ba"
 
 
 def sha256(text: str) -> str:
@@ -179,6 +180,31 @@ def test_skipped_landmark_is_never_planned_again(ctx):
     at_thresholds.visited = True
     episode._plan_cycle(state)
     assert state.trace[-1]["candidates"] == [] and state.trace[-1]["order"] == []
+
+
+def test_first_leg_walks_down_the_planned_field(ctx, monkeypatch):
+    """The first leg toward a planned viewpoint reads the distance field the
+    plan cycle built; it builds no field of its own."""
+    state = planning_state(ctx, LandmarkEntry("lm000", "desk", (2.0, 4.0), 0.9, 0.0))
+    (vp,) = episode._plan_cycle(state)
+    planned = state.nav_maps.dist
+    built, legs = [], []
+    field, walk = episode.distance_field, episode._walk
+
+    def counted_field(*args):
+        built.append(args)
+        return field(*args)
+
+    def first_leg(state, path):
+        legs.append((len(built), path))
+        return walk(state, path)
+
+    monkeypatch.setattr(episode, "distance_field", counted_field)
+    monkeypatch.setattr(episode, "_walk", first_leg)
+    assert episode.visit_waypoint(state, vp) is episode._NavOutcome.ARRIVED
+    goal = state.belief.world_to_cell(vp.pose.x, vp.pose.y)
+    assert legs[0] == (0, plan_path(planned, goal, state.belief.resolution))
+    assert len(legs[0][1].cells) > 1
 
 
 def fresh_trav(state, scenario):

@@ -6,11 +6,16 @@ build must give bit-equal fields, which is what lets the episode loop and the
 SPL reference keep byte-identical traces and records.  ``loop_clear_robot_disk``
 is the cell-by-cell footprint whitelist that ``clear_robot_disk`` replaced, and
 ``loop_nearest_frontier`` the cluster-by-cluster frontier choice that
-``nearest_frontier`` replaced.
+``nearest_frontier`` replaced.  ``astar_path`` is the grid A* that navigation
+planned with before it walked down the distance field; ``plan_path`` must
+match its lengths and its failures.  ``exact_descent`` walks down a field of
+exact lengths, a + b*sqrt(2) kept as the integer pair (a, b), so it pins the
+tie rule where rounding in a float field would hide it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -23,6 +28,7 @@ from objsearch.errors import DomainError, NoPathError
 from objsearch.planning import (
     SQRT2,
     LandmarkEntry,
+    Path,
     Viewpoint,
     _disk_offsets,
     clear_robot_disk,
@@ -90,6 +96,71 @@ def random_sources(rng, trav, count):
 SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (7, 3), (3, 7), (30, 50), (64, 64), (140, 140)]
 
 
+def astar_path(trav, start, goal, resolution):
+    """Reference: shortest 8-connected path by A* with an octile heuristic
+    (Hart, Nilsson & Raphael 1968), or None when the goal is unreachable."""
+    height, width = trav.shape
+    (sx, sy), (gx, gy) = start, goal
+    if not (0 <= gx < width and 0 <= gy < height) or not trav[gy, gx]:
+        return None
+
+    def heuristic(x, y):
+        dx, dy = abs(x - gx), abs(y - gy)
+        return max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy)
+
+    g_cost, parent, closed = {(sx, sy): 0.0}, {}, set()
+    open_heap = [(heuristic(sx, sy), sy * width + sx, (sx, sy))]
+    while open_heap:
+        _, _, cell = heapq.heappop(open_heap)
+        if cell in closed:
+            continue
+        if cell == (gx, gy):
+            cells = [cell]
+            while cells[-1] != (sx, sy):
+                cells.append(parent[cells[-1]])
+            return Path.from_cells(cells[::-1], resolution)
+        closed.add(cell)
+        x, y = cell
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                nx, ny = x + dx, y + dy
+                if (dx or dy) and 0 <= nx < width and 0 <= ny < height and trav[ny, nx]:
+                    cost = g_cost[cell] + (SQRT2 if dx and dy else 1.0)
+                    if (nx, ny) not in closed and cost < g_cost.get((nx, ny), math.inf):
+                        g_cost[(nx, ny)], parent[(nx, ny)] = cost, cell
+                        heapq.heappush(open_heap, (cost + heuristic(nx, ny), ny * width + nx,
+                                                   (nx, ny)))
+    return None
+
+
+def exact_descent(trav, start, goal):
+    """Reference: the cells from ``start`` to ``goal`` that the tie rule picks,
+    on a field of exact lengths (a, b), meaning a + b*sqrt(2) steps.  Distinct
+    lengths on these small grids differ far beyond float rounding, so the heap
+    may order them by their float value."""
+    height, width = trav.shape
+    moves = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy]  # flat order
+    exact, heap = {}, [(0.0, start, (0, 0))]
+    while heap:
+        _, cell, length = heapq.heappop(heap)
+        if cell in exact:
+            continue
+        exact[cell] = length
+        for dx, dy in moves:
+            nx, ny = cell[0] + dx, cell[1] + dy
+            if 0 <= nx < width and 0 <= ny < height and trav[ny, nx] and (nx, ny) not in exact:
+                a, b = length[0] + (not (dx and dy)), length[1] + bool(dx and dy)
+                heapq.heappush(heap, (a + b * SQRT2, (nx, ny), (a, b)))
+    cells = [goal]
+    while cells[-1] != start:
+        (x, y), (a, b) = cells[-1], exact[cells[-1]]
+        cells.append(next(
+            (x + dx, y + dy) for dx, dy in moves
+            if exact.get((x + dx, y + dy)) == (a - (not (dx and dy)), b - bool(dx and dy))
+        ))
+    return cells[::-1]
+
+
 class TestDistanceField:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_per_call_coo_build(self, shape):
@@ -116,20 +187,97 @@ class TestDistanceField:
         checked = unreachable = 0
         for k in range(40):
             trav = rng.random((25, 25)) < (0.75 if k % 2 else 0.45)
-            cells = np.where(trav, CellState.FREE, CellState.OCCUPIED).astype(np.uint8)
-            belief = GridMap(25, 25, 0.1, cells)
             start, goal = random_sources(rng, trav, 2)
             field = distance_field(trav, 0.1, [start])
             want = field[goal[1], goal[0]]
             if math.isfinite(want):
-                path = plan_path(belief, start, goal, trav)
+                path = plan_path(field, goal, 0.1)
                 assert path.length == pytest.approx(want, rel=1e-12, abs=1e-12)
                 checked += 1
             else:
                 with pytest.raises(NoPathError):
-                    plan_path(belief, start, goal, trav)
+                    plan_path(field, goal, 0.1)
                 unreachable += 1
         assert checked > 10 and unreachable > 5
+
+
+class TestPlanPath:
+    """``plan_path`` walks down a distance field; A* is the reference."""
+
+    @pytest.mark.parametrize("shape", SHAPES[:-1])  # the A* reference is slow at 140 x 140
+    def test_matches_astar(self, shape):
+        height, width = shape
+        rng = np.random.default_rng(height * 1000 + width)
+        solved = failed = 0
+        for density in (0.0, 0.2, 0.4, 0.6):
+            for _ in range(6):
+                trav = rng.random(shape) >= density
+                sources = random_sources(rng, trav, 1)
+                if not sources:
+                    continue
+                start = sources[0]
+                field = distance_field(trav, 0.25, [start])
+                goal = (int(rng.integers(width)), int(rng.integers(height)))
+                want = astar_path(trav, start, goal, 0.25)
+                if want is None:
+                    with pytest.raises(NoPathError):
+                        plan_path(field, goal, 0.25)
+                    failed += 1
+                    continue
+                path = plan_path(field, goal, 0.25)
+                assert path.cells[0] == start and path.cells[-1] == goal
+                assert all(trav[y, x] for x, y in path.cells)
+                assert Path.from_cells(path.cells, 0.25) == path  # 8-adjacent steps
+                assert path.length == pytest.approx(want.length, rel=1e-12, abs=0.0)
+                solved += 1
+        assert solved > 0 and (failed > 0 or shape in ((1, 1), (2, 2)))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (30, 50), (64, 64)])
+    def test_ties_follow_exact_lengths(self, shape):
+        # Many of these paths meet a tie that float rounding in the field
+        # would break.
+        height, width = shape
+        rng = np.random.default_rng(height * 1000 + width + 1)
+        for density in (0.0, 0.2, 0.4):
+            trav = rng.random(shape) >= density
+            start, goal = random_sources(rng, trav, 2)
+            field = distance_field(trav, 0.05, [start])
+            if math.isfinite(field[goal[1], goal[0]]):
+                want = exact_descent(trav, start, goal)
+                assert list(plan_path(field, goal, 0.05).cells) == want
+
+    def test_goal_at_the_source_is_one_cell(self):
+        trav = np.ones((5, 6), dtype=bool)
+        path = plan_path(distance_field(trav, 0.5, [(2, 3)]), (2, 3), 0.5)
+        assert path == Path(cells=((2, 3),), length=0.0)
+
+    @pytest.mark.parametrize("goal", [(-1, 0), (0, -1), (6, 0), (0, 5), (99, 99)])
+    def test_goal_off_the_map_has_no_path(self, goal):
+        field = distance_field(np.ones((5, 6), dtype=bool), 0.5, [(2, 3)])
+        with pytest.raises(NoPathError):
+            plan_path(field, goal, 0.5)
+
+    def test_unreachable_and_blocked_goals_have_no_path(self):
+        trav = np.ones((5, 6), dtype=bool)
+        trav[:, 3] = False  # a wall splits the map
+        field = distance_field(trav, 0.5, [(1, 1)])
+        for goal in ((3, 2), (5, 4)):
+            with pytest.raises(NoPathError):
+                plan_path(field, goal, 0.5)
+
+    def test_ties_go_to_the_lowest_flat_index(self):
+        # A wall at (2, 1) leaves two equal routes from (1, 1) to (3, 1):
+        # over row 0 and over row 2.  From the goal, the first step goes to
+        # the lower flat index, (2, 0) on row 0.
+        trav = np.ones((3, 5), dtype=bool)
+        trav[1, 2] = False
+        field = distance_field(trav, 0.1, [(1, 1)])
+        path = plan_path(field, (3, 1), 0.1)
+        assert path.cells == ((1, 1), (2, 0), (3, 1))
+        assert path.length == pytest.approx(2 * SQRT2 * 0.1, rel=1e-12)
+        # Mirrored, the lower index is on row 0 again.
+        field = distance_field(trav, 0.1, [(3, 1)])
+        assert plan_path(field, (1, 1), 0.1).cells == ((3, 1), (2, 0), (1, 1))
 
 
 class TestInflation:
