@@ -393,7 +393,9 @@ def first_confirming(
     ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
     from ``math.hypot``, drops the cells clearly out of range; the rest are
     tested ``_LOS_CHUNK`` at a time, because most searches end on their first
-    few.  A ray's answer does not depend on the rays traced with it."""
+    few.  A ray's answer does not depend on the rays traced with it.  Only
+    cells in the target's :func:`_camera_window` can pass that prefilter, so
+    callers pass no others."""
     res = grid.resolution
     tx, ty = target.position
     cx, cy = (xs + 0.5) * res, (ys + 0.5) * res
@@ -414,11 +416,25 @@ def first_confirming(
     return None
 
 
-def _scenario_drivable(scenario: ScenarioSpec) -> tuple[np.ndarray, tuple[int, int]]:
-    """The episode's :func:`drivable_mask` at the start, on the fully known map."""
-    grid = scenario.map
-    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
-    return drivable_mask(grid, start, scenario.planner.robot_radius), start
+def _camera_window(scenario: ScenarioSpec, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the cells set in a map-shaped ``mask``, in row-major order,
+    within the target's camera window: the rows and columns whose centres
+    can lie within :func:`first_confirming`'s prefilter radius of the
+    target, plus one cell, clipped to the map.
+
+    No cell outside the window can confirm, and row-major order restricted
+    to the window is a subsequence of row-major order over the whole map, so
+    a search over these cells finds the cell a whole-map search finds."""
+    res = scenario.map.resolution
+    reach = (scenario.hyperparams.cam_range + res) * (1.0 + _RANGE_MARGIN) / res + 1.0  # cells
+    window = []
+    for position, size in zip(scenario.target.position, mask.shape[::-1]):
+        centre = position / res - 0.5
+        lo = math.floor(max(centre - reach, 0.0))
+        window.append(slice(lo, math.ceil(min(centre + reach, size - 1.0)) + 1))
+    cols, rows = window
+    ys, xs = np.nonzero(mask[rows, cols])
+    return xs + cols.start, ys + rows.start
 
 
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
@@ -427,29 +443,38 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     :func:`first_confirming` accepts; inf when none is reachable.  So a start
     inside the inflated walls drives out of the robot's own disk.
 
-    Reachable cells are tried in order of path length (a stable sort).  The
-    length is finite exactly when :func:`target_observable` holds, which
-    answers that without the distance field."""
-    drivable, start = _scenario_drivable(scenario)
-    dist = distance_field(drivable, scenario.map.resolution, [start])
-    ys, xs = np.nonzero(np.isfinite(dist))
+    The reachable cells of the target's :func:`_camera_window` are tried in
+    order of path length (a stable sort of them in row-major order, which
+    keeps the relative order of a sort over the whole map).  The length is
+    finite exactly when :func:`target_observable` holds, which answers that
+    without the distance field."""
+    grid = scenario.map
+    start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+    drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
+    dist = distance_field(drivable, grid.resolution, [start])
+    xs, ys = _camera_window(scenario, np.isfinite(dist))
     by_length = np.argsort(dist[ys, xs], kind="stable")
     ys, xs = ys[by_length], xs[by_length]
-    hit = first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    hit = first_confirming(grid, scenario.target, scenario.hyperparams.cam_range, xs, ys)
     return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
 
 
-def target_observable(scenario: ScenarioSpec) -> bool:
+def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     """Whether :func:`ground_truth_shortest` is finite: some cell that
     :func:`first_confirming` accepts is reachable from the start.
+    ``traversable`` is the scenario map's :func:`traversable_mask` at the
+    planner's robot radius; the start's disk is freed on a copy of it, which
+    gives :func:`drivable_mask` without inflating the map again.
 
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
     the same graph :func:`distance_field` searches (diagonal steps need no
-    free side cell).  They are tried in row-major order, since only whether
-    one confirms matters."""
-    drivable, (sx, sy) = _scenario_drivable(scenario)
+    free side cell).  Those in the target's :func:`_camera_window` are tried
+    in row-major order, since only whether one confirms matters."""
+    grid = scenario.map
+    sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+    drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
     labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
-    ys, xs = np.nonzero(labels == labels[sy, sx])
-    hit = first_confirming(scenario.map, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    xs, ys = _camera_window(scenario, labels == labels[sy, sx])
+    hit = first_confirming(grid, scenario.target, scenario.hyperparams.cam_range, xs, ys)
     return hit is not None

@@ -9,8 +9,12 @@ Generation checks what a scenario needs and no more: the free space stays
 one 8-connected region as each landmark is placed, the start cell keeps the
 robot clear of walls and does not confirm the target, and some cell that
 confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
-so every scenario has the finite shortest path SPL divides by.  It never
-computes that path's length: the episode does, once, with
+so every scenario has the finite shortest path SPL divides by.  The map is
+inflated once: the start check's traversable mask is the one that test
+reads.  The test tries only the reachable cells of the target's camera
+window, the rows and columns within the camera range plus two cells of the
+target, since no cell beyond can confirm it.  Generation never computes the
+path's length: the episode does, once, with
 :func:`~objsearch.planning.ground_truth_shortest`.
 """
 
@@ -466,7 +470,7 @@ def _generate_one(
         grid, landmarks, objects, start, target_name, hyper, sensor, planner,
         seed=int(rng.integers(2**31)),
     )
-    if not target_observable(spec):
+    if not target_observable(spec, trav):
         raise _Retry("target is not observable from any reachable cell")
     return spec
 

@@ -40,15 +40,34 @@ from objsearch.world import PlannerParams, load_scenario, serialize_scenario
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
 SCENARIOS_SHA256 = "40f62b965db93baf89807b90b65ceee2bfcd81d92067beac7c554576298d5eda"
+# Small maps at the coarsest resolution and a fine one.  The target's camera
+# window, 7.2 m across at 0.05 m and 9 m at 0.5 m for the default camera
+# range, is clipped by the edges of an 8 m map in nearly every scenario, so
+# these pin generation's observability check where the window is clipped
+# hardest.
+SMALL_SUITES_SHA256 = {
+    0.5: "0a4790ee5bd8a2ea743d63b74c9ab189d32ac68e012bf5f826269e8f584dee55",
+    0.05: "efd58ba0b7c2f331581fe98585a2fb8767cd11e893b7d1bdbf7c96ace126857a",
+}
 # The noisy-sensor suite of the clutter golden trace in test_episode.
 CLUTTER_SUITE = SuiteParams(count=4, rooms=3, landmarks=6, map_side=14.0,
                             sensor={"clutter": 2, "p_miss": 0.1})
 
 
-def test_generated_scenarios_are_pinned(ctx):
-    texts = [serialize_scenario(s) for s in generate_suite(SUITE, SUITE_SEED, ctx=ctx)]
+def suite_sha256(params, ctx):
+    texts = [serialize_scenario(s) for s in generate_suite(params, SUITE_SEED, ctx=ctx)]
     blob = "".join(text + "\n" for text in texts)
-    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == SCENARIOS_SHA256
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_generated_scenarios_are_pinned(ctx):
+    assert suite_sha256(SUITE, ctx) == SCENARIOS_SHA256
+
+
+@pytest.mark.parametrize("resolution", sorted(SMALL_SUITES_SHA256))
+def test_small_map_suites_are_pinned(resolution, ctx):
+    params = SuiteParams(count=8, rooms=2, landmarks=5, map_side=8.0, resolution=resolution)
+    assert suite_sha256(params, ctx) == SMALL_SUITES_SHA256[resolution]
 
 
 @pytest.mark.parametrize("params", [SUITE, CLUTTER_SUITE], ids=["gen", "clutter"])
@@ -188,7 +207,47 @@ def test_generation_never_measures_a_path(ctx, monkeypatch):
 
 
 def test_unobservable_targets_are_retried(ctx, monkeypatch):
-    monkeypatch.setattr(suitegen, "target_observable", lambda scenario: False)
+    checked = []
+
+    def unobservable(scenario, traversable):
+        checked.append((scenario, traversable))
+        return False
+
+    monkeypatch.setattr(suitegen, "target_observable", unobservable)
     params = SuiteParams(count=1, rooms=1, landmarks=3, map_side=8.0)
     with pytest.raises(GenerationError, match="target is not observable from any reachable"):
         generate_suite(params, 0, ctx=ctx)
+    # Every attempt asked, over the mask its start check read: the map's
+    # traversable mask, without the start's disk.
+    assert len(checked) == suitegen._MAX_SCENARIO_ATTEMPTS
+    for scenario, traversable in checked:
+        radius = scenario.planner.robot_radius
+        assert np.array_equal(traversable, planning.traversable_mask(scenario.map, radius))
+
+
+def test_generation_inflates_each_map_once(ctx, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generation inflated a map twice")
+
+    inflated, checked = [], []
+    inflate, observable = suitegen.traversable_mask, suitegen.target_observable
+
+    def counted_inflate(*args):
+        inflated.append(inflate(*args))
+        return inflated[-1]
+
+    def spied_observable(scenario, traversable):
+        checked.append(traversable)
+        before = traversable.copy()
+        answer = observable(scenario, traversable)
+        assert np.array_equal(traversable, before)  # the start's disk is freed on a copy
+        return answer
+
+    monkeypatch.setattr(suitegen, "traversable_mask", counted_inflate)
+    monkeypatch.setattr(suitegen, "target_observable", spied_observable)
+    monkeypatch.setattr(planning, "traversable_mask", forbidden)
+    monkeypatch.setattr(planning, "drivable_mask", forbidden)
+    params = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
+    assert len(generate_suite(params, 1, ctx=ctx)) == 3
+    assert len(checked) >= 3
+    assert all(any(mask is trav for trav in inflated) for mask in checked)

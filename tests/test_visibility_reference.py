@@ -8,7 +8,10 @@ line of sight one cell at a time.  ``reference_first_confirming`` is the
 confirming-cell rule tested one cell at a time.  The batched versions
 must give the same flags, indices and float, bit for bit.  Generation's
 reachability test ``target_observable`` must hold exactly when that float is
-finite, which ``assert_same_shortest`` checks on every scenario here.
+finite, which ``assert_same_shortest`` checks on every scenario here.  Both
+searches try only the cells of the target's camera window, so the window
+cases put the target and its confirming cells where the window is clipped
+or at its rim.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import pytest
 
 from scipy import ndimage
 
+from objsearch import planning
 from objsearch.planning import (
     _LOS_CHUNK,
     distance_field,
@@ -100,12 +104,18 @@ def cam_range_reaching(rim, res):
     return cam_range
 
 
+def observable(scenario):
+    """``target_observable`` over the scenario map's own traversable mask."""
+    trav = traversable_mask(scenario.map, scenario.planner.robot_radius)
+    return target_observable(scenario, trav)
+
+
 def assert_same_shortest(scenario):
     got = ground_truth_shortest(scenario)
     want = stepwise_ground_truth_shortest(scenario)
     assert math.isinf(got) == math.isinf(want)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    assert target_observable(scenario) == math.isfinite(got)
+    assert observable(scenario) == math.isfinite(got)
     return got
 
 
@@ -286,6 +296,32 @@ def with_map(scenario, rows, target_position):
     return load_scenario(json.dumps(doc))
 
 
+def tunnel_scenario(side):
+    """The tunnel of ``test_target_seen_only_from_the_rim`` turned so that the
+    start lies on the given side of the target.  The start side sees the
+    target only along the tunnel, at best from the cell 1.7 m out, which is
+    the farthest in-range cell on that axis: it lies in the outermost row or
+    column of the window that can hold a confirming cell."""
+    def place(ix, iy):
+        ix = 59 - ix if side in ("right", "above") else ix
+        return (iy, ix) if side in ("below", "above") else (ix, iy)
+
+    def point(x, y):
+        x = 6.0 - x if side in ("right", "above") else x
+        return (y, x) if side in ("below", "above") else (x, y)
+
+    width, height = (21, 60) if side in ("below", "above") else (60, 21)
+    rows = empty_rows(width, height)
+    set_cells(rows, [place(ix, iy) for ix in range(30, 33) for iy in range(21) if iy != 10], "#")
+    base = box_scenario(size_m=6.0, start=(*point(0.55, 1.05), 0.0))
+    return with_map(base, rows, point(4.55, 1.05)), base.map.cell_to_world(*place(28, 10))
+
+
+def with_cam_range(scenario, cam_range):
+    hp = dataclasses.replace(scenario.hyperparams, cam_range=cam_range)
+    return dataclasses.replace(scenario, hyperparams=hp)
+
+
 class TestGroundTruthShortest:
     @pytest.mark.parametrize("params", [GEN_SHAPE, NAV_SHAPE], ids=["gen", "nav"])
     def test_generated_scenarios(self, params, ctx):
@@ -334,26 +370,15 @@ class TestGroundTruthShortest:
         # tunnel's row, at best from (28, 10), 1.7 m away and 2.3 m from the
         # start.  That cell counts while its distance is at most
         # cam_range + resolution, the boundary included.
-        rows = empty_rows(60, 21)
-        for ix in range(30, 33):
-            for iy in range(21):
-                if iy != 10:
-                    r = 20 - iy
-                    rows[r] = rows[r][:ix] + "#" + rows[r][ix + 1 :]
-        base = with_map(box_scenario(size_m=6.0, start=(0.55, 1.05, 0.0)), rows, (4.55, 1.05))
-        cx, cy = base.map.cell_to_world(28, 10)
-        rim = math.hypot(4.55 - cx, 1.05 - cy)
-        cam_range = cam_range_reaching(rim, 0.1)
-
-        def with_range(value):
-            hp = dataclasses.replace(base.hyperparams, cam_range=value)
-            return dataclasses.replace(base, hyperparams=hp)
-
-        at_rim = assert_same_shortest(with_range(cam_range))
+        base, (cx, cy) = tunnel_scenario("left")
+        tx, ty = base.target.position
+        cam_range = cam_range_reaching(math.hypot(tx - cx, ty - cy), 0.1)
+        at_rim = assert_same_shortest(with_cam_range(base, cam_range))
         assert at_rim == pytest.approx(2.3)
-        assert assert_same_shortest(with_range(math.nextafter(cam_range, 0.0))) == math.inf
+        below = with_cam_range(base, math.nextafter(cam_range, 0.0))
+        assert assert_same_shortest(below) == math.inf
         # A longer range reaches cells closer to the start.
-        assert assert_same_shortest(with_range(cam_range + 0.1)) < at_rim
+        assert assert_same_shortest(with_cam_range(base, cam_range + 0.1)) < at_rim
 
     def test_start_cell_blocked_by_inflation(self):
         scenario = box_scenario(size_m=8.0, start=(0.25, 0.25, 0.0))
@@ -391,15 +416,12 @@ class TestGroundTruthShortest:
         )
         cx, cy = base.map.cell_to_world(23, 20)
         cam_range = cam_range_reaching(math.hypot(tx - cx, ty - cy), 0.1)
-
-        def with_range(value):
-            hp = dataclasses.replace(base.hyperparams, cam_range=value)
-            return dataclasses.replace(base, hyperparams=hp)
-
-        assert assert_same_shortest(with_range(cam_range)) == pytest.approx(0.3)
-        assert target_observable(with_range(cam_range))
-        assert assert_same_shortest(with_range(math.nextafter(cam_range, 0.0))) == math.inf
-        assert not target_observable(with_range(math.nextafter(cam_range, 0.0)))
+        at_rim = with_cam_range(base, cam_range)
+        assert assert_same_shortest(at_rim) == pytest.approx(0.3)
+        assert observable(at_rim)
+        below = with_cam_range(base, math.nextafter(cam_range, 0.0))
+        assert assert_same_shortest(below) == math.inf
+        assert not observable(below)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +452,7 @@ class TestTargetObservable:
         rng = np.random.default_rng(40 + rooms)
         answers = []
         for scenario in generate_suite(params, rooms, ctx=ctx):
-            assert target_observable(scenario)
+            assert observable(scenario)
             grid = scenario.map
             free = np.argwhere(grid.cells == CellState.FREE)
             for radius in (0.2, 0.6):
@@ -440,7 +462,7 @@ class TestTargetObservable:
                         start=Pose(*grid.cell_to_world(int(ix), int(iy))),
                         planner=dataclasses.replace(scenario.planner, robot_radius=radius),
                     )
-                    answers.append(target_observable(moved))
+                    answers.append(observable(moved))
                     assert answers[-1] == math.isfinite(ground_truth_shortest(moved))
         assert True in answers
         if rooms > 1:
@@ -504,3 +526,101 @@ class TestTargetObservable:
             [iy, ix] for iy in range(9, 12) for ix in range(9, 12)
         ]
         assert assert_same_shortest(scenario) == math.inf
+
+
+# --------------------------------------------------------------------------
+# The target's camera window
+# --------------------------------------------------------------------------
+
+
+def scattered_walls(rng, width, height, density):
+    """Bordered bottom-up rows with single wall cells scattered at ``density``."""
+    rows = empty_rows(width, height)
+    walls = np.argwhere(rng.random((height, width)) < density)
+    set_cells(rows, [(int(ix), int(iy)) for iy, ix in walls], "#")
+    return rows
+
+
+class TestCameraWindow:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_target_near_an_edge_or_a_corner(self, seed):
+        # Targets within cam_range of one edge or two clip the window; the
+        # last two sit on the map's lower-left corner and just inside its
+        # upper-right one.
+        rng = np.random.default_rng(90 + seed)
+        rows = scattered_walls(rng, 80, 80, 0.1)
+        set_cells(rows, [(10, 40)], ".")
+        base = box_scenario(size_m=8.0, start=(1.05, 4.05, 0.0), planner={"robot_radius": 0.0})
+        top = math.nextafter(8.0, 0.0)
+        results = [
+            assert_same_shortest(with_map(base, rows, position))
+            for position in [(0.3, 4.0), (4.0, 7.8), (7.75, 2.5), (0.35, 0.35), (7.65, 0.25),
+                             (2.5, 7.7), (0.0, 0.0), (top, top)]
+        ]
+        assert any(math.isfinite(r) for r in results)
+
+    @pytest.mark.parametrize("side", ["right", "below", "above"])
+    def test_confirming_cell_on_the_rim(self, side):
+        # test_target_seen_only_from_the_rim turned, so the rim cell lies in
+        # the window's last column, first row and last row in turn.
+        scenario, (cx, cy) = tunnel_scenario(side)
+        tx, ty = scenario.target.position
+        cam_range = cam_range_reaching(math.hypot(tx - cx, ty - cy), 0.1)
+        assert assert_same_shortest(with_cam_range(scenario, cam_range)) == pytest.approx(2.3)
+        below = with_cam_range(scenario, math.nextafter(cam_range, 0.0))
+        assert assert_same_shortest(below) == math.inf
+
+    @pytest.mark.parametrize("cam_range", [9.0, 1e6, math.inf])
+    def test_cam_range_beyond_the_map(self, cam_range):
+        # The window is the whole map, clipped on every side.
+        rng = np.random.default_rng(95)
+        base = box_scenario(size_m=5.0, start=(0.55, 0.55, 0.0),
+                            hyperparams={"cam_range": cam_range}, planner={"robot_radius": 0.0})
+        results = []
+        for _ in range(4):
+            rows = scattered_walls(rng, 50, 50, 0.15)
+            set_cells(rows, [(5, 5)], ".")
+            results.append(assert_same_shortest(with_map(base, rows, rng.uniform(0.0, 5.0, 2))))
+        assert any(math.isfinite(r) for r in results)
+        # With every cell in range, a wall alone hides a target in a sealed room.
+        rows = empty_rows(50, 50)
+        set_cells(rows, [(25, iy) for iy in range(50)], "#")
+        assert assert_same_shortest(with_map(base, rows, (4.0, 4.0))) == math.inf
+
+    @pytest.mark.parametrize("resolution", [0.02, 0.5])
+    def test_finest_and_coarsest_resolution(self, resolution, ctx):
+        params = SuiteParams(count=2, rooms=2, landmarks=5, map_side=8.0, resolution=resolution)
+        rng = np.random.default_rng(96)
+        results = []
+        for scenario in generate_suite(params, 3, ctx=ctx):
+            assert math.isfinite(assert_same_shortest(scenario))
+            free = np.argwhere(scenario.map.cells == CellState.FREE)
+            for iy, ix in free[rng.integers(len(free), size=2)]:
+                start = Pose(*scenario.map.cell_to_world(int(ix), int(iy)))
+                moved = dataclasses.replace(scenario, start=start)
+                results.append(assert_same_shortest(moved))
+        assert any(math.isfinite(r) for r in results)
+
+    def test_searches_only_the_camera_window(self, ctx, monkeypatch):
+        # On the 20 m maps both searches hand first_confirming only cells whose
+        # centres lie, on each axis, within the prefilter radius of the target
+        # plus two cells (and rounding): a few thousand of the map's 40,000.
+        passed = []
+        search = planning.first_confirming
+
+        def spied(grid, target, cam_range, xs, ys):
+            passed.append((grid, target, cam_range, xs, ys))
+            return search(grid, target, cam_range, xs, ys)
+
+        monkeypatch.setattr(planning, "first_confirming", spied)
+        for scenario in generate_suite(dataclasses.replace(GEN_SHAPE, count=3), 7, ctx=ctx):
+            passed.clear()
+            assert math.isfinite(ground_truth_shortest(scenario))
+            assert observable(scenario)
+            assert len(passed) == 2
+            for grid, target, cam_range, xs, ys in passed:
+                res = grid.resolution
+                bound = cam_range + 3.0 * res + 1e-9
+                assert 0 < xs.size < grid.width * grid.height / 4
+                assert np.abs((xs + 0.5) * res - target.position[0]).max() <= bound
+                assert np.abs((ys + 0.5) * res - target.position[1]).max() <= bound
