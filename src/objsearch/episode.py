@@ -17,7 +17,12 @@ the only code that writes the belief, and each one it runs drops the
 traversable mask and distance field; until the next, they are reused,
 read-only, while the robot stays in one cell.  The distance field serves
 viewpoint choice, frontier choice and navigation alike: a leg's path is
-walked down the field from its goal.  Nothing is reused across episodes.
+walked down the field from its goal.  Across episodes one thing is reused:
+the lidar's sweep geometry (each ray's crossing order), cached for the
+whole process by :func:`~objsearch.world._sweep_geometry`.  It is a pure
+function of its key (resolution, ray count, range, crossing count and the
+pose's exact offsets to its cell's grid lines), so it reads nothing an
+episode writes and cannot change a trace.
 
 An :class:`EpisodeState` holds the episode's fixed inputs beside what the
 loop builds from them, so each step takes the state and its own arguments.

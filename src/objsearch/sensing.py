@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .matching import UNKNOWN_LABEL, TextEmbeddingStore, unit
 from .world import CellState, GridMap, HyperParams, ObjectSpec, Pose, ScenarioSpec
-from .world import normalize_angle, raycast_batch
+from .world import _raycast_sweep, normalize_angle, raycast_batch
 
 IMAGE_WIDTH = 640.0
 IMAGE_HEIGHT = 480.0
@@ -83,17 +83,21 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
     """Sweep ``rays`` evenly spaced bearings, growing the belief map in place.
 
     Cells crossed before a hit become Free, hit cells become Occupied; known
-    cells never revert to Unknown.
+    cells never revert to Unknown.  The cells are those :func:`raycast_batch`
+    flags, found in its two halves: the geometry half, each ray's merged
+    grid-line crossings, is read from a process-wide cache keyed on the
+    pose's exact offsets to its cell's grid lines (with the resolution, ray
+    count, range and crossing count), and only the map half, which cuts each
+    ray at the map edge or its first occupied cell, runs per sweep.
     """
     ix, iy = world.world_to_cell(pose.x, pose.y)
     if not world.in_bounds(ix, iy):
         raise DomainError(f"lidar pose ({pose.x}, {pose.y}) outside map bounds")
     if world.cells[iy, ix] != CellState.FREE:
         raise DomainError("lidar pose is inside an obstacle")
-    bearings = np.arange(rays, dtype=np.float64) * (2.0 * math.pi / rays)
     free_mask = np.zeros_like(belief.cells, dtype=bool)
     hit_mask = np.zeros_like(belief.cells, dtype=bool)
-    raycast_batch(world, (pose.x, pose.y), bearings, max_range, free_mask, hit_mask)
+    _raycast_sweep(world, (pose.x, pose.y), rays, max_range, free_mask, hit_mask)
     belief.cells[free_mask] = CellState.FREE
     belief.cells[hit_mask] = CellState.OCCUPIED
 

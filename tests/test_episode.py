@@ -10,6 +10,8 @@ of the golden traces and check that a landmark the skip rule drops is never
 planned again.  The reuse tests check that the layers an episode reuses
 (skipped sweeps, cached traversable masks and distance fields) equal fresh
 computations, and that navigation walks down the field a plan cycle built.
+The lidar's sweep-geometry cache outlives episodes, so the goldens are also
+checked from a cold cache, a warm one and one filled past its size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import numpy as np
 import pytest
 
-from objsearch import episode
+from objsearch import episode, world
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.planning import (
@@ -100,6 +102,40 @@ def test_golden_clutter_trace(clutter):
 
 def test_golden_records(serial_records):
     assert sha256(serial_records) == RECORDS_SHA256
+
+
+def golden_digests(scenarios, ctx):
+    traces = (run_episode(s, ctx=ctx, seed=i).trace for i, s in enumerate(scenarios))
+    return sha256("".join(map(trace_to_jsonl, traces))), sha256(batch_records(1))
+
+
+def test_sweep_geometry_cache_cannot_change_traces(scenarios, ctx):
+    """The goldens hold from a cleared cache, after a warm-up in reverse
+    episode order, and with the cache full of other keys, so that it evicts
+    while the episodes run; the cache never grows past its size."""
+    cache = world._sweep_geometry
+    size = cache.cache_info().maxsize
+    cache.cache_clear()
+    assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
+    cache.cache_clear()
+    for i in reversed(range(len(scenarios))):
+        run_episode(scenarios[i], ctx=ctx, seed=i)
+    assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
+    for k in range(size + 10):
+        cache(0.1, 4, 0.3, 6, (0.05 + k * 1e-9, -0.05, 0.05, -0.05))
+    assert cache.cache_info().currsize == size
+    assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
+    assert cache.cache_info().currsize == size
+
+
+def test_sweep_geometry_entry_is_small(scenarios):
+    sensor = SensorParams()
+    grid = scenarios[0].map
+    res = grid.resolution
+    crossings = world._crossing_count(grid, sensor.lidar_range)
+    packed, within = world._sweep_geometry(res, sensor.lidar_rays, sensor.lidar_range, crossings,
+                                           (res / 2, -res / 2, res / 2, -res / 2))
+    assert packed.nbytes + within.nbytes <= 4096
 
 
 def test_same_seed_same_trace(scenarios, traces, ctx):

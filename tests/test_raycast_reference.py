@@ -1,9 +1,12 @@
-"""``raycast_batch`` against the step-by-step grid walk it replaced.
+"""``raycast_batch`` and the lidar sweep against the step-by-step grid walk.
 
 ``stepwise_raycast_batch`` is the Amanatides & Woo (1987) traversal advanced
 one grid-line crossing per iteration for every active ray.  The closed-form
 kernel must reproduce it bit for bit: the same distances (down to the sign of
-a zero), the same ``blocked`` flags and the same free and hit cells.
+a zero), the same ``blocked`` flags and the same free and hit cells.  The
+lidar sweep reads its crossing order from a cache keyed on the origin's
+exact offsets to its cell's grid lines, so its beliefs are checked against
+the walk too, including origins whose offsets differ by a single ulp.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import math
 import numpy as np
 import pytest
 
+from objsearch import world
 from objsearch.errors import DomainError
-from objsearch.world import CellState, GridMap, raycast_batch
-from util import empty_rows
+from objsearch.sensing import lidar_update
+from objsearch.world import CellState, GridMap, Pose, raycast_batch
+from util import empty_rows, unknown_belief
 
 
 def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hit_mask=None):
@@ -304,3 +309,115 @@ class TestPerRayOriginsAndRanges:
         for rays in (2, 0):  # a shared origin is checked even when no ray is cast
             with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
                 raycast_batch(grid, (3.5, 0.5), np.zeros(rays), 1.0)
+
+
+def reference_sweep_cells(grid, origin, rays, max_range):
+    """The lidar sweep's free and hit masks through the stepwise walk."""
+    bearings = np.arange(rays, dtype=np.float64) * (2.0 * math.pi / rays)
+    free = np.zeros((grid.height, grid.width), dtype=bool)
+    hit = np.zeros_like(free)
+    stepwise_raycast_batch(grid, origin, bearings, max_range, free, hit)
+    return free, hit
+
+
+def assert_sweeps_match_reference(grid, origins, rays, max_range):
+    """Each sweep, on a fresh belief and on one grown by the sweeps before
+    it, gives the belief the stepwise walk gives."""
+    grown = unknown_belief(grid)
+    want_grown = grown.cells.copy()
+    for x, y in origins:
+        free, hit = reference_sweep_cells(grid, (x, y), rays, max_range)
+        want = np.full_like(want_grown, CellState.UNKNOWN)
+        for cells in (want, want_grown):
+            cells[free] = CellState.FREE
+            cells[hit] = CellState.OCCUPIED
+        fresh = unknown_belief(grid)
+        lidar_update(fresh, grid, Pose(x, y, 0.0), rays, max_range)
+        assert np.array_equal(fresh.cells, want), (x, y)
+        lidar_update(grown, grid, Pose(x, y, 0.0), rays, max_range)
+        assert np.array_equal(grown.cells, want_grown), (x, y)
+
+
+def sweep_origins(grid, rng, count):
+    """Cell centres, off-centre points, and points on a vertical grid line,
+    a horizontal one and a grid corner, each in a free cell."""
+    res = grid.resolution
+    out = free_origins(grid, rng, count)
+    free = np.argwhere(grid.cells == CellState.FREE)
+    for fx, fy in ((0.0, 0.5), (0.5, 0.0), (0.0, 0.0)):
+        for iy, ix in free[rng.permutation(len(free))]:
+            x, y = (ix + fx) * res, (iy + fy) * res
+            cx, cy = grid.world_to_cell(x, y)
+            if grid.in_bounds(cx, cy) and grid.cells[cy, cx] == CellState.FREE:
+                out.append((x, y))
+                break
+    return out
+
+
+def x_offsets(ix, res):
+    """The two x offsets of a sweep from the centre of column ``ix``."""
+    x = (ix + 0.5) * res
+    return (ix + 1) * res - x, ix * res - x
+
+
+class TestLidarSweepMatchesStepwiseWalk:
+    @pytest.mark.parametrize("res", [0.02, 0.05, 0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("rays", [8, 90, 360, 720])
+    def test_random_maps(self, res, rays):
+        rng = np.random.default_rng(rays + int(res * 100))
+        grid = random_grid(rng, 36, 28, density=0.1, res=res)
+        origins = sweep_origins(grid, rng, 4)
+        # A short range, and one past the map's side, where the side caps
+        # the crossings.
+        for max_range in (5.3 * res, 2.0 * 36 * res):
+            assert_sweeps_match_reference(grid, origins, rays, max_range)
+
+    @pytest.mark.parametrize("res", [0.02, 0.1, 0.5])
+    def test_rays_through_cell_corners(self, res):
+        # From a cell centre the 45 degree rays of an 8-ray sweep pass (to
+        # within rounding) through cell corners.
+        rng = np.random.default_rng(31)
+        grid = random_grid(rng, 30, 30, density=0.05, res=res)
+        free = np.argwhere(grid.cells == CellState.FREE)
+        centres = [grid.cell_to_world(int(ix), int(iy)) for iy, ix in free[:: len(free) // 12]]
+        for max_range in (0.5, 7.5 * res, 40 * res):
+            assert_sweeps_match_reference(grid, centres, 8, max_range)
+
+    def test_crossing_on_the_range(self):
+        # The 30 degree ray of a 12-ray sweep crosses a horizontal line at
+        # 3.5 m from a cell centre at 0.1 m, up to rounding; with the range
+        # set to the walk's own sum for that crossing, it lands on it exactly.
+        res = 0.1
+        rng = np.random.default_rng(32)
+        grid = random_grid(rng, 90, 90, density=0.02, res=res)
+        free = np.argwhere(grid.cells == CellState.FREE)
+        centres = [grid.cell_to_world(int(ix), int(iy)) for iy, ix in free[:: len(free) // 8]]
+        assert_sweeps_match_reference(grid, centres, 12, 3.5)
+        inv = 1.0 / np.sin(2.0 * math.pi / 12)  # as the walk computes it
+        for x, y in centres:
+            iy = grid.world_to_cell(x, y)[1]
+            crossing = ((iy + 1) * res - y) * inv
+            for _ in range(17):
+                crossing += res * abs(inv)
+            assert 3.5 - 1e-12 < crossing < 3.5 + 1e-12
+            assert_sweeps_match_reference(grid, [(x, y)], 12, float(crossing))
+
+    @pytest.mark.parametrize("res, template, cell, ulps", [(0.02, 0, 1, 1), (0.1, 0, 10, 6)])
+    def test_offsets_a_few_ulps_apart(self, res, template, cell, ulps):
+        # Both sweeps start at a cell centre, but the offsets of the first are
+        # exactly +-res/2 and those of the second miss them by ``ulps``, which
+        # sends their diagonal rays through other cells.  A cache keyed on
+        # nominal offsets would serve the second sweep the first's order.
+        assert x_offsets(template, res) == (res / 2, -res / 2)
+        apart = [abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+                 for a, b in zip(x_offsets(cell, res), x_offsets(template, res))]
+        assert apart == [ulps, ulps]
+        grid = GridMap(30, 30, res, np.full((30, 30), CellState.FREE, dtype=np.uint8))
+        crossings = world._crossing_count(grid, 0.5)
+        geometry = world._sweep_geometry.__wrapped__  # uncached
+        one, other = (geometry(res, 8, 0.5, crossings, x_offsets(i, res) * 2)
+                      for i in (template, cell))
+        assert not np.array_equal(one[0], other[0])
+        world._sweep_geometry.cache_clear()
+        origins = [grid.cell_to_world(template, template), grid.cell_to_world(cell, cell)]
+        assert_sweeps_match_reference(grid, origins, 8, 0.5)
