@@ -457,13 +457,12 @@ def _plan_cycle(state: EpisodeState) -> list[Viewpoint]:
     the skip rule, and order the rest greedily."""
     scenario = state.scenario
     hp = scenario.hyperparams
-    maps = _nav_maps(state)
-    trav, dist = maps.trav, maps.dist
+    dist = _nav_maps(state).dist
     candidates: list[Viewpoint] = []
     for entry in state.registry:
         if entry.visited or entry.skipped:
             continue
-        vp = generate_viewpoints(state.belief, entry, scenario.planner, trav, dist)
+        vp = generate_viewpoints(state.belief, entry, scenario.planner, dist)
         if vp is not None:
             candidates.append(vp)
             entry.skipped = not passes_thresholds(vp, hp)

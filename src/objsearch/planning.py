@@ -270,15 +270,16 @@ def generate_viewpoints(
     belief: GridMap,
     landmark: LandmarkEntry,
     params: PlannerParams,
-    traversable: np.ndarray,
     dist_field: np.ndarray,
 ) -> Viewpoint | None:
     """Best observation pose on a ring around a landmark, or None if unreachable.
 
     Candidates are the :func:`viewpoint_ring` points, facing the landmark's
-    center.  A candidate survives when its cell is observed-free, traversable
-    and reachable; the one with the smallest ``dist_field`` value (the robot's
-    travel distance) wins, and ties go to the lower angle index.
+    center.  ``dist_field`` must be the robot's travel distance, a
+    :func:`distance_field` over the belief's :func:`drivable_mask` from the
+    robot's cell: a finite value then marks an observed-free, traversable and
+    reachable cell, and the others hold ``inf``.  The candidate with the
+    smallest finite value wins, and ties go to the lower angle index.
     """
     lx, ly = landmark.position
     if not belief.in_bounds(*belief.world_to_cell(lx, ly)):
@@ -287,10 +288,8 @@ def generate_viewpoints(
     best: Viewpoint | None = None
     best_dist = math.inf
     for (px, py), (cx, cy) in viewpoint_ring(belief, landmark.position, params):
-        if belief.cells[cy, cx] != CellState.FREE or not traversable[cy, cx]:
-            continue
         dist = float(dist_field[cy, cx])
-        if not math.isfinite(dist) or dist >= best_dist:
+        if dist >= best_dist:
             continue
         theta = normalize_angle(math.atan2(ly - py, lx - px))
         best = Viewpoint(landmark, Pose(px, py, theta))

@@ -84,22 +84,24 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
 
     Cells crossed before a hit become Free, hit cells become Occupied; known
     cells never revert to Unknown.  The cells are those :func:`raycast_batch`
-    flags, found in its two halves: the geometry half, each ray's merged
+    traces, found in its two halves: the geometry half, each ray's merged
     grid-line crossings, is read from a process-wide cache keyed on the
     pose's exact offsets to its cell's grid lines (with the resolution, ray
     count, range and crossing count), and only the map half, which cuts each
-    ray at the map edge or its first occupied cell, runs per sweep.
+    ray at the map edge or its first occupied cell, runs per sweep.  The
+    sweep writes the belief's cells in place by the world's flat cell
+    indices, so the belief must have the world's width, height and
+    resolution.
     """
+    geometry = (world.width, world.height, world.resolution)
+    if (belief.width, belief.height, belief.resolution) != geometry:
+        raise DomainError(f"belief geometry (width, height, resolution) must be {geometry}")
     ix, iy = world.world_to_cell(pose.x, pose.y)
     if not world.in_bounds(ix, iy):
         raise DomainError(f"lidar pose ({pose.x}, {pose.y}) outside map bounds")
     if world.cells[iy, ix] != CellState.FREE:
         raise DomainError("lidar pose is inside an obstacle")
-    free_mask = np.zeros_like(belief.cells, dtype=bool)
-    hit_mask = np.zeros_like(belief.cells, dtype=bool)
-    _raycast_sweep(world, (pose.x, pose.y), rays, max_range, free_mask, hit_mask)
-    belief.cells[free_mask] = CellState.FREE
-    belief.cells[hit_mask] = CellState.OCCUPIED
+    _raycast_sweep(world, (pose.x, pose.y), rays, max_range, belief.cells)
 
 
 def bbox_from_geometry(rel_bearing: float, distance: float, radius: float, fov: float) -> BBox:

@@ -369,12 +369,7 @@ _SWEEP_CACHE_SIZE = 512
 
 
 def raycast_batch(
-    grid: GridMap,
-    origin,
-    bearings: np.ndarray,
-    max_range,
-    free_mask: np.ndarray | None = None,
-    hit_mask: np.ndarray | None = None,
+    grid: GridMap, origin, bearings: np.ndarray, max_range
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trace many rays at once with a closed-form voxel traversal.
 
@@ -383,8 +378,6 @@ def raycast_batch(
     Returns (distances, blocked).  A ray's distance is the range at which it
     enters the first occupied cell, or its ``max_range`` if it leaves the map
     or exhausts its range first; a ray from an occupied cell is blocked at 0.
-    When ``free_mask``/``hit_mask`` arrays are given, traversed free cells
-    and hit cells (origin cells included) are flagged in them.
 
     The cells a ray visits are those of the Amanatides & Woo (1987) grid
     walk, taken in one pass instead of step by step, in two halves.  The
@@ -392,12 +385,12 @@ def raycast_batch(
     horizontal grid-line crossing within range up front (a cumulative sum,
     so the crossing ranges are bit-identical to stepping) and merges the two
     sequences with the vertical crossing first on ties.  The map half
-    (:func:`_cut_and_mark`) cuts each ray at its first step outside the map
-    or onto an occupied cell and flags the cells.  The hit distance is then
-    read back from the crossing ranges at each ray's hit step.  Every
-    per-ray quantity is computed elementwise, so a ray's result does not
-    depend on the other rays traced with it.  :func:`_raycast_sweep` runs
-    the same map half on a cached geometry.
+    (:func:`_cut_rays`) cuts each ray at its first step outside the map or
+    onto an occupied cell.  The hit distance is then read back from the
+    crossing ranges at each ray's hit step.  Every per-ray quantity is
+    computed elementwise, so a ray's result does not depend on the other
+    rays traced with it.  :func:`_raycast_sweep` runs the same map half on a
+    cached geometry.
     """
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
@@ -409,10 +402,6 @@ def raycast_batch(
         raise DomainError(f"raycast origin {bad} outside map bounds")
     ix0, iy0 = cell.astype(np.int64).T
     occupied = grid.cells[iy0, ix0] == CellState.OCCUPIED
-    if hit_mask is not None:
-        hit_mask[iy0[occupied], ix0[occupied]] = True
-    if free_mask is not None:
-        free_mask[iy0[~occupied], ix0[~occupied]] = True
     # Each ray's origin row (row 0 for a shared origin).  Rays from occupied
     # cells stop where they start; the others are traced.
     row = np.broadcast_to(np.arange(len(points)), (n,))
@@ -423,8 +412,7 @@ def raycast_batch(
     blocked = np.ones(n, dtype=bool)
     if live.size:
         dist[live], blocked[live] = _trace(
-            grid, points[row, 0], points[row, 1], ix0[row], iy0[row], bearings[live], reach,
-            free_mask, hit_mask,
+            grid, points[row, 0], points[row, 1], ix0[row], iy0[row], bearings[live], reach
         )
     return dist, blocked
 
@@ -449,7 +437,7 @@ def _blocks(n: int, crossings: int) -> list[slice]:
     return [slice(lo, lo + block) for lo in range(0, n, block)]
 
 
-def _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask):
+def _trace(grid, x0, y0, ix0, iy0, bearings, max_range):
     """Trace rays from free origin cells, block by block: both halves, then
     each hit ray's distance read back from its crossing ranges."""
     res = grid.resolution
@@ -463,8 +451,10 @@ def _trace(grid, x0, y0, ix0, iy0, bearings, max_range, free_mask, hit_mask):
     for block in _blocks(bearings.shape[0], crossings):
         t, order, within = _step_order(res, gap_x[block], gap_y[block], dx[block], dy[block],
                                        max_range[block, None], crossings)
-        hits, hit_step = _cut_and_mark(grid, ix0[block, None], iy0[block, None], dx[block],
-                                       dy[block], order < crossings, within, free_mask, hit_mask)
+        _, cut, hit = _cut_rays(grid, ix0[block, None], iy0[block, None], dx[block], dy[block],
+                                order < crossings, within)
+        hits = np.flatnonzero(hit)
+        hit_step = cut[hits]
         # The walk enters a cell at min(tmax_x, tmax_y), which is tmax_y on a
         # tie; the two differ only in the sign of a zero, which only the
         # first step can have.  They are the first crossing of each run.
@@ -515,24 +505,25 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
     return t, order, within
 
 
-def _cut_and_mark(grid, ix0, iy0, dx, dy, x_step, within, free_mask, hit_mask):
-    """Map half: cut each ray at the map edge or its first occupied cell and
-    flag the cells it crosses before the cut as free and its hit cell as hit.
+def _cut_rays(grid, ix0, iy0, dx, dy, x_step, within):
+    """Map half: cut each ray at the map edge or its first occupied cell.
 
     ``ix0``/``iy0`` are the origin cell, one or a column of one per ray,
     ``dx``/``dy`` each ray's direction cosines, ``x_step`` (rays, steps)
     whether each merged crossing is an x step, and ``within`` each ray's
-    count of crossings in range.  Returns the rays that hit an occupied cell
-    and the step of each hit.
+    count of crossings in range.  Returns ``(cell, cut, hit)``: the flat
+    index of the cell each (ray, step) enters, each ray's cut step and
+    whether the ray hit an occupied cell at that step.  A ray's free cells
+    are its steps before the cut, and a hit ray's hit cell is the one at
+    the cut; the indices at and past the cut may lie off the map.
 
     The walk moves monotonically in x and in y, so a ray that leaves the map
     never comes back, and the steps inside the map are a prefix of the
-    steps in range.  A ray's free cells are the steps before its hit (or
-    exit) step.
+    steps in range.
     """
     n, steps = x_step.shape
     if steps == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return np.zeros((n, 0), dtype=np.intp), np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
     width = grid.width
     # A ray takes at most 2 * crossings <= 2 * side steps, so its cell
     # coordinates lie in [-2 side, 3 side] and its flat cell index below
@@ -552,14 +543,8 @@ def _cut_and_mark(grid, ix0, iy0, dx, dy, x_step, within, free_mask, hit_mask):
     occupied = alive & (np.take(grid.cells, cell, mode="clip") == CellState.OCCUPIED)
     first = np.argmax(occupied, axis=1)
     hit = occupied[np.arange(n), first]
-    hits = np.flatnonzero(hit)
-    hit_step = first[hits]
-    if hit_mask is not None:
-        np.put(hit_mask, cell[hits, hit_step], True)
-    if free_mask is not None:
-        stop = np.where(hit, first, np.count_nonzero(alive, axis=1))
-        np.put(free_mask, cell[np.arange(steps) < stop[:, None]], True)
-    return hits, hit_step
+    cut = np.where(hit, first, np.count_nonzero(alive, axis=1))
+    return cell, cut, hit
 
 
 @lru_cache(maxsize=_SWEEP_CACHE_SIZE)
@@ -593,19 +578,22 @@ def _sweep_geometry(res, rays, max_range, crossings, offsets):
     return packed, within
 
 
-def _raycast_sweep(grid, origin, rays, max_range, free_mask, hit_mask) -> None:
-    """Flag the cells that ``rays`` evenly spaced rays from ``origin``, in a
-    free cell, cross and hit, as :func:`raycast_batch` does for bearings
-    ``k * 2 pi / rays``, origin cell included.
+def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
+    """Write into ``cells``, a belief of ``grid``'s geometry, the cells that
+    ``rays`` evenly spaced rays from ``origin``, in a free cell, cross (Free,
+    origin cell included) and hit (Occupied), as :func:`raycast_batch`
+    traces bearings ``k * 2 pi / rays``.
 
     The geometry half comes from :func:`_sweep_geometry`, keyed on the
     origin's exact offsets to its cell's grid lines; only the map half runs
-    per sweep.
+    per sweep, and its flat cell indices are written with ``np.put``.  Free
+    cells are never occupied in ``grid`` and hit cells always are, so the
+    two writes never touch the same cell.
     """
     x, y = origin
     res = grid.resolution
     ix, iy = grid.world_to_cell(x, y)
-    free_mask[iy, ix] = True
+    cells[iy, ix] = CellState.FREE
     crossings = _crossing_count(grid, max_range)
     offsets = ((ix + 1) * res - x, ix * res - x, (iy + 1) * res - y, iy * res - y)
     packed, within = _sweep_geometry(res, rays, max_range, crossings, offsets)
@@ -613,8 +601,9 @@ def _raycast_sweep(grid, origin, rays, max_range, free_mask, hit_mask) -> None:
     for block in _blocks(rays, crossings):
         steps = int(within[block].max())
         x_step = np.unpackbits(packed[block], axis=1, count=steps).view(bool)
-        _cut_and_mark(grid, ix, iy, dx[block], dy[block], x_step, within[block],
-                      free_mask, hit_mask)
+        cell, cut, hit = _cut_rays(grid, ix, iy, dx[block], dy[block], x_step, within[block])
+        np.put(cells, cell[np.arange(steps) < cut[:, None]], CellState.FREE)
+        np.put(cells, cell[hit, cut[hit]], CellState.OCCUPIED)
 
 
 def _sweep_directions(rays: int) -> tuple[np.ndarray, np.ndarray]:

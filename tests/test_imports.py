@@ -44,6 +44,30 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but never read (name: line) {unused}"
 
 
+def test_no_dead_helpers():
+    """Every module-level function and class is read or imported somewhere
+    in the package; one that nothing uses any more is deleted."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert {"world.raycast_batch", "sensing.lidar_update"} <= defined
+    assert sorted(name for name in defined if name.split(".")[1] not in used) == []
+
+
 PUBLIC_NAMES = [
     "AggregateReport", "AssetContext", "CameraObservation", "DetectionRecord",
     "EpisodeResult", "Frontier", "GenerationTable", "GridMap", "HyperParams", "LandmarkSpec",
@@ -97,7 +121,6 @@ SETTABLE_VALUES = {
         "assets.load.root", "assets.load.table_file", "batch.context_for_preset.asset_root",
         "batch.run_batch.asset_root", "batch.score_records.preset", "cli.main.argv",
         "episode.run_episode.seed", "episode.run_episode.confirm_fn",
-        "world.raycast_batch.free_mask", "world.raycast_batch.hit_mask",
         "world.parse_fields.parsers",
     ],
 }
@@ -153,4 +176,4 @@ def test_settable_values_are_pinned():
         "environment variables": environment_reads(),
         "defaulted parameters": defaulted_parameters(),
     } == SETTABLE_VALUES
-    assert sum(map(len, SETTABLE_VALUES.values())) == 63
+    assert sum(map(len, SETTABLE_VALUES.values())) == 61

@@ -34,6 +34,7 @@ from objsearch.planning import (
     clear_robot_disk,
     Frontier,
     distance_field,
+    drivable_mask,
     frontier_cells_mask,
     generate_viewpoints,
     inflate_occupied,
@@ -342,9 +343,9 @@ class TestGenerateViewpoints:
     PARAMS = PlannerParams(view_radius=3.0, view_directions=4)
     RING = [(8, 5), (5, 8), (2, 5), (5, 2)]
 
-    def choose(self, belief, trav, dist, position=(5.5, 5.5)):
+    def choose(self, belief, dist, position=(5.5, 5.5)):
         landmark = LandmarkEntry("lm000", "desk", position, 0.5, 0.1)
-        return generate_viewpoints(belief, landmark, self.PARAMS, trav, dist)
+        return generate_viewpoints(belief, landmark, self.PARAMS, dist)
 
     def field(self, *values):
         dist = np.full((11, 11), np.inf)
@@ -355,52 +356,54 @@ class TestGenerateViewpoints:
     def test_nearest_reachable_pose_wins(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, trav, distance_field(trav, 1.0, [(9, 5)]))
+        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 5)]))
         assert (vp.landmark.id, vp.landmark.name, vp.landmark.cooccur,
                 vp.landmark.sem_uncert) == ("lm000", "desk", 0.5, 0.1)
         assert vp.pose.x == pytest.approx(8.5) and vp.pose.y == pytest.approx(5.5)
         assert vp.pose.theta == pytest.approx(-math.pi)  # faces the landmark
-        vp = self.choose(belief, trav, self.field(4.0, 3.0, 2.0, 5.0))
+        vp = self.choose(belief, self.field(4.0, 3.0, 2.0, 5.0))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((2.5, 5.5))
         assert vp.pose.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_goes_to_lower_angle_index(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, trav, distance_field(trav, 1.0, [(5, 5)]))
+        vp = self.choose(belief, distance_field(trav, 1.0, [(5, 5)]))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((8.5, 5.5))
-        vp = self.choose(belief, trav, self.field(3.0, 2.0, 2.0, 2.0))
+        vp = self.choose(belief, self.field(3.0, 2.0, 2.0, 2.0))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((5.5, 8.5))
 
-    def test_blocked_or_unreachable_candidates_are_skipped(self):
+    def test_unreachable_candidates_are_skipped(self):
         belief = open_belief(11, 11)
-        trav = np.ones((11, 11), dtype=bool)
-        dist = self.field(1.0, 2.0, 2.0, 3.0)
-        trav[5, 8] = False  # not traversable
-        assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
-        trav[5, 8] = True
-        belief.cells[5, 8] = CellState.OCCUPIED  # not observed free
-        assert self.choose(belief, trav, dist).pose.y == pytest.approx(8.5)
-        belief.cells[5, 8] = CellState.FREE
-        vp = self.choose(belief, trav, self.field(np.inf, 2.0, np.inf, np.inf))  # unreachable
+        vp = self.choose(belief, self.field(np.inf, 2.0, np.inf, np.inf))
         assert vp.pose.y == pytest.approx(8.5)
 
+    def test_field_over_the_drivable_mask_skips_unknown_and_blocked_cells(self):
+        # From cell (9, 9) the two nearest ring cells are (8, 5) and (5, 8).
+        # One is still unknown, and an obstacle at (5, 9) inflates over the
+        # other, so the field the episode builds holds inf at both.
+        belief = open_belief(11, 11, unknown=[(8, 5)])
+        assert self.choose(belief, distance_field(np.ones((11, 11), dtype=bool), 1.0,
+                                                  [(9, 9)])).pose.x == pytest.approx(8.5)
+        belief.cells[9, 5] = CellState.OCCUPIED
+        trav = drivable_mask(belief, (9, 9), robot_radius=1.0)
+        assert not trav[5, 8] and not trav[8, 5]
+        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 9)]))
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((2.5, 5.5))
+
     def test_no_usable_candidate_gives_none(self):
-        belief = open_belief(11, 11)
-        trav = np.ones((11, 11), dtype=bool)
-        assert self.choose(belief, trav, self.field()) is None
-        trav[5, 8] = trav[8, 5] = False
-        belief.cells[5, 2] = belief.cells[2, 5] = CellState.UNKNOWN
-        assert self.choose(belief, trav, self.field(1.0, 1.0, 1.0, 1.0)) is None
+        belief = open_belief(11, 11, unknown=self.RING)
+        assert self.choose(belief, self.field()) is None
+        trav = drivable_mask(belief, (0, 0), robot_radius=0.0)
+        assert self.choose(belief, distance_field(trav, 1.0, [(0, 0)])) is None
 
     def test_ring_poses_off_the_map_are_skipped(self):
         belief = open_belief(11, 11)
-        trav = np.ones((11, 11), dtype=bool)
         dist = np.zeros((11, 11))
-        vp = self.choose(belief, trav, dist, position=(9.5, 9.5))  # only 180 and 270 deg fit
+        vp = self.choose(belief, dist, position=(9.5, 9.5))  # only 180 and 270 deg fit
         assert (vp.pose.x, vp.pose.y) == pytest.approx((6.5, 9.5))
         with pytest.raises(DomainError):
-            self.choose(belief, trav, dist, position=(11.5, 5.5))
+            self.choose(belief, dist, position=(11.5, 5.5))
 
 
 def viewpoint(landmark_id, x, y, cooccur=0.5, sem_uncert=0.0):

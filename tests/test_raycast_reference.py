@@ -2,11 +2,13 @@
 
 ``stepwise_raycast_batch`` is the Amanatides & Woo (1987) traversal advanced
 one grid-line crossing per iteration for every active ray.  The closed-form
-kernel must reproduce it bit for bit: the same distances (down to the sign of
-a zero), the same ``blocked`` flags and the same free and hit cells.  The
-lidar sweep reads its crossing order from a cache keyed on the origin's
-exact offsets to its cell's grid lines, so its beliefs are checked against
-the walk too, including origins whose offsets differ by a single ulp.
+kernel must reproduce its distances bit for bit (down to the sign of a zero)
+and its ``blocked`` flags.  The walk also flags the free and hit cells, and
+the lidar sweep, which writes those cells into the belief, must give the
+belief they give.  The sweep reads its crossing order from a cache keyed on
+the origin's exact offsets to its cell's grid lines, so its beliefs are
+checked from origins whose offsets differ by a single ulp too, over several
+blocks of rays, and with int64 cell indices.
 """
 
 from __future__ import annotations
@@ -87,22 +89,12 @@ def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hi
 
 
 def assert_same_as_reference(grid, origin, bearings, max_range):
-    got_free = np.zeros((grid.height, grid.width), dtype=bool)
-    got_hit = np.zeros_like(got_free)
-    want_free = np.zeros_like(got_free)
-    want_hit = np.zeros_like(got_free)
-    got = raycast_batch(grid, origin, bearings, max_range, got_free, got_hit)
-    want = stepwise_raycast_batch(grid, origin, bearings, max_range, want_free, want_hit)
+    got = raycast_batch(grid, origin, bearings, max_range)
+    want = stepwise_raycast_batch(grid, origin, bearings, max_range)
     # Bitwise: -0.0 and 0.0 differ here, as do distances one ulp apart.
     assert got[0].dtype == want[0].dtype == np.float64
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
-    assert np.array_equal(got_free, want_free)
-    assert np.array_equal(got_hit, want_hit)
-    # Without masks the kernel returns the same rays.
-    plain = raycast_batch(grid, origin, bearings, max_range)
-    assert plain[0].tobytes() == want[0].tobytes()
-    assert np.array_equal(plain[1], want[1])
 
 
 def random_grid(rng, width=24, height=18, density=0.2, res=0.1):
@@ -234,20 +226,21 @@ class TestRaycastMatchesStepwiseWalk:
 
 
 def assert_per_ray_same_as_reference(grid, origins, bearings, ranges):
-    """One origin and range per ray: each ray equals its own single-ray walk,
-    and the masks are the union of the single-ray masks."""
-    got_free = np.zeros((grid.height, grid.width), dtype=bool)
-    got_hit = np.zeros_like(got_free)
-    want_free = np.zeros_like(got_free)
-    want_hit = np.zeros_like(got_free)
-    dist, blocked = raycast_batch(grid, np.array(origins), bearings, ranges, got_free, got_hit)
+    """One origin and range per ray: each ray equals its own single-ray walk."""
+    dist, blocked = raycast_batch(grid, np.array(origins), bearings, ranges)
     for k, (origin, bearing, reach) in enumerate(zip(origins, bearings, ranges)):
-        want = stepwise_raycast_batch(grid, origin, np.array([bearing]), reach,
-                                      want_free, want_hit)
+        want = stepwise_raycast_batch(grid, origin, np.array([bearing]), reach)
         assert dist[k : k + 1].tobytes() == want[0].tobytes()
         assert blocked[k] == want[1][0]
-    assert np.array_equal(got_free, want_free)
-    assert np.array_equal(got_hit, want_hit)
+
+
+def int64_corridor():
+    """A 3-cell wide corridor, 12,000 cells long at 0.1 m, with a wall cell
+    every 997 rows.  16 * side**2 >= 2**31 from a side of 11586 cells, so
+    its rays are cut with int64 cell indices."""
+    cells = np.full((12_000, 3), CellState.FREE, dtype=np.uint8)
+    cells[::997, 1] = CellState.OCCUPIED
+    return GridMap(3, 12_000, 0.1, cells)
 
 
 class TestPerRayOriginsAndRanges:
@@ -288,12 +281,7 @@ class TestPerRayOriginsAndRanges:
         assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 2500))
 
     def test_map_too_large_for_int32_cell_indices(self):
-        # 16 * side**2 >= 2**31 from a side of 11586 cells, so this 3-cell
-        # wide corridor is traced with int64 cell indices.
-        height = 12_000
-        cells = np.full((height, 3), CellState.FREE, dtype=np.uint8)
-        cells[::997, 1] = CellState.OCCUPIED
-        grid = GridMap(3, height, 0.1, cells)
+        grid = int64_corridor()
         rng = np.random.default_rng(24)
         origins = [(0.05, 1199.95), (0.25, 600.05), (0.15, 0.35), (0.05, 1000.0)]
         bearings = np.array([-math.pi / 2, math.pi / 2, 1.5, -1.57])
@@ -421,3 +409,16 @@ class TestLidarSweepMatchesStepwiseWalk:
         world._sweep_geometry.cache_clear()
         origins = [grid.cell_to_world(template, template), grid.cell_to_world(cell, cell)]
         assert_sweeps_match_reference(grid, origins, 8, 0.5)
+
+    @pytest.mark.parametrize("rays, max_range, blocks", [(3000, 10.0, 4), (2501, 1.7, 2)])
+    def test_more_rays_than_one_block(self, rays, max_range, blocks):
+        # The cached geometry pads each block's rows to the longest ray of
+        # the sweep, and the sweep unpacks it block by block.
+        rng = np.random.default_rng(rays)
+        grid = random_grid(rng, 40, 34, density=0.1, res=0.1)
+        assert len(world._blocks(rays, world._crossing_count(grid, max_range))) == blocks
+        assert_sweeps_match_reference(grid, sweep_origins(grid, rng, 2), rays, max_range)
+
+    def test_map_too_large_for_int32_cell_indices(self):
+        grid = int64_corridor()
+        assert_sweeps_match_reference(grid, [(0.15, 5.05), (0.05, 1199.95)], 8, 1300.0)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
+from objsearch.errors import DomainError
 from objsearch.sensing import lidar_update
 from objsearch.world import CellState, GridMap, Pose
 from util import unknown_belief
@@ -60,3 +62,14 @@ def test_known_cells_never_change_over_a_random_walk():
         counts.append(np.count_nonzero(known))
     # The count only grows, so equal counts mean equal beliefs.
     assert counts == sorted(counts) and counts[-1] > counts[0]
+
+
+@pytest.mark.parametrize("width, height, res", [(10, 20, 0.1), (5, 5, 0.1), (20, 10, 0.2)])
+def test_belief_of_another_geometry_is_rejected(width, height, res):
+    # The sweep writes the belief by the world's flat cell indices: a 10x20
+    # belief of a 20x10 world has as many cells but would get the wrong ones.
+    grid = cluttered_grid(3, width=20, height=10)
+    belief = GridMap(width, height, res, np.zeros((height, width), dtype=np.uint8))
+    with pytest.raises(DomainError, match="belief geometry"):
+        lidar_update(belief, grid, Pose(0.55, 0.55, 0.0), 90, 3.5)
+    assert not belief.cells.any()
