@@ -220,7 +220,7 @@ def load_records_jsonl(text: str) -> list[EpisodeRecord]:
     return records
 
 
-def score_records(records: list[EpisodeRecord], preset: str = "scored") -> AggregateReport:
+def score_records(records: list[EpisodeRecord], preset: str) -> AggregateReport:
     return AggregateReport(
         preset=preset,
         episodes=len(records),

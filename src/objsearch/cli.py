@@ -87,7 +87,7 @@ def _cmd_gen_suite(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     with open(args.records, "r", encoding="utf-8") as fh:
         records = load_records_jsonl(fh.read())
-    report = score_records(records)
+    report = score_records(records, "scored")
     if args.report:
         write_report(report, Path(args.report))
     print(report.summary_table(), end="")
@@ -128,7 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", type=Path, required=True)
     p_gen.set_defaults(func=_cmd_gen_suite)
 
-    p_score = sub.add_parser("score", help="aggregate per-episode records")
+    p_score = sub.add_parser(
+        "score",
+        help="aggregate per-episode records",
+        description="Aggregate per-episode records (JSONL) into SR, SPL and mean waypoints. "
+        "Records carry no preset, so the report is labelled 'scored'.",
+    )
     p_score.add_argument("records", type=Path)
     p_score.add_argument("--report", type=Path, default=None, help="write report files here")
     p_score.set_defaults(func=_cmd_score)

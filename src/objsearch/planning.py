@@ -380,87 +380,95 @@ _LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
 _RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
 
 
+def _axis_gaps(
+    lo: float, hi: float, reach: float, resolution: float, size: int
+) -> tuple[int, np.ndarray]:
+    """First index, and gaps to ``[lo, hi]`` of the cell centres, of the cells
+    along one axis whose centres can lie within ``reach`` of that span, with a
+    cell to spare on each side, clipped to the map's ``size`` cells."""
+    start = math.floor(max((lo - reach) / resolution - 1.5, 0.0))
+    stop = math.ceil(min((hi + reach) / resolution + 0.5, size))
+    centres = (np.arange(start, stop) + 0.5) * resolution
+    return start, np.maximum(np.maximum(lo - centres, centres - hi), 0.0)
+
+
+def cells_near(
+    mask: np.ndarray, rect: tuple, resolution: float, max_dist: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of the cells set in ``mask`` whose centres lie within ``(0,
+    max_dist]`` of the rectangle ``rect = (x0, y0, x1, y1)``, in row-major
+    order; a point is a rectangle with no area.  This is the one range rule:
+    ``math.hypot`` of a centre's gaps to the rectangle along x and y decides.
+
+    Only the rows and columns that can qualify are read, also when
+    ``max_dist`` is infinite.  ``np.hypot`` decides every cell clear of
+    ``max_dist`` by the relative ``_RANGE_MARGIN``, far wider than its
+    one-ulp differences from ``math.hypot``, which decides the cells inside it."""
+    reach = max_dist * (1.0 + _RANGE_MARGIN)
+    x0, dx = _axis_gaps(rect[0], rect[2], reach, resolution, mask.shape[1])
+    y0, dy = _axis_gaps(rect[1], rect[3], reach, resolution, mask.shape[0])
+    window = mask[y0 : y0 + dy.size, x0 : x0 + dx.size]
+    ys, xs = np.divmod(np.flatnonzero(window), dx.size)
+    dx, dy = dx[xs], dy[ys]
+    gap = np.hypot(dx, dy)
+    near = (gap > 0.0) & (gap <= reach)
+    band = np.flatnonzero(near & (gap >= max_dist * (1.0 - _RANGE_MARGIN)))
+    for k, gx, gy in zip(band.tolist(), dx[band].tolist(), dy[band].tolist()):
+        near[k] = math.hypot(gx, gy) <= max_dist
+    return xs[near] + x0, ys[near] + y0
+
+
 def first_confirming(
-    grid: GridMap, target: ObjectSpec, cam_range: float, xs: np.ndarray, ys: np.ndarray
+    grid: GridMap, target: ObjectSpec, xs: np.ndarray, ys: np.ndarray
 ) -> int | None:
-    """The one confirming-cell rule: index into (``xs``, ``ys``) of the first
-    cell, in the given order, whose centre is within ``(0, cam_range +
-    resolution]`` of the target by ``math.hypot`` (half a cell of tolerance at
-    the rim) and in line of sight of it, past its :func:`object_slack`; None
-    when no cell is.  The robot can turn, so the field of view does not matter.
+    """The one confirming-cell search: index into (``xs``, ``ys``) of the
+    first cell, in the given order, whose centre is in line of sight of the
+    target, past its :func:`object_slack`; None when no cell is.  Callers
+    pass the cells in camera range, those :func:`cells_near` finds within
+    ``cam_range + resolution`` of the target (half a cell of tolerance at the
+    rim).  The robot can turn, so the field of view does not matter.
 
-    ``np.hypot`` on whole arrays, with a margin for its one-ulp differences
-    from ``math.hypot``, drops the cells clearly out of range; the rest are
-    tested ``_LOS_CHUNK`` at a time, because most searches end on their first
-    few.  A ray's answer does not depend on the rays traced with it.  Only
-    cells in the target's :func:`_camera_window` can pass that prefilter, so
-    callers pass no others."""
+    The cells are tested ``_LOS_CHUNK`` at a time, because most searches end
+    on their first few.  A ray's answer does not depend on the rays traced
+    with it."""
     res = grid.resolution
-    tx, ty = target.position
-    cx, cy = (xs + 0.5) * res, (ys + 0.5) * res
-    gap = np.hypot(tx - cx, ty - cy)
-    near = np.flatnonzero(gap <= (cam_range + res) * (1.0 + _RANGE_MARGIN))
     slack = object_slack(target, res)
-    for lo in range(0, near.size, _LOS_CHUNK):
-        chunk = near[lo : lo + _LOS_CHUNK]
-        dxs, dys = (tx - cx[chunk]).tolist(), (ty - cy[chunk]).tolist()
-        in_range = [
-            k for k, dx, dy in zip(chunk.tolist(), dxs, dys)
-            if 0.0 < math.hypot(dx, dy) <= cam_range + res
-        ]
-        origins = np.column_stack((cx[in_range], cy[in_range]))
-        seen = lines_of_sight(grid, origins, target.position, slack)
+    for lo in range(0, xs.size, _LOS_CHUNK):
+        cx, cy = (xs[lo : lo + _LOS_CHUNK] + 0.5) * res, (ys[lo : lo + _LOS_CHUNK] + 0.5) * res
+        seen = lines_of_sight(grid, np.column_stack((cx, cy)), target.position, slack)
         if seen.any():
-            return in_range[int(np.argmax(seen))]
+            return lo + int(np.argmax(seen))
     return None
-
-
-def _camera_window(scenario: ScenarioSpec, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys) of the cells set in a map-shaped ``mask``, in row-major order,
-    within the target's camera window: the rows and columns whose centres
-    can lie within :func:`first_confirming`'s prefilter radius of the
-    target, plus one cell, clipped to the map.
-
-    No cell outside the window can confirm, and row-major order restricted
-    to the window is a subsequence of row-major order over the whole map, so
-    a search over these cells finds the cell a whole-map search finds."""
-    res = scenario.map.resolution
-    reach = (scenario.hyperparams.cam_range + res) * (1.0 + _RANGE_MARGIN) / res + 1.0  # cells
-    window = []
-    for position, size in zip(scenario.target.position, mask.shape[::-1]):
-        centre = position / res - 0.5
-        lo = math.floor(max(centre - reach, 0.0))
-        window.append(slice(lo, math.ceil(min(centre + reach, size - 1.0)) + 1))
-    cols, rows = window
-    ys, xs = np.nonzero(mask[rows, cols])
-    return xs + cols.start, ys + rows.start
 
 
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest path from the start, driving by the episode's
     :func:`drivable_mask` on the fully known map, to a cell that
-    :func:`first_confirming` accepts; inf when none is reachable.  So a start
-    inside the inflated walls drives out of the robot's own disk.
+    :func:`first_confirming` accepts among the reachable cells in camera
+    range; inf when none is.  So a start inside the inflated walls drives out
+    of the robot's own disk.
 
-    The reachable cells of the target's :func:`_camera_window` are tried in
-    order of path length (a stable sort of them in row-major order, which
-    keeps the relative order of a sort over the whole map).  The length is
-    finite exactly when :func:`target_observable` holds, which answers that
-    without the distance field."""
+    The reachable cells :func:`cells_near` the target are tried in order of
+    path length (a stable sort of them in row-major order, which keeps the
+    relative order of a sort over the whole map).  The length is finite
+    exactly when :func:`target_observable` holds, which answers that without
+    the distance field."""
     grid = scenario.map
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
     dist = distance_field(drivable, grid.resolution, [start])
-    xs, ys = _camera_window(scenario, np.isfinite(dist))
+    tx, ty = scenario.target.position
+    max_dist = scenario.hyperparams.cam_range + grid.resolution
+    xs, ys = cells_near(np.isfinite(dist), (tx, ty, tx, ty), grid.resolution, max_dist)
     by_length = np.argsort(dist[ys, xs], kind="stable")
     ys, xs = ys[by_length], xs[by_length]
-    hit = first_confirming(grid, scenario.target, scenario.hyperparams.cam_range, xs, ys)
+    hit = first_confirming(grid, scenario.target, xs, ys)
     return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
 
 
 def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
-    """Whether :func:`ground_truth_shortest` is finite: some cell that
-    :func:`first_confirming` accepts is reachable from the start.
+    """Whether :func:`ground_truth_shortest` is finite: some cell in camera
+    range that :func:`first_confirming` accepts is reachable from the start.
     ``traversable`` is the scenario map's :func:`traversable_mask` at the
     planner's robot radius; the start's disk is freed on a copy of it, which
     gives :func:`drivable_mask` without inflating the map again.
@@ -468,12 +476,13 @@ def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
     the same graph :func:`distance_field` searches (diagonal steps need no
-    free side cell).  Those in the target's :func:`_camera_window` are tried
-    in row-major order, since only whether one confirms matters."""
+    free side cell).  Those :func:`cells_near` the target are tried in
+    row-major order, since only whether one confirms matters."""
     grid = scenario.map
     sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
     labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
-    xs, ys = _camera_window(scenario, labels == labels[sy, sx])
-    hit = first_confirming(grid, scenario.target, scenario.hyperparams.cam_range, xs, ys)
-    return hit is not None
+    tx, ty = scenario.target.position
+    max_dist = scenario.hyperparams.cam_range + grid.resolution
+    xs, ys = cells_near(labels == labels[sy, sx], (tx, ty, tx, ty), grid.resolution, max_dist)
+    return first_confirming(grid, scenario.target, xs, ys) is not None

@@ -11,9 +11,9 @@ robot clear of walls and does not confirm the target, and some cell that
 confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
 so every scenario has the finite shortest path SPL divides by.  The map is
 inflated once: the start check's traversable mask is the one that test
-reads.  The test tries only the reachable cells of the target's camera
-window, the rows and columns within the camera range plus two cells of the
-target, since no cell beyond can confirm it.  Generation never computes the
+reads.  Which cells are in camera range of the target, and which free cells
+lie near a host landmark, is decided by one rule,
+:func:`~objsearch.planning.cells_near`.  Generation never computes the
 path's length: the episode does, once, with
 :func:`~objsearch.planning.ground_truth_shortest`.
 """
@@ -32,7 +32,7 @@ from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .knowledge import cooccurrences
 from .planning import (
-    _RANGE_MARGIN, first_confirming, target_observable, traversable_mask, viewpoint_ring,
+    cells_near, first_confirming, target_observable, traversable_mask, viewpoint_ring,
 )
 from .world import (
     CellState,
@@ -137,9 +137,13 @@ class SuiteParams:
                 raise SchemaError(
                     f"suite.placement_weights.{name}: must be non-negative and finite"
                 )
-        for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams),
-                          ("planner", PlannerParams)):
+        for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams)):
             _parse_section(cls, getattr(self, name), f"suite.{name}")  # as in a document
+        planner = _parse_section(PlannerParams, self.planner, "suite.planner")
+        if 2.0 * planner.robot_radius >= self.map_side:  # generation inflates the map first
+            raise SchemaError(
+                "suite.planner.robot_radius: the robot must fit in the map (2 * radius < map_side)"
+            )
 
 
 def _weights(value, where: str) -> dict[str, float] | None:
@@ -335,36 +339,6 @@ def _place_landmarks(
     return placed
 
 
-def _cells_near_rect(
-    occ: np.ndarray, rect: tuple, res: float, max_dist: float
-) -> list[tuple[int, int]]:
-    """Free cells whose center sits within (0, max_dist] of the rectangle, in
-    row-major order.
-
-    ``np.hypot`` on the window, with a margin for its one-ulp differences
-    from ``math.hypot``, drops the cells clearly out of range; the exact
-    ``math.hypot`` test decides the rest."""
-    n = occ.shape[0]
-    x0 = max(0, int((rect[0] - max_dist) / res) - 1)
-    y0 = max(0, int((rect[1] - max_dist) / res) - 1)
-    x1 = min(n - 1, int((rect[2] + max_dist) / res) + 1)
-    y1 = min(n - 1, int((rect[3] + max_dist) / res) + 1)
-    if x0 > x1 or y0 > y1:  # the window lies wholly outside the map
-        return []
-    cx = (np.arange(x0, x1 + 1) + 0.5) * res
-    cy = (np.arange(y0, y1 + 1) + 0.5) * res
-    dx = np.maximum(np.maximum(rect[0] - cx, cx - rect[2]), 0.0)
-    dy = np.maximum(np.maximum(rect[1] - cy, cy - rect[3]), 0.0)
-    near = np.hypot(dx[None, :], dy[:, None]) <= max_dist * (1.0 + _RANGE_MARGIN)
-    near &= ~occ[y0 : y1 + 1, x0 : x1 + 1]
-    dxs, dys = dx.tolist(), dy.tolist()
-    return [
-        (x0 + kx, y0 + ky)
-        for ky, kx in zip(*(k.tolist() for k in np.nonzero(near)))
-        if 0.0 < math.hypot(dxs[kx], dys[ky]) <= max_dist
-    ]
-
-
 def _host_weights(
     params: SuiteParams,
     target: str,
@@ -388,13 +362,15 @@ def _weighted_pick(rng: np.random.Generator, weights: np.ndarray) -> int:
 
 
 def _place_object(
-    occ: np.ndarray,
+    free: np.ndarray,
     rng: np.random.Generator,
     rect: tuple,
     res: float,
     used: set[tuple[int, int]],
 ) -> tuple[float, float]:
-    candidates = [c for c in _cells_near_rect(occ, rect, res, 0.5) if c not in used]
+    """A cell centre drawn from the unused free cells within 0.5 m of ``rect``."""
+    near = zip(*(a.tolist() for a in cells_near(free, rect, res, 0.5)))
+    candidates = [c for c in near if c not in used]
     if not candidates:
         raise _Retry("no free cell near the host landmark")
     ix, iy = candidates[int(rng.integers(len(candidates)))]
@@ -428,8 +404,9 @@ def _generate_one(
         raise _Retry("no target in the pool is placeable under the weights")
 
     used: set[tuple[int, int]] = set()
+    free = ~occ
     host = landmarks[_weighted_pick(rng, weights)]
-    target_pos = _place_object(occ, rng, host.footprint, res, used)
+    target_pos = _place_object(free, rng, host.footprint, res, used)
     objects = [
         ObjectSpec(
             id="T0", name=target_name, position=target_pos,
@@ -443,7 +420,7 @@ def _generate_one(
         name = _pick(rng, other_names)
         lm = _pick(rng, landmarks)
         try:
-            pos = _place_object(occ, rng, lm.footprint, res, used)
+            pos = _place_object(free, rng, lm.footprint, res, used)
         except _Retry:
             continue
         objects.append(
@@ -455,12 +432,15 @@ def _generate_one(
     sensor = SensorParams(**params.sensor)
 
     trav = traversable_mask(grid, planner.robot_radius)
+    tx, ty = target_pos
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))
         if not trav[iy, ix] or (ix, iy) in used:
             continue
-        hit = first_confirming(grid, objects[0], hyper.cam_range, np.array([ix]), np.array([iy]))
-        if hit is None:
+        candidate = np.zeros((n, n), dtype=bool)
+        candidate[iy, ix] = True
+        xs, ys = cells_near(candidate, (tx, ty, tx, ty), res, hyper.cam_range + res)
+        if first_confirming(grid, objects[0], xs, ys) is None:
             break  # a start cell from which the target is not confirmable
     else:
         raise _Retry("no valid start cell")

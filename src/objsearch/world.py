@@ -20,8 +20,8 @@ picks the value's check.  :func:`fields_dict` writes it.
 Value checks live in the dataclasses, so a spec built in code is as valid
 as a parsed one: each landmark, object and config section checks its own
 fields, and :class:`ScenarioSpec` checks what spans its parts (a fully known
-map, unique ids, landmark footprints on occupied cells, one target, a free
-start cell).
+map, a robot narrower than the map, unique ids, landmark footprints on
+occupied cells, one target, a free start cell).
 """
 
 from __future__ import annotations
@@ -298,6 +298,11 @@ class ScenarioSpec:
             raise ValidationError("map.cells: cells must be Free or Occupied")
         grid.cells.setflags(write=False)
         w_m, h_m = grid.size_meters
+        if 2.0 * self.planner.robot_radius >= min(w_m, h_m):
+            raise ValidationError(
+                f"planner.robot_radius: the robot must fit in the map "
+                f"(2 * radius < its shorter side, {min(w_m, h_m)} m)"
+            )
 
         ids = [lm.id for lm in self.landmarks] + [o.id for o in self.objects]
         if len(ids) != len(set(ids)):

@@ -274,6 +274,19 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_robot_that_cannot_fit_exits_2(self, tmp_path, capsys, no_inflation):
+        # Rejected as the documents are read, before any map is inflated.
+        doc = json.loads(serialize_scenario(box_scenario()))
+        doc["planner"] = {"robot_radius": 1e6}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 2
+        assert "planner.robot_radius" in capsys.readouterr().err
+        path.write_text(json.dumps({"count": 1, "planner": {"robot_radius": 1e6}}), encoding="utf-8")
+        assert main(["gen-suite", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "suite.planner.robot_radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "t.jsonl").exists()
+
     def test_negative_run_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(serialize_scenario(box_scenario()), encoding="utf-8")
@@ -388,6 +401,11 @@ class TestCliHappyPath:
             '"preset": "full"', '"preset": "scored"'
         )
         capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["score", "--help"])
+        assert "Records carry no preset, so the report is labelled 'scored'." in " ".join(
+            capsys.readouterr().out.split()
+        )
 
         records = load_records_jsonl((out / "records.jsonl").read_text(encoding="utf-8"))
         assert {r.success for r in records} == {True, False}

@@ -221,6 +221,36 @@ def test_out_of_range_values_fail_where_built(build, message):
     assert str(err.value) == message
 
 
+def test_robot_that_cannot_fit_in_its_map_rejected(no_inflation):
+    # The minimal map is 1 m square: a robot 1 m across does not fit, one a
+    # hair narrower does.
+    doc = minimal_doc()
+    message = "planner.robot_radius: the robot must fit in the map (2 * radius < its shorter side"
+    for radius in (1e6, 0.5):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario({**doc, "planner": {"robot_radius": radius}})
+        assert str(err.value).startswith(message)
+    spec = parse_scenario({**doc, "planner": {"robot_radius": math.nextafter(0.5, 0.0)}})
+    with pytest.raises(ValidationError, match="robot must fit"):
+        dataclasses.replace(spec, planner=PlannerParams(robot_radius=0.5))
+
+
+def test_suite_robot_that_cannot_fit_in_its_map_rejected(no_inflation):
+    # Generation inflates the map before it builds a spec, so the suite
+    # rejects the robot against map_side as it is read.
+    message = "suite.planner.robot_radius: the robot must fit in the map (2 * radius < map_side)"
+    for doc in ({"planner": {"robot_radius": 1e6}},
+                {"map_side": 8.0, "planner": {"robot_radius": 4.0}}):
+        with pytest.raises(SchemaError) as err:
+            suite_params_from_dict(doc)
+        assert str(err.value) == message
+        with pytest.raises(SchemaError):
+            run_config_from_dict({"suite": doc})
+    with pytest.raises(SchemaError, match="robot must fit"):
+        SuiteParams(map_side=8.0, planner={"robot_radius": 4.0})
+    SuiteParams(map_side=8.0, planner={"robot_radius": math.nextafter(4.0, 0.0)})
+
+
 def test_scenario_checks_its_parts_when_built():
     spec = parse_scenario(minimal_doc())
     with pytest.raises(ValidationError, match="start cell is inside an obstacle"):

@@ -11,7 +11,8 @@ planned again.  The reuse tests check that the layers an episode reuses
 (skipped sweeps, cached traversable masks and distance fields) equal fresh
 computations, and that navigation walks down the field a plan cycle built.
 The lidar's sweep-geometry cache outlives episodes, so the goldens are also
-checked from a cold cache, a warm one and one filled past its size.
+checked from a cold cache, a warm one and one filled past its size.  No
+success travels less than the SPL shortest path it is scored against.
 """
 
 from __future__ import annotations
@@ -102,6 +103,26 @@ def test_golden_clutter_trace(clutter):
 
 def test_golden_records(serial_records):
     assert sha256(serial_records) == RECORDS_SHA256
+
+
+# A robot wider than the goldens' on small maps.  The episode frees the
+# robot's disk at every pose it plans from, the SPL reference only at the
+# start, so a wider disk is where the two could part.
+WIDE_ROBOT_SUITE = SuiteParams(count=8, rooms=2, landmarks=5, map_side=10.0,
+                               planner={"robot_radius": 0.45})
+
+
+def test_a_success_never_travels_less_than_its_shortest_path(traces, clutter, ctx):
+    wide = [trace_to_jsonl(run_episode(s, ctx=ctx, seed=i).trace)
+            for i, s in enumerate(generate_suite(WIDE_ROBOT_SUITE, 1, ctx=ctx))]
+    for suite, jsonl in (("golden", traces), ("clutter", clutter[1]), ("wide robot", wide)):
+        events = [json.loads(line) for text in jsonl for line in text.splitlines()]
+        successes = [e for e in events if e["event"] == "episode_end" and e["success"]]
+        assert successes, suite
+        for end in successes:
+            assert end["traveled"] >= end["shortest"], (suite, end)
+        if suite == "wide robot":
+            assert len(successes) >= 5
 
 
 def golden_digests(scenarios, ctx):

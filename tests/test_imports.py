@@ -119,7 +119,7 @@ SETTABLE_VALUES = {
     "environment variables": [],
     "defaulted parameters": [
         "assets.load.root", "assets.load.table_file", "batch.context_for_preset.asset_root",
-        "batch.run_batch.asset_root", "batch.score_records.preset", "cli.main.argv",
+        "batch.run_batch.asset_root", "cli.main.argv",
         "episode.run_episode.seed", "episode.run_episode.confirm_fn",
         "world.parse_fields.parsers",
     ],
@@ -176,4 +176,4 @@ def test_settable_values_are_pinned():
         "environment variables": environment_reads(),
         "defaulted parameters": defaulted_parameters(),
     } == SETTABLE_VALUES
-    assert sum(map(len, SETTABLE_VALUES.values())) == 61
+    assert sum(map(len, SETTABLE_VALUES.values())) == 60

@@ -43,7 +43,7 @@ def test_faulty_successes_score_zero_and_are_counted():
                       traveled=e.traveled, shortest=e.shortest, waypoints_visited=0)
         for i, e in enumerate(episodes)
     ]
-    report = score_records(records)
+    report = score_records(records, "scored")
     assert (report.spl_faults, report.spl) == (3, pytest.approx(0.8 / 5))
 
 

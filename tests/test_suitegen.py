@@ -5,8 +5,7 @@ benchmark's generation shape, so a change to map building, placement or
 the SPL reference search that alters any scenario, or which scenarios are
 rejected, fails here.  Generation builds its scenarios directly, without a
 trip through JSON, so every generated scenario must also survive that trip
-unchanged and serialize to stable bytes.  ``loop_cells_near_rect`` is the
-cell-by-cell window scan ``_cells_near_rect`` replaced.
+unchanged and serialize to stable bytes.
 
 The suites pinned here never take the rejecting branches of generation's
 checks (every placement keeps the map connected and every target is
@@ -28,7 +27,6 @@ from objsearch import planning, suitegen
 from objsearch.errors import GenerationError
 from objsearch.suitegen import (
     SuiteParams,
-    _cells_near_rect,
     _connected,
     _place_landmarks,
     _ring_connected,
@@ -77,49 +75,6 @@ def test_generated_scenarios_survive_json(params, ctx):
         again = load_scenario(text)
         assert again == scenario
         assert serialize_scenario(again) == text
-
-
-def loop_cells_near_rect(occ, rect, res, max_dist):
-    """Reference: every term computed per cell."""
-    n = occ.shape[0]
-    x0 = max(0, int((rect[0] - max_dist) / res) - 1)
-    y0 = max(0, int((rect[1] - max_dist) / res) - 1)
-    x1 = min(n - 1, int((rect[2] + max_dist) / res) + 1)
-    y1 = min(n - 1, int((rect[3] + max_dist) / res) + 1)
-    out = []
-    for iy in range(y0, y1 + 1):
-        for ix in range(x0, x1 + 1):
-            if occ[iy, ix]:
-                continue
-            cx, cy = (ix + 0.5) * res, (iy + 0.5) * res
-            dx = max(rect[0] - cx, cx - rect[2], 0.0)
-            dy = max(rect[1] - cy, cy - rect[3], 0.0)
-            d = math.hypot(dx, dy)
-            if 0.0 < d <= max_dist:
-                out.append((ix, iy))
-    return out
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_cells_near_rect_matches_cell_loop(seed):
-    rng = np.random.default_rng(seed)
-    n = 60
-    occ = rng.random((n, n)) < 0.3
-    res = 0.1
-    for _ in range(25):
-        x0, y0 = rng.uniform(-0.5, n * res, size=2)
-        rect = (x0, y0, x0 + rng.uniform(0.0, 1.5), y0 + rng.uniform(0.0, 1.5))
-        max_dist = float(rng.choice([0.05, 0.1, 0.5, 1.0]))
-        assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
-            occ, rect, res, max_dist
-        )
-    # Windows reaching past the map's edges, or lying wholly beyond them.
-    for rect in ((-0.6, -0.6, -0.35, -0.35), (-2.0, 1.0, -1.5, 2.0), (5.5, 5.5, 6.5, 6.5),
-                 (-0.3, -0.3, 0.2, 0.2), (1.0, -3.0, 2.0, -2.5)):
-        for max_dist in (0.05, 0.5, 1.0):
-            assert _cells_near_rect(occ, rect, res, max_dist) == loop_cells_near_rect(
-                occ, rect, res, max_dist
-            )
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.45))

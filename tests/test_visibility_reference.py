@@ -4,14 +4,16 @@
 a shared origin and a scalar range.  ``stepwise_ground_truth_shortest`` is
 the SPL reference search: it frees the robot's disk at the start cell by
 cell, then walks the reachable cells in distance order and tests range and
-line of sight one cell at a time.  ``reference_first_confirming`` is the
-confirming-cell rule tested one cell at a time.  The batched versions
-must give the same flags, indices and float, bit for bit.  Generation's
-reachability test ``target_observable`` must hold exactly when that float is
-finite, which ``assert_same_shortest`` checks on every scenario here.  Both
-searches try only the cells of the target's camera window, so the window
-cases put the target and its confirming cells where the window is clipped
-or at its rim.
+line of sight one cell at a time.  ``loop_cells_near_rect`` is the range
+rule tested one cell at a time over the whole map, and
+``reference_first_confirming`` the range and confirming-cell rules together,
+one cell at a time.  The batched versions must give the same cells, flags,
+indices and float, bit for bit.  Generation's reachability test
+``target_observable`` must hold exactly when that float is finite, which
+``assert_same_shortest`` checks on every scenario here.  Both searches read
+only the target's camera window, the rows and columns ``cells_near`` reads,
+so the window cases put the target and its confirming cells where the
+window is clipped or at its rim.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from scipy import ndimage
 from objsearch import planning
 from objsearch.planning import (
     _LOS_CHUNK,
+    cells_near,
     distance_field,
     drivable_mask,
     first_confirming,
@@ -193,12 +196,136 @@ class TestLinesOfSight:
 
 
 # --------------------------------------------------------------------------
+# cells_near
+# --------------------------------------------------------------------------
+
+
+def loop_cells_near_rect(mask, rect, res, max_dist):
+    """Reference: the cells set in ``mask`` whose centres lie within (0,
+    max_dist] of the rectangle, every cell of the map tested on its own."""
+    out = []
+    for iy, ix in zip(*(a.tolist() for a in np.nonzero(mask))):
+        cx, cy = (ix + 0.5) * res, (iy + 0.5) * res
+        dx = max(rect[0] - cx, cx - rect[2], 0.0)
+        dy = max(rect[1] - cy, cy - rect[3], 0.0)
+        if 0.0 < math.hypot(dx, dy) <= max_dist:
+            out.append((ix, iy))
+    return out
+
+
+def near_cells(mask, rect, res, max_dist):
+    xs, ys = cells_near(mask, rect, res, max_dist)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+class WindowSpy(np.ndarray):
+    """A mask that records the keys it is read through."""
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return np.asarray(self)[key]
+
+
+class TestCellsNear:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cell_loop(self, seed):
+        # Random masks, resolutions and rectangles on and off the map; each
+        # side of a rectangle is zero with probability 0.4, so many are
+        # segments and some are points.
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            height, width = (int(v) for v in rng.integers(20, 61, size=2))
+            mask = rng.random((height, width)) < 0.7
+            res = float(rng.choice([0.05, 0.1, 0.25]))
+            x0, y0 = rng.uniform(-0.1, 1.1, size=2) * (width * res, height * res)
+            w, h = rng.uniform(0.0, 1.5, size=2) * (rng.random(2) < 0.6)
+            rect = (x0, y0, x0 + w, y0 + h)
+            max_dist = float(rng.choice([0.05, 0.1, 0.5, 1.0, 3.6]))
+            assert near_cells(mask, rect, res, max_dist) == loop_cells_near_rect(
+                mask, rect, res, max_dist
+            )
+
+    def test_points_at_cell_centres(self):
+        # A point at a cell centre is 0 from that cell, which never counts,
+        # and a whole number of cells from others: their distances fall
+        # within rounding of max_dist, where math.hypot decides.
+        mask = np.ones((40, 50), dtype=bool)
+        on_rim = 0
+        for ix, iy in [(25, 20), (0, 0), (49, 39), (3, 37)]:
+            cx, cy = (ix + 0.5) * 0.1, (iy + 0.5) * 0.1
+            for max_dist in (0.1, 0.2, 0.3, 0.5, 1.0, 2.5):
+                got = near_cells(mask, (cx, cy, cx, cy), 0.1, max_dist)
+                assert got == loop_cells_near_rect(mask, (cx, cy, cx, cy), 0.1, max_dist)
+                assert (ix, iy) not in got
+                on_rim += sum(math.hypot((x - ix) * 0.1, (y - iy) * 0.1) == max_dist
+                              for x, y in got)
+        assert on_rim > 0
+
+    def test_windows_past_the_map_edge(self):
+        # Rectangles across an edge or a corner, wholly beyond the map, or
+        # around all of it, out to an infinite distance.
+        rng = np.random.default_rng(7)
+        mask = rng.random((60, 45)) < 0.7
+        for rect in ((-0.6, -0.6, -0.35, -0.35), (-2.0, 1.0, -1.5, 2.0), (5.5, 5.5, 6.5, 6.5),
+                     (-0.3, -0.3, 0.2, 0.2), (1.0, -3.0, 2.0, -2.5), (4.4, 5.9, 4.6, 6.1),
+                     (2.0, 6.3, 2.0, 6.3), (-1.0, -1.0, 10.0, 10.0)):
+            for max_dist in (0.05, 0.5, 1.0, 50.0, math.inf):
+                assert near_cells(mask, rect, 0.1, max_dist) == loop_cells_near_rect(
+                    mask, rect, 0.1, max_dist
+                )
+
+    def test_band_decided_by_math_hypot(self):
+        # Targets whose distance to the centre of cell (23, 20) np.hypot
+        # rounds an ulp above or below math.hypot's: the cell counts at
+        # max_dist equal to math.hypot's distance and not one ulp below it.
+        rng = np.random.default_rng(9)
+        mask = np.zeros((50, 50), dtype=bool)
+        mask[20, 23] = True
+        cx, cy = (23 + 0.5) * 0.1, (20 + 0.5) * 0.1
+        cases = {"above": 0, "below": 0}
+        for tx, ty in rng.uniform(0.0, 5.0, size=(2000, 2)).tolist():
+            exact = math.hypot(tx - cx, ty - cy)
+            rounded = float(np.hypot(tx - cx, ty - cy))
+            if rounded == exact:
+                continue
+            cases["above" if rounded > exact else "below"] += 1
+            assert near_cells(mask, (tx, ty, tx, ty), 0.1, exact) == [(23, 20)]
+            assert near_cells(mask, (tx, ty, tx, ty), 0.1, math.nextafter(exact, 0.0)) == []
+        assert min(cases.values()) > 0
+
+    def test_reads_only_the_window(self):
+        # One read, through the rows and columns whose centres can lie within
+        # max_dist of the rectangle, with at most two cells to spare each
+        # side; the whole map when max_dist is infinite.
+        mask = (np.random.default_rng(8).random((60, 45)) < 0.7).view(WindowSpy)
+
+        def bounds(lo, hi, max_dist, size):
+            return (math.floor(max((lo - max_dist) / 0.1 - 2.0, 0.0)),
+                    math.ceil(min((hi + max_dist) / 0.1 + 2.0, size)))
+
+        for rect, max_dist in [((2.0, 3.0, 2.0, 3.0), 0.5), ((1.0, 1.0, 1.6, 1.2), 1.0),
+                               ((0.05, 5.95, 0.05, 5.95), 0.3), ((2.0, 3.0, 2.0, 3.0), math.inf),
+                               ((9.0, 3.0, 9.5, 3.0), 1.0)]:
+            mask.reads = []
+            got = near_cells(mask, rect, 0.1, max_dist)
+            assert got == loop_cells_near_rect(mask, rect, 0.1, max_dist)
+            (rows, cols), = mask.reads
+            lo, hi = bounds(rect[1], rect[3], max_dist, 60)
+            assert lo <= rows.start and rows.stop <= hi
+            lo, hi = bounds(rect[0], rect[2], max_dist, 45)
+            assert lo <= cols.start and (cols.stop <= hi or cols.stop <= cols.start)
+            if max_dist == math.inf:
+                assert (rows, cols) == (slice(0, 60), slice(0, 45))
+
+
+# --------------------------------------------------------------------------
 # first_confirming
 # --------------------------------------------------------------------------
 
 
 def reference_first_confirming(grid, target, cam_range, xs, ys):
-    """The confirming-cell rule one cell at a time, in the given order."""
+    """The range and confirming-cell rules one cell at a time, in the given
+    order."""
     res = grid.resolution
     tx, ty = target.position
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
@@ -208,6 +335,20 @@ def reference_first_confirming(grid, target, cam_range, xs, ys):
         if line_of_sight(grid, (cx, cy), target.position, object_slack(target, res)):
             return i
     return None
+
+
+def search(grid, target, cam_range, xs, ys):
+    """The given cells that ``cells_near`` finds in camera range, in the
+    given order, searched by ``first_confirming``; the index is into the
+    given cells."""
+    tx, ty = target.position
+    in_range = np.zeros((grid.height, grid.width), dtype=bool)
+    near_xs, near_ys = cells_near(np.ones_like(in_range), (tx, ty, tx, ty), grid.resolution,
+                                  cam_range + grid.resolution)
+    in_range[near_ys, near_xs] = True
+    kept = np.flatnonzero(in_range[ys, xs])
+    hit = first_confirming(grid, target, xs[kept], ys[kept])
+    return None if hit is None else int(kept[hit])
 
 
 class TestFirstConfirming:
@@ -228,7 +369,7 @@ class TestFirstConfirming:
         xs, ys = xs[order], ys[order]
         lo = answers = 0
         while True:
-            got = first_confirming(grid, target, cam_range, xs[lo:], ys[lo:])
+            got = search(grid, target, cam_range, xs[lo:], ys[lo:])
             assert got == reference_first_confirming(grid, target, cam_range, xs[lo:], ys[lo:])
             if got is None:
                 break
@@ -239,7 +380,8 @@ class TestFirstConfirming:
     @pytest.mark.parametrize("seed", range(4))
     def test_answer_after_many_near_cells(self, seed):
         # More than a chunk of near cells that do not confirm, then the
-        # confirming ones, each order shuffled.
+        # confirming ones, each order shuffled; first_confirming is handed
+        # the near cells alone.
         rng, grid, target, cam_range, xs, ys = self.case(50 + seed)
         res = grid.resolution
         tx, ty = target.position
@@ -251,8 +393,10 @@ class TestFirstConfirming:
         ])
         blind, seen = rng.permutation(near[~hits]), rng.permutation(near[hits])
         assert blind.size > _LOS_CHUNK and seen.size > 0
-        order = np.concatenate([blind, seen, rng.permutation(np.flatnonzero(gap > cam_range))])
-        got = first_confirming(grid, target, cam_range, xs[order], ys[order])
+        order = np.concatenate([blind, seen])
+        assert first_confirming(grid, target, xs[order], ys[order]) == blind.size
+        order = np.concatenate([order, rng.permutation(np.flatnonzero(gap > cam_range))])
+        got = search(grid, target, cam_range, xs[order], ys[order])
         assert got == blind.size
         assert got == reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
 
@@ -261,7 +405,7 @@ class TestFirstConfirming:
         rng, grid, target, cam_range, xs, ys = self.case(60 + seed)
         for k in rng.choice(xs.size, size=300, replace=False).tolist():
             cell = xs[k : k + 1], ys[k : k + 1]
-            got = first_confirming(grid, target, cam_range, *cell)
+            got = search(grid, target, cam_range, *cell)
             assert got in (0, None)
             assert got == reference_first_confirming(grid, target, cam_range, *cell)
 
@@ -274,13 +418,13 @@ class TestFirstConfirming:
         target = ObjectSpec("T0", "cup", grid.cell_to_world(ix, iy), 0.15, is_target=True)
         own = np.flatnonzero((xs == ix) & (ys == iy))
         order = np.concatenate([own, rng.permutation(np.flatnonzero((xs != ix) | (ys != iy)))])
-        got = first_confirming(grid, target, cam_range, xs[order], ys[order])
+        got = search(grid, target, cam_range, xs[order], ys[order])
         assert got is not None and got > 0
         assert got == reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
 
     def test_no_cells(self):
-        _, grid, target, cam_range, xs, ys = self.case(70)
-        assert first_confirming(grid, target, cam_range, xs[:0], ys[:0]) is None
+        _, grid, target, _, xs, ys = self.case(70)
+        assert first_confirming(grid, target, xs[:0], ys[:0]) is None
 
 
 # --------------------------------------------------------------------------
@@ -542,6 +686,9 @@ def scattered_walls(rng, width, height, density):
 
 
 class TestCameraWindow:
+    """The searches through ``cells_near``'s window: the rows and columns
+    within ``cam_range + resolution`` of the target, clipped to the map."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_target_near_an_edge_or_a_corner(self, seed):
         # Targets within cam_range of one edge or two clip the window; the
@@ -601,16 +748,16 @@ class TestCameraWindow:
                 results.append(assert_same_shortest(moved))
         assert any(math.isfinite(r) for r in results)
 
-    def test_searches_only_the_camera_window(self, ctx, monkeypatch):
-        # On the 20 m maps both searches hand first_confirming only cells whose
-        # centres lie, on each axis, within the prefilter radius of the target
-        # plus two cells (and rounding): a few thousand of the map's 40,000.
+    def test_searches_only_cells_in_range(self, ctx, monkeypatch):
+        # On the 20 m maps both searches hand first_confirming exactly the
+        # reachable cells within cam_range + resolution of the target: a few
+        # thousand of the map's 40,000.
         passed = []
         search = planning.first_confirming
 
-        def spied(grid, target, cam_range, xs, ys):
-            passed.append((grid, target, cam_range, xs, ys))
-            return search(grid, target, cam_range, xs, ys)
+        def spied(grid, target, xs, ys):
+            passed.append((grid, target, xs, ys))
+            return search(grid, target, xs, ys)
 
         monkeypatch.setattr(planning, "first_confirming", spied)
         for scenario in generate_suite(dataclasses.replace(GEN_SHAPE, count=3), 7, ctx=ctx):
@@ -618,9 +765,14 @@ class TestCameraWindow:
             assert math.isfinite(ground_truth_shortest(scenario))
             assert observable(scenario)
             assert len(passed) == 2
-            for grid, target, cam_range, xs, ys in passed:
-                res = grid.resolution
-                bound = cam_range + 3.0 * res + 1e-9
-                assert 0 < xs.size < grid.width * grid.height / 4
-                assert np.abs((xs + 0.5) * res - target.position[0]).max() <= bound
-                assert np.abs((ys + 0.5) * res - target.position[1]).max() <= bound
+            grid = scenario.map
+            tx, ty = scenario.target.position
+            start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+            drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
+            reachable = np.isfinite(distance_field(drivable, grid.resolution, [start]))
+            want = loop_cells_near_rect(reachable, (tx, ty, tx, ty), grid.resolution,
+                                        scenario.hyperparams.cam_range + grid.resolution)
+            assert 0 < len(want) < grid.width * grid.height / 4
+            for _, target, xs, ys in passed:
+                assert target == scenario.target
+                assert sorted(zip(xs.tolist(), ys.tolist())) == sorted(want)
