@@ -127,7 +127,7 @@ def apply_preset(scenario: ScenarioSpec, preset: str) -> ScenarioSpec:
     return dataclasses.replace(scenario, hyperparams=hp)
 
 
-def context_for_preset(preset: str, asset_root: Path | None = None) -> AssetContext:
+def context_for_preset(preset: str, asset_root: Path | None) -> AssetContext:
     """The assets an episode runs on under a preset: its generation table."""
     _, table = _preset(preset)
     return AssetContext.load(root=asset_root, table_file=table)

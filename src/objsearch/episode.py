@@ -26,7 +26,8 @@ episode writes and cannot change a trace.
 
 An :class:`EpisodeState` holds the episode's fixed inputs beside what the
 loop builds from them, so each step takes the state and its own arguments.
-An episode begins in :func:`start_state`.
+An episode begins in :func:`start_state` and ends in :func:`_search`, or by
+:class:`_BudgetSpent` once a leg ends over the travel budget.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -317,18 +317,15 @@ def _confirm_candidate(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
     return iou > IOU_CONFIRM or ioa > IOA_CONFIRM
 
 
-def _judge_new_candidates(state: EpisodeState) -> CandidatePatch | None:
-    """Run confirmation on candidates not yet judged; return the first hit."""
+def _judge_new_candidates(state: EpisodeState) -> bool:
+    """Run confirmation on candidates not yet judged; True when one holds."""
     fresh = state.candidates[state.confirm_cursor :]
     if not fresh:
-        return None
+        return False
     results = [bool(state.confirm_fn(c, state.scenario)) for c in fresh]
     state.confirm_cursor = len(state.candidates)
     _emit(state, "confirm", results=results, success=any(results))
-    for cand, ok in zip(fresh, results):
-        if ok:
-            return cand
-    return None
+    return any(results)
 
 
 # --------------------------------------------------------------------------
@@ -389,27 +386,28 @@ def _walk(state: EpisodeState, path: Path) -> tuple[float, bool]:
     return walked, True
 
 
-class _NavOutcome(Enum):
-    ARRIVED = "arrived"
-    NO_PATH = "no_path"
-    BUDGET = "budget"
+class _BudgetSpent(Exception):
+    """A leg ended over the travel budget, which ends the episode."""
 
 
-def _navigate(state: EpisodeState, goal: tuple[int, int]) -> _NavOutcome:
-    """Drive to a goal cell, replanning when newly seen obstacles intrude."""
+def _navigate(state: EpisodeState, goal: tuple[int, int]) -> bool:
+    """Drive to a goal cell, replanning when newly seen obstacles intrude.
+
+    Returns False when no path is left; raises :class:`_BudgetSpent` once a
+    leg ends over the travel budget."""
     fail_distance = state.scenario.hyperparams.fail_distance
     while True:
         try:
             path = plan_path(_nav_maps(state).dist, goal, state.belief.resolution)
         except NoPathError:
-            return _NavOutcome.NO_PATH
+            return False
         walked, arrived = _walk(state, path)
         _emit(state, "leg", to=list(goal), length=walked, traveled=state.traveled)
         if state.traveled > fail_distance:
             _emit(state, "budget_exceeded", traveled=state.traveled)
-            return _NavOutcome.BUDGET
+            raise _BudgetSpent
         if arrived:
-            return _NavOutcome.ARRIVED
+            return True
 
 
 # --------------------------------------------------------------------------
@@ -430,17 +428,15 @@ def _pan_offsets(count: int) -> list[float]:
     return offsets
 
 
-def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> _NavOutcome:
-    """Navigate to a viewpoint and sweep the camera for target matches."""
+def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> bool:
+    """Navigate to a viewpoint and sweep the camera for target matches;
+    False when no path reaches it."""
     landmark = vp.landmark
     _emit(state, "visit_start", id=landmark.id, pose=vp.pose)
     goal = state.belief.world_to_cell(vp.pose.x, vp.pose.y)
-    outcome = _navigate(state, goal)
-    if outcome is _NavOutcome.NO_PATH:
+    if not _navigate(state, goal):
         _emit(state, "abandon", id=landmark.id, reason="no_path")
-        return outcome
-    if outcome is _NavOutcome.BUDGET:
-        return outcome
+        return False
     state.pose = vp.pose
     landmark.visited = True
     state.waypoints_visited += 1
@@ -449,7 +445,7 @@ def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> _NavOutcome:
         pose = Pose(vp.pose.x, vp.pose.y, vp.pose.theta + offset)
         obs = camera_observe(state.scenario, state.store, pose, _next_rng(state))
         _process_observation(state, obs, scanning=False)
-    return _NavOutcome.ARRIVED
+    return True
 
 
 def _plan_cycle(state: EpisodeState) -> list[Viewpoint]:
@@ -514,29 +510,15 @@ def start_state(
     )
 
 
-def run_episode(
-    scenario: ScenarioSpec, ctx: AssetContext, seed: int | None = None,
-    confirm_fn: ConfirmFn | None = None,
-) -> EpisodeResult:
-    """Execute the full search loop on one scenario.
-
-    The loop alternates scanning, greedy waypoint visits with confirmation
-    after every visit, and nearest-frontier exploration, until a candidate is
-    confirmed, the travel budget is exhausted, or there is nothing left to
-    explore.
-    """
-    state = start_state(scenario, ctx, seed, confirm_fn)
-    _emit(state, "episode_start", seed=state.seed, target=scenario.target_phrase,
-          start=scenario.start)
-    shortest = ground_truth_shortest(scenario)
-
-    success = False
+def _search(state: EpisodeState) -> bool:
+    """Alternate scanning, greedy waypoint visits with confirmation after
+    every visit, and nearest-frontier exploration; True once a candidate is
+    confirmed, False when there is nothing left to explore."""
     prev_progress: tuple | None = None
     for _ in range(_MAX_CYCLES):
         initial_scan(state)
-        if _judge_new_candidates(state) is not None:
-            success = True
-            break
+        if _judge_new_candidates(state):
+            return True
         progress = (
             int(np.count_nonzero(state.belief.cells)),  # known cells
             len(state.registry),
@@ -546,33 +528,39 @@ def run_episode(
         )
         if progress == prev_progress:
             _emit(state, "explore_exhausted", reason="no_progress")
-            break
+            return False
         prev_progress = progress
 
-        ordered = _plan_cycle(state)
-        outcome = None
-        for vp in ordered:
-            outcome = visit_waypoint(state, vp)
-            if outcome is _NavOutcome.BUDGET:
-                break
-            if outcome is _NavOutcome.ARRIVED and _judge_new_candidates(state) is not None:
-                success = True
-                break
-        if success or outcome is _NavOutcome.BUDGET:
-            break
+        for vp in _plan_cycle(state):
+            if visit_waypoint(state, vp) and _judge_new_candidates(state):
+                return True
 
-        frontier = nearest_frontier(state.belief, scenario.planner, _nav_maps(state).dist)
+        frontier = nearest_frontier(state.belief, state.scenario.planner, _nav_maps(state).dist)
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")
-            break
+            return False
         _emit(state, "frontier", goal=list(frontier.closest_cell),
               cells=len(frontier.cells), centroid=list(frontier.centroid))
-        outcome = _navigate(state, frontier.closest_cell)
-        if outcome is _NavOutcome.BUDGET:
-            break
-        # NO_PATH or arrival both loop back to scanning; the progress guard
+        # No path or arrival both loop back to scanning; the progress guard
         # catches the case where nothing changed.
+        _navigate(state, frontier.closest_cell)
+    return False
 
+
+def run_episode(
+    scenario: ScenarioSpec, ctx: AssetContext, seed: int | None = None,
+    confirm_fn: ConfirmFn | None = None,
+) -> EpisodeResult:
+    """Run one episode: :func:`_search` until a candidate is confirmed, the
+    travel budget is spent, or there is nothing left to explore."""
+    state = start_state(scenario, ctx, seed, confirm_fn)
+    _emit(state, "episode_start", seed=state.seed, target=scenario.target_phrase,
+          start=scenario.start)
+    shortest = ground_truth_shortest(scenario)
+    try:
+        success = _search(state)
+    except _BudgetSpent:
+        success = False
     _emit(state, "episode_end", success=success, traveled=state.traveled,
           shortest=shortest if math.isfinite(shortest) else None,
           waypoints_visited=state.waypoints_visited)

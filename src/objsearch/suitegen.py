@@ -91,9 +91,8 @@ class SuiteParams:
     targets: tuple[str, ...] = DEFAULT_TARGET_POOL
     known_pool: tuple[str, ...] = DEFAULT_KNOWN_POOL
     unknown_pool: tuple[str, ...] = DEFAULT_UNKNOWN_POOL
-    placement: str = "cooccurrence"  # or "uniform"
     placement_weights: dict | None = None  # explicit name -> weight override
-    placement_power: float = 1.0
+    placement_power: float = 1.0  # 0 places the target uniformly over the landmarks
     hyperparams: dict = field(default_factory=dict)
     sensor: dict = field(default_factory=dict)
     planner: dict = field(default_factory=dict)
@@ -111,8 +110,6 @@ class SuiteParams:
             raise SchemaError("suite.resolution: must be positive and finite")
         if not 0.02 <= self.resolution <= 0.5:
             raise SchemaError("suite.resolution: must be in 0.02..0.5 meters")
-        if self.placement not in ("cooccurrence", "uniform"):
-            raise SchemaError("suite.placement: expected 'cooccurrence' or 'uniform'")
         if not 0 <= self.known_landmarks <= self.landmarks:
             raise SchemaError("suite.known_landmarks: must be in 0..landmarks")
         if self.distractors < 0:
@@ -349,7 +346,7 @@ def _host_weights(
         return np.array(
             [float(params.placement_weights.get(lm.name, 0.0)) for lm in landmarks]
         )
-    if params.placement == "uniform":
+    if params.placement_power == 0:  # scores nothing, so any landmark name will do
         return np.ones(len(landmarks))
     scores = cooccurrences(target, [lm.name for lm in landmarks], ctx.generations, ctx.words)
     return np.array([max(0.0, score) for score in scores]) ** params.placement_power

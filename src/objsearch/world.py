@@ -293,6 +293,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError("scenario.seed: must be non-negative")
         grid = self.map
         if not grid.cells.all():
             raise ValidationError("map.cells: cells must be Free or Occupied")
@@ -760,8 +762,6 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     sensor = _parse_section(SensorParams, doc.get("sensor"), "scenario.sensor")
     planner = _parse_section(PlannerParams, doc.get("planner"), "scenario.planner")
     seed = _integer(doc.get("seed", 0), "scenario.seed")
-    if seed < 0:
-        raise SchemaError("scenario.seed: must be non-negative")
     return ScenarioSpec(
         grid, landmarks, objects, start, target_phrase, hyper, sensor, planner, seed
     )

@@ -120,7 +120,7 @@ class TestSuiteParamsParsing:
             {"count": "2"},
             {"map_side": "12"},
             {"targets": "book"},
-            {"placement": 3},
+            {"placement": "uniform"},
             {"placement_weights": {"desk": "heavy"}},
             {"sensor": {"bogus": 1}},
             {"hyperparams": {"scan_headings": 2.5}},
@@ -355,7 +355,7 @@ class TestPresets:
         assert dataclasses.replace(got, hyperparams=scenario.hyperparams) == scenario
 
     def test_web_table_loads_the_web_table(self):
-        full, web = context_for_preset("full"), context_for_preset("web_table")
+        full, web = context_for_preset("full", None), context_for_preset("web_table", None)
         assert cooccurrence("cup", "desk", full.generations, full.words) == 1.0
         assert cooccurrence("cup", "desk", web.generations, web.words) == pytest.approx(
             5e-7, rel=0.1
@@ -365,7 +365,7 @@ class TestPresets:
         with pytest.raises(DomainError, match="unknown preset 'bogus'"):
             apply_preset(box_scenario(), "bogus")
         with pytest.raises(DomainError, match="unknown preset 'bogus'"):
-            context_for_preset("bogus")
+            context_for_preset("bogus", None)
 
 
 class TestCliHappyPath:

@@ -27,6 +27,7 @@ from objsearch.world import (
     Pose,
     SensorParams,
     fields_dict,
+    load_scenario,
     parse_fields,
     parse_scenario,
     scenario_to_dict,
@@ -122,7 +123,7 @@ def test_scenario_fault_messages(key, value, message):
         ({"bogus": 1}, "suite: unknown keys ['bogus']"),
         ({"count": 2.0}, "suite.count: expected an integer, got float"),
         ({"map_side": "12"}, "suite.map_side: expected a number, got str"),
-        ({"placement": 3}, "suite.placement: expected a string, got int"),
+        ({"placement": "uniform"}, "suite: unknown keys ['placement']"),
         ({"placement_power": None}, "suite.placement_power: expected a number, got NoneType"),
         ({"targets": "book"}, "suite.targets: expected a list of strings"),
         ({"targets": ["book", 3]}, "suite.targets[1]: expected a string, got int"),
@@ -259,6 +260,18 @@ def test_scenario_checks_its_parts_when_built():
         dataclasses.replace(spec, objects=spec.objects * 2)
 
 
+def test_negative_seed_rejected_where_built():
+    """A spec built in code checks its seed as a parsed one does, so no spec
+    serialises to a document that ``parse_scenario`` rejects."""
+    spec = parse_scenario(minimal_doc())
+    for build in (lambda: dataclasses.replace(spec, seed=-1),
+                  lambda: parse_scenario({**minimal_doc(), "seed": -1})):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == "scenario.seed: must be non-negative"
+    assert load_scenario(serialize_scenario(dataclasses.replace(spec, seed=5))).seed == 5
+
+
 def test_record_defaults():
     """A record without shortest, scenario or seed reads them as inf, "" and 0,
     and a null shortest reads as inf."""
@@ -323,7 +336,7 @@ def test_world_dataclass_round_trip(obj):
         SuiteParams(),
         SuiteParams(count=3, rooms=1, landmarks=4, map_side=9.5, resolution=0.2,
                     known_landmarks=0, distractors=0, targets=("cup",), known_pool=(),
-                    unknown_pool=("desk", "bed"), placement="uniform",
+                    unknown_pool=("desk", "bed"),
                     placement_weights={"desk": 2.0, "bed": 0.5}, placement_power=0.5,
                     hyperparams={"lambda1": 2.0, "scan_headings": 6}, sensor={"clutter": 1},
                     planner={"robot_radius": 0.3}),

@@ -12,7 +12,11 @@ planned again.  The reuse tests check that the layers an episode reuses
 computations, and that navigation walks down the field a plan cycle built.
 The lidar's sweep-geometry cache outlives episodes, so the goldens are also
 checked from a cold cache, a warm one and one filled past its size.  No
-success travels less than the SPL shortest path it is scored against.
+success travels less than the SPL shortest path it is scored against.  Each
+way an episode can end without success (the budget spent on a frontier leg
+or on a visit, no path to a viewpoint, nothing left to explore, a cycle that
+changes nothing) has a small room that ends it so, checked by its trace's
+last events.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import pytest
 from objsearch import episode, world
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
+from objsearch.errors import NoPathError
 from objsearch.planning import (
     LandmarkEntry,
     Viewpoint,
@@ -258,7 +263,7 @@ def test_first_leg_walks_down_the_planned_field(ctx, monkeypatch):
 
     monkeypatch.setattr(episode, "distance_field", counted_field)
     monkeypatch.setattr(episode, "_walk", first_leg)
-    assert episode.visit_waypoint(state, vp) is episode._NavOutcome.ARRIVED
+    assert episode.visit_waypoint(state, vp) is True
     goal = state.belief.world_to_cell(vp.pose.x, vp.pose.y)
     assert legs[0] == (0, plan_path(planned, goal, state.belief.resolution))
     assert len(legs[0][1].cells) > 1
@@ -369,6 +374,90 @@ def test_a_custom_rule_judges_each_candidate_with_the_scenario(ctx):
     assert len(shown) > 1 and not result.success
     assert [[c.score, list(c.position)] for c, _ in judged] == shown
     assert all(given is scenario for _, given in judged)
+
+
+def events_of(trace):
+    return [e["event"] for e in trace]
+
+
+# A desk the start scan sees, whose viewpoint is 1.7 m away, and a target
+# no scan or viewpoint sees.
+DESK_ROOM = dict(
+    size_m=8.0, start=(3.0, 3.0, 0.0),
+    landmarks=[{"id": "L0", "name": "desk", "known": True, "footprint": [5.0, 5.0, 5.6, 5.6]}],
+    objects=[{"id": "T0", "name": "book", "position": [7.5, 0.5], "radius": 0.15,
+              "is_target": True}],
+)
+
+
+def test_budget_spent_on_a_frontier_leg_ends_the_episode(ctx):
+    scenario = box_scenario(size_m=8.0, start=(0.55, 0.55, 0.0),
+                            hyperparams={"cam_range": 0.3, "fail_distance": 1.0},
+                            sensor={"lidar_range": 1.5})
+    result = run_episode(scenario, ctx=ctx, seed=0)
+    trace = result.trace
+    assert events_of(trace) == ["episode_start", "scan", "plan", "frontier", "leg",
+                                "budget_exceeded", "episode_end"]
+    assert trace[-3]["to"] == trace[-4]["goal"]
+    assert trace[-2]["traveled"] == trace[-1]["traveled"] == result.traveled > 1.0
+    assert not result.success and not trace[-1]["success"]
+    assert result.waypoints_visited == 0
+
+
+def test_budget_spent_on_a_visit_ends_the_episode(ctx):
+    result = run_episode(box_scenario(hyperparams={"fail_distance": 1.0}, **DESK_ROOM),
+                         ctx=ctx, seed=0)
+    trace = result.trace
+    assert events_of(trace)[-5:] == ["plan", "visit_start", "leg", "budget_exceeded",
+                                     "episode_end"]
+    assert trace[-4]["id"] == "lm000" and trace[-5]["order"] == ["lm000"]
+    assert trace[-2]["traveled"] == result.traveled > 1.0
+    assert not result.success and not trace[-1]["success"]
+    assert result.waypoints_visited == 0  # it never arrived
+
+
+def test_a_viewpoint_without_a_path_is_abandoned(ctx, monkeypatch):
+    """With no path anywhere, the visit is abandoned, the frontier leg is not
+    driven, and the next scan finds nothing new."""
+    goals = []
+
+    def no_path(dist, goal, resolution):
+        goals.append(goal)
+        raise NoPathError("blocked")
+
+    monkeypatch.setattr(episode, "plan_path", no_path)
+    result = run_episode(box_scenario(**DESK_ROOM), ctx=ctx, seed=0)
+    trace = result.trace
+    assert events_of(trace)[-7:] == ["plan", "visit_start", "abandon", "frontier", "scan",
+                                     "explore_exhausted", "episode_end"]
+    assert trace[-5] == {"i": trace[-5]["i"], "event": "abandon", "id": "lm000",
+                         "reason": "no_path"}
+    assert trace[-2]["reason"] == "no_progress"
+    assert len(goals) == 2 and goals[1] == tuple(trace[-4]["goal"])
+    assert not result.success and result.traveled == 0.0 and result.waypoints_visited == 0
+
+
+def test_nothing_left_to_explore_ends_the_episode(ctx):
+    scenario = box_scenario(size_m=4.0, start=(0.5, 0.5, 0.0),
+                            hyperparams={"cam_range": 0.3}, sensor={"lidar_range": 12.0})
+    result = run_episode(scenario, ctx=ctx, seed=0)
+    trace = result.trace
+    assert events_of(trace)[-4:] == ["scan", "plan", "explore_exhausted", "episode_end"]
+    assert trace[-2]["reason"] == "no_frontier"
+    assert not result.success and trace[-1]["traveled"] == result.traveled > 0.0
+
+
+def test_a_cycle_that_changes_nothing_ends_the_episode(ctx):
+    """One lidar ray reveals a frontier the robot already stands on: the leg
+    drives nowhere and the next scan learns nothing."""
+    scenario = box_scenario(size_m=4.0, start=(0.5, 0.5, 0.0), hyperparams={"cam_range": 0.3},
+                            sensor={"lidar_rays": 1}, planner={"min_frontier_cells": 1})
+    result = run_episode(scenario, ctx=ctx, seed=0)
+    trace = result.trace
+    assert events_of(trace) == ["episode_start", "scan", "plan", "frontier", "leg", "scan",
+                                "explore_exhausted", "episode_end"]
+    assert trace[4]["length"] == 0.0 and trace[-2]["reason"] == "no_progress"
+    assert not result.success and result.traveled == 0.0
 
 
 def observation_key(obs):

@@ -106,7 +106,7 @@ SETTABLE_VALUES = {
         "SuiteParams.count", "SuiteParams.rooms", "SuiteParams.landmarks",
         "SuiteParams.map_side", "SuiteParams.resolution", "SuiteParams.known_landmarks",
         "SuiteParams.distractors", "SuiteParams.targets", "SuiteParams.known_pool",
-        "SuiteParams.unknown_pool", "SuiteParams.placement", "SuiteParams.placement_weights",
+        "SuiteParams.unknown_pool", "SuiteParams.placement_weights",
         "SuiteParams.placement_power", "SuiteParams.hyperparams", "SuiteParams.sensor",
         "SuiteParams.planner",
         "RunConfig.preset", "RunConfig.episodes", "RunConfig.seed_base",
@@ -118,7 +118,7 @@ SETTABLE_VALUES = {
     ],
     "environment variables": [],
     "defaulted parameters": [
-        "assets.load.root", "assets.load.table_file", "batch.context_for_preset.asset_root",
+        "assets.load.root", "assets.load.table_file",
         "batch.run_batch.asset_root", "cli.main.argv",
         "episode.run_episode.seed", "episode.run_episode.confirm_fn",
         "world.parse_fields.parsers",
@@ -176,4 +176,4 @@ def test_settable_values_are_pinned():
         "environment variables": environment_reads(),
         "defaulted parameters": defaulted_parameters(),
     } == SETTABLE_VALUES
-    assert sum(map(len, SETTABLE_VALUES.values())) == 60
+    assert sum(map(len, SETTABLE_VALUES.values())) == 58

@@ -14,6 +14,7 @@ observable), so those branches are tested directly.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from objsearch import planning, suitegen
-from objsearch.errors import GenerationError
+from objsearch.errors import EmbeddingLookupError, GenerationError
 from objsearch.suitegen import (
     SuiteParams,
     _connected,
@@ -223,3 +224,17 @@ def test_generation_inflates_each_map_once(ctx, monkeypatch):
     assert len(generate_suite(params, 1, ctx=ctx)) == 3
     assert len(checked) >= 3
     assert all(any(mask is trav for trav in inflated) for mask in checked)
+
+
+def test_power_zero_places_uniformly_and_scores_no_name(ctx):
+    """``placement_power`` 0 weighs every landmark alike, as equal explicit
+    weights do, and scores no name, so landmarks without a word vector work."""
+    base = dict(count=3, rooms=2, landmarks=5, map_side=10.0)
+    names = SuiteParams().known_pool + SuiteParams().unknown_pool
+    equal = SuiteParams(**base, placement_weights=dict.fromkeys(names, 1.0))
+    assert suite_sha256(SuiteParams(**base, placement_power=0.0), ctx) == suite_sha256(equal, ctx)
+    unscored = SuiteParams(**base, known_pool=("qzxv",), unknown_pool=("vzqx", "xqzv"))
+    with pytest.raises(EmbeddingLookupError):
+        generate_suite(unscored, 0, ctx=ctx)
+    unscored = dataclasses.replace(unscored, placement_power=0.0)
+    assert len(generate_suite(unscored, 0, ctx=ctx)) == 3
