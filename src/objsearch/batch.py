@@ -23,11 +23,7 @@ from .metrics import mean_waypoints, spl, spl_fault, success_rate
 from .suitegen import SuiteParams, generate_suite, suite_from_dict
 from .world import (
     ScenarioSpec,
-    _integer,
     _number,
-    _reject_unknown,
-    _string,
-    _strings,
     fields_dict,
     load_scenario_file,
     parse_fields,
@@ -53,9 +49,13 @@ class RunConfig:
     episodes: int = 1
     seed_base: int = 0
     parallelism: int = 1
-    out_dir: Path | None = None
-    scenario_paths: tuple[Path, ...] = ()
-    suite: SuiteParams | None = None
+    out_dir: Path | None = field(default=None, metadata={"key": "out"})
+    scenario_paths: tuple[Path, ...] = field(default=(), metadata={"key": "scenarios"})
+    # Read as ``objsearch gen-suite`` reads a suite document, so its messages
+    # name it ``suite``; ``run_config_from_dict`` moves its seed to suite_seed.
+    suite: SuiteParams | None = field(
+        default=None, metadata={"parser": lambda doc, where: suite_from_dict(doc)[0]}
+    )
     suite_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -78,6 +78,10 @@ class RunConfig:
             )
 
 
+def _shortest(value, where: str) -> float:
+    return math.inf if value is None else _number(value, where)
+
+
 @dataclass(kw_only=True)
 class EpisodeRecord:
     episode: int
@@ -85,7 +89,8 @@ class EpisodeRecord:
     seed: int = 0
     success: bool
     traveled: float
-    shortest: float = math.inf  # no drivable path to the target; written as null
+    # No drivable path to the target: inf, written as null.
+    shortest: float = field(default=math.inf, metadata={"parser": _shortest})
     waypoints_visited: int
 
     def to_json_dict(self) -> dict:
@@ -197,10 +202,6 @@ def write_report(report: AggregateReport, out_dir: Path) -> None:
     (out_dir / "report.txt").write_text(report.summary_table(), encoding="utf-8")
 
 
-def _shortest(value, where: str) -> float:
-    return math.inf if value is None else _number(value, where)
-
-
 def load_records_jsonl(text: str) -> list[EpisodeRecord]:
     """Parse records written by :func:`records_to_jsonl`, rejecting loose types.
 
@@ -214,7 +215,7 @@ def load_records_jsonl(text: str) -> list[EpisodeRecord]:
             continue
         where = f"records line {lineno}"
         doc = parse_json(line, where)
-        records.append(parse_fields(EpisodeRecord, doc, where, {"shortest": _shortest}))
+        records.append(parse_fields(EpisodeRecord, doc, where))
     if not records:
         raise SchemaError("records file contains no episodes")
     return records
@@ -235,29 +236,20 @@ def score_records(records: list[EpisodeRecord], preset: str) -> AggregateReport:
 def run_config_from_dict(doc: dict) -> RunConfig:
     """Parse a batch-config JSON document, with the scenario parser's strictness.
 
-    The keys are ``RunConfig``'s fields, with ``out_dir`` written as ``out``
-    and ``scenario_paths`` as ``scenarios``.  The ``suite`` section is a suite
-    document as ``objsearch gen-suite`` reads it
-    (:func:`~objsearch.suitegen.suite_from_dict`); its ``seed`` stands for
-    ``suite_seed``."""
+    The keys are ``RunConfig``'s fields, read by
+    :func:`~objsearch.world.parse_fields`; ``out_dir`` and ``scenario_paths``
+    declare the keys ``out`` and ``scenarios``.  The ``suite`` section is a
+    suite document as ``objsearch gen-suite`` reads it
+    (:func:`~objsearch.suitegen.suite_from_dict`).  Two rules span fields:
+    ``episodes`` defaults to the number of scenario files (or 1), and the
+    suite document's ``seed`` stands for ``suite_seed``."""
     if not isinstance(doc, dict):
         raise SchemaError("batch: expected a JSON object")
-    renamed = {"out_dir": "out", "scenario_paths": "scenarios"}
-    allowed = {renamed.get(f.name, f.name) for f in dataclasses.fields(RunConfig)}
-    _reject_unknown(doc, allowed, "batch")
-    paths = tuple(Path(p) for p in _strings(doc.get("scenarios", []), "batch.scenarios"))
-    suite, seed = suite_from_dict(doc["suite"]) if "suite" in doc else (None, None)
-    if seed is None:
-        seed = _integer(doc.get("suite_seed", 0), "batch.suite_seed")
-    elif "suite_seed" in doc:
-        raise SchemaError("batch: suite.seed and suite_seed both given; set one")
-    return RunConfig(
-        preset=_string(doc.get("preset", "full"), "batch.preset"),
-        episodes=_integer(doc.get("episodes", len(paths) or 1), "batch.episodes"),
-        seed_base=_integer(doc.get("seed_base", 0), "batch.seed_base"),
-        parallelism=_integer(doc.get("parallelism", 1), "batch.parallelism"),
-        out_dir=Path(_string(doc["out"], "batch.out")) if "out" in doc else None,
-        scenario_paths=paths,
-        suite=suite,
-        suite_seed=seed,
-    )
+    scenarios = doc.get("scenarios")
+    doc = {"episodes": len(scenarios) if isinstance(scenarios, list) and scenarios else 1, **doc}
+    suite = doc.get("suite")
+    if isinstance(suite, dict) and "seed" in suite:
+        if "suite_seed" in doc:
+            raise SchemaError("batch: suite.seed and suite_seed both given; set one")
+        doc["suite_seed"] = suite["seed"]
+    return parse_fields(RunConfig, doc, "batch")

@@ -8,7 +8,10 @@ draws nothing (no clutter, and no visible entity to miss or to add noise
 to) builds no Generator, and a stream that is built is the eager one, drawn
 in the same order.  The trace is a list of plain dicts with a stable schema;
 ``plan`` events carry the full candidate set so the greedy ordering can be
-replayed from the trace alone.
+replayed from the trace alone.  A candidate is a pending landmark with a
+viewpoint: a registered, pending landmark with no observed-free, reachable
+point on its viewpoint ring yet is absent from ``candidates``, ``order``
+and ``skipped`` alike, so a trace does not tell it from a non-landmark.
 
 Within one ``run_episode`` call the loop reuses work it has already done.
 The world is static and a sweep only writes true cell states, so a lidar
@@ -450,7 +453,11 @@ def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> bool:
 
 def _plan_cycle(state: EpisodeState) -> list[Viewpoint]:
     """Generate viewpoints for pending landmarks, mark skipped those that fail
-    the skip rule, and order the rest greedily."""
+    the skip rule, and order the rest greedily.
+
+    A pending landmark without a viewpoint yet (no observed-free, reachable
+    ring point) is left out of the ``plan`` event; it stays pending, and a
+    later cycle plans it once some ring point is."""
     scenario = state.scenario
     hp = scenario.hyperparams
     dist = _nav_maps(state).dist

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +76,14 @@ class _Retry(Exception):
     """Internal: one placement attempt failed; the caller retries."""
 
 
+def _weights(value, where: str) -> dict[str, float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return {k: _number(v, f"{where}.{k}") for k, v in value.items()}
+
+
 @dataclass(frozen=True)
 class SuiteParams:
     """Generator settings; ranges follow the documented limits."""
@@ -91,7 +98,8 @@ class SuiteParams:
     targets: tuple[str, ...] = DEFAULT_TARGET_POOL
     known_pool: tuple[str, ...] = DEFAULT_KNOWN_POOL
     unknown_pool: tuple[str, ...] = DEFAULT_UNKNOWN_POOL
-    placement_weights: dict | None = None  # explicit name -> weight override
+    # explicit name -> weight override
+    placement_weights: dict | None = field(default=None, metadata={"parser": _weights})
     placement_power: float = 1.0  # 0 places the target uniformly over the landmarks
     hyperparams: dict = field(default_factory=dict)
     sensor: dict = field(default_factory=dict)
@@ -134,45 +142,27 @@ class SuiteParams:
                 raise SchemaError(
                     f"suite.placement_weights.{name}: must be non-negative and finite"
                 )
-        for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams)):
-            _parse_section(cls, getattr(self, name), f"suite.{name}")  # as in a document
-        planner = _parse_section(PlannerParams, self.planner, "suite.planner")
+        # Each section is read as a scenario document's is and keeps its given
+        # keys, now with their parsed values, whether built in code or read.
+        for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams),
+                          ("planner", PlannerParams)):
+            given = getattr(self, name)
+            parsed = _parse_section(cls, given, f"suite.{name}")
+            object.__setattr__(self, name, {key: getattr(parsed, key) for key in given or {}})
+        planner = PlannerParams(**self.planner)
         if 2.0 * planner.robot_radius >= self.map_side:  # generation inflates the map first
             raise SchemaError(
                 "suite.planner.robot_radius: the robot must fit in the map (2 * radius < map_side)"
             )
 
 
-def _weights(value, where: str) -> dict[str, float] | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected an object")
-    return {k: _number(v, f"{where}.{k}") for k, v in value.items()}
-
-
-def _config_fields(value, where: str, cls: type) -> dict:
-    """A partial scenario config section, kept as a dict of its given keys."""
-    parsed = _parse_section(cls, value, where)
-    return {name: getattr(parsed, name) for name in value or {}}
-
-
-_SUITE_PARSERS = {
-    "placement_weights": _weights,
-    "hyperparams": partial(_config_fields, cls=HyperParams),
-    "sensor": partial(_config_fields, cls=SensorParams),
-    "planner": partial(_config_fields, cls=PlannerParams),
-}
-
-
 def suite_params_from_dict(doc: dict) -> SuiteParams:
     """Parse generator settings from JSON, with the scenario parser's strictness.
 
     The keys are ``SuiteParams``' fields, read by
-    :func:`~objsearch.world.parse_fields`.  The placement weights and the
-    config sections have their own checks, and a section keeps only the keys
-    it is given."""
-    return parse_fields(SuiteParams, doc, "suite", _SUITE_PARSERS)
+    :func:`~objsearch.world.parse_fields`; ``placement_weights`` declares
+    its own reader, and the config sections are read as the suite is built."""
+    return parse_fields(SuiteParams, doc, "suite")
 
 
 def suite_from_dict(doc: dict) -> tuple[SuiteParams, int | None]:

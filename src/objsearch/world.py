@@ -11,11 +11,16 @@ and ``seed``.  Unknown keys are rejected at every level so typos fail loudly.
 Maps are ASCII art: ``.`` is free space, ``#`` is an obstacle, and the first
 row of the document is the northernmost row (largest y).
 
-Every JSON object that stands for a dataclass (a landmark, an object, a
-config section, a suite config, an episode record) has the dataclass's
-fields as its schema.  :func:`parse_fields` reads it: the field names are
-the keys, a field without a default is required, and the field's annotation
-picks the value's check.  :func:`fields_dict` writes it.
+Every JSON document is read by :func:`parse_fields` from the dataclass it
+stands for (a scenario, a landmark, an object, a config section, a suite
+config, a batch config, an episode record).  A field's key is its name
+unless the field declares another in its ``metadata`` (``ScenarioSpec``'s
+``target_phrase`` is written ``target``), a field without a default is
+required, and the value passes the field's declared ``parser`` or else the
+check its annotation picks.  The scenario's map, start pose, landmark and
+object lists and config sections each have an annotation entry.
+:func:`fields_dict` writes a dataclass's object back, and
+:func:`scenario_to_dict` a whole scenario.
 
 Value checks live in the dataclasses, so a spec built in code is as valid
 as a parsed one: each landmark, object and config section checks its own
@@ -31,6 +36,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import IntEnum
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -286,7 +292,7 @@ class ScenarioSpec:
     landmarks: list[LandmarkSpec]
     objects: list[ObjectSpec]
     start: Pose
-    target_phrase: str
+    target_phrase: str = field(metadata={"key": "target"})
     hyperparams: HyperParams = field(default_factory=HyperParams)
     sensor: SensorParams = field(default_factory=SensorParams)
     planner: PlannerParams = field(default_factory=PlannerParams)
@@ -620,11 +626,8 @@ def _sweep_directions(rays: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# Scenario document parsing
+# Document parsing
 # --------------------------------------------------------------------------
-
-# ScenarioSpec's fields, with ``target_phrase`` written as ``target``.
-_TOP_KEYS = {"target" if f.name == "target_phrase" else f.name for f in fields(ScenarioSpec)}
 
 
 def parse_json(text: str, where: str) -> Any:
@@ -639,12 +642,6 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _require(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
-        raise SchemaError(f"{where}.{key} required")
-    return doc[key]
 
 
 def _number(value: Any, where: str) -> float:
@@ -683,37 +680,76 @@ def _numbers(value: Any, where: str, count: int) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _parse_section(cls: type, value: Any, where: str):
+    """A config section: an object of ``cls``'s fields, or ``null`` for all defaults."""
+    return parse_fields(cls, {} if value is None else value, where)
+
+
+def _parse_list(cls: type, value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    return [parse_fields(cls, e, f"{where}[{i}]") for i, e in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class _MapDocument:
+    """A scenario's ``map`` object: ASCII rows, northernmost first, and the cell size."""
+
+    rows: tuple[str, ...]
+    resolution: float
+
+
+def _parse_map(value: Any, where: str) -> GridMap:
+    doc = parse_fields(_MapDocument, value, where)
+    return GridMap.from_rows(doc.rows, doc.resolution)
+
+
+def _parse_pose(value: Any, where: str) -> Pose:
+    # Checked before Pose, which cannot wrap an infinite heading.
+    return Pose(*_check_start(*_numbers(value, where, 3)))
+
+
 # The check for each field annotation (a string: annotations are postponed).
 _FIELD_PARSERS = {
     "int": _integer,
     "float": _number,
     "str": _string,
     "bool": _boolean,
+    "dict": lambda value, where: value,  # a dataclass that takes a dict checks it itself
     "tuple[str, ...]": _strings,
     "tuple[float, float]": partial(_numbers, count=2),
     "tuple[float, float, float, float]": partial(_numbers, count=4),
+    "Path | None": lambda value, where: Path(_string(value, where)),
+    "tuple[Path, ...]": lambda value, where: tuple(map(Path, _strings(value, where))),
+    "GridMap": _parse_map,
+    "Pose": _parse_pose,
+    "list[LandmarkSpec]": partial(_parse_list, LandmarkSpec),
+    "list[ObjectSpec]": partial(_parse_list, ObjectSpec),
+    "HyperParams": partial(_parse_section, HyperParams),
+    "SensorParams": partial(_parse_section, SensorParams),
+    "PlannerParams": partial(_parse_section, PlannerParams),
 }
 
 
-def parse_fields(cls: type, doc: Any, where: str, parsers: dict | None = None):
-    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
+def parse_fields(cls: type, doc: Any, where: str):
+    """Build the dataclass ``cls`` from a JSON object of its fields.
 
-    Unknown keys are rejected and a field without a default is required.
-    Each given value passes the check its field's annotation picks from
-    ``_FIELD_PARSERS``, unless ``parsers`` maps the field name to its own.
+    A field's key is its name, unless its ``metadata`` declares another
+    ``key``.  Unknown keys are rejected and a field without a default is
+    required.  Each given value passes the field's declared ``parser``, if
+    it has one, else the check its annotation picks from ``_FIELD_PARSERS``.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
-    spec_fields = fields(cls)
-    _reject_unknown(doc, {f.name for f in spec_fields}, where)
-    parsers = parsers or {}
+    keyed = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    _reject_unknown(doc, set(keyed), where)
     kwargs = {}
-    for f in spec_fields:
-        if f.name in doc:
-            parse = parsers.get(f.name) or _FIELD_PARSERS[f.type]
-            kwargs[f.name] = parse(doc[f.name], f"{where}.{f.name}")
+    for key, f in keyed.items():
+        if key in doc:
+            parse = f.metadata.get("parser") or _FIELD_PARSERS[f.type]
+            kwargs[f.name] = parse(doc[key], f"{where}.{key}")
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise SchemaError(f"{where}.{f.name} required")
+            raise SchemaError(f"{where}.{key} required")
     return cls(**kwargs)
 
 
@@ -724,47 +760,10 @@ def fields_dict(obj) -> dict:
     return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
-def _parse_section(cls: type, value: Any, where: str):
-    """A config section: an object of ``cls``'s fields, or ``null`` for all defaults."""
-    return parse_fields(cls, {} if value is None else value, where)
-
-
-def _parse_list(doc: dict, key: str, cls: type) -> list:
-    entries = _require(doc, key, "scenario")
-    if not isinstance(entries, list):
-        raise SchemaError(f"scenario.{key}: expected a list")
-    return [parse_fields(cls, e, f"scenario.{key}[{i}]") for i, e in enumerate(entries)]
-
-
 def parse_scenario(doc: dict) -> ScenarioSpec:
     """Check a scenario document's schema and build the spec, which checks its
     values; see module docstring."""
-    if not isinstance(doc, dict):
-        raise SchemaError("scenario: expected a JSON object at top level")
-    _reject_unknown(doc, _TOP_KEYS, "scenario")
-
-    map_doc = _require(doc, "map", "scenario")
-    if not isinstance(map_doc, dict):
-        raise SchemaError("scenario.map: expected an object")
-    _reject_unknown(map_doc, {"rows", "resolution"}, "scenario.map")
-    rows = _strings(_require(map_doc, "rows", "scenario.map"), "scenario.map.rows")
-    resolution = _number(_require(map_doc, "resolution", "scenario.map"), "scenario.map.resolution")
-    grid = GridMap.from_rows(rows, resolution)
-
-    landmarks = _parse_list(doc, "landmarks", LandmarkSpec)
-    objects = _parse_list(doc, "objects", ObjectSpec)
-    # Checked before Pose, which cannot wrap an infinite heading.
-    start = Pose(*_check_start(*_numbers(_require(doc, "start", "scenario"), "scenario.start", 3)))
-    if "target" not in doc:
-        raise SchemaError("target_phrase required")
-    target_phrase = _string(doc["target"], "scenario.target")
-    hyper = _parse_section(HyperParams, doc.get("hyperparams"), "scenario.hyperparams")
-    sensor = _parse_section(SensorParams, doc.get("sensor"), "scenario.sensor")
-    planner = _parse_section(PlannerParams, doc.get("planner"), "scenario.planner")
-    seed = _integer(doc.get("seed", 0), "scenario.seed")
-    return ScenarioSpec(
-        grid, landmarks, objects, start, target_phrase, hyper, sensor, planner, seed
-    )
+    return parse_fields(ScenarioSpec, doc, "scenario")
 
 
 def _footprint_window(

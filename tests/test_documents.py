@@ -1,4 +1,4 @@
-"""The JSON documents' contract: scenarios, suite configs and episode records.
+"""The JSON documents' contract: scenarios, suite and batch configs, episode records.
 
 Each single fault in a document gives one exact error message, a few
 absent or null values read as documented defaults, and every dataclass a
@@ -115,6 +115,51 @@ def test_scenario_fault_messages(key, value, message):
     assert str(err.value) == message
 
 
+MAP = minimal_doc()["map"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "scenario: expected an object"),
+        (None, "scenario: expected an object"),
+        ({**minimal_doc(), "extra": 1}, "scenario: unknown keys ['extra']"),
+        ({**minimal_doc(), "target_phrase": "book"}, "scenario: unknown keys ['target_phrase']"),
+        (without(minimal_doc(), "map"), "scenario.map required"),
+        ({**minimal_doc(), "map": [MAP]}, "scenario.map: expected an object"),
+        ({**minimal_doc(), "map": {**MAP, "origin": [0, 0]}},
+         "scenario.map: unknown keys ['origin']"),
+        ({**minimal_doc(), "map": without(MAP, "rows")}, "scenario.map.rows required"),
+        ({**minimal_doc(), "map": {**MAP, "rows": "#."}},
+         "scenario.map.rows: expected a list of strings"),
+        ({**minimal_doc(), "map": {**MAP, "rows": [MAP["rows"][0], 3]}},
+         "scenario.map.rows[1]: expected a string, got int"),
+        ({**minimal_doc(), "map": without(MAP, "resolution")},
+         "scenario.map.resolution required"),
+        ({**minimal_doc(), "map": {**MAP, "resolution": "0.1"}},
+         "scenario.map.resolution: expected a number, got str"),
+        (without(minimal_doc(), "landmarks"), "scenario.landmarks required"),
+        ({**minimal_doc(), "landmarks": {}}, "scenario.landmarks: expected a list"),
+        (without(minimal_doc(), "objects"), "scenario.objects required"),
+        ({**minimal_doc(), "objects": None}, "scenario.objects: expected a list"),
+        (without(minimal_doc(), "start"), "scenario.start required"),
+        ({**minimal_doc(), "start": [0.55, 0.25]}, "scenario.start: expected 3 numbers"),
+        ({**minimal_doc(), "start": "0.55 0.25 0"}, "scenario.start: expected 3 numbers"),
+        ({**minimal_doc(), "start": [0.55, "0.25", 0]},
+         "scenario.start[1]: expected a number, got str"),
+        (without(minimal_doc(), "target"), "scenario.target required"),
+        ({**minimal_doc(), "target": 5}, "scenario.target: expected a string, got int"),
+        ({**minimal_doc(), "seed": 1.0}, "scenario.seed: expected an integer, got float"),
+        ({**minimal_doc(), "seed": True}, "scenario.seed: expected an integer, got bool"),
+        ({**minimal_doc(), "seed": None}, "scenario.seed: expected an integer, got NoneType"),
+    ],
+)
+def test_scenario_top_level_fault_messages(doc, message):
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -174,6 +219,45 @@ def test_suite_fault_messages(doc, message):
 def test_record_fault_messages(line, message):
     with pytest.raises(SchemaError) as err:
         load_records_jsonl(line)
+    assert str(err.value) == message
+
+
+SUITE = {"count": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (["not", "an", "object"], "batch: expected a JSON object"),
+        (None, "batch: expected a JSON object"),
+        ({"suite": SUITE, "bogus": 1}, "batch: unknown keys ['bogus']"),
+        ({"suite": SUITE, "out_dir": "out"}, "batch: unknown keys ['out_dir']"),
+        ({"scenario_paths": ["a.json"]}, "batch: unknown keys ['scenario_paths']"),
+        ({"suite": SUITE, "episodes": 2.7}, "batch.episodes: expected an integer, got float"),
+        ({"suite": SUITE, "episodes": True}, "batch.episodes: expected an integer, got bool"),
+        ({"suite": SUITE, "parallelism": "2"},
+         "batch.parallelism: expected an integer, got str"),
+        ({"suite": SUITE, "preset": 1}, "batch.preset: expected a string, got int"),
+        ({"suite": SUITE, "out": 5}, "batch.out: expected a string, got int"),
+        ({"suite": SUITE, "out": None}, "batch.out: expected a string, got NoneType"),
+        ({"suite": SUITE, "seed_base": 1.0}, "batch.seed_base: expected an integer, got float"),
+        ({"suite": SUITE, "suite_seed": 0.5}, "batch.suite_seed: expected an integer, got float"),
+        ({"suite": SUITE, "suite_seed": None},
+         "batch.suite_seed: expected an integer, got NoneType"),
+        ({"scenarios": "ab"}, "batch.scenarios: expected a list of strings"),
+        ({"scenarios": None}, "batch.scenarios: expected a list of strings"),
+        ({"scenarios": ["a.json", 3]}, "batch.scenarios[1]: expected a string, got int"),
+        ({"suite": [SUITE]}, "suite: expected an object"),
+        ({"suite": {"count": "2"}}, "suite.count: expected an integer, got str"),
+        ({"suite": {**SUITE, "seed": 0.5}}, "suite.seed: expected an integer, got float"),
+        ({"suite": {**SUITE, "seed": None}}, "suite.seed: expected an integer, got NoneType"),
+        ({"suite": {**SUITE, "seed": 4}, "suite_seed": 4},
+         "batch: suite.seed and suite_seed both given; set one"),
+    ],
+)
+def test_batch_fault_messages(doc, message):
+    with pytest.raises(SchemaError) as err:
+        run_config_from_dict(doc)
     assert str(err.value) == message
 
 
@@ -299,6 +383,20 @@ def test_config_sections_keep_only_given_keys_as_numbers():
     params = suite_params_from_dict({"hyperparams": {"lambda1": 2, "scan_headings": 6}})
     assert params.hyperparams == {"lambda1": 2.0, "scan_headings": 6}
     assert type(params.hyperparams["lambda1"]) is float
+
+
+def test_suite_built_in_code_generates_the_bytes_of_its_document(ctx):
+    """A section value given as an integer reads as its field's number, so a
+    suite built in code and the same suite read from JSON write the same
+    scenarios."""
+    shape = dict(count=2, rooms=1, landmarks=3, map_side=8.0,
+                 hyperparams={"fail_distance": 100}, planner={"robot_radius": 0})
+    built = SuiteParams(**shape)
+    read = suite_params_from_dict(json.loads(json.dumps(shape)))
+    assert built == read
+    assert [serialize_scenario(s) for s in generate_suite(built, 0, ctx=ctx)] == [
+        serialize_scenario(s) for s in generate_suite(read, 0, ctx=ctx)
+    ]
 
 
 def test_scenario_dict_is_json_native(ctx):

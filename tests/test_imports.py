@@ -121,7 +121,6 @@ SETTABLE_VALUES = {
         "assets.load.root", "assets.load.table_file",
         "batch.run_batch.asset_root", "cli.main.argv",
         "episode.run_episode.seed", "episode.run_episode.confirm_fn",
-        "world.parse_fields.parsers",
     ],
 }
 
@@ -176,4 +175,4 @@ def test_settable_values_are_pinned():
         "environment variables": environment_reads(),
         "defaulted parameters": defaulted_parameters(),
     } == SETTABLE_VALUES
-    assert sum(map(len, SETTABLE_VALUES.values())) == 58
+    assert sum(map(len, SETTABLE_VALUES.values())) == 57

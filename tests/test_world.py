@@ -322,7 +322,7 @@ class TestScenarioParsing:
     def test_missing_target_phrase(self):
         doc = minimal_doc()
         del doc["target"]
-        with pytest.raises(SchemaError, match="target_phrase required"):
+        with pytest.raises(SchemaError, match=r"^scenario\.target required$"):
             parse_scenario(doc)
 
     def test_unknown_keys_rejected(self):
