@@ -156,8 +156,9 @@ def run_batch(config: RunConfig, asset_root: Path | None = None) -> AggregateRep
     """Run every episode under the preset and aggregate SR / SPL / waypoints.
 
     Asset and scenario loading happens up front so configuration errors
-    surface before any episode runs.  Results are sorted by episode index,
-    which makes serial and parallel executions byte-identical.
+    surface before any episode runs.  Records come back in task order, which
+    is episode order, serially and from ``ProcessPoolExecutor.map`` alike, so
+    serial and parallel executions are byte-identical.
     """
     ctx = context_for_preset(config.preset, asset_root)
     if config.suite is not None:
@@ -179,7 +180,6 @@ def run_batch(config: RunConfig, asset_root: Path | None = None) -> AggregateRep
     else:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             records = list(pool.map(_run_one, tasks))
-    records.sort(key=lambda r: r.episode)
 
     report = score_records(records, config.preset)
     if config.out_dir is not None:

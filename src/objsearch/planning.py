@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import ndimage
@@ -72,26 +72,9 @@ class Viewpoint:
 
 @dataclass(frozen=True)
 class Path:
-    """Cells of an 8-connected grid path and its metric length."""
+    """Cells of an 8-connected grid path, from its start to its goal."""
 
     cells: tuple[tuple[int, int], ...]
-    length: float
-
-    @classmethod
-    def from_cells(cls, cells: Sequence[tuple[int, int]], resolution: float) -> "Path":
-        if not cells:
-            raise DomainError("a path needs at least one cell")
-        straight = diagonal = 0
-        for (ax, ay), (bx, by) in zip(cells, cells[1:]):
-            dx, dy = abs(bx - ax), abs(by - ay)
-            if dx > 1 or dy > 1 or (dx == 0 and dy == 0):
-                raise DomainError(f"cells ({ax},{ay}) -> ({bx},{by}) are not 8-adjacent")
-            if dx + dy == 1:
-                straight += 1
-            else:
-                diagonal += 1
-        length = (straight + SQRT2 * diagonal) * resolution
-        return cls(cells=tuple((int(x), int(y)) for x, y in cells), length=length)
 
 
 @dataclass(frozen=True)
@@ -179,6 +162,7 @@ def plan_path(dist_field: np.ndarray, goal: tuple[int, int], resolution: float) 
     Each step goes to the neighbour with the smallest ``dist + step *
     resolution``; values equal but for rounding tie, and ties go to the lowest
     flat cell index.  The walk ends at the source, where the distance is 0.
+    The path's length is ``dist_field[goal]``, which the caller holds.
     A goal off the map or at distance ``inf`` raises :class:`NoPathError`.
     """
     height, width = dist_field.shape
@@ -200,7 +184,7 @@ def plan_path(dist_field: np.ndarray, goal: tuple[int, int], resolution: float) 
         cells.append((x, y))
         here = float(dist_field[y, x])
     cells.reverse()
-    return Path.from_cells(cells, resolution)
+    return Path(tuple(cells))
 
 
 def _grid_graph(trav: np.ndarray) -> csr_matrix:

@@ -45,7 +45,6 @@ from .world import (
     SensorParams,
     _footprint_window,
     _integer,
-    _number,
     _parse_section,
     parse_fields,
 )
@@ -76,17 +75,10 @@ class _Retry(Exception):
     """Internal: one placement attempt failed; the caller retries."""
 
 
-def _weights(value, where: str) -> dict[str, float] | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected an object")
-    return {k: _number(v, f"{where}.{k}") for k, v in value.items()}
-
-
 @dataclass(frozen=True)
 class SuiteParams:
-    """Generator settings; ranges follow the documented limits."""
+    """Generator settings; ranges follow the documented limits.  The target's
+    host is drawn by one rule, :func:`_host_weights`."""
 
     count: int = 10
     rooms: int = 2  # 1..4
@@ -98,8 +90,6 @@ class SuiteParams:
     targets: tuple[str, ...] = DEFAULT_TARGET_POOL
     known_pool: tuple[str, ...] = DEFAULT_KNOWN_POOL
     unknown_pool: tuple[str, ...] = DEFAULT_UNKNOWN_POOL
-    # explicit name -> weight override
-    placement_weights: dict | None = field(default=None, metadata={"parser": _weights})
     placement_power: float = 1.0  # 0 places the target uniformly over the landmarks
     hyperparams: dict = field(default_factory=dict)
     sensor: dict = field(default_factory=dict)
@@ -132,16 +122,6 @@ class SuiteParams:
             )
         if not (math.isfinite(self.placement_power) and self.placement_power >= 0):
             raise SchemaError("suite.placement_power: must be non-negative and finite")
-        strays = set(self.placement_weights or ()) - {*self.known_pool, *self.unknown_pool}
-        if strays:
-            raise SchemaError(
-                f"suite.placement_weights: names in neither landmark pool {sorted(strays)}"
-            )
-        for name, weight in (self.placement_weights or {}).items():
-            if not (math.isfinite(weight) and weight >= 0):
-                raise SchemaError(
-                    f"suite.placement_weights.{name}: must be non-negative and finite"
-                )
         # Each section is read as a scenario document's is and keeps its given
         # keys, now with their parsed values, whether built in code or read.
         for name, cls in (("hyperparams", HyperParams), ("sensor", SensorParams),
@@ -160,8 +140,8 @@ def suite_params_from_dict(doc: dict) -> SuiteParams:
     """Parse generator settings from JSON, with the scenario parser's strictness.
 
     The keys are ``SuiteParams``' fields, read by
-    :func:`~objsearch.world.parse_fields`; ``placement_weights`` declares
-    its own reader, and the config sections are read as the suite is built."""
+    :func:`~objsearch.world.parse_fields`, and the config sections are read
+    as the suite is built."""
     return parse_fields(SuiteParams, doc, "suite")
 
 
@@ -332,10 +312,7 @@ def _host_weights(
     landmarks: list[LandmarkSpec],
     ctx: AssetContext,
 ) -> np.ndarray:
-    if params.placement_weights is not None:
-        return np.array(
-            [float(params.placement_weights.get(lm.name, 0.0)) for lm in landmarks]
-        )
+    """Host weights ``max(0, cooccurrence(target, name)) ** placement_power``."""
     if params.placement_power == 0:  # scores nothing, so any landmark name will do
         return np.ones(len(landmarks))
     scores = cooccurrences(target, [lm.name for lm in landmarks], ctx.generations, ctx.words)
@@ -365,9 +342,7 @@ def _place_object(
     return (ix + 0.5) * res, (iy + 0.5) * res
 
 
-def _generate_one(
-    params: SuiteParams, rng: np.random.Generator, ctx: AssetContext, index: int
-) -> ScenarioSpec:
+def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetContext) -> ScenarioSpec:
     res = params.resolution
     n = int(round(params.map_side / res))
     occ = np.zeros((n, n), dtype=bool)
@@ -452,7 +427,7 @@ def generate_suite(params: SuiteParams, seed: int, ctx: AssetContext) -> list[Sc
         last = ""
         for _ in range(_MAX_SCENARIO_ATTEMPTS):
             try:
-                scenarios.append(_generate_one(params, rng, ctx, i))
+                scenarios.append(_generate_one(params, rng, ctx))
                 break
             except _Retry as exc:
                 last = str(exc)

@@ -164,22 +164,6 @@ class TestSuiteParamsParsing:
     def test_resolution_limits_are_inclusive(self, resolution):
         assert suite_params_from_dict({"resolution": resolution}).resolution == resolution
 
-    def test_unknown_placement_weight_names_rejected(self):
-        doc = {"count": 1, "placement_weights": {"zzz": 0.0, "desk": 1.0, "dsk": 1.0}}
-        with pytest.raises(SchemaError) as err:
-            suite_params_from_dict(doc)
-        assert str(err.value) == (
-            "suite.placement_weights: names in neither landmark pool ['dsk', 'zzz']"
-        )
-
-    @pytest.mark.parametrize("doc", [
-        {"placement_weights": {"tv monitor": 2.0, "desk": 1.0}},
-        {"known_pool": ["lamp"], "unknown_pool": ["rug"], "placement_weights": {"lamp": 1.0}},
-        {"placement_weights": {}},
-    ])
-    def test_placement_weights_may_name_either_pool(self, doc):
-        assert suite_params_from_dict(doc).placement_weights == doc["placement_weights"]
-
     @pytest.mark.parametrize(
         "doc",
         [

@@ -172,9 +172,7 @@ def test_scenario_top_level_fault_messages(doc, message):
         ({"placement_power": None}, "suite.placement_power: expected a number, got NoneType"),
         ({"targets": "book"}, "suite.targets: expected a list of strings"),
         ({"targets": ["book", 3]}, "suite.targets[1]: expected a string, got int"),
-        ({"placement_weights": [1]}, "suite.placement_weights: expected an object"),
-        ({"placement_weights": {"desk": "heavy"}},
-         "suite.placement_weights.desk: expected a number, got str"),
+        ({"placement_weights": {"desk": 1.0}}, "suite: unknown keys ['placement_weights']"),
         ({"sensor": []}, "suite.sensor: expected an object"),
         ({"planner": 1}, "suite.planner: expected an object"),
         ({"sensor": {"bogus": 1}}, "suite.sensor: unknown keys ['bogus']"),
@@ -434,8 +432,7 @@ def test_world_dataclass_round_trip(obj):
         SuiteParams(),
         SuiteParams(count=3, rooms=1, landmarks=4, map_side=9.5, resolution=0.2,
                     known_landmarks=0, distractors=0, targets=("cup",), known_pool=(),
-                    unknown_pool=("desk", "bed"),
-                    placement_weights={"desk": 2.0, "bed": 0.5}, placement_power=0.5,
+                    unknown_pool=("desk", "bed"), placement_power=0.5,
                     hyperparams={"lambda1": 2.0, "scan_headings": 6}, sensor={"clutter": 1},
                     planner={"robot_radius": 0.3}),
     ],

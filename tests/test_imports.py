@@ -4,6 +4,9 @@ and the package's public names and settable values are the pinned lists."""
 import argparse
 import ast
 import dataclasses
+import importlib
+import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from objsearch.suitegen import SuiteParams
 from objsearch.world import HyperParams, PlannerParams, SensorParams
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "objsearch"
+TRACER = Path(__file__).resolve().parents[1] / "objbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -106,9 +110,8 @@ SETTABLE_VALUES = {
         "SuiteParams.count", "SuiteParams.rooms", "SuiteParams.landmarks",
         "SuiteParams.map_side", "SuiteParams.resolution", "SuiteParams.known_landmarks",
         "SuiteParams.distractors", "SuiteParams.targets", "SuiteParams.known_pool",
-        "SuiteParams.unknown_pool", "SuiteParams.placement_weights",
-        "SuiteParams.placement_power", "SuiteParams.hyperparams", "SuiteParams.sensor",
-        "SuiteParams.planner",
+        "SuiteParams.unknown_pool", "SuiteParams.placement_power",
+        "SuiteParams.hyperparams", "SuiteParams.sensor", "SuiteParams.planner",
         "RunConfig.preset", "RunConfig.episodes", "RunConfig.seed_base",
         "RunConfig.parallelism", "RunConfig.out_dir", "RunConfig.scenario_paths",
         "RunConfig.suite", "RunConfig.suite_seed",
@@ -175,4 +178,53 @@ def test_settable_values_are_pinned():
         "environment variables": environment_reads(),
         "defaulted parameters": defaulted_parameters(),
     } == SETTABLE_VALUES
-    assert sum(map(len, SETTABLE_VALUES.values())) == 57
+    assert sum(map(len, SETTABLE_VALUES.values())) == 56
+
+
+def load_tracer() -> types.ModuleType:
+    """``objbench/tracer.py``, loaded by path: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location("objbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = load_tracer().LAYERS
+
+
+def test_tracer_layers_are_found():
+    assert len(LAYERS) == 21
+
+
+@pytest.mark.parametrize("module, attr", [layer[:2] for layer in LAYERS],
+                         ids=[f"{m}.{a}" for m, a, *_ in LAYERS])
+def test_traced_layer_resolves(module, attr):
+    """Each name the benchmark's tracer patches is bound where it looks."""
+    home = importlib.import_module(f"objsearch.{module}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(home, cls_name))
+    else:
+        assert callable(getattr(home, attr))
+
+
+@pytest.mark.parametrize("module, function, position, name", [
+    ("world", "raycast_batch", 2, "bearings"),
+    ("sensing", "lidar_update", 0, "belief"),
+    ("planning", "traversable_mask", 0, "grid"),
+    ("planning", "distance_field", 0, "traversable"),
+])
+def test_traced_hook_parameters(module, function, position, name):
+    """The tracer's hooks read these arguments by position or keyword."""
+    fn = getattr(importlib.import_module(f"objsearch.{module}"), function)
+    assert list(inspect.signature(fn).parameters)[position] == name
+
+
+@pytest.mark.parametrize("module, cls, name", [
+    ("planning", "Path", "cells"),
+    ("sensing", "CameraObservation", "detections"),
+])
+def test_traced_results_carry_fields(module, cls, name):
+    """The tracer's hooks read these fields of a traced call's result."""
+    home = importlib.import_module(f"objsearch.{module}")
+    assert name in {f.name for f in dataclasses.fields(getattr(home, cls))}

@@ -97,9 +97,23 @@ def random_sources(rng, trav, count):
 SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (7, 3), (3, 7), (30, 50), (64, 64), (140, 140)]
 
 
-def astar_path(trav, start, goal, resolution):
-    """Reference: shortest 8-connected path by A* with an octile heuristic
-    (Hart, Nilsson & Raphael 1968), or None when the goal is unreachable."""
+def path_length(cells, resolution):
+    """Metric length of a grid path, asserting each step is 8-adjacent."""
+    straight = diagonal = 0
+    for (ax, ay), (bx, by) in zip(cells, cells[1:]):
+        dx, dy = abs(bx - ax), abs(by - ay)
+        assert max(dx, dy) == 1, f"cells ({ax},{ay}) -> ({bx},{by}) are not 8-adjacent"
+        if dx + dy == 1:
+            straight += 1
+        else:
+            diagonal += 1
+    return (straight + SQRT2 * diagonal) * resolution
+
+
+def astar_path(trav, start, goal):
+    """Reference: the cells of a shortest 8-connected path by A* with an
+    octile heuristic (Hart, Nilsson & Raphael 1968), or None when the goal is
+    unreachable."""
     height, width = trav.shape
     (sx, sy), (gx, gy) = start, goal
     if not (0 <= gx < width and 0 <= gy < height) or not trav[gy, gx]:
@@ -119,7 +133,7 @@ def astar_path(trav, start, goal, resolution):
             cells = [cell]
             while cells[-1] != (sx, sy):
                 cells.append(parent[cells[-1]])
-            return Path.from_cells(cells[::-1], resolution)
+            return cells[::-1]
         closed.add(cell)
         x, y = cell
         for dx in (-1, 0, 1):
@@ -193,7 +207,7 @@ class TestDistanceField:
             want = field[goal[1], goal[0]]
             if math.isfinite(want):
                 path = plan_path(field, goal, 0.1)
-                assert path.length == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert path_length(path.cells, 0.1) == pytest.approx(want, rel=1e-12, abs=1e-12)
                 checked += 1
             else:
                 with pytest.raises(NoPathError):
@@ -219,7 +233,7 @@ class TestPlanPath:
                 start = sources[0]
                 field = distance_field(trav, 0.25, [start])
                 goal = (int(rng.integers(width)), int(rng.integers(height)))
-                want = astar_path(trav, start, goal, 0.25)
+                want = astar_path(trav, start, goal)
                 if want is None:
                     with pytest.raises(NoPathError):
                         plan_path(field, goal, 0.25)
@@ -228,8 +242,9 @@ class TestPlanPath:
                 path = plan_path(field, goal, 0.25)
                 assert path.cells[0] == start and path.cells[-1] == goal
                 assert all(trav[y, x] for x, y in path.cells)
-                assert Path.from_cells(path.cells, 0.25) == path  # 8-adjacent steps
-                assert path.length == pytest.approx(want.length, rel=1e-12, abs=0.0)
+                assert path_length(path.cells, 0.25) == pytest.approx(
+                    path_length(want, 0.25), rel=1e-12, abs=0.0
+                )
                 solved += 1
         assert solved > 0 and (failed > 0 or shape in ((1, 1), (2, 2)))
 
@@ -250,7 +265,7 @@ class TestPlanPath:
     def test_goal_at_the_source_is_one_cell(self):
         trav = np.ones((5, 6), dtype=bool)
         path = plan_path(distance_field(trav, 0.5, [(2, 3)]), (2, 3), 0.5)
-        assert path == Path(cells=((2, 3),), length=0.0)
+        assert path == Path(cells=((2, 3),))
 
     @pytest.mark.parametrize("goal", [(-1, 0), (0, -1), (6, 0), (0, 5), (99, 99)])
     def test_goal_off_the_map_has_no_path(self, goal):
@@ -275,7 +290,7 @@ class TestPlanPath:
         field = distance_field(trav, 0.1, [(1, 1)])
         path = plan_path(field, (3, 1), 0.1)
         assert path.cells == ((1, 1), (2, 0), (3, 1))
-        assert path.length == pytest.approx(2 * SQRT2 * 0.1, rel=1e-12)
+        assert path_length(path.cells, 0.1) == pytest.approx(2 * SQRT2 * 0.1, rel=1e-12)
         # Mirrored, the lower index is on row 0 again.
         field = distance_field(trav, 0.1, [(3, 1)])
         assert plan_path(field, (1, 1), 0.1).cells == ((3, 1), (2, 0), (1, 1))

@@ -226,13 +226,15 @@ def test_generation_inflates_each_map_once(ctx, monkeypatch):
     assert all(any(mask is trav for trav in inflated) for mask in checked)
 
 
-def test_power_zero_places_uniformly_and_scores_no_name(ctx):
-    """``placement_power`` 0 weighs every landmark alike, as equal explicit
-    weights do, and scores no name, so landmarks without a word vector work."""
+def test_power_zero_places_uniformly_and_scores_no_name(ctx, monkeypatch):
+    """``placement_power`` 0 weighs every landmark alike, as power 1 does when
+    every name scores 1, and scores no name, so landmarks without a word
+    vector work."""
     base = dict(count=3, rooms=2, landmarks=5, map_side=10.0)
-    names = SuiteParams().known_pool + SuiteParams().unknown_pool
-    equal = SuiteParams(**base, placement_weights=dict.fromkeys(names, 1.0))
-    assert suite_sha256(SuiteParams(**base, placement_power=0.0), ctx) == suite_sha256(equal, ctx)
+    uniform = suite_sha256(SuiteParams(**base, placement_power=0.0), ctx)
+    with monkeypatch.context() as patched:
+        patched.setattr(suitegen, "cooccurrences", lambda target, names, *_: [1.0] * len(names))
+        assert uniform == suite_sha256(SuiteParams(**base, placement_power=1.0), ctx)
     unscored = SuiteParams(**base, known_pool=("qzxv",), unknown_pool=("vzqx", "xqzv"))
     with pytest.raises(EmbeddingLookupError):
         generate_suite(unscored, 0, ctx=ctx)
