@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import AssetError, EmbeddingLookupError
-from .knowledge import GenerationTable, WordVectorStore
+from .knowledge import GenerationTable, WordVectorStore, cooccurrence
 from .matching import TextEmbeddingStore
 from .world import ScenarioSpec
 
@@ -22,6 +22,8 @@ class AssetContext:
 
     words: WordVectorStore
     generations: GenerationTable
+    # (target, landmark) -> co-occurrence score, filled by ``cooccurrence``.
+    _scores: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def load(cls, root: Path | None = None, table_file: str = GENERATION_TABLE_FILE) -> "AssetContext":
@@ -38,3 +40,14 @@ class AssetContext:
             return TextEmbeddingStore.from_word_vectors(self.words, scenario.entity_names())
         except EmbeddingLookupError as exc:
             raise AssetError(f"scenario references unembeddable phrase: {exc}") from exc
+
+    def cooccurrence(self, target: str, landmark: str) -> float:
+        """:func:`~objsearch.knowledge.cooccurrence` of the pair under these
+        assets, remembered once scored.  Only scores are remembered, so a
+        pair that raises :class:`EmbeddingLookupError` raises on every call."""
+        key = (target, landmark)
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = cooccurrence(target, landmark, self.generations,
+                                                     self.words)
+        return score

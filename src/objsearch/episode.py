@@ -45,7 +45,6 @@ import numpy as np
 
 from .assets import AssetContext
 from .errors import DomainError, NoPathError
-from .knowledge import cooccurrence
 from .matching import (
     UNKNOWN_LABEL,
     TextEmbeddingStore,
@@ -209,7 +208,7 @@ def _target_cooccur(state: EpisodeState, name: str) -> float:
     scenario, ctx = state.scenario, state.ctx
     known = state.cooccur_by_name
     if name not in known:
-        known[name] = cooccurrence(scenario.target_phrase, name, ctx.generations, ctx.words)
+        known[name] = ctx.cooccurrence(scenario.target_phrase, name)
         # Flag the fallback once, on the first name scored.
         if len(known) == 1 and scenario.target_phrase not in ctx.generations:
             _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)

@@ -9,7 +9,6 @@ landmark's phrase vector and any generated location phrase.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -144,37 +143,14 @@ def cooccurrence(
     unlisted objects stay searchable; callers can test membership to flag the
     fallback.
     Raises :class:`EmbeddingLookupError` if the landmark (or every generation)
-    is fully out of vocabulary.  The one-landmark case of
-    :func:`cooccurrences`.
+    is fully out of vocabulary; the landmark is looked up first.
     """
-    return cooccurrences(target, [landmark], table, store)[0]
-
-
-def cooccurrences(
-    target: str,
-    landmarks: Sequence[str],
-    table: GenerationTable,
-    store: WordVectorStore,
-) -> list[float]:
-    """:func:`cooccurrence` of each landmark, embedding the target's
-    generations once.
-
-    Errors come as from calling :func:`cooccurrence` on each landmark in
-    turn: a landmark's own vector is looked up before the generations are
-    first needed.
-    """
-    gen_vecs = None
-    scores = []
-    for landmark in landmarks:
-        landmark_vec = phrase_vector(landmark, store)
-        if target not in table:
-            scores.append(FALLBACK_COOCCURRENCE)
-            continue
-        if gen_vecs is None:
-            gen_vecs = _generation_vectors(target, table, store)
-        best = max(float(np.dot(landmark_vec, gen_vec)) for gen_vec in gen_vecs)
-        scores.append(min(1.0, max(-1.0, best)))
-    return scores
+    landmark_vec = phrase_vector(landmark, store)
+    if target not in table:
+        return FALLBACK_COOCCURRENCE
+    best = max(float(np.dot(landmark_vec, gen_vec))
+               for gen_vec in _generation_vectors(target, table, store))
+    return min(1.0, max(-1.0, best))
 
 
 def _generation_vectors(

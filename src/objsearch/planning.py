@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .errors import DomainError, NoPathError
-from .sensing import lines_of_sight, object_slack
+from .sensing import line_of_sight, object_slack
 from .world import CellState, GridMap, HyperParams, ObjectSpec, PlannerParams, Pose, ScenarioSpec
 from .world import normalize_angle
 
@@ -342,7 +342,8 @@ def nearest_frontier(
     are noise, and a cluster's distance is the smallest ``dist_field`` value
     (the robot's travel distance) among its members; ties go to the lowest
     cluster label.  The closest cell is the first member at that distance in
-    row-major order.
+    row-major order.  The cluster's cells are listed in (x, y) order, and its
+    centroid is the mean of their centres, summed in that order.
     """
     mask = frontier_cells_mask(belief)
     labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
@@ -354,13 +355,14 @@ def nearest_frontier(
     win = np.lexsort((cell_labels, dist_field[ys, xs]))[0]
     closest = (int(xs[win]), int(ys[win]))
     ys, xs = np.nonzero(labels == cell_labels[win])
-    cells = tuple(sorted((int(x), int(y)) for x, y in zip(xs, ys)))
-    cx = float(np.mean([belief.cell_to_world(x, y)[0] for x, y in cells]))
-    cy = float(np.mean([belief.cell_to_world(x, y)[1] for x, y in cells]))
-    return Frontier(cells=cells, centroid=(cx, cy), closest_cell=closest)
+    by_cell = np.lexsort((ys, xs))  # (x, y) order, as the cells are listed
+    xs, ys = xs[by_cell], ys[by_cell]
+    res = belief.resolution
+    centroid = (float(np.mean((xs + 0.5) * res)), float(np.mean((ys + 0.5) * res)))
+    return Frontier(cells=tuple(zip(xs.tolist(), ys.tolist())), centroid=centroid,
+                    closest_cell=closest)
 
 
-_LOS_CHUNK = 64  # candidate cells whose line of sight is tested together
 _RANGE_MARGIN = 1e-9  # relative; covers np.hypot's rounding against math.hypot
 
 
@@ -412,16 +414,15 @@ def first_confirming(
     ``cam_range + resolution`` of the target (half a cell of tolerance at the
     rim).  The robot can turn, so the field of view does not matter.
 
-    The cells are tested ``_LOS_CHUNK`` at a time, because most searches end
-    on their first few.  A ray's answer does not depend on the rays traced
-    with it."""
+    The cells are tested one at a time, each with one
+    :func:`~objsearch.sensing.line_of_sight` ray, and the search returns at
+    the first that confirms."""
     res = grid.resolution
     slack = object_slack(target, res)
-    for lo in range(0, xs.size, _LOS_CHUNK):
-        cx, cy = (xs[lo : lo + _LOS_CHUNK] + 0.5) * res, (ys[lo : lo + _LOS_CHUNK] + 0.5) * res
-        seen = lines_of_sight(grid, np.column_stack((cx, cy)), target.position, slack)
-        if seen.any():
-            return lo + int(np.argmax(seen))
+    for i in range(xs.size):
+        centre = ((xs.item(i) + 0.5) * res, (ys.item(i) + 0.5) * res)
+        if line_of_sight(grid, centre, target.position, slack):
+            return i
     return None
 
 
@@ -434,9 +435,10 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
 
     The reachable cells :func:`cells_near` the target are tried in order of
     path length (a stable sort of them in row-major order, which keeps the
-    relative order of a sort over the whole map).  The length is finite
-    exactly when :func:`target_observable` holds, which answers that without
-    the distance field."""
+    relative order of a sort over the whole map), so the first that
+    confirms is a nearest one.  The length is finite exactly when
+    :func:`target_observable` holds, which answers that without the
+    distance field."""
     grid = scenario.map
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
@@ -460,13 +462,17 @@ def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
     the same graph :func:`distance_field` searches (diagonal steps need no
-    free side cell).  Those :func:`cells_near` the target are tried in
-    row-major order, since only whether one confirms matters."""
+    free side cell).  Those :func:`cells_near` the target are tried nearest
+    the target first (a stable sort on ``np.hypot`` of their centres' offsets
+    from it), where a cell that confirms is most likely; the answer is
+    whether any cell confirms, so the order cannot change it."""
     grid = scenario.map
+    res = grid.resolution
     sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
     labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
     tx, ty = scenario.target.position
-    max_dist = scenario.hyperparams.cam_range + grid.resolution
-    xs, ys = cells_near(labels == labels[sy, sx], (tx, ty, tx, ty), grid.resolution, max_dist)
-    return first_confirming(grid, scenario.target, xs, ys) is not None
+    max_dist = scenario.hyperparams.cam_range + res
+    xs, ys = cells_near(labels == labels[sy, sx], (tx, ty, tx, ty), res, max_dist)
+    nearest = np.argsort(np.hypot((xs + 0.5) * res - tx, (ys + 0.5) * res - ty), kind="stable")
+    return first_confirming(grid, scenario.target, xs[nearest], ys[nearest]) is not None

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .matching import UNKNOWN_LABEL, TextEmbeddingStore, unit
 from .world import CellState, GridMap, HyperParams, ObjectSpec, Pose, ScenarioSpec
-from .world import _raycast_sweep, normalize_angle, raycast_batch
+from .world import _raycast_sweep, _walk, normalize_angle, raycast_batch
 
 IMAGE_WIDTH = 640.0
 IMAGE_HEIGHT = 480.0
@@ -84,14 +84,14 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
 
     Cells crossed before a hit become Free, hit cells become Occupied; known
     cells never revert to Unknown.  The cells are those :func:`raycast_batch`
-    traces, found in its two halves: the geometry half, each ray's merged
-    grid-line crossings, is read from a process-wide cache keyed on the
-    pose's exact offsets to its cell's grid lines (with the resolution, ray
-    count, range and crossing count), and only the map half, which cuts each
-    ray at the map edge or its first occupied cell, runs per sweep.  The
-    sweep writes the belief's cells in place by the world's flat cell
-    indices, so the belief must have the world's width, height and
-    resolution.
+    walks through, found for all rays at once in two halves: the geometry
+    half, each ray's merged grid-line crossings, is read from a process-wide
+    cache keyed on the pose's exact offsets to its cell's grid lines (with
+    the resolution, ray count, range and crossing count), and only the map
+    half, which cuts each ray at the map edge or its first occupied cell,
+    runs per sweep.  The sweep writes the belief's cells in place by the
+    world's flat cell indices, so the belief must have the world's width,
+    height and resolution.
     """
     geometry = (world.width, world.height, world.resolution)
     if (belief.width, belief.height, belief.resolution) != geometry:
@@ -117,38 +117,6 @@ def bbox_from_geometry(rel_bearing: float, distance: float, radius: float, fov: 
     return BBox(x_min, y_min, x_max, y_max)
 
 
-def lines_of_sight(
-    world: GridMap,
-    origins,
-    points,
-    slacks,
-) -> np.ndarray:
-    """:func:`line_of_sight` for many (origin, point, slack) triples at once.
-
-    ``origins`` and ``points`` are (x, y) pairs or (n, 2) arrays and
-    ``slacks`` is one value or n; they broadcast against each other.  All
-    rays go through one :func:`raycast_batch` call, with per-ray origins and
-    ranges.  Each ray's range and bearing come from ``math.hypot`` and
-    ``math.atan2`` on that pair alone, so every flag equals the one-pair
-    result bit for bit.
-    """
-    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 2)
-    pairs = np.asarray(points, dtype=np.float64).reshape(-1, 2) - origins
-    n = pairs.shape[0]
-    dxs, dys = pairs.T.tolist()
-    distance = np.array([math.hypot(dx, dy) for dx, dy in zip(dxs, dys)])
-    visible = distance <= 0.0  # a point at the origin is always seen
-    cast = np.flatnonzero(~visible)
-    if cast.size:
-        bearings = np.array([math.atan2(dys[i], dxs[i]) for i in cast.tolist()])
-        reach = distance[cast]
-        origins = np.broadcast_to(origins, (n, 2))[cast]
-        dist, blocked = raycast_batch(world, origins, bearings, reach)
-        slack = np.broadcast_to(np.asarray(slacks, dtype=np.float64), (n,))[cast]
-        visible[cast] = ~blocked | (dist >= reach - slack)
-    return visible
-
-
 def line_of_sight(
     world: GridMap,
     origin: tuple[float, float],
@@ -158,9 +126,20 @@ def line_of_sight(
     """True when a ray to the point is not interrupted by foreign geometry.
 
     ``slack`` absorbs the entity's own extent: a hit within ``slack`` of the
-    point (its own footprint face) still counts as visible.
+    point (its own footprint face) still counts as visible.  A point at the
+    origin is always seen.  The one ray is walked directly
+    (:func:`~objsearch.world._walk`): its range and bearing come from
+    ``math.hypot`` and ``math.atan2``, and its direction cosines from
+    ``np.cos`` and ``np.sin``, as :func:`raycast_batch` takes them.
     """
-    return bool(lines_of_sight(world, origin, point, slack)[0])
+    dx, dy = point[0] - origin[0], point[1] - origin[1]
+    distance = math.hypot(dx, dy)
+    if distance <= 0.0:
+        return True
+    bearing = math.atan2(dy, dx)
+    dist, blocked = _walk(world, origin[0], origin[1], float(np.cos(bearing)),
+                          float(np.sin(bearing)), distance)
+    return not blocked or dist >= distance - slack
 
 
 def object_slack(obj: ObjectSpec, resolution: float) -> float:

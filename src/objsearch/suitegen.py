@@ -29,7 +29,6 @@ from scipy import ndimage
 
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
-from .knowledge import cooccurrences
 from .planning import (
     cells_near, first_confirming, target_observable, traversable_mask, viewpoint_ring,
 )
@@ -315,7 +314,7 @@ def _host_weights(
     """Host weights ``max(0, cooccurrence(target, name)) ** placement_power``."""
     if params.placement_power == 0:  # scores nothing, so any landmark name will do
         return np.ones(len(landmarks))
-    scores = cooccurrences(target, [lm.name for lm in landmarks], ctx.generations, ctx.words)
+    scores = [ctx.cooccurrence(target, lm.name) for lm in landmarks]
     return np.array([max(0.0, score) for score in scores]) ** params.placement_power
 
 

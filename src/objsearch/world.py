@@ -384,50 +384,84 @@ _SWEEP_CACHE_SIZE = 512
 def raycast_batch(
     grid: GridMap, origin, bearings: np.ndarray, max_range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trace many rays at once with a closed-form voxel traversal.
+    """Trace rays one at a time with :func:`_walk`.
 
     ``origin`` is one (x, y) point shared by every ray or an (n, 2) array
     with one origin per ray; ``max_range`` is one range or one per ray.
-    Returns (distances, blocked).  A ray's distance is the range at which it
-    enters the first occupied cell, or its ``max_range`` if it leaves the map
-    or exhausts its range first; a ray from an occupied cell is blocked at 0.
-
-    The cells a ray visits are those of the Amanatides & Woo (1987) grid
-    walk, taken in one pass instead of step by step, in two halves.  The
-    geometry half (:func:`_step_order`) computes every vertical and
-    horizontal grid-line crossing within range up front (a cumulative sum,
-    so the crossing ranges are bit-identical to stepping) and merges the two
-    sequences with the vertical crossing first on ties.  The map half
-    (:func:`_cut_rays`) cuts each ray at its first step outside the map or
-    onto an occupied cell.  The hit distance is then read back from the
-    crossing ranges at each ray's hit step.  Every per-ray quantity is
-    computed elementwise, so a ray's result does not depend on the other
-    rays traced with it.  :func:`_raycast_sweep` runs the same map half on a
-    cached geometry.
+    Every origin must lie on the map, also when no ray is cast.  Returns
+    (distances, blocked), each ray's :func:`_walk` from its direction
+    cosines, ``np.cos`` and ``np.sin`` of the bearings array.
     """
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
-    points = np.asarray(origin, dtype=np.float64).reshape(-1, 2)
-    cell = np.floor(points / grid.resolution)
-    inside = ((cell >= 0) & (cell < (grid.width, grid.height))).all(axis=1)
-    if not inside.all():
-        bad = tuple(points[np.argmin(inside)].tolist())
-        raise DomainError(f"raycast origin {bad} outside map bounds")
-    ix0, iy0 = cell.astype(np.int64).T
-    occupied = grid.cells[iy0, ix0] == CellState.OCCUPIED
-    # Each ray's origin row (row 0 for a shared origin).  Rays from occupied
-    # cells stop where they start; the others are traced.
-    row = np.broadcast_to(np.arange(len(points)), (n,))
-    live = np.flatnonzero(~occupied[row])
-    row = row[live]
-    reach = np.broadcast_to(np.asarray(max_range, dtype=np.float64), (n,))[live]
-    dist = np.zeros(n)
-    blocked = np.ones(n, dtype=bool)
-    if live.size:
-        dist[live], blocked[live] = _trace(
-            grid, points[row, 0], points[row, 1], ix0[row], iy0[row], bearings[live], reach
-        )
-    return dist, blocked
+    points = np.asarray(origin, dtype=np.float64).reshape(-1, 2).tolist()
+    for x, y in points:
+        _origin_cell(grid, x, y)
+    rows = np.broadcast_to(np.arange(len(points)), (n,)).tolist()
+    reach = np.broadcast_to(np.asarray(max_range, dtype=np.float64), (n,)).tolist()
+    rays = [_walk(grid, *points[row], dx, dy, r) for row, dx, dy, r
+            in zip(rows, np.cos(bearings).tolist(), np.sin(bearings).tolist(), reach)]
+    return (np.array([d for d, _ in rays], dtype=np.float64),
+            np.array([b for _, b in rays], dtype=bool))
+
+
+def _origin_cell(grid: GridMap, x: float, y: float) -> tuple[int, int]:
+    """The cell of a ray's origin, which must lie on the map."""
+    gx, gy = x / grid.resolution, y / grid.resolution
+    if not (0.0 <= gx < grid.width and 0.0 <= gy < grid.height):
+        raise DomainError(f"raycast origin {(float(x), float(y))} outside map bounds")
+    return int(gx), int(gy)
+
+
+def _walk(grid: GridMap, x: float, y: float, dx: float, dy: float,
+          max_range: float) -> tuple[float, bool]:
+    """(distance, blocked) of one ray from (x, y) with direction cosines
+    (``dx``, ``dy``): the range at which it enters the first occupied cell,
+    or ``max_range`` if it leaves the map or exhausts its range first.  A
+    ray from an occupied cell is blocked at 0.
+
+    The Amanatides & Woo (1987) grid walk, one grid-line crossing per step.
+    Each axis's crossing ranges start at its first grid line and add the
+    spacing ``res / |cosine|`` (the cumulative sum :func:`_step_order`
+    takes).  The walk takes the nearer crossing, the vertical one on a tie,
+    while it is within range, and enters the next cell at the smaller
+    range, the horizontal one on a tie: the two differ only in the sign of a
+    zero, which only the first step can have.  A ray within range crosses
+    at most :func:`_crossing_count` grid lines per axis, which bounds the
+    steps.
+    """
+    ix, iy = _origin_cell(grid, x, y)
+    cells, occupied = memoryview(grid.cells), CellState.OCCUPIED.value
+    if cells[iy, ix] == occupied:
+        return 0.0, True
+    res = grid.resolution
+    step_x = 1 if dx > 0.0 else -1
+    step_y = 1 if dy > 0.0 else -1
+    tx = span_x = ty = span_y = math.inf
+    if dx != 0.0:
+        inv = 1.0 / dx
+        tx, span_x = ((ix + (dx > 0.0)) * res - x) * inv, res * abs(inv)
+    if dy != 0.0:
+        inv = 1.0 / dy
+        ty, span_y = ((iy + (dy > 0.0)) * res - y) * inv, res * abs(inv)
+    width, height = grid.width, grid.height
+    for _ in range(2 * _crossing_count(grid, max_range)):
+        t = tx if tx < ty else ty
+        if not t <= max_range:
+            break
+        if tx <= ty:
+            ix += step_x
+            if not 0 <= ix < width:
+                break
+            tx += span_x
+        else:
+            iy += step_y
+            if not 0 <= iy < height:
+                break
+            ty += span_y
+        if cells[iy, ix] == occupied:
+            return t, True
+    return max_range, False
 
 
 def _crossing_count(grid: GridMap, longest: float) -> int:
@@ -435,46 +469,18 @@ def _crossing_count(grid: GridMap, longest: float) -> int:
 
     Every crossing within range counts (the first lies within one cell,
     later ones at least a cell apart; two spare ones absorb rounding), but
-    no more than it takes to leave the map.  Rays traced together share the
-    count of the longest range (the map's size if a range is NaN); spare
-    crossings lie beyond a ray's range or outside the map and never reach
-    its result.
+    no more than it takes to leave the map (the map's size if the range is
+    NaN).  Spare crossings lie beyond a ray's range or outside the map and
+    never reach its result.
     """
     limit = min(float(max(grid.width, grid.height)), longest / grid.resolution + 3.0)
     return int(max(1.0, limit))
 
 
 def _blocks(n: int, crossings: int) -> list[slice]:
-    """Slices of ``n`` rays traced together, bounding working memory."""
+    """Slices of ``n`` rays of a sweep traced together, bounding working memory."""
     block = max(1, _BLOCK_CROSSINGS // (2 * crossings))
     return [slice(lo, lo + block) for lo in range(0, n, block)]
-
-
-def _trace(grid, x0, y0, ix0, iy0, bearings, max_range):
-    """Trace rays from free origin cells, block by block: both halves, then
-    each hit ray's distance read back from its crossing ranges."""
-    res = grid.resolution
-    dist = max_range.copy()
-    blocked = np.zeros(bearings.shape[0], dtype=bool)
-    crossings = _crossing_count(grid, float(max_range.max()))
-    dx = np.cos(bearings)
-    dy = np.sin(bearings)
-    gap_x = (ix0 + (dx > 0.0)) * res - x0
-    gap_y = (iy0 + (dy > 0.0)) * res - y0
-    for block in _blocks(bearings.shape[0], crossings):
-        t, order, within = _step_order(res, gap_x[block], gap_y[block], dx[block], dy[block],
-                                       max_range[block, None], crossings)
-        _, cut, hit = _cut_rays(grid, ix0[block, None], iy0[block, None], dx[block], dy[block],
-                                order < crossings, within)
-        hits = np.flatnonzero(hit)
-        hit_step = cut[hits]
-        # The walk enters a cell at min(tmax_x, tmax_y), which is tmax_y on a
-        # tie; the two differ only in the sign of a zero, which only the
-        # first step can have.  They are the first crossing of each run.
-        first = np.minimum(t[hits, 0], t[hits, crossings])
-        dist[block][hits] = np.where(hit_step == 0, first, t[hits, order[hits, hit_step]])
-        blocked[block][hits] = True
-    return dist, blocked
 
 
 def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
@@ -485,11 +491,11 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
     (ix, iy), to the first grid lines it crosses: ``(ix + 1) * res - x`` or
     ``ix * res - x`` by the sign of ``dx``, and likewise in y.  The origin
     is read through them alone, so origins with equal offsets give
-    bit-identical crossings.  ``max_range`` is one range, or a column of one
-    per ray.  Returns the crossing ranges ``t`` (x run then y run,
-    ``crossings`` each), the merged ``order`` of the first ``steps``
-    crossings (an index below ``crossings`` is an x step) and ``within``,
-    each ray's count of crossings in range.
+    bit-identical crossings.  The crossing ranges are those :func:`_walk`
+    steps through, x run then y run, ``crossings`` each.  Returns the merged
+    ``order`` of the first ``steps`` crossings (an index below ``crossings``
+    is an x step) and ``within``, each ray's count of crossings within
+    ``max_range``.
 
     Each crossing run starts at its first crossing and adds a positive
     spacing, so it is sorted, and so is the merge of the two.  The crossings
@@ -515,7 +521,7 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
     # ties, as the walk does.  Only the first ``steps`` merged crossings count.
     steps = int(within.max())
     order = np.argsort(t, axis=1, kind="stable")[:, :steps]
-    return t, order, within
+    return order, within
 
 
 def _cut_rays(grid, ix0, iy0, dx, dy, x_step, within):
@@ -578,7 +584,7 @@ def _sweep_geometry(res, rays, max_range, crossings, offsets):
     gap_y = np.where(dy > 0.0, y_hi, y_lo)
     blocks = _blocks(rays, crossings)
     halves = [_step_order(res, gap_x[block], gap_y[block], dx[block], dy[block], max_range,
-                          crossings)[1:]
+                          crossings)
               for block in blocks]
     steps = max(order.shape[1] for order, _ in halves)
     packed = np.zeros((rays, (steps + 7) // 8), dtype=np.uint8)
@@ -594,8 +600,11 @@ def _sweep_geometry(res, rays, max_range, crossings, offsets):
 def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
     """Write into ``cells``, a belief of ``grid``'s geometry, the cells that
     ``rays`` evenly spaced rays from ``origin``, in a free cell, cross (Free,
-    origin cell included) and hit (Occupied), as :func:`raycast_batch`
-    traces bearings ``k * 2 pi / rays``.
+    origin cell included) and hit (Occupied), as :func:`_walk` steps through
+    them on bearings ``k * 2 pi / rays``, found for all rays at once in two
+    halves: the geometry half (:func:`_step_order`) merges each ray's
+    grid-line crossings within range, and the map half (:func:`_cut_rays`)
+    cuts each ray at its first step off the map or onto an occupied cell.
 
     The geometry half comes from :func:`_sweep_geometry`, keyed on the
     origin's exact offsets to its cell's grid lines; only the map half runs

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from objsearch.assets import AssetContext
 from objsearch.errors import AssetError, EmbeddingLookupError, SchemaError
 from objsearch.knowledge import (
     FALLBACK_COOCCURRENCE,
     GenerationTable,
     WordVectorStore,
     cooccurrence,
-    cooccurrences,
     phrase_vector,
 )
+from objsearch.suitegen import DEFAULT_KNOWN_POOL, DEFAULT_UNKNOWN_POOL
 
 
 def toy_store(**vectors):
@@ -217,20 +218,29 @@ def one_at_a_time(target, landmarks, table, store):
     return [loop_cooccurrence(target, lm, table, store) for lm in landmarks]
 
 
-class TestBatchCooccurrence:
-    LANDMARKS = ("tv monitor", "sofa", "dining table", "armchair", "side table",
-                 "coffee table", "desk", "bed", "drawer")
+class TestCooccurrenceReference:
+    LANDMARKS = DEFAULT_KNOWN_POOL + DEFAULT_UNKNOWN_POOL  # the generator's landmark pools
 
-    def test_equals_one_landmark_form_exactly(self, ctx):
+    def test_equals_reference_exactly(self, ctx):
         # Every shipped target, and one that takes the fallback.
         for target in [*ctx.generations.targets(), "flux capacitor"]:
-            batch = cooccurrences(target, self.LANDMARKS, ctx.generations, ctx.words)
-            single = one_at_a_time(target, self.LANDMARKS, ctx.generations, ctx.words)
-            assert batch == single
             assert [cooccurrence(target, lm, ctx.generations, ctx.words)
-                    for lm in self.LANDMARKS] == single
-        assert cooccurrences("flux capacitor", ["desk"], ctx.generations, ctx.words) == [0.5]
-        assert cooccurrences("book", [], ctx.generations, ctx.words) == []
+                    for lm in self.LANDMARKS] == one_at_a_time(
+                target, self.LANDMARKS, ctx.generations, ctx.words)
+        assert cooccurrence("flux capacitor", "desk", ctx.generations, ctx.words) == 0.5
+
+    def test_memo_equals_direct_score(self, ctx):
+        # Every table target, a fallback target and every pool name, scored
+        # once and then read back from the memo.
+        memo = AssetContext(words=ctx.words, generations=ctx.generations)
+        targets = [*ctx.generations.targets(), "flux capacitor"]
+        for _ in range(2):
+            for target in targets:
+                for landmark in self.LANDMARKS:
+                    direct = cooccurrence(target, landmark, ctx.generations, ctx.words)
+                    assert memo.cooccurrence(target, landmark) == direct
+        assert len(memo._scores) == len(targets) * len(self.LANDMARKS)
+        assert memo == AssetContext(words=ctx.words, generations=ctx.generations)
 
     @pytest.mark.parametrize("target, landmarks, table", [
         ("book", ["desk", "qwertyuiop"], {"book": ["desk"]}),  # out-of-vocabulary landmark
@@ -243,8 +253,11 @@ class TestBatchCooccurrence:
         table = GenerationTable(table)
         want = raised(lambda: one_at_a_time(target, landmarks, table, store))
         assert want is not None
-        assert raised(lambda: cooccurrences(target, landmarks, table, store)) == want
         assert raised(lambda: [cooccurrence(target, lm, table, store) for lm in landmarks]) == want
+        # The memo keeps scores only, so a pair that raised raises again.
+        memo = AssetContext(words=store, generations=table)
+        for _ in range(2):
+            assert raised(lambda: [memo.cooccurrence(target, lm) for lm in landmarks]) == want
 
 
 class TestShippedAssets:

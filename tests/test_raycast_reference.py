@@ -1,11 +1,12 @@
 """``raycast_batch`` and the lidar sweep against the step-by-step grid walk.
 
-``stepwise_raycast_batch`` is the Amanatides & Woo (1987) traversal advanced
-one grid-line crossing per iteration for every active ray.  The closed-form
-kernel must reproduce its distances bit for bit (down to the sign of a zero)
-and its ``blocked`` flags.  The walk also flags the free and hit cells, and
-the lidar sweep, which writes those cells into the belief, must give the
-belief they give.  The sweep reads its crossing order from a cache keyed on
+``stepwise_raycast_batch`` (in ``util``) is the Amanatides & Woo (1987)
+traversal advanced one grid-line crossing per iteration for every active ray.
+``raycast_batch``, which walks its rays one at a time, must reproduce its
+distances bit for bit (down to the sign of a zero) and its ``blocked`` flags.
+The walk also flags the free and hit cells, and the lidar sweep, which writes
+those cells into the belief in one pass over all rays, must give the belief
+they give.  The sweep reads its crossing order from a cache keyed on
 the origin's exact offsets to its cell's grid lines, so its beliefs are
 checked from origins whose offsets differ by a single ulp too, over several
 blocks of rays, and with int64 cell indices.
@@ -22,70 +23,7 @@ from objsearch import world
 from objsearch.errors import DomainError
 from objsearch.sensing import lidar_update
 from objsearch.world import CellState, GridMap, Pose, raycast_batch
-from util import empty_rows, unknown_belief
-
-
-def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hit_mask=None):
-    """Reference: the grid walk stepped one crossing at a time."""
-    x0, y0 = float(origin[0]), float(origin[1])
-    ix0, iy0 = grid.world_to_cell(x0, y0)
-    if not grid.in_bounds(ix0, iy0):
-        raise DomainError(f"raycast origin {origin} outside map bounds")
-    bearings = np.asarray(bearings, dtype=np.float64)
-    n = bearings.shape[0]
-    dist = np.full(n, float(max_range))
-    blocked = np.zeros(n, dtype=bool)
-    if grid.cells[iy0, ix0] == CellState.OCCUPIED:
-        if hit_mask is not None:
-            hit_mask[iy0, ix0] = True
-        return np.zeros(n), np.ones(n, dtype=bool)
-    if free_mask is not None:
-        free_mask[iy0, ix0] = True
-
-    res = grid.resolution
-    dx = np.cos(bearings)
-    dy = np.sin(bearings)
-    step_x = np.sign(dx).astype(np.int64)
-    step_y = np.sign(dy).astype(np.int64)
-    with np.errstate(divide="ignore"):
-        inv_dx = np.where(dx != 0.0, 1.0 / dx, np.inf)
-        inv_dy = np.where(dy != 0.0, 1.0 / dy, np.inf)
-    ix = np.full(n, ix0, dtype=np.int64)
-    iy = np.full(n, iy0, dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        tmax_x = np.where(step_x != 0, ((ix + (step_x > 0)) * res - x0) * inv_dx, np.inf)
-        tmax_y = np.where(step_y != 0, ((iy + (step_y > 0)) * res - y0) * inv_dy, np.inf)
-    tdelta_x = np.where(step_x != 0, res * np.abs(inv_dx), np.inf)
-    tdelta_y = np.where(step_y != 0, res * np.abs(inv_dy), np.inf)
-
-    active = np.ones(n, dtype=bool)
-    cells = grid.cells
-    while active.any():
-        t_entry = np.minimum(tmax_x, tmax_y)
-        active &= t_entry <= max_range
-        if not active.any():
-            break
-        go_x = active & (tmax_x <= tmax_y)
-        go_y = active & ~go_x
-        ix[go_x] += step_x[go_x]
-        tmax_x[go_x] += tdelta_x[go_x]
-        iy[go_y] += step_y[go_y]
-        tmax_y[go_y] += tdelta_y[go_y]
-        inside = (ix >= 0) & (ix < grid.width) & (iy >= 0) & (iy < grid.height)
-        active &= inside
-        if not active.any():
-            break
-        hit = active.copy()
-        hit[active] = cells[iy[active], ix[active]] == CellState.OCCUPIED
-        if hit.any():
-            dist[hit] = t_entry[hit]
-            blocked[hit] = True
-            if hit_mask is not None:
-                hit_mask[iy[hit], ix[hit]] = True
-            active &= ~hit
-        if free_mask is not None and active.any():
-            free_mask[iy[active], ix[active]] = True
-    return dist, blocked
+from util import empty_rows, stepwise_raycast_batch, unknown_belief
 
 
 def assert_same_as_reference(grid, origin, bearings, max_range):

@@ -233,7 +233,7 @@ def test_power_zero_places_uniformly_and_scores_no_name(ctx, monkeypatch):
     base = dict(count=3, rooms=2, landmarks=5, map_side=10.0)
     uniform = suite_sha256(SuiteParams(**base, placement_power=0.0), ctx)
     with monkeypatch.context() as patched:
-        patched.setattr(suitegen, "cooccurrences", lambda target, names, *_: [1.0] * len(names))
+        patched.setattr(ctx, "cooccurrence", lambda target, landmark: 1.0)
         assert uniform == suite_sha256(SuiteParams(**base, placement_power=1.0), ctx)
     unscored = SuiteParams(**base, known_pool=("qzxv",), unknown_pool=("vzqx", "xqzv"))
     with pytest.raises(EmbeddingLookupError):

@@ -1,19 +1,21 @@
-"""Batched visibility against the one-at-a-time code it replaced.
+"""Visibility searches against one-at-a-time references.
 
-``reference_line_of_sight`` is the single-pair occlusion test: one ray with
-a shared origin and a scalar range.  ``stepwise_ground_truth_shortest`` is
-the SPL reference search: it frees the robot's disk at the start cell by
+``reference_line_of_sight`` is the single-pair occlusion test on the
+independent step-by-step grid walk, ``util.stepwise_raycast_batch``: one ray
+with a shared origin and a scalar range.  ``stepwise_ground_truth_shortest``
+is the SPL reference search: it frees the robot's disk at the start cell by
 cell, then walks the reachable cells in distance order and tests range and
 line of sight one cell at a time.  ``loop_cells_near_rect`` is the range
 rule tested one cell at a time over the whole map, and
 ``reference_first_confirming`` the range and confirming-cell rules together,
-one cell at a time.  The batched versions must give the same cells, flags,
+one cell at a time.  The code under test must give the same cells, flags,
 indices and float, bit for bit.  Generation's reachability test
-``target_observable`` must hold exactly when that float is finite, which
-``assert_same_shortest`` checks on every scenario here.  Both searches read
-only the target's camera window, the rows and columns ``cells_near`` reads,
-so the window cases put the target and its confirming cells where the
-window is clipped or at its rim.
+``target_observable``, which tries the cells nearest the target first, must
+hold exactly when that float is finite, which ``assert_same_shortest``
+checks on every scenario here, and whatever order the reference search
+takes.  Both searches read only the target's camera window, the rows and
+columns ``cells_near`` reads, so the window cases put the target and its
+confirming cells where the window is clipped or at its rim.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import pytest
 
 from scipy import ndimage
 
-from objsearch import planning
+from objsearch import planning, world
+from objsearch.errors import DomainError
 from objsearch.planning import (
-    _LOS_CHUNK,
     cells_near,
     distance_field,
     drivable_mask,
@@ -38,7 +40,7 @@ from objsearch.planning import (
     target_observable,
     traversable_mask,
 )
-from objsearch.sensing import line_of_sight, lines_of_sight, object_slack
+from objsearch.sensing import line_of_sight, object_slack
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
     CellState,
@@ -46,10 +48,9 @@ from objsearch.world import (
     ObjectSpec,
     Pose,
     load_scenario,
-    raycast_batch,
     scenario_to_dict,
 )
-from util import box_scenario, empty_rows
+from util import box_scenario, empty_rows, stepwise_raycast_batch
 
 GEN_SHAPE = SuiteParams(count=60, rooms=4, landmarks=8, map_side=20.0)
 NAV_SHAPE = SuiteParams(count=24, rooms=3, landmarks=6, map_side=14.0)
@@ -61,7 +62,7 @@ def reference_line_of_sight(world, origin, point, slack):
     if distance <= 0.0:
         return True
     bearing = math.atan2(dy, dx)
-    dist, blocked = raycast_batch(world, origin, np.array([bearing]), distance)
+    dist, blocked = stepwise_raycast_batch(world, origin, np.array([bearing]), distance)
     return (not bool(blocked[0])) or float(dist[0]) >= distance - slack
 
 
@@ -123,7 +124,7 @@ def assert_same_shortest(scenario):
 
 
 # --------------------------------------------------------------------------
-# lines_of_sight
+# line_of_sight
 # --------------------------------------------------------------------------
 
 
@@ -145,8 +146,8 @@ def random_points(grid, rng, count):
     return np.column_stack(((ix + fx) * res, (iy + fy) * res))
 
 
-class TestLinesOfSight:
-    def test_random_pairs_match_one_pair_test(self):
+class TestLineOfSight:
+    def test_random_pairs_match_reference(self):
         rng = np.random.default_rng(31)
         for _ in range(12):
             grid = random_grid(rng)
@@ -154,12 +155,10 @@ class TestLinesOfSight:
             points = random_points(grid, rng, 60)
             points[::7] = origins[::7]  # zero-length pairs
             slacks = rng.uniform(0.0, 0.5, size=60)
-            got = lines_of_sight(grid, origins, points, slacks)
-            want = [
-                reference_line_of_sight(grid, tuple(o), tuple(p), s)
-                for o, p, s in zip(origins.tolist(), points.tolist(), slacks.tolist())
-            ]
-            assert got.tolist() == want
+            pairs = [(tuple(o), tuple(p), s)
+                     for o, p, s in zip(origins.tolist(), points.tolist(), slacks.tolist())]
+            got = [line_of_sight(grid, *pair) for pair in pairs]
+            assert got == [reference_line_of_sight(grid, *pair) for pair in pairs]
             occupied = grid.cells[
                 np.floor(origins[:, 1] / 0.1).astype(int), np.floor(origins[:, 0] / 0.1).astype(int)
             ] == CellState.OCCUPIED
@@ -170,29 +169,49 @@ class TestLinesOfSight:
         grid = random_grid(rng, density=0.1)
         points = random_points(grid, rng, 40)
         for origin in [(1.25, 1.15), (1.2, 1.2), (1.2, 1.15)]:
-            got = lines_of_sight(grid, origin, points, 0.25)
-            want = [reference_line_of_sight(grid, origin, tuple(p), 0.25) for p in points.tolist()]
-            assert got.tolist() == want
-            got = lines_of_sight(grid, points, origin, 0.25)
-            want = [reference_line_of_sight(grid, tuple(p), origin, 0.25) for p in points.tolist()]
-            assert got.tolist() == want
+            for p in points.tolist():
+                p = tuple(p)
+                assert line_of_sight(grid, origin, p, 0.25) == reference_line_of_sight(
+                    grid, origin, p, 0.25)
+                assert line_of_sight(grid, p, origin, 0.25) == reference_line_of_sight(
+                    grid, p, origin, 0.25)
 
-    def test_one_pair_function_is_the_batch_of_one(self):
+    def test_fixed_slack_pairs(self):
         rng = np.random.default_rng(33)
         grid = random_grid(rng)
         for origin, point in zip(random_points(grid, rng, 50), random_points(grid, rng, 50)):
             o, p = tuple(origin.tolist()), tuple(point.tolist())
             assert line_of_sight(grid, o, p, 0.3) == reference_line_of_sight(grid, o, p, 0.3)
 
+    def test_walk_matches_reference_bit_for_bit(self):
+        # The ray line_of_sight walks: range and bearing from math.hypot and
+        # math.atan2, direction cosines from np.cos and np.sin of the one
+        # bearing.  Its distance equals the stepwise walk's, down to the sign
+        # of a zero, as does its blocked flag.
+        rng = np.random.default_rng(36)
+        for _ in range(6):
+            grid = random_grid(rng)
+            for origin, point in zip(random_points(grid, rng, 80).tolist(),
+                                     random_points(grid, rng, 80).tolist()):
+                dx, dy = point[0] - origin[0], point[1] - origin[1]
+                reach = math.hypot(dx, dy)
+                bearing = math.atan2(dy, dx)
+                got = world._walk(grid, *origin, float(np.cos(bearing)), float(np.sin(bearing)),
+                                  reach)
+                want = stepwise_raycast_batch(grid, origin, np.array([bearing]), reach)
+                assert np.float64(got[0]).tobytes() == want[0].tobytes()
+                assert got[1] == bool(want[1][0])
+
     def test_zero_length_pair_needs_no_valid_origin(self):
         grid = random_grid(np.random.default_rng(34))
         outside = (-1.0, -1.0)
-        assert lines_of_sight(grid, [outside], [outside], 0.0).tolist() == [True]
         assert line_of_sight(grid, outside, outside, 0.0)
 
-    def test_no_pairs(self):
+    def test_origin_outside_the_map_is_named(self):
         grid = random_grid(np.random.default_rng(35))
-        assert lines_of_sight(grid, np.zeros((0, 2)), np.zeros((0, 2)), 0.1).shape == (0,)
+        for origin in [(-1.0, 0.5), (0.5, 2.5), (3.0, 0.5), (math.nan, 0.5)]:
+            with pytest.raises(DomainError, match="raycast origin .* outside map bounds"):
+                line_of_sight(grid, origin, (1.0, 1.0), 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -325,14 +344,14 @@ class TestCellsNear:
 
 def reference_first_confirming(grid, target, cam_range, xs, ys):
     """The range and confirming-cell rules one cell at a time, in the given
-    order."""
+    order, on ``reference_line_of_sight``."""
     res = grid.resolution
     tx, ty = target.position
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         cx, cy = (x + 0.5) * res, (y + 0.5) * res
         if not 0.0 < math.hypot(tx - cx, ty - cy) <= cam_range + res:
             continue
-        if line_of_sight(grid, (cx, cy), target.position, object_slack(target, res)):
+        if reference_line_of_sight(grid, (cx, cy), target.position, object_slack(target, res)):
             return i
     return None
 
@@ -379,9 +398,9 @@ class TestFirstConfirming:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_answer_after_many_near_cells(self, seed):
-        # More than a chunk of near cells that do not confirm, then the
-        # confirming ones, each order shuffled; first_confirming is handed
-        # the near cells alone.
+        # A long run of near cells that do not confirm, then the confirming
+        # ones, each order shuffled; first_confirming is handed the near
+        # cells alone and walks the whole blind run before it answers.
         rng, grid, target, cam_range, xs, ys = self.case(50 + seed)
         res = grid.resolution
         tx, ty = target.position
@@ -392,7 +411,7 @@ class TestFirstConfirming:
             for k in near.tolist()
         ])
         blind, seen = rng.permutation(near[~hits]), rng.permutation(near[hits])
-        assert blind.size > _LOS_CHUNK and seen.size > 0
+        assert blind.size > 100 and seen.size > 0
         order = np.concatenate([blind, seen])
         assert first_confirming(grid, target, xs[order], ys[order]) == blind.size
         order = np.concatenate([order, rng.permutation(np.flatnonzero(gap > cam_range))])
@@ -612,6 +631,37 @@ class TestTargetObservable:
         if rooms > 1:
             assert False in answers
 
+    @pytest.mark.parametrize("rooms", [2, 3])
+    def test_equals_reference_search_in_any_order(self, rooms, ctx):
+        # target_observable tries the cells nearest the target first; the
+        # reference search over all reachable cells, in row-major order or
+        # shuffled, finds a confirming cell exactly when it answers True.
+        params = SuiteParams(count=2, rooms=rooms, landmarks=5, map_side=12.0)
+        rng = np.random.default_rng(70 + rooms)
+        answers = []
+        for scenario in generate_suite(params, 10 + rooms, ctx=ctx):
+            grid = scenario.map
+            free = np.argwhere(grid.cells == CellState.FREE)
+            for radius in (0.2, 0.6):
+                for iy, ix in free[rng.integers(len(free), size=3)]:
+                    start = (int(ix), int(iy))
+                    moved = dataclasses.replace(
+                        scenario,
+                        start=Pose(*grid.cell_to_world(*start)),
+                        planner=dataclasses.replace(scenario.planner, robot_radius=radius),
+                    )
+                    drivable = drivable_mask(grid, start, radius)
+                    ys, xs = np.nonzero(np.isfinite(distance_field(drivable, grid.resolution,
+                                                                   [start])))
+                    got = observable(moved)
+                    for order in (np.arange(xs.size), rng.permutation(xs.size)):
+                        hit = reference_first_confirming(grid, moved.target,
+                                                         moved.hyperparams.cam_range,
+                                                         xs[order], ys[order])
+                        assert got == (hit is not None)
+                    answers.append(got)
+        assert True in answers and False in answers
+
     def test_sealed_room(self):
         # A wall at x = 3.0 m with a 1.2 m door near the bottom; the target
         # at (5, 5) is out of range of every cell on the start's side that
@@ -751,7 +801,7 @@ class TestCameraWindow:
     def test_searches_only_cells_in_range(self, ctx, monkeypatch):
         # On the 20 m maps both searches hand first_confirming exactly the
         # reachable cells within cam_range + resolution of the target: a few
-        # thousand of the map's 40,000.
+        # thousand of the map's 40,000.  ground_truth_shortest searches first.
         passed = []
         search = planning.first_confirming
 
@@ -776,3 +826,7 @@ class TestCameraWindow:
             for _, target, xs, ys in passed:
                 assert target == scenario.target
                 assert sorted(zip(xs.tolist(), ys.tolist())) == sorted(want)
+            # target_observable's cells come nearest the target first.
+            _, _, xs, ys = passed[1]
+            gap = np.hypot((xs + 0.5) * grid.resolution - tx, (ys + 0.5) * grid.resolution - ty)
+            assert (np.diff(gap) >= 0.0).all()
