@@ -347,11 +347,12 @@ def nearest_frontier(
     """
     mask = frontier_cells_mask(belief)
     labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    large = np.bincount(labels.ravel())[labels] >= params.min_frontier_cells
-    ys, xs = np.nonzero(mask & large & np.isfinite(dist_field))
+    ys, xs = np.nonzero(mask & np.isfinite(dist_field))
+    cell_labels = labels[ys, xs]
+    large = np.bincount(labels.ravel())[cell_labels] >= params.min_frontier_cells
+    ys, xs, cell_labels = ys[large], xs[large], cell_labels[large]
     if xs.size == 0:
         return None
-    cell_labels = labels[ys, xs]
     win = np.lexsort((cell_labels, dist_field[ys, xs]))[0]
     closest = (int(xs[win]), int(ys[win]))
     ys, xs = np.nonzero(labels == cell_labels[win])

@@ -211,24 +211,19 @@ def _connected(occ: np.ndarray) -> bool:
     return count == 1
 
 
-def _ring_connected(trial: np.ndarray, rows: slice, cols: slice, inside: np.ndarray) -> bool:
+def _ring_connected(trial: np.ndarray, rows: slice, cols: slice) -> bool:
     """Sufficient test that occupying a footprint kept a connected map connected.
 
-    ``trial`` is the map with the footprint cells (``inside`` of the window
-    ``rows``, ``cols``) occupied, all of which were free before.  The ring is
-    the free cells of ``trial`` 8-adjacent to the footprint.  If the map was
-    8-connected before and the ring is non-empty and 8-connected among its
-    own cells, ``trial`` is 8-connected: a path between two free cells of
-    ``trial`` that crossed the footprint enters it from a ring cell and
-    leaves it to a ring cell, and that stretch can be replaced by a path
-    through the ring.  A False answer proves nothing; the caller then runs
-    :func:`_connected`."""
-    height, width = trial.shape
-    r0, r1 = max(rows.start - 1, 0), min(rows.stop + 1, height)
-    c0, c1 = max(cols.start - 1, 0), min(cols.stop + 1, width)
-    footprint = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-    footprint[rows.start - r0 : rows.stop - r0, cols.start - c0 : cols.stop - c0] = inside
-    ring = ndimage.binary_dilation(footprint, structure=_EIGHT) & ~trial[r0:r1, c0:c1]
+    ``trial`` is the map with the footprint, the cells ``rows`` by ``cols``,
+    occupied, all of which were free before.  The ring is the free cells of
+    ``trial`` 8-adjacent to the footprint, so those of the rectangle grown
+    by one cell and clipped to the map.  If the map was 8-connected before
+    and the ring is non-empty and 8-connected among its own cells, ``trial``
+    is 8-connected: a path between two free cells of ``trial`` that crossed
+    the footprint enters it from a ring cell and leaves it to a ring cell,
+    and that stretch can be replaced by a path through the ring.  A False
+    answer proves nothing; the caller then runs :func:`_connected`."""
+    ring = ~trial[max(rows.start - 1, 0) : rows.stop + 1, max(cols.start - 1, 0) : cols.stop + 1]
     if not ring.any():
         return False
     _, count = ndimage.label(ring, structure=_EIGHT)
@@ -267,11 +262,12 @@ def _place_landmarks(
     res: float,
     planner: PlannerParams,
 ) -> list[LandmarkSpec]:
-    """Place each named landmark on a free wall-flush footprint that keeps the
-    free space 8-connected and leaves a free point on the planner's viewpoint
-    ring around it.  Until one placement has passed the full
-    :func:`_connected` check the map is not known to be connected, so the
-    :func:`_ring_connected` shortcut is used only after that."""
+    """Place each named landmark on a free wall-flush footprint (the cells
+    whose centre it covers) that keeps the free space 8-connected and leaves
+    a free point on the planner's viewpoint ring around it.  Until one
+    placement has passed the full :func:`_connected` check the map is not
+    known to be connected, so the :func:`_ring_connected` shortcut is used
+    only after that."""
     n = occ.shape[0]
     placed: list[LandmarkSpec] = []
     connected = False  # occ is known to be 8-connected
@@ -279,14 +275,15 @@ def _place_landmarks(
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
             rect = _wall_footprint(rng, n, res)
-            rows, cols, inside = _footprint_window(grid_probe, rect)
-            if not inside.any() or (occ[rows, cols] & inside).any():
+            rows, cols = _footprint_window(grid_probe, rect)
+            window = occ[rows, cols]
+            if window.size == 0 or window.any():
                 continue
             if any(_rect_distance(rect, lm.footprint) < 0.5 for lm in placed):
                 continue
             trial = occ.copy()
-            trial[rows, cols] |= inside
-            kept = (connected and _ring_connected(trial, rows, cols, inside)) or _connected(trial)
+            trial[rows, cols] = True
+            kept = (connected and _ring_connected(trial, rows, cols)) or _connected(trial)
             if not kept:
                 continue
             center = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))

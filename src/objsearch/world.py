@@ -320,8 +320,8 @@ class ScenarioSpec:
             x0, y0, x1, y1 = lm.footprint
             if x0 < 0 or y0 < 0 or x1 > w_m or y1 > h_m:
                 raise ValidationError(f"landmark {lm.id}: footprint outside map bounds")
-            rows, cols, inside = _footprint_window(grid, lm.footprint)
-            free = inside & (grid.cells[rows, cols] != CellState.OCCUPIED)
+            rows, cols = _footprint_window(grid, lm.footprint)
+            free = grid.cells[rows, cols] != CellState.OCCUPIED
             if free.any():
                 # The first free cell in row-major order.
                 iy, ix = np.unravel_index(int(np.argmax(free)), free.shape)
@@ -777,19 +777,20 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 
 def _footprint_window(
     grid: GridMap, footprint: tuple[float, float, float, float]
-) -> tuple[slice, slice, np.ndarray]:
-    """(rows, cols, inside): the grid window around a footprint rectangle and
-    the mask of window cells whose center lies inside it."""
+) -> tuple[slice, slice]:
+    """(rows, cols): the cells whose centre lies in the footprint, edges
+    included (a slice is empty where none does).  Centres grow with the index
+    and lie half a cell inside their cell, so of the cells from the one holding
+    the low edge to the one holding the high edge only the ends can fall out."""
     x0, y0, x1, y1 = footprint
     res = grid.resolution
-    ix0 = max(0, int(math.floor(x0 / res)))
-    iy0 = max(0, int(math.floor(y0 / res)))
-    ix1 = min(grid.width - 1, int(math.floor(x1 / res)))
-    iy1 = min(grid.height - 1, int(math.floor(y1 / res)))
-    cx = (np.arange(ix0, ix1 + 1) + 0.5) * res
-    cy = (np.arange(iy0, iy1 + 1) + 0.5) * res
-    inside = ((y0 <= cy) & (cy <= y1))[:, None] & ((x0 <= cx) & (cx <= x1))[None, :]
-    return slice(iy0, iy1 + 1), slice(ix0, ix1 + 1), inside
+    def span(lo: float, hi: float, n: int) -> slice:
+        i0 = max(0, int(math.floor(lo / res)))
+        i1 = min(n - 1, int(math.floor(hi / res)))
+        i0 += (i0 + 0.5) * res < lo
+        i1 -= (i1 + 0.5) * res > hi
+        return slice(i0, max(i0, i1 + 1))
+    return span(y0, y1, grid.height), span(x0, x1, grid.width)
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:

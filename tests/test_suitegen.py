@@ -78,28 +78,35 @@ def test_generated_scenarios_survive_json(params, ctx):
         assert serialize_scenario(again) == text
 
 
+def reference_ring_connected(trial, rows, cols):
+    """The ring as the footprint rectangle dilated by one 8-neighbour step,
+    minus the occupied cells, labelled over the whole map."""
+    footprint = np.zeros(trial.shape, dtype=bool)
+    footprint[rows, cols] = True
+    ring = ndimage.binary_dilation(footprint, structure=np.ones((3, 3), dtype=bool)) & ~trial
+    return ring.any() and ndimage.label(ring, structure=np.ones((3, 3), dtype=bool))[1] == 1
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.45))
 @settings(max_examples=300, deadline=None)
 def test_ring_shortcut_never_accepts_a_disconnected_map(seed, density):
-    # A random connected map (the largest free region of a random grid) and a
-    # random footprint of free cells in a random window.
+    # A random rectangle of cells, cleared in a random grid, and the free
+    # region holding it as a random connected map.
     rng = np.random.default_rng(seed)
     height, width = (int(v) for v in rng.integers(3, 13, size=2))
-    occ = rng.random((height, width)) < density
-    labels, count = ndimage.label(~occ, structure=np.ones((3, 3), dtype=bool))
-    if count == 0:
-        return
-    occ = labels != 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
-    assert _connected(occ)
     r0, c0 = int(rng.integers(height)), int(rng.integers(width))
     rows = slice(r0, int(rng.integers(r0, height)) + 1)
     cols = slice(c0, int(rng.integers(c0, width)) + 1)
-    inside = (rng.random(occ[rows, cols].shape) < 0.8) & ~occ[rows, cols]
-    if not inside.any():
-        return
+    occ = rng.random((height, width)) < density
+    occ[rows, cols] = False
+    labels, _ = ndimage.label(~occ, structure=np.ones((3, 3), dtype=bool))
+    occ = labels != labels[r0, c0]
+    assert _connected(occ)
     trial = occ.copy()
-    trial[rows, cols] |= inside
-    if _ring_connected(trial, rows, cols, inside):
+    trial[rows, cols] = True
+    answer = _ring_connected(trial, rows, cols)
+    assert answer == reference_ring_connected(trial, rows, cols)
+    if answer:
         assert _connected(trial)
 
 
@@ -109,9 +116,8 @@ def test_ring_shortcut_answers_both_ways():
     # A block in the open keeps its ring; one across the room cuts it.
     for rows, cols, want in ((slice(3, 5), slice(3, 5), True), (slice(1, 7), slice(4, 5), False)):
         trial = occ.copy()
-        inside = np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
-        trial[rows, cols] |= inside
-        assert _ring_connected(trial, rows, cols, inside) == want == _connected(trial)
+        trial[rows, cols] = True
+        assert _ring_connected(trial, rows, cols) == want == _connected(trial)
 
 
 def test_placement_on_a_disconnected_map_is_rejected():

@@ -5,7 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from objsearch.errors import DomainError, SchemaError, ValidationError
@@ -15,6 +15,7 @@ from objsearch.world import (
     GridMap,
     Pose,
     ScenarioSpec,
+    _footprint_window,
     load_scenario,
     normalize_angle,
     parse_scenario,
@@ -299,6 +300,53 @@ class TestRaycast:
 
 
 # --------------------------------------------------------------------------
+# Footprint cells
+# --------------------------------------------------------------------------
+
+
+def reference_footprint_mask(grid, footprint):
+    """The elementwise rule: every cell whose centre lies in the footprint,
+    edges included."""
+    x0, y0, x1, y1 = footprint
+    cx = (np.arange(grid.width) + 0.5) * grid.resolution
+    cy = (np.arange(grid.height) + 0.5) * grid.resolution
+    return ((y0 <= cy) & (cy <= y1))[:, None] & ((x0 <= cx) & (cx <= x1))[None, :]
+
+
+@st.composite
+def footprint_cases(draw):
+    width, height = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    res = draw(st.sampled_from([0.02, 0.05, 0.1, 1 / 3, 0.5]))
+
+    def edge(n):
+        # Anywhere from beyond one map edge to beyond the other, or exactly
+        # on a cell centre (odd k) or a cell edge (even k).
+        return draw(st.one_of(st.floats(-0.25 * n * res, 1.25 * n * res),
+                              st.integers(-4, 2 * n + 4).map(lambda k: k * 0.5 * res)))
+
+    (x0, x1), (y0, y1) = sorted((edge(width), edge(width))), sorted((edge(height), edge(height)))
+    return width, height, res, (x0, y0, x1, y1)
+
+
+class TestFootprintWindow:
+    @given(footprint_cases())
+    @example((10, 10, 0.1, (2.5 * 0.1, 3.5 * 0.1, 4.5 * 0.1, 5.5 * 0.1)))  # edges on centres
+    @example((10, 10, 0.1, (-0.3, 0.85, 0.15, 1.4)))  # clipped by two map edges
+    @example((10, 10, 0.1, (0.26, 0.26, 0.34, 0.34)))  # no centre inside
+    @settings(max_examples=500, deadline=None)
+    def test_cells_match_elementwise_rule(self, case):
+        width, height, res, footprint = case
+        grid = GridMap(width, height, res, np.full((height, width), CellState.FREE))
+        rows, cols = _footprint_window(grid, footprint)
+        # Plain slices inside the map, or empty ones.
+        assert range(height)[rows] == range(rows.start, rows.stop)
+        assert range(width)[cols] == range(cols.start, cols.stop)
+        cells = np.zeros((height, width), dtype=bool)
+        cells[rows, cols] = True
+        assert np.array_equal(cells, reference_footprint_mask(grid, footprint))
+
+
+# --------------------------------------------------------------------------
 # Scenario documents
 # --------------------------------------------------------------------------
 
@@ -386,6 +434,21 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError) as err:
             parse_scenario(doc)
         assert str(err.value) == "landmark L0: footprint cell (5, 4) is not occupied in the map"
+
+    def test_footprint_edges_between_cell_centres(self):
+        # The cells holding the low edges, column 1 and row 6, have their
+        # centres outside the footprint, so it covers the same cells (2..3,
+        # 7..8) as the exact one; the free cells around them do not count.
+        doc = minimal_doc()
+        doc["landmarks"][0]["footprint"] = [0.16, 0.66, 0.4, 0.9]
+        parse_scenario(doc)
+        rows = doc["map"]["rows"]
+        for ix, iy in ((3, 7), (2, 8)):
+            r = 10 - 1 - iy
+            rows[r] = rows[r][:ix] + "." + rows[r][ix + 1 :]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == "landmark L0: footprint cell (3, 7) is not occupied in the map"
 
     def test_target_phrase_must_match_object(self):
         doc = minimal_doc()
