@@ -31,12 +31,10 @@ COST_FLOOR = 1e-3  # keeps the co-occurrence penalty positive at cooccur = 1
 _NEIGHBORS = tuple(
     (dx, dy, SQRT2 if dx and dy else 1.0) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy
 )
+_STEPS = np.array([step for _, _, step in _NEIGHBORS])
 # Relative gap below which two path lengths are one length up to rounding;
 # distinct 8-connected lengths on any map here differ far more.
 _TIE_TOLERANCE = 1e-9
-# One direction per undirected edge class: E, N, NE, NW.
-_FORWARD_NEIGHBORS = ((1, 0, 1.0), (0, 1, 1.0), (1, 1, SQRT2), (-1, 1, SQRT2))
-_FORWARD_STEPS = np.array([step for _, _, step in _FORWARD_NEIGHBORS])
 
 
 @dataclass
@@ -187,27 +185,22 @@ def plan_path(dist_field: np.ndarray, goal: tuple[int, int], resolution: float) 
     return Path(tuple(cells))
 
 
-def _grid_graph(trav: np.ndarray) -> csr_matrix:
-    """Adjacency of the 8-connected graph over traversable cells, in CSR form.
-
-    Each undirected edge is stored once, from its lower-index end, so the
-    graph is searched as undirected.  The four forward neighbour masks are
-    slices of one padded copy of the mask; the rows come out grouped by
-    source cell, so no sparse-format conversion is needed.
-    """
-    height, width = trav.shape
-    padded = np.zeros((height + 1, width + 2), dtype=bool)
-    padded[:height, 1:-1] = trav
-    edges = np.empty((height, width, len(_FORWARD_NEIGHBORS)), dtype=bool)
-    for k, (dx, dy, _) in enumerate(_FORWARD_NEIGHBORS):
-        edges[:, :, k] = padded[dy : height + dy, 1 + dx : width + 1 + dx]
-    edges &= trav[:, :, None]
-    src, kind = np.divmod(np.flatnonzero(edges), len(_FORWARD_NEIGHBORS))
-    n = height * width
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    offsets = np.array([dy * width + dx for dx, dy, _ in _FORWARD_NEIGHBORS])
-    return csr_matrix((_FORWARD_STEPS[kind], src + offsets[kind], indptr), shape=(n, n))
+@functools.lru_cache(maxsize=8)
+def _neighbor_slots(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and row pointers of a CSR graph over a ``height`` by
+    ``width`` grid with 8 slots per cell, one per direction of
+    :data:`_NEIGHBORS` in that order; a neighbour off the map is a self loop.
+    Both arrays are int32 and read-only, shared by every call on the shape."""
+    cells = np.arange(height * width, dtype=np.int32).reshape(height, width)
+    padded = np.pad(cells, 1, constant_values=-1)
+    indices = np.empty((height, width, len(_NEIGHBORS)), dtype=np.int32)
+    for k, (dx, dy, _) in enumerate(_NEIGHBORS):
+        neighbor = padded[1 + dy : height + 1 + dy, 1 + dx : width + 1 + dx]
+        indices[:, :, k] = np.where(neighbor < 0, cells, neighbor)
+    indptr = np.arange(0, indices.size + 1, len(_NEIGHBORS), dtype=np.int32)
+    indices = indices.ravel()
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indices, indptr
 
 
 def distance_field(
@@ -216,9 +209,14 @@ def distance_field(
     """Metric shortest-path distance from the nearest source to every cell.
 
     Unreachable and non-traversable cells hold ``inf``.  Exact octile costs,
-    computed with a C Dijkstra over the 8-connected free-cell graph.  Each
-    cell's value is the minimum over its neighbours of (their value + step),
-    which does not depend on the order edges are stored or relaxed in.
+    computed with a C Dijkstra over the 8-connected free-cell graph.  The
+    graph's layout is fixed per map shape (:func:`_neighbor_slots`, cached):
+    every cell has one directed slot per neighbour direction, so a call
+    builds only the weights, the step where both ends are traversable and
+    ``inf`` elsewhere, from slices of one padded copy of the mask.  An
+    ``inf`` edge is never relaxed.  Each cell's value is the minimum over
+    its neighbours of (their value + step), which does not depend on the
+    order edges are stored or relaxed in.
     """
     height, width = traversable.shape
     trav = traversable.astype(bool)
@@ -229,7 +227,17 @@ def distance_field(
     ]
     if not indices:
         return np.full((height, width), np.inf)
-    field = _csgraph_dijkstra(_grid_graph(trav), directed=False, indices=indices, min_only=True)
+    padded = np.zeros((height + 2, width + 2), dtype=bool)
+    padded[1:-1, 1:-1] = trav
+    both = np.empty((height, width, len(_NEIGHBORS)), dtype=bool)
+    for k, (dx, dy, _) in enumerate(_NEIGHBORS):
+        both[:, :, k] = padded[1 + dy : height + 1 + dy, 1 + dx : width + 1 + dx]
+    both &= trav[:, :, None]
+    with np.errstate(divide="ignore"):
+        weights = _STEPS / both  # the step where True, inf where False
+    n = height * width
+    graph = csr_matrix((weights.ravel(), *_neighbor_slots(height, width)), shape=(n, n))
+    field = _csgraph_dijkstra(graph, directed=True, indices=indices, min_only=True)
     field[indices] = 0.0
     return field.reshape(height, width) * resolution
 

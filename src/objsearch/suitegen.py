@@ -6,7 +6,9 @@ co-occurrence-weighted distribution (so knowledge-guided search has something
 to exploit).  Generation is a pure function of (params, seed).
 
 Generation checks what a scenario needs and no more: the free space stays
-one 8-connected region as each landmark is placed, the start cell keeps the
+one 8-connected region, which the room split guarantees by construction and
+each landmark placement keeps (its ring of free cells is checked, and the
+whole map is labelled only when the ring is split), the start cell keeps the
 robot clear of walls and does not confirm the target, and some cell that
 confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
 so every scenario has the finite shortest path SPL divides by.  The map is
@@ -169,7 +171,24 @@ def _sample_names(rng: np.random.Generator, pool: Sequence[str], k: int) -> list
 def _split_rooms(
     occ: np.ndarray, rng: np.random.Generator, rooms: int, res: float, map_side: float
 ) -> None:
-    """Recursively split the interior with walls, leaving a door per wall."""
+    """Recursively split the interior with walls, leaving a door per wall.
+
+    The free space stays one 8-connected region, by induction over the
+    splits.  Before the first split it is the interior rectangle.  Every
+    room is a rectangle of free cells: walls and doors lie between rooms.
+    A split draws a wall line strictly inside one room R, at least
+    ``min_cells`` from either side, so both halves R1 and R2 are non-empty
+    rectangles, and opens a door of ``round(1.1 / res) >= 2`` cells on it;
+    each door cell is 4-adjacent to a cell of R1 and one of R2, so R1, the
+    door and R2 form one region.  Any other free cell c had a path into R;
+    cut it at its first cell q in R.  The cells before q lie outside R, so
+    they stay free, and the last of them, p, is 8-adjacent to q.  If q is
+    not closed wall it stays free.  If it is, p lies beyond one end of the
+    wall, since the wall spans R along its own axis and lies inside R
+    across it, so q is the wall's end cell.  The two cells beside q lie in
+    R1 and R2, and p is 8-adjacent to at least one of them (to both where
+    it meets the wall head-on, as an earlier door cell there does).  Either
+    way c stays joined to R1 and R2."""
     n = occ.shape[0]
     min_cells = int(round(_MIN_ROOM_M / res))
     door_cells = int(round(_DOOR_WIDTH_M / res))
@@ -264,13 +283,16 @@ def _place_landmarks(
 ) -> list[LandmarkSpec]:
     """Place each named landmark on a free wall-flush footprint (the cells
     whose centre it covers) that keeps the free space 8-connected and leaves
-    a free point on the planner's viewpoint ring around it.  Until one
-    placement has passed the full :func:`_connected` check the map is not
-    known to be connected, so the :func:`_ring_connected` shortcut is used
-    only after that."""
+    a free point on the planner's viewpoint ring around it.
+
+    Precondition: the free space of ``occ`` is one 8-connected region, as
+    :func:`_split_rooms` guarantees.  Each accepted placement keeps it so,
+    so every trial footprint is first checked with the
+    :func:`_ring_connected` shortcut, whose True answer proves the trial
+    connected on a connected map.  Only when the ring test fails does the
+    full :func:`_connected` label decide."""
     n = occ.shape[0]
     placed: list[LandmarkSpec] = []
-    connected = False  # occ is known to be 8-connected
     grid_probe = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
@@ -283,14 +305,12 @@ def _place_landmarks(
                 continue
             trial = occ.copy()
             trial[rows, cols] = True
-            kept = (connected and _ring_connected(trial, rows, cols)) or _connected(trial)
-            if not kept:
+            if not (_ring_connected(trial, rows, cols) or _connected(trial)):
                 continue
             center = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))
             if all(trial[iy, ix] for _, (ix, iy) in viewpoint_ring(grid_probe, center, planner)):
                 continue
             occ[:] = trial
-            connected = True
             placed.append(
                 LandmarkSpec(
                     id=f"L{idx}", name=name, known=name in known, footprint=rect

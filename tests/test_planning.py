@@ -189,6 +189,21 @@ class TestDistanceField:
                     want = coo_distance_field(trav, res, sources)
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 12), (12, 1), (5, 8)])
+    def test_sources_on_the_map_border(self, shape):
+        # A border cell's off-map neighbours are self loops in the field's
+        # graph; no distance may leak through them.
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width)
+        border = [(x, y) for y in range(height) for x in range(width)
+                  if x in (0, width - 1) or y in (0, height - 1)]
+        for density in (0.0, 0.3):
+            trav = rng.random(shape) >= density
+            for source in border:
+                for sources in ([source], [source, border[-1 - border.index(source)]]):
+                    got = distance_field(trav, 0.1, sources)
+                    assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
+
     def test_invalid_and_duplicate_sources(self):
         rng = np.random.default_rng(9)
         trav = rng.random((20, 30)) < 0.7

@@ -32,6 +32,7 @@ from objsearch.suitegen import (
     _place_landmarks,
     _ring_connected,
     _Retry,
+    _split_rooms,
     generate_suite,
 )
 from objsearch.world import CellState, PlannerParams, load_scenario, serialize_scenario
@@ -120,15 +121,87 @@ def test_ring_shortcut_answers_both_ways():
         assert _ring_connected(trial, rows, cols) == want == _connected(trial)
 
 
-def test_placement_on_a_disconnected_map_is_rejected():
-    # A wall with no door splits the map.  Each footprint's ring is connected,
-    # so the shortcut alone would accept one; the full check comes first.
+@given(st.integers(1, 4), st.floats(8.0, 20.0), st.floats(0.02, 0.5), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_room_split_leaves_one_connected_region(rooms, map_side, res, seed):
+    # Landmark placement relies on this: it labels the whole map only when a
+    # footprint's ring is split.
+    n = int(round(map_side / res))
+    occ = np.zeros((n, n), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    try:
+        _split_rooms(occ, np.random.default_rng(seed), rooms, res, map_side)
+    except GenerationError:
+        return
+    assert _connected(occ)
+
+
+def doorway_map():
+    """An 8 m map at 0.1 m split by a wall at column 40 whose one doorway,
+    rows 1..11, runs along the south wall, and a south-wall footprint of free
+    cells, rows 1..11 by columns 35..44, that covers the whole doorway."""
     occ = np.zeros((80, 80), dtype=bool)
     occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = occ[:, 40] = True
+    occ[1:12, 40] = False
+    return occ, (3.5, 0.1, 4.5, 1.2)
+
+
+def test_placement_keeps_a_connected_map_connected():
+    occ, _ = doorway_map()
+    assert _connected(occ)
+    for seed in range(60):
+        trial = occ.copy()
+        try:
+            _place_landmarks(trial, np.random.default_rng(seed), ["desk", "bed", "sofa"], set(),
+                             0.1, PlannerParams())
+        except _Retry:
+            continue
+        assert _connected(trial), seed
+
+
+def test_placement_rejects_a_footprint_that_seals_the_doorway(monkeypatch):
+    # The footprint's ring is split by the dividing wall, so the shortcut
+    # fails and the full check rejects it.
+    occ, sealing = doorway_map()
+    monkeypatch.setattr(suitegen, "_wall_footprint", lambda rng, n, res: sealing)
+    rows, cols = slice(1, 12), slice(35, 45)
+    assert not occ[rows, cols].any()
+    trial = occ.copy()
+    trial[rows, cols] = True
+    assert not _ring_connected(trial, rows, cols) and not _connected(trial)
     before = occ.copy()
     with pytest.raises(_Retry, match="could not place landmark 'desk'"):
         _place_landmarks(occ, np.random.default_rng(0), ["desk"], set(), 0.1, PlannerParams())
     assert np.array_equal(occ, before)
+
+
+SHORTCUT_SHAPES = [
+    SuiteParams(count=4, rooms=3, landmarks=6, map_side=14.0),
+    SuiteParams(count=4, rooms=4, landmarks=8, map_side=20.0),
+    *(SuiteParams(count=4, rooms=2, landmarks=5, map_side=8.0, resolution=res)
+      for res in sorted(SMALL_SUITES_SHA256)),
+]
+
+
+@pytest.mark.parametrize("params", SHORTCUT_SHAPES,
+                         ids=["nav", "gen", *(f"small-{res}" for res in sorted(SMALL_SUITES_SHA256))])
+def test_ring_shortcut_changes_no_scenario(params, ctx, monkeypatch):
+    # With the shortcut off, every placement is decided by the full label.
+    def texts():
+        return [serialize_scenario(s) for seed in (1, 2, 3)
+                for s in generate_suite(params, seed, ctx=ctx)]
+
+    shortcut = texts()
+    monkeypatch.setattr(suitegen, "_ring_connected", lambda trial, rows, cols: False)
+    assert texts() == shortcut
+
+
+def test_pinned_suite_labels_no_whole_map(ctx, monkeypatch):
+    def forbidden(occ):
+        raise AssertionError("placement labelled the whole map")
+
+    monkeypatch.setattr(suitegen, "_connected", forbidden)
+    assert suite_sha256(SUITE, ctx) == SCENARIOS_SHA256
 
 
 def test_placement_leaves_a_free_point_on_the_planners_ring():
