@@ -31,7 +31,9 @@ COST_FLOOR = 1e-3  # keeps the co-occurrence penalty positive at cooccur = 1
 _NEIGHBORS = tuple(
     (dx, dy, SQRT2 if dx and dy else 1.0) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dx or dy
 )
-_STEPS = np.array([step for _, _, step in _NEIGHBORS])
+# A cell's out-edge weights in :func:`distance_field`, in :data:`_NEIGHBORS`
+# order, indexed by whether the cell is traversable.
+_WEIGHT_ROWS = np.array([[math.inf] * len(_NEIGHBORS), [step for _, _, step in _NEIGHBORS]])
 # Relative gap below which two path lengths are one length up to rounding;
 # distinct 8-connected lengths on any map here differ far more.
 _TIE_TOLERANCE = 1e-9
@@ -105,26 +107,42 @@ def _disk_offsets(radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
-    """Dilate an occupancy mask by a disk of the given cell radius."""
+    """Dilate an occupancy mask by a disk of the given cell radius, the
+    offsets of :func:`_disk_offsets`; cells beyond the border count as free.
+
+    The disk is a stack of rows: row ``dy`` spans the half-width ``isqrt(r**2
+    - dy**2)``, which grows as ``|dy|`` falls.  So the mask is dilated along x
+    one half-width at a time, each from the last by two shifted ORs, and
+    each dilation is ORed into the result shifted up and down by the
+    ``|dy|`` of every row that has that half-width: at most ``4r + 1``
+    shifted ORs, not one per disk cell.  Shifts of a whole side or more
+    move every cell off the map and are skipped.
+    """
     if radius_cells <= 0:
         return occupied.copy()
-    # OR of the mask shifted by every disk offset; cells beyond the border
-    # count as free.
     height, width = occupied.shape
-    padded = np.zeros((height + 2 * radius_cells, width + 2 * radius_cells), dtype=bool)
-    padded[radius_cells:-radius_cells, radius_cells:-radius_cells] = occupied
+    row = occupied.copy()  # dilated along x by ``reach``
     out = np.zeros((height, width), dtype=bool)
-    for dy, dx in zip(*_disk_offsets(radius_cells)):
-        oy, ox = dy + radius_cells, dx + radius_cells
-        out |= padded[oy : oy + height, ox : ox + width]
+    reach = 0
+    for dy in range(radius_cells, -1, -1):
+        half = math.isqrt(radius_cells * radius_cells - dy * dy)
+        for dx in range(reach + 1, min(half, width - 1) + 1):
+            row[:, dx:] |= occupied[:, :-dx]
+            row[:, :-dx] |= occupied[:, dx:]
+        reach = half
+        if dy == 0:
+            out |= row
+        elif dy < height:
+            out[dy:] |= row[:-dy]
+            out[:-dy] |= row[dy:]
     return out
 
 
 def traversable_mask(grid: GridMap, robot_radius: float) -> np.ndarray:
     """Free cells that keep the robot body clear of known obstacles."""
-    occupied = grid.cells == CellState.OCCUPIED
+    occupied = grid.cells == CellState.OCCUPIED.value
     inflated = inflate_occupied(occupied, _radius_cells(robot_radius, grid.resolution))
-    return (grid.cells == CellState.FREE) & ~inflated
+    return (grid.cells == CellState.FREE.value) & ~inflated
 
 
 def clear_robot_disk(
@@ -212,14 +230,18 @@ def distance_field(
     computed with a C Dijkstra over the 8-connected free-cell graph.  The
     graph's layout is fixed per map shape (:func:`_neighbor_slots`, cached):
     every cell has one directed slot per neighbour direction, so a call
-    builds only the weights, the step where both ends are traversable and
-    ``inf`` elsewhere, from slices of one padded copy of the mask.  An
-    ``inf`` edge is never relaxed.  Each cell's value is the minimum over
-    its neighbours of (their value + step), which does not depend on the
-    order edges are stored or relaxed in.
+    builds only the weights, by source cell: the step out of a traversable
+    cell and ``inf`` out of any other, one row gathered from
+    :data:`_WEIGHT_ROWS` per cell.  An ``inf`` edge is never relaxed.  A
+    non-traversable cell may receive a finite value over its in-edges, but
+    its out-edges are all ``inf``, so it passes nothing on and every other
+    cell gets the value it would get without those edges; it is set to
+    ``inf`` afterwards.  Each cell's
+    value is the minimum over its neighbours of (their value + step), which
+    does not depend on the order edges are stored or relaxed in.
     """
     height, width = traversable.shape
-    trav = traversable.astype(bool)
+    trav = np.ascontiguousarray(traversable, dtype=bool)
     indices = [
         int(y) * width + int(x)
         for x, y in sources
@@ -227,17 +249,11 @@ def distance_field(
     ]
     if not indices:
         return np.full((height, width), np.inf)
-    padded = np.zeros((height + 2, width + 2), dtype=bool)
-    padded[1:-1, 1:-1] = trav
-    both = np.empty((height, width, len(_NEIGHBORS)), dtype=bool)
-    for k, (dx, dy, _) in enumerate(_NEIGHBORS):
-        both[:, :, k] = padded[1 + dy : height + 1 + dy, 1 + dx : width + 1 + dx]
-    both &= trav[:, :, None]
-    with np.errstate(divide="ignore"):
-        weights = _STEPS / both  # the step where True, inf where False
+    weights = _WEIGHT_ROWS.take(trav.reshape(-1).view(np.uint8), axis=0)
     n = height * width
-    graph = csr_matrix((weights.ravel(), *_neighbor_slots(height, width)), shape=(n, n))
+    graph = csr_matrix((weights.reshape(-1), *_neighbor_slots(height, width)), shape=(n, n))
     field = _csgraph_dijkstra(graph, directed=True, indices=indices, min_only=True)
+    field[~trav.reshape(-1)] = np.inf
     field[indices] = 0.0
     return field.reshape(height, width) * resolution
 
@@ -331,8 +347,8 @@ def plan_waypoints(
 
 def frontier_cells_mask(belief: GridMap) -> np.ndarray:
     """Free cells with at least one unknown 4-neighbor."""
-    free = belief.cells == CellState.FREE
-    unknown = belief.cells == CellState.UNKNOWN
+    free = belief.cells == CellState.FREE.value
+    unknown = belief.cells == CellState.UNKNOWN.value
     near_unknown = np.zeros_like(free)
     near_unknown[1:, :] |= unknown[:-1, :]
     near_unknown[:-1, :] |= unknown[1:, :]
@@ -352,20 +368,31 @@ def nearest_frontier(
     cluster label.  The closest cell is the first member at that distance in
     row-major order.  The cluster's cells are listed in (x, y) order, and its
     centroid is the mean of their centres, summed in that order.
+
+    The clusters are labelled in the bounding box of the frontier cells
+    alone.  Cropping keeps the row-major order of the cells in the box, so
+    the labels, which number the clusters in the order their first cells
+    come, are those of the whole map, and so are the ties.
     """
     mask = frontier_cells_mask(belief)
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return None
+    y0, x0 = int(rows[0]), int(cols[0])
+    window = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
+    mask, dist = mask[window], dist_field[window]
     labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    ys, xs = np.nonzero(mask & np.isfinite(dist_field))
+    ys, xs = np.nonzero(mask & np.isfinite(dist))
     cell_labels = labels[ys, xs]
     large = np.bincount(labels.ravel())[cell_labels] >= params.min_frontier_cells
     ys, xs, cell_labels = ys[large], xs[large], cell_labels[large]
     if xs.size == 0:
         return None
-    win = np.lexsort((cell_labels, dist_field[ys, xs]))[0]
-    closest = (int(xs[win]), int(ys[win]))
+    win = np.lexsort((cell_labels, dist[ys, xs]))[0]
+    closest = (int(xs[win]) + x0, int(ys[win]) + y0)
     ys, xs = np.nonzero(labels == cell_labels[win])
     by_cell = np.lexsort((ys, xs))  # (x, y) order, as the cells are listed
-    xs, ys = xs[by_cell], ys[by_cell]
+    xs, ys = xs[by_cell] + x0, ys[by_cell] + y0
     res = belief.resolution
     centroid = (float(np.mean((xs + 0.5) * res)), float(np.mean((ys + 0.5) * res)))
     return Frontier(cells=tuple(zip(xs.tolist(), ys.tolist())), centroid=centroid,

@@ -88,10 +88,11 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
     half, each ray's merged grid-line crossings, is read from a process-wide
     cache keyed on the pose's exact offsets to its cell's grid lines (with
     the resolution, ray count, range and crossing count), and only the map
-    half, which cuts each ray at the map edge or its first occupied cell,
-    runs per sweep.  The sweep writes the belief's cells in place by the
-    world's flat cell indices, so the belief must have the world's width,
-    height and resolution.
+    half, which cuts each ray at its first step off the map or onto an
+    occupied cell, runs per sweep on a copy of the world inside a border of
+    off-map cells.  The sweep writes the belief's cells in place, cell for
+    cell of the world's, so the belief must have the world's width, height
+    and resolution.
     """
     geometry = (world.width, world.height, world.resolution)
     if (belief.width, belief.height, belief.resolution) != geometry:

@@ -49,7 +49,10 @@ _ROW_CHARS = np.array([0, _FREE_CHAR, _WALL_CHAR], dtype=np.uint8)  # indexed by
 
 
 class CellState(IntEnum):
-    """Unknown is 0, so the known cells of a grid are its nonzero ones."""
+    """Unknown is 0, so the known cells of a grid are its nonzero ones.
+
+    Compare arrays with a member's ``value``: NumPy compares a 140x140
+    array with the member itself about ten times more slowly."""
 
     UNKNOWN = 0
     FREE = 1
@@ -376,6 +379,7 @@ class ScenarioSpec:
 
 
 _BLOCK_CROSSINGS = 1 << 16  # grid-line crossings traced together; bounds working memory
+_OFF_MAP = 3  # border cell of a sweep's padded map; above OCCUPIED, so a ray stops on it
 # Sweep geometries kept: an entry is under 3 KB at the default sensor, and 24
 # episodes sweep from 117 distinct offsets on 14 m maps and 172 on 20 m maps.
 _SWEEP_CACHE_SIZE = 512
@@ -524,46 +528,51 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
     return order, within
 
 
-def _cut_rays(grid, ix0, iy0, dx, dy, x_step, within):
-    """Map half: cut each ray at the map edge or its first occupied cell.
+def _cut_rays(padded, ix0, iy0, dx, dy, x_step, within):
+    """Map half: cut each ray at its first step off the map or onto an
+    occupied cell.
 
-    ``ix0``/``iy0`` are the origin cell, one or a column of one per ray,
-    ``dx``/``dy`` each ray's direction cosines, ``x_step`` (rays, steps)
-    whether each merged crossing is an x step, and ``within`` each ray's
-    count of crossings in range.  Returns ``(cell, cut, hit)``: the flat
-    index of the cell each (ray, step) enters, each ray's cut step and
-    whether the ray hit an occupied cell at that step.  A ray's free cells
-    are its steps before the cut, and a hit ray's hit cell is the one at
-    the cut; the indices at and past the cut may lie off the map.
+    ``padded`` is the map inside a one-cell border of :data:`_OFF_MAP`,
+    ``ix0``/``iy0`` the origin cell on the map, ``dx``/``dy`` each ray's
+    direction cosines, ``x_step`` (rays, steps) whether each merged crossing
+    is an x step, and ``within`` each ray's count of crossings in range.
+    Returns ``(free, hits)``, flat indices into ``padded`` of the cells the
+    rays cross before their cut (origin cell excluded) and of the occupied
+    cells they stop on, all on the map.
 
-    The walk moves monotonically in x and in y, so a ray that leaves the map
-    never comes back, and the steps inside the map are a prefix of the
-    steps in range.
+    An x step moves the flat index by the sign of ``dx`` and a y step by the
+    sign of ``dy`` times ``width``, so each ray's cells are one cumulative
+    sum from the origin's index.  Each step moves one cell along one axis,
+    so a ray stays on the map up to its first step off it, which lands in
+    the border: one cell of border is all the margin the cut needs.  Later
+    steps may index any cell or none; the read clips them, and they lie
+    past the ray's first stop (an occupied or border cell, or an extra
+    column read as off the map), which is all the cut reads.  The cut is the
+    stop or the in-range count, whichever comes first, and the ray hits
+    when its stop is occupied and in range.  The sum's magnitude stays
+    below ``width * (height + steps)``, which picks int32 or int64 for it.
     """
     n, steps = x_step.shape
-    if steps == 0:
-        return np.zeros((n, 0), dtype=np.intp), np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
-    width = grid.width
-    # A ray takes at most 2 * crossings <= 2 * side steps, so its cell
-    # coordinates lie in [-2 side, 3 side] and its flat cell index below
-    # 6 side**2 in magnitude: int32 holds it whenever this bound does.
-    index = np.int32 if 16 * max(width, grid.height) ** 2 < 2**31 else np.int64
-    step_x = np.sign(dx).astype(index)
-    step_y = np.sign(dy).astype(index)
-    nx = np.cumsum(x_step, axis=1, dtype=index)
-    ix = np.asarray(ix0, dtype=index) + step_x[:, None] * nx
-    ny = np.arange(1, steps + 1, dtype=index) - nx
-    iy = np.asarray(iy0, dtype=index) + step_y[:, None] * ny
-    alive = ((np.arange(steps) < within[:, None]) & (ix >= 0) & (ix < width)
-             & (iy >= 0) & (iy < grid.height))
-    cell = iy * width + ix
-    # Steps that are not alive may index any cell, or none; clipping keeps
-    # the read in bounds and ``alive`` discards it.
-    occupied = alive & (np.take(grid.cells, cell, mode="clip") == CellState.OCCUPIED)
-    first = np.argmax(occupied, axis=1)
-    hit = occupied[np.arange(n), first]
-    cut = np.where(hit, first, np.count_nonzero(alive, axis=1))
-    return cell, cut, hit
+    height, width = padded.shape
+    index = np.int32 if width * (height + steps) < 2**31 else np.int64
+    move_x = np.sign(dx).astype(index)
+    move_y = np.sign(dy).astype(index) * width
+    cell = np.empty((n, steps + 1), dtype=index)
+    run = cell[:, :steps]
+    np.multiply(x_step, (move_x - move_y)[:, None], out=run)
+    run += move_y[:, None]
+    run[:, :1] += (iy0 + 1) * width + ix0 + 1
+    np.cumsum(run, axis=1, out=run)
+    cell[:, steps] = 0  # a corner of the border
+    # int32 sums faster, but NumPy indexes with intp without converting.
+    cell = cell.astype(np.intp, copy=False)
+    values = padded.take(cell, mode="clip")
+    occupied = CellState.OCCUPIED.value
+    first = np.argmax(values >= occupied, axis=1)
+    cut = np.minimum(first, within)
+    rays = np.arange(n)
+    hit = (first < within) & (values[rays, first] == occupied)
+    return cell[np.arange(steps + 1) < cut[:, None]], cell[rays[hit], first[hit]]
 
 
 @lru_cache(maxsize=_SWEEP_CACHE_SIZE)
@@ -608,9 +617,12 @@ def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
 
     The geometry half comes from :func:`_sweep_geometry`, keyed on the
     origin's exact offsets to its cell's grid lines; only the map half runs
-    per sweep, and its flat cell indices are written with ``np.put``.  Free
-    cells are never occupied in ``grid`` and hit cells always are, so the
-    two writes never touch the same cell.
+    per sweep.  It reads a copy of ``grid`` inside a one-cell border of
+    :data:`_OFF_MAP`, so leaving the map is one more stop, and its flat
+    indices into that padded shape are written into a padded copy of
+    ``cells``, whose inner cells are copied back.  Free cells are never
+    occupied in ``grid`` and hit cells always are, so the two writes never
+    touch the same cell, and neither touches the border.
     """
     x, y = origin
     res = grid.resolution
@@ -620,12 +632,18 @@ def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
     offsets = ((ix + 1) * res - x, ix * res - x, (iy + 1) * res - y, iy * res - y)
     packed, within = _sweep_geometry(res, rays, max_range, crossings, offsets)
     dx, dy = _sweep_directions(rays)
+    padded = np.full((grid.height + 2, grid.width + 2), _OFF_MAP, dtype=np.uint8)
+    padded[1:-1, 1:-1] = grid.cells
+    belief = np.empty_like(padded)
+    belief[1:-1, 1:-1] = cells
+    flat = belief.reshape(-1)
     for block in _blocks(rays, crossings):
         steps = int(within[block].max())
         x_step = np.unpackbits(packed[block], axis=1, count=steps).view(bool)
-        cell, cut, hit = _cut_rays(grid, ix, iy, dx[block], dy[block], x_step, within[block])
-        np.put(cells, cell[np.arange(steps) < cut[:, None]], CellState.FREE)
-        np.put(cells, cell[hit, cut[hit]], CellState.OCCUPIED)
+        free, hits = _cut_rays(padded, ix, iy, dx[block], dy[block], x_step, within[block])
+        flat[free] = CellState.FREE
+        flat[hits] = CellState.OCCUPIED
+    cells[:] = belief[1:-1, 1:-1]
 
 
 def _sweep_directions(rays: int) -> tuple[np.ndarray, np.ndarray]:

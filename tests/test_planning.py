@@ -212,6 +212,31 @@ class TestDistanceField:
             got = distance_field(trav, 0.1, sources)
             assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
 
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (30, 50)])
+    def test_blocked_cells_beside_sources_and_unreachable_islands(self, shape):
+        # A traversable cell's edges carry their steps also into blocked
+        # cells, which pass nothing on and are set to inf afterwards.  Blocked
+        # cells beside each source, some or all of its neighbours, leave
+        # traversable islands it cannot reach.
+        height, width = shape
+        rng = np.random.default_rng(height * 100 + width + 5)
+        for density in (0.0, 0.3, 0.6):
+            for ring in (0.5, 1.0):
+                trav = rng.random(shape) >= density
+                sources = random_sources(rng, trav, 2)
+                for x, y in sources:
+                    near = trav[max(y - 1, 0) : y + 2, max(x - 1, 0) : x + 2]
+                    near &= rng.random(near.shape) >= ring
+                for x, y in sources:
+                    trav[y, x] = True
+                field = distance_field(trav, 0.1, sources)
+                assert field.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
+                assert np.isinf(field[~trav]).all()
+        blocked = np.zeros(shape, dtype=bool)
+        field = distance_field(blocked, 0.1, [(0, 0)])
+        assert field.tobytes() == coo_distance_field(blocked, 0.1, [(0, 0)]).tobytes()
+        assert np.isinf(field).all()
+
     def test_plan_path_length_equals_field_at_goal(self):
         rng = np.random.default_rng(21)
         checked = unreachable = 0
@@ -313,7 +338,8 @@ class TestPlanPath:
 
 class TestInflation:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (30, 50)])
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 6])
+    # 4, 5 and 11 have rows of equal half-width; 11 is wider than every map.
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 5, 6, 11])
     def test_matches_binary_dilation(self, shape, radius):
         rng = np.random.default_rng(radius * 100 + shape[1])
         span = np.arange(-radius, radius + 1)
@@ -618,6 +644,30 @@ class TestNearestFrontier:
             assert nearest_frontier(belief, params, dist) == want
             chosen += want is not None
         assert chosen > 0 or shape == (1, 1)
+
+    @pytest.mark.parametrize("corner", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_frontier_in_a_corner_window(self, corner):
+        # Unknown cells only near one corner of a 40 x 30 belief, so the
+        # frontier's bounding box is a small window on two map edges.  Equal
+        # distances on every cell make the clusters tie, which the lowest
+        # label breaks.
+        width, height = 40, 30
+        rng = np.random.default_rng(corner[0] * 2 + corner[1])
+        chosen = 0
+        for _ in range(20):
+            patch = rng.random((6, 7)) < 0.35
+            cells = np.full((height, width), CellState.FREE, dtype=np.uint8)
+            rows = slice(0, 6) if corner[1] == 0 else slice(height - 6, height)
+            cols = slice(0, 7) if corner[0] == 0 else slice(width - 7, width)
+            cells[rows, cols][patch] = CellState.UNKNOWN
+            cells[rows, cols][rng.random((6, 7)) < 0.1] = CellState.OCCUPIED
+            belief = GridMap(width, height, 0.1, cells)
+            for dist in (np.ones((height, width)), rng.integers(0, 3, (height, width)) * 1.0):
+                params = PlannerParams(min_frontier_cells=int(rng.integers(1, 4)))
+                want = loop_nearest_frontier(belief, params, dist)
+                assert nearest_frontier(belief, params, dist) == want
+                chosen += want is not None
+        assert chosen > 20
 
     def test_fully_explored_belief_gives_none(self):
         belief = open_belief(15, 10)

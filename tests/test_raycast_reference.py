@@ -174,8 +174,7 @@ def assert_per_ray_same_as_reference(grid, origins, bearings, ranges):
 
 def int64_corridor():
     """A 3-cell wide corridor, 12,000 cells long at 0.1 m, with a wall cell
-    every 997 rows.  16 * side**2 >= 2**31 from a side of 11586 cells, so
-    its rays are cut with int64 cell indices."""
+    every 997 rows, whose rays run for thousands of cells."""
     cells = np.full((12_000, 3), CellState.FREE, dtype=np.uint8)
     cells[::997, 1] = CellState.OCCUPIED
     return GridMap(3, 12_000, 0.1, cells)
@@ -360,3 +359,46 @@ class TestLidarSweepMatchesStepwiseWalk:
     def test_map_too_large_for_int32_cell_indices(self):
         grid = int64_corridor()
         assert_sweeps_match_reference(grid, [(0.15, 5.05), (0.05, 1199.95)], 8, 1300.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (6, 23)])
+    @pytest.mark.parametrize("rays", [8, 90])
+    def test_thin_maps_corner_origins_and_ranges_past_the_map(self, shape, rays):
+        # At a range three times the map's side every crossing of a diagonal
+        # ray is in range, so it takes 2 * crossings steps, nearly all of
+        # them off the map; origins in corner cells leave it at once.
+        height, width = shape
+        res = 0.1
+        rng = np.random.default_rng(height * 100 + width)
+        cells = np.where(rng.random(shape) < 0.15, CellState.OCCUPIED, CellState.FREE)
+        corners = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
+        for ix, iy in corners:
+            cells[iy, ix] = CellState.FREE
+        grid = GridMap(width, height, res, cells)
+        origins = [((ix + 0.5) * res, (iy + 0.5) * res) for ix, iy in corners]
+        origins += [(0.0, 0.0), (width * res - 1e-9, height * res - 1e-9)]
+        max_range = 3.0 * max(width, height) * res
+        crossings = world._crossing_count(grid, max_range)
+        offsets = (res / 2, -res / 2, res / 2, -res / 2)
+        within = world._sweep_geometry(res, 8, max_range, crossings, offsets)[1]
+        assert within.max() == 2 * crossings
+        for reach in (max_range, 1.5 * res):
+            assert_sweeps_match_reference(grid, origins, rays, reach)
+
+    def test_sweep_too_long_for_int32_cell_indices(self):
+        # A diagonal ray on a 1-row map 34,000 cells long, in range of every
+        # crossing, takes 68,000 steps, and the bound on its index sum over
+        # the bordered map, 34,002 * (3 + 68,000), passes 2**31, so its
+        # cells are summed in int64.  Walls near the origin keep the
+        # reference walk short.
+        width, res, max_range = 34_000, 0.1, 5_000.0
+        cells = np.full((1, width), CellState.FREE, dtype=np.uint8)
+        cells[0, [16_990, 17_010]] = CellState.OCCUPIED
+        grid = GridMap(width, 1, res, cells)
+        origin = (1700.05, 0.05)
+        crossings = world._crossing_count(grid, max_range)
+        ix = grid.world_to_cell(*origin)[0]
+        offsets = ((ix + 1) * res - origin[0], ix * res - origin[0], res / 2, -res / 2)
+        within = world._sweep_geometry(res, 8, max_range, crossings, offsets)[1]
+        assert crossings == width and within.max() == 2 * width
+        assert (width + 2) * (3 + 2 * width) >= 2**31
+        assert_sweeps_match_reference(grid, [origin], 8, max_range)
