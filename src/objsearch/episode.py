@@ -19,8 +19,12 @@ sweep from a point already swept in this episode is skipped.  The sweep is
 the only code that writes the belief, and each one it runs drops the
 traversable mask and distance field; until the next, they are reused,
 read-only, while the robot stays in one cell.  The distance field serves
-viewpoint choice, frontier choice and navigation alike: a leg's path is
-walked down the field from its goal.  Across episodes one thing is reused:
+viewpoint choice, frontier choice and navigation alike, by one rule
+(:func:`_nearest_by_travel`): each is answered on the field out to the lidar
+range, which the sweep has just covered, and only when that finds nothing
+on the whole field; a leg's path is walked down the field from its goal.
+A bounded field gives the whole field's answer whenever it gives one, so
+the rule changes no trace.  Across episodes one thing is reused:
 the lidar's sweep geometry (each ray's crossing order), cached for the
 whole process by :func:`~objsearch.world._sweep_geometry`.  It is a pure
 function of its key (resolution, ray count, range, crossing count and the
@@ -38,8 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -101,19 +104,28 @@ ConfirmFn = Callable[[CandidatePatch, ScenarioSpec], bool]
 
 @dataclass
 class _NavMaps:
-    """Read-only planning layers for the current belief and one robot cell;
-    the distance field is built on its first read."""
+    """Read-only planning layers for the current belief and one robot cell.
+
+    The distance field is built on the first :meth:`field` read and kept
+    with the reach it was built for, ``dist`` and ``reach``; a read that
+    asks for no more reach gets that field, and one that asks for more
+    rebuilds it.  A bounded field holds the whole field's value on every
+    cell within its reach (:func:`~objsearch.planning.distance_field`)."""
 
     cell: tuple[int, int]
     trav: np.ndarray
     resolution: float
+    reach: float = -math.inf  # no field yet
+    dist: np.ndarray | None = None
 
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """Travel distance field from the robot cell over ``trav``."""
-        dist = distance_field(self.trav, self.resolution, [self.cell])
-        dist.setflags(write=False)
-        return dist
+    def field(self, reach: float) -> np.ndarray:
+        """Travel distance field from the robot cell over ``trav``, out to at
+        least ``reach`` metres."""
+        if reach > self.reach:
+            self.dist = distance_field(self.trav, self.resolution, [self.cell], reach)
+            self.dist.setflags(write=False)
+            self.reach = reach
+        return self.dist
 
 
 @dataclass
@@ -360,6 +372,37 @@ def _nav_maps(state: EpisodeState) -> _NavMaps:
     return state.nav_maps
 
 
+_Answer = TypeVar("_Answer")
+
+
+def _nearest_by_travel(
+    state: EpisodeState, answer: Callable[[np.ndarray], _Answer | None]
+) -> _Answer | None:
+    """The one rule for questions asked by travel distance from the robot:
+    ``answer`` on the distance field out to the lidar range, which the robot
+    has just swept, and only if that finds nothing (None), on the whole
+    field.  A field already built with more reach serves the first ask.
+
+    Each question asked this way (the nearest frontier, a landmark's
+    viewpoint, the path to a goal) gets on a bounded field the answer it
+    gets on the whole field whenever it gets one there; the planning
+    functions' docstrings say why."""
+    maps = _nav_maps(state)
+    found = answer(maps.field(state.scenario.sensor.lidar_range))
+    if found is None and maps.reach < math.inf:
+        found = answer(maps.field(math.inf))
+    return found
+
+
+def _path_on(dist: np.ndarray, goal: tuple[int, int], resolution: float) -> Path | None:
+    """:func:`~objsearch.planning.plan_path` on ``dist``, or None where it
+    finds no path."""
+    try:
+        return plan_path(dist, goal, resolution)
+    except NoPathError:
+        return None
+
+
 def _walk(state: EpisodeState, path: Path) -> tuple[float, bool]:
     """Follow a planned path, refreshing lidar periodically.
 
@@ -395,13 +438,16 @@ class _BudgetSpent(Exception):
 def _navigate(state: EpisodeState, goal: tuple[int, int]) -> bool:
     """Drive to a goal cell, replanning when newly seen obstacles intrude.
 
-    Returns False when no path is left; raises :class:`_BudgetSpent` once a
-    leg ends over the travel budget."""
+    Returns False when no path is left, at once when the goal is off the map
+    or not drivable, where every field holds ``inf``; raises
+    :class:`_BudgetSpent` once a leg ends over the travel budget."""
     fail_distance = state.scenario.hyperparams.fail_distance
+    gx, gy = goal
     while True:
-        try:
-            path = plan_path(_nav_maps(state).dist, goal, state.belief.resolution)
-        except NoPathError:
+        if not (state.belief.in_bounds(gx, gy) and _nav_maps(state).trav[gy, gx]):
+            return False
+        path = _nearest_by_travel(state, lambda dist: _path_on(dist, goal, state.belief.resolution))
+        if path is None:
             return False
         walked, arrived = _walk(state, path)
         _emit(state, "leg", to=list(goal), length=walked, traveled=state.traveled)
@@ -456,15 +502,17 @@ def _plan_cycle(state: EpisodeState) -> list[Viewpoint]:
 
     A pending landmark without a viewpoint yet (no observed-free, reachable
     ring point) is left out of the ``plan`` event; it stays pending, and a
-    later cycle plans it once some ring point is."""
+    later cycle plans it once some ring point is.  A cycle with no pending
+    landmark reads no distance field."""
     scenario = state.scenario
     hp = scenario.hyperparams
-    dist = _nav_maps(state).dist
     candidates: list[Viewpoint] = []
     for entry in state.registry:
         if entry.visited or entry.skipped:
             continue
-        vp = generate_viewpoints(state.belief, entry, scenario.planner, dist)
+        vp = _nearest_by_travel(
+            state, lambda dist: generate_viewpoints(state.belief, entry, scenario.planner, dist)
+        )
         if vp is not None:
             candidates.append(vp)
             entry.skipped = not passes_thresholds(vp, hp)
@@ -541,7 +589,9 @@ def _search(state: EpisodeState) -> bool:
             if visit_waypoint(state, vp) and _judge_new_candidates(state):
                 return True
 
-        frontier = nearest_frontier(state.belief, state.scenario.planner, _nav_maps(state).dist)
+        frontier = _nearest_by_travel(
+            state, lambda dist: nearest_frontier(state.belief, state.scenario.planner, dist)
+        )
         if frontier is None:
             _emit(state, "explore_exhausted", reason="no_frontier")
             return False

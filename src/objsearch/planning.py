@@ -159,7 +159,7 @@ def clear_robot_disk(
     xs, ys = cx + dx, cy + dy
     inside = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
     xs, ys = xs[inside], ys[inside]
-    free = grid.cells[ys, xs] == CellState.FREE
+    free = grid.cells[ys, xs] == CellState.FREE.value
     trav[ys[free], xs[free]] = True
     trav[cy, cx] = True
     return trav
@@ -180,6 +180,13 @@ def plan_path(dist_field: np.ndarray, goal: tuple[int, int], resolution: float) 
     flat cell index.  The walk ends at the source, where the distance is 0.
     The path's length is ``dist_field[goal]``, which the caller holds.
     A goal off the map or at distance ``inf`` raises :class:`NoPathError`.
+
+    On a field bounded at some reach (:func:`distance_field`), a goal with a
+    finite value gets the whole field's path.  Every cell of the walk is
+    nearer than the goal, so within the reach, with its exact value.  A
+    neighbour beyond the reach (``inf`` here) has a whole-field value above
+    the goal's, so with its step it exceeds the best by more than a step and
+    would never win or tie there either.
     """
     height, width = dist_field.shape
     x, y = int(goal[0]), int(goal[1])
@@ -222,12 +229,17 @@ def _neighbor_slots(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def distance_field(
-    traversable: np.ndarray, resolution: float, sources: Iterable[tuple[int, int]]
+    traversable: np.ndarray,
+    resolution: float,
+    sources: Iterable[tuple[int, int]],
+    reach: float,
 ) -> np.ndarray:
-    """Metric shortest-path distance from the nearest source to every cell.
+    """Metric shortest-path distance from the nearest source to every cell
+    within ``reach`` metres of travel; ``math.inf`` gives the whole field.
 
-    Unreachable and non-traversable cells hold ``inf``.  Exact octile costs,
-    computed with a C Dijkstra over the 8-connected free-cell graph.  The
+    Unreachable and non-traversable cells, and cells farther than ``reach``,
+    hold ``inf``.  Exact octile costs, computed with a C Dijkstra over the
+    8-connected free-cell graph.  The
     graph's layout is fixed per map shape (:func:`_neighbor_slots`, cached):
     every cell has one directed slot per neighbour direction, so a call
     builds only the weights, by source cell: the step out of a traversable
@@ -239,23 +251,79 @@ def distance_field(
     ``inf`` afterwards.  Each cell's
     value is the minimum over its neighbours of (their value + step), which
     does not depend on the order edges are stored or relaxed in.
+
+    A finite reach bounds the search in two ways, neither of which changes
+    a value it keeps; a cell keeps its whole-field value exactly when that
+    value is at most ``reach``.
+
+    - Dijkstra stops at ``limit``, ``reach / resolution`` in steps (widened
+      by :data:`_TIE_TOLERANCE` against the division's rounding; values past
+      ``reach`` are set to ``inf`` afterwards).  Every step costs at least
+      one, so a neighbour that gives a cell its minimum is at least one step
+      nearer; a cell within the limit is therefore settled after every such
+      neighbour, its minimising edge is relaxed, and it gets its whole-field
+      value.  A cell past the limit never gets a value.
+    - The mask is cropped to the square window of ``k = ceil(reach /
+      resolution) + 1`` cells on each side of the sources, padded with
+      non-traversable cells where it passes the map's border, so one source
+      always gives a ``2k + 1`` window and :func:`_neighbor_slots` one cached
+      layout per ``k``.  A step moves at most one cell along each axis and
+      costs at least one, so a cell within the limit (whose widening is far
+      below a step) lies at most ``ceil(reach / resolution)`` cells from a
+      source along each axis; the ``+ 1`` is a ring beyond that, so every
+      edge of every such cell is an edge of the window's graph, as of the
+      map's.  Padding adds only blocked cells, which pass nothing on.  The
+      same weights, graph and Dijkstra then run on the window.  The window
+      is skipped when it would hold more cells than the map.
     """
+    if not reach >= 0.0:
+        raise DomainError(f"distance_field reach {reach} must be >= 0")
     height, width = traversable.shape
     trav = np.ascontiguousarray(traversable, dtype=bool)
-    indices = [
-        int(y) * width + int(x)
+    cells = [
+        (int(x), int(y))
         for x, y in sources
         if 0 <= x < width and 0 <= y < height and trav[int(y), int(x)]
     ]
-    if not indices:
+    if not cells:
         return np.full((height, width), np.inf)
+    if math.isinf(reach):
+        return _window_field(trav, cells, math.inf) * resolution
+    limit = reach / resolution * (1.0 + _TIE_TOLERANCE)
+    k = math.ceil(reach / resolution) + 1
+    xs, ys = zip(*cells)
+    x0, y0 = min(xs) - k, min(ys) - k
+    side_x, side_y = max(xs) + k + 1 - x0, max(ys) + k + 1 - y0
+    if side_x * side_y >= height * width:
+        field = _window_field(trav, cells, limit) * resolution
+        field[field > reach] = np.inf
+        return field
+    # The window's part on the map, in map and in window coordinates.
+    on_map = (slice(max(y0, 0), min(y0 + side_y, height)),
+              slice(max(x0, 0), min(x0 + side_x, width)))
+    in_window = tuple(slice(s.start - o, s.stop - o) for s, o in zip(on_map, (y0, x0)))
+    window = np.zeros((side_y, side_x), dtype=bool)
+    window[in_window] = trav[on_map]
+    kept = _window_field(window, [(x - x0, y - y0) for x, y in cells], limit)[in_window]
+    kept *= resolution
+    kept[kept > reach] = np.inf
+    field = np.full((height, width), np.inf)
+    field[on_map] = kept
+    return field
+
+
+def _window_field(trav: np.ndarray, cells: list[tuple[int, int]], limit: float) -> np.ndarray:
+    """:func:`distance_field`'s Dijkstra in steps on a contiguous mask, from
+    traversable source cells, searching no farther than ``limit``."""
+    height, width = trav.shape
+    indices = [y * width + x for x, y in cells]
     weights = _WEIGHT_ROWS.take(trav.reshape(-1).view(np.uint8), axis=0)
     n = height * width
     graph = csr_matrix((weights.reshape(-1), *_neighbor_slots(height, width)), shape=(n, n))
-    field = _csgraph_dijkstra(graph, directed=True, indices=indices, min_only=True)
+    field = _csgraph_dijkstra(graph, directed=True, indices=indices, min_only=True, limit=limit)
     field[~trav.reshape(-1)] = np.inf
     field[indices] = 0.0
-    return field.reshape(height, width) * resolution
+    return field.reshape(height, width)
 
 
 def viewpoint_ring(
@@ -288,6 +356,10 @@ def generate_viewpoints(
     robot's cell: a finite value then marks an observed-free, traversable and
     reachable cell, and the others hold ``inf``.  The candidate with the
     smallest finite value wins, and ties go to the lower angle index.
+
+    On a field bounded at some reach (:func:`distance_field`), a viewpoint
+    found is the whole field's: the winner is within the reach, so every
+    candidate that could beat or tie it is too, with its exact value.
     """
     lx, ly = landmark.position
     if not belief.in_bounds(*belief.world_to_cell(lx, ly)):
@@ -373,6 +445,11 @@ def nearest_frontier(
     alone.  Cropping keeps the row-major order of the cells in the box, so
     the labels, which number the clusters in the order their first cells
     come, are those of the whole map, and so are the ties.
+
+    On a field bounded at some reach (:func:`distance_field`), a frontier
+    found is the whole field's: its distance is within the reach, so every
+    cell at that distance or nearer holds its exact value, and cluster size
+    does not read the field.
     """
     mask = frontier_cells_mask(belief)
     rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
@@ -478,7 +555,7 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     grid = scenario.map
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
-    dist = distance_field(drivable, grid.resolution, [start])
+    dist = distance_field(drivable, grid.resolution, [start], math.inf)
     tx, ty = scenario.target.position
     max_dist = scenario.hyperparams.cam_range + grid.resolution
     xs, ys = cells_near(np.isfinite(dist), (tx, ty, tx, ty), grid.resolution, max_dist)

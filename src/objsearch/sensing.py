@@ -100,7 +100,7 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
     ix, iy = world.world_to_cell(pose.x, pose.y)
     if not world.in_bounds(ix, iy):
         raise DomainError(f"lidar pose ({pose.x}, {pose.y}) outside map bounds")
-    if world.cells[iy, ix] != CellState.FREE:
+    if world.cells[iy, ix] != CellState.FREE.value:
         raise DomainError("lidar pose is inside an obstacle")
     _raycast_sweep(world, (pose.x, pose.y), rays, max_range, belief.cells)
 

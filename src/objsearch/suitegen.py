@@ -275,10 +275,10 @@ def _wall_footprint(
 
 def _place_landmarks(
     occ: np.ndarray,
+    grid: GridMap,
     rng: np.random.Generator,
     names: list[str],
     known: set[str],
-    res: float,
     planner: PlannerParams,
 ) -> list[LandmarkSpec]:
     """Place each named landmark on a free wall-flush footprint (the cells
@@ -290,14 +290,17 @@ def _place_landmarks(
     so every trial footprint is first checked with the
     :func:`_ring_connected` shortcut, whose True answer proves the trial
     connected on a connected map.  Only when the ring test fails does the
-    full :func:`_connected` label decide."""
+    full :func:`_connected` label decide.
+
+    ``grid`` is the map being built from ``occ``: each accepted footprint is
+    written to both."""
     n = occ.shape[0]
+    res = grid.resolution
     placed: list[LandmarkSpec] = []
-    grid_probe = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
             rect = _wall_footprint(rng, n, res)
-            rows, cols = _footprint_window(grid_probe, rect)
+            rows, cols = _footprint_window(grid, rect)
             window = occ[rows, cols]
             if window.size == 0 or window.any():
                 continue
@@ -308,9 +311,10 @@ def _place_landmarks(
             if not (_ring_connected(trial, rows, cols) or _connected(trial)):
                 continue
             center = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))
-            if all(trial[iy, ix] for _, (ix, iy) in viewpoint_ring(grid_probe, center, planner)):
+            if all(trial[iy, ix] for _, (ix, iy) in viewpoint_ring(grid, center, planner)):
                 continue
-            occ[:] = trial
+            occ[rows, cols] = True
+            grid.cells[rows, cols] = CellState.OCCUPIED.value
             placed.append(
                 LandmarkSpec(
                     id=f"L{idx}", name=name, known=name in known, footprint=rect
@@ -371,7 +375,8 @@ def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetConte
     )
     names = known_names + unknown_names
     planner = PlannerParams(**params.planner)
-    landmarks = _place_landmarks(occ, rng, names, set(known_names), res, planner)
+    grid = GridMap(n, n, res, occ.view(np.uint8) + CellState.FREE.value)
+    landmarks = _place_landmarks(occ, grid, rng, names, set(known_names), planner)
 
     for _ in range(2 * len(params.targets)):
         target_name = _pick(rng, params.targets)
@@ -405,7 +410,6 @@ def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetConte
             ObjectSpec(id=f"D{d}", name=name, position=pos, radius=_TARGET_RADIUS)
         )
 
-    grid = GridMap(n, n, res, np.where(occ, CellState.OCCUPIED, CellState.FREE))
     hyper = HyperParams(**params.hyperparams)
     sensor = SensorParams(**params.sensor)
 

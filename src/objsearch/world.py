@@ -87,7 +87,7 @@ class GridMap:
             raise ValidationError(
                 f"map.cells: expected shape {(self.height, self.width)}, got {cells.shape}"
             )
-        if (cells > CellState.OCCUPIED).any():
+        if (cells > CellState.OCCUPIED.value).any():
             raise ValidationError("map.cells: cells must be Unknown, Free or Occupied")
         self.cells = cells
 
@@ -109,7 +109,7 @@ class GridMap:
         return 0 <= ix < self.width and 0 <= iy < self.height
 
     def is_free(self, ix: int, iy: int) -> bool:
-        return self.in_bounds(ix, iy) and self.cells[iy, ix] == CellState.FREE
+        return self.in_bounds(ix, iy) and self.cells[iy, ix] == CellState.FREE.value
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         return int(math.floor(x / self.resolution)), int(math.floor(y / self.resolution))
@@ -352,7 +352,7 @@ class ScenarioSpec:
         six, siy = grid.world_to_cell(self.start.x, self.start.y)
         if not grid.in_bounds(six, siy):
             raise ValidationError("scenario.start: outside map bounds")
-        if grid.cells[siy, six] != CellState.FREE:
+        if grid.cells[siy, six] != CellState.FREE.value:
             raise ValidationError("scenario.start: start cell is inside an obstacle")
 
     @property

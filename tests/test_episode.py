@@ -8,8 +8,10 @@ tests check that a frame's camera stream, built on its first draw, draws what
 the eager Generator draws.  The ranking tests replay every ``plan`` event
 of the golden traces and check that a landmark the skip rule drops is never
 planned again.  The reuse tests check that the layers an episode reuses
-(skipped sweeps, cached traversable masks and distance fields) equal fresh
-computations, and that navigation walks down the field a plan cycle built.
+(skipped sweeps, cached traversable masks and distance fields, bounded or
+whole) equal fresh computations, that a bounded field is the whole field
+wherever it is finite, and that navigation walks down the field a plan cycle
+built and builds none for a goal it cannot drive to.
 The lidar's sweep-geometry cache outlives episodes, so the goldens are also
 checked from a cold cache, a warm one and one filled past its size.  No
 success travels less than the SPL shortest path it is scored against.  Each
@@ -288,11 +290,18 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(ctx, monkeypatch):
 
     episode._sweep(state)
     before = np.count_nonzero(state.belief.cells)
+    reach = scenario.sensor.lidar_range
     stale_trav = episode._nav_maps(state).trav
-    stale_dist = episode._nav_maps(state).dist
+    stale_near = episode._nav_maps(state).field(reach)
     episode._sweep(state)  # a repeat is skipped and keeps the layers
     assert episode._nav_maps(state).trav is stale_trav
-    assert episode._nav_maps(state).dist is stale_dist
+    assert episode._nav_maps(state).field(reach) is stale_near
+    # A read asking for no more reach keeps the field; one asking for more
+    # rebuilds it, and the larger field is the one kept.
+    assert episode._nav_maps(state).field(0.0) is stale_near
+    stale_dist = episode._nav_maps(state).field(math.inf)
+    assert stale_dist is not stale_near
+    assert episode._nav_maps(state).field(reach) is stale_dist
     # Another point in the same cell is a new origin; its sweep drops the
     # layers, and what it reveals is a new belief for the same robot cell.
     state.pose = Pose(1.45, 1.05, 0.0)
@@ -302,17 +311,22 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(ctx, monkeypatch):
     trav = episode._nav_maps(state).trav
     assert not np.array_equal(trav, stale_trav)
     assert np.array_equal(trav, fresh_trav(state, scenario))
-    dist = episode._nav_maps(state).dist
+    near = episode._nav_maps(state).field(reach)
+    assert near.tobytes() == distance_field(trav, 0.5, [(2, 2)], reach).tobytes()
+    assert not near.flags.writeable
+    dist = episode._nav_maps(state).field(math.inf)
     assert dist.tobytes() != stale_dist.tobytes()
-    assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)]).tobytes()
+    assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)], math.inf).tobytes()
     assert not trav.flags.writeable and not dist.flags.writeable
 
 
 def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     """Every sweep skipped, mask and distance field reused within an episode
-    is what a fresh computation would give at that moment."""
-    checks = {"sweep": 0, "trav": 0, "dist": 0}
-    sweep, nav_maps = episode._sweep, episode._nav_maps
+    is what a fresh computation would give at that moment.  A field read
+    equals a fresh field at the reach it was built for, and the whole field
+    wherever it is finite; what it leaves ``inf`` lies beyond that reach."""
+    checks = {"sweep": 0, "trav": 0, "dist": 0, "bounded": 0}
+    sweep, nav_maps, read_field = episode._sweep, episode._nav_maps, episode._NavMaps.field
 
     def checked_sweep(state):
         sweep(state)
@@ -329,13 +343,24 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
         trav = fresh_trav(state, state.scenario)
         assert np.array_equal(maps.trav, trav)
         checks["trav"] += 1
-        fresh = distance_field(trav, state.belief.resolution, [episode._current_cell(state)])
-        assert maps.dist.tobytes() == fresh.tobytes()
-        checks["dist"] += 1
         return maps
+
+    def checked_field(maps, reach):
+        dist = read_field(maps, reach)
+        assert maps.reach >= reach
+        fresh = distance_field(maps.trav, maps.resolution, [maps.cell], maps.reach)
+        assert dist.tobytes() == fresh.tobytes()
+        whole = distance_field(maps.trav, maps.resolution, [maps.cell], math.inf)
+        finite = np.isfinite(dist)
+        assert whole[finite].tobytes() == dist[finite].tobytes()
+        assert (whole[~finite & np.isfinite(whole)] > maps.reach).all()
+        checks["dist"] += 1
+        checks["bounded"] += math.isfinite(maps.reach)
+        return dist
 
     monkeypatch.setattr(episode, "_sweep", checked_sweep)
     monkeypatch.setattr(episode, "_nav_maps", checked_nav_maps)
+    monkeypatch.setattr(episode._NavMaps, "field", checked_field)
     for i, scenario in enumerate(scenarios):
         episode.run_episode(scenario, ctx=ctx, seed=i)
     assert min(checks.values()) > 10
@@ -418,11 +443,12 @@ def test_budget_spent_on_a_visit_ends_the_episode(ctx):
 
 def test_a_viewpoint_without_a_path_is_abandoned(ctx, monkeypatch):
     """With no path anywhere, the visit is abandoned, the frontier leg is not
-    driven, and the next scan finds nothing new."""
+    driven, and the next scan finds nothing new.  A goal is asked on the
+    field out to the lidar range, and then on the whole field."""
     goals = []
 
     def no_path(dist, goal, resolution):
-        goals.append(goal)
+        goals.append((goal, int(np.isfinite(dist).sum())))
         raise NoPathError("blocked")
 
     monkeypatch.setattr(episode, "plan_path", no_path)
@@ -433,8 +459,36 @@ def test_a_viewpoint_without_a_path_is_abandoned(ctx, monkeypatch):
     assert trace[-5] == {"i": trace[-5]["i"], "event": "abandon", "id": "lm000",
                          "reason": "no_path"}
     assert trace[-2]["reason"] == "no_progress"
-    assert len(goals) == 2 and goals[1] == tuple(trace[-4]["goal"])
+    # The viewpoint is asked on both fields; the frontier, chosen on the whole
+    # field the visit left, on that field alone.
+    (view, near), (view_again, whole), (frontier, frontier_field) = goals
+    assert view == view_again and near < whole == frontier_field
+    assert frontier == tuple(trace[-4]["goal"])
     assert not result.success and result.traveled == 0.0 and result.waypoints_visited == 0
+
+
+def test_navigating_to_an_undrivable_goal_builds_no_field(ctx, monkeypatch):
+    """Every field holds ``inf`` on a goal off the map or off the drivable
+    mask, so ``_navigate`` gives up there without building one."""
+    state = episode.start_state(box_scenario(**DESK_ROOM), ctx, 0, None)
+    episode._sweep(state)
+    trav, cells = episode._nav_maps(state).trav, state.belief.cells
+
+    def first(mask):
+        return tuple(int(v) for v in np.argwhere(mask)[0][::-1])
+
+    def forbidden(*args):
+        raise AssertionError("a distance field was built")
+
+    monkeypatch.setattr(episode, "distance_field", forbidden)
+    width, height = state.belief.width, state.belief.height
+    goals = [(-1, 0), (0, -1), (width, 0), (0, height), first(cells == CellState.OCCUPIED),
+             first(cells == CellState.UNKNOWN), first(~trav & (cells == CellState.FREE))]
+    for goal in goals:
+        assert episode._navigate(state, goal) is False
+    assert state.trace == [] and state.traveled == 0.0
+    with pytest.raises(AssertionError, match="field was built"):
+        episode._navigate(state, first(trav & (cells == CellState.FREE)))
 
 
 def test_nothing_left_to_explore_ends_the_episode(ctx):

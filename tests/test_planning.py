@@ -10,7 +10,9 @@ is the cell-by-cell footprint whitelist that ``clear_robot_disk`` replaced, and
 planned with before it walked down the distance field; ``plan_path`` must
 match its lengths and its failures.  ``exact_descent`` walks down a field of
 exact lengths, a + b*sqrt(2) kept as the integer pair (a, b), so it pins the
-tie rule where rounding in a float field would hide it.
+tie rule where rounding in a float field would hide it.  A field bounded at a
+reach must equal ``coo_distance_field`` wherever that is within the reach,
+and the frontier, viewpoint and path found on it must be the whole field's.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from objsearch import planning
 from objsearch.errors import DomainError, NoPathError
 from objsearch.planning import (
     SQRT2,
@@ -185,7 +190,7 @@ class TestDistanceField:
             for count in (1, 3):
                 sources = random_sources(rng, trav, count)
                 for res in (0.1, 0.25):
-                    got = distance_field(trav, res, sources)
+                    got = distance_field(trav, res, sources, math.inf)
                     want = coo_distance_field(trav, res, sources)
                     assert got.tobytes() == want.tobytes()
 
@@ -201,7 +206,7 @@ class TestDistanceField:
             trav = rng.random(shape) >= density
             for source in border:
                 for sources in ([source], [source, border[-1 - border.index(source)]]):
-                    got = distance_field(trav, 0.1, sources)
+                    got = distance_field(trav, 0.1, sources, math.inf)
                     assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
 
     def test_invalid_and_duplicate_sources(self):
@@ -209,7 +214,7 @@ class TestDistanceField:
         trav = rng.random((20, 30)) < 0.7
         blocked = tuple(int(v) for v in np.argwhere(~trav)[0][::-1])
         for sources in ([], [(-1, 0)], [(30, 0)], [blocked], [(0, 0), (0, 0), blocked]):
-            got = distance_field(trav, 0.1, sources)
+            got = distance_field(trav, 0.1, sources, math.inf)
             assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (30, 50)])
@@ -229,11 +234,11 @@ class TestDistanceField:
                     near &= rng.random(near.shape) >= ring
                 for x, y in sources:
                     trav[y, x] = True
-                field = distance_field(trav, 0.1, sources)
+                field = distance_field(trav, 0.1, sources, math.inf)
                 assert field.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
                 assert np.isinf(field[~trav]).all()
         blocked = np.zeros(shape, dtype=bool)
-        field = distance_field(blocked, 0.1, [(0, 0)])
+        field = distance_field(blocked, 0.1, [(0, 0)], math.inf)
         assert field.tobytes() == coo_distance_field(blocked, 0.1, [(0, 0)]).tobytes()
         assert np.isinf(field).all()
 
@@ -243,7 +248,7 @@ class TestDistanceField:
         for k in range(40):
             trav = rng.random((25, 25)) < (0.75 if k % 2 else 0.45)
             start, goal = random_sources(rng, trav, 2)
-            field = distance_field(trav, 0.1, [start])
+            field = distance_field(trav, 0.1, [start], math.inf)
             want = field[goal[1], goal[0]]
             if math.isfinite(want):
                 path = plan_path(field, goal, 0.1)
@@ -271,7 +276,7 @@ class TestPlanPath:
                 if not sources:
                     continue
                 start = sources[0]
-                field = distance_field(trav, 0.25, [start])
+                field = distance_field(trav, 0.25, [start], math.inf)
                 goal = (int(rng.integers(width)), int(rng.integers(height)))
                 want = astar_path(trav, start, goal)
                 if want is None:
@@ -297,26 +302,26 @@ class TestPlanPath:
         for density in (0.0, 0.2, 0.4):
             trav = rng.random(shape) >= density
             start, goal = random_sources(rng, trav, 2)
-            field = distance_field(trav, 0.05, [start])
+            field = distance_field(trav, 0.05, [start], math.inf)
             if math.isfinite(field[goal[1], goal[0]]):
                 want = exact_descent(trav, start, goal)
                 assert list(plan_path(field, goal, 0.05).cells) == want
 
     def test_goal_at_the_source_is_one_cell(self):
         trav = np.ones((5, 6), dtype=bool)
-        path = plan_path(distance_field(trav, 0.5, [(2, 3)]), (2, 3), 0.5)
+        path = plan_path(distance_field(trav, 0.5, [(2, 3)], math.inf), (2, 3), 0.5)
         assert path == Path(cells=((2, 3),))
 
     @pytest.mark.parametrize("goal", [(-1, 0), (0, -1), (6, 0), (0, 5), (99, 99)])
     def test_goal_off_the_map_has_no_path(self, goal):
-        field = distance_field(np.ones((5, 6), dtype=bool), 0.5, [(2, 3)])
+        field = distance_field(np.ones((5, 6), dtype=bool), 0.5, [(2, 3)], math.inf)
         with pytest.raises(NoPathError):
             plan_path(field, goal, 0.5)
 
     def test_unreachable_and_blocked_goals_have_no_path(self):
         trav = np.ones((5, 6), dtype=bool)
         trav[:, 3] = False  # a wall splits the map
-        field = distance_field(trav, 0.5, [(1, 1)])
+        field = distance_field(trav, 0.5, [(1, 1)], math.inf)
         for goal in ((3, 2), (5, 4)):
             with pytest.raises(NoPathError):
                 plan_path(field, goal, 0.5)
@@ -327,12 +332,12 @@ class TestPlanPath:
         # the lower flat index, (2, 0) on row 0.
         trav = np.ones((3, 5), dtype=bool)
         trav[1, 2] = False
-        field = distance_field(trav, 0.1, [(1, 1)])
+        field = distance_field(trav, 0.1, [(1, 1)], math.inf)
         path = plan_path(field, (3, 1), 0.1)
         assert path.cells == ((1, 1), (2, 0), (3, 1))
         assert path_length(path.cells, 0.1) == pytest.approx(2 * SQRT2 * 0.1, rel=1e-12)
         # Mirrored, the lower index is on row 0 again.
-        field = distance_field(trav, 0.1, [(3, 1)])
+        field = distance_field(trav, 0.1, [(3, 1)], math.inf)
         assert plan_path(field, (1, 1), 0.1).cells == ((3, 1), (2, 0), (1, 1))
 
 
@@ -412,7 +417,7 @@ class TestGenerateViewpoints:
     def test_nearest_reachable_pose_wins(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 5)]))
+        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 5)], math.inf))
         assert (vp.landmark.id, vp.landmark.name, vp.landmark.cooccur,
                 vp.landmark.sem_uncert) == ("lm000", "desk", 0.5, 0.1)
         assert vp.pose.x == pytest.approx(8.5) and vp.pose.y == pytest.approx(5.5)
@@ -424,7 +429,7 @@ class TestGenerateViewpoints:
     def test_tie_goes_to_lower_angle_index(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, distance_field(trav, 1.0, [(5, 5)]))
+        vp = self.choose(belief, distance_field(trav, 1.0, [(5, 5)], math.inf))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((8.5, 5.5))
         vp = self.choose(belief, self.field(3.0, 2.0, 2.0, 2.0))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((5.5, 8.5))
@@ -440,18 +445,18 @@ class TestGenerateViewpoints:
         # other, so the field the episode builds holds inf at both.
         belief = open_belief(11, 11, unknown=[(8, 5)])
         assert self.choose(belief, distance_field(np.ones((11, 11), dtype=bool), 1.0,
-                                                  [(9, 9)])).pose.x == pytest.approx(8.5)
+                                                  [(9, 9)], math.inf)).pose.x == pytest.approx(8.5)
         belief.cells[9, 5] = CellState.OCCUPIED
         trav = drivable_mask(belief, (9, 9), robot_radius=1.0)
         assert not trav[5, 8] and not trav[8, 5]
-        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 9)]))
+        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 9)], math.inf))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((2.5, 5.5))
 
     def test_no_usable_candidate_gives_none(self):
         belief = open_belief(11, 11, unknown=self.RING)
         assert self.choose(belief, self.field()) is None
         trav = drivable_mask(belief, (0, 0), robot_radius=0.0)
-        assert self.choose(belief, distance_field(trav, 1.0, [(0, 0)])) is None
+        assert self.choose(belief, distance_field(trav, 1.0, [(0, 0)], math.inf)) is None
 
     def test_ring_poses_off_the_map_are_skipped(self):
         belief = open_belief(11, 11)
@@ -607,11 +612,13 @@ class TestNearestFrontier:
     def test_closest_cluster_wins(self):
         belief = self.belief()
         free = belief.cells == CellState.FREE
-        frontier = nearest_frontier(belief, PlannerParams(), distance_field(free, 1.0, [(0, 0)]))
+        field = distance_field(free, 1.0, [(0, 0)], math.inf)
+        frontier = nearest_frontier(belief, PlannerParams(), field)
         assert frontier.cells == tuple(self.SMALL)
         assert frontier.centroid == pytest.approx((2.5, 2.5))
         assert frontier.closest_cell == (2, 1)  # ties with (1, 2); first in row order
-        frontier = nearest_frontier(belief, PlannerParams(), distance_field(free, 1.0, [(14, 9)]))
+        field = distance_field(free, 1.0, [(14, 9)], math.inf)
+        frontier = nearest_frontier(belief, PlannerParams(), field)
         assert frontier.cells == tuple(self.LARGE)
         assert frontier.closest_cell == (12, 6)
 
@@ -688,3 +695,148 @@ def test_disk_offsets_are_shared_read_only_and_exact(radius):
     assert again[0] is got_dy and again[1] is got_dx
     with pytest.raises(ValueError):
         got_dx[0] = 99
+
+
+@st.composite
+def masks_and_sources(draw):
+    """A random mask (1 x N, N x 1 or 2-D), one to three sources on its
+    corners, its border rows and columns or anywhere, and a resolution."""
+    height, width = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(2, 32), st.integers(2, 32)),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trav = rng.random((height, width)) >= draw(st.sampled_from([0.0, 0.2, 0.4, 0.6]))
+    cell = st.one_of(
+        st.tuples(st.sampled_from([0, width - 1]), st.sampled_from([0, height - 1])),
+        st.tuples(st.integers(0, width - 1), st.sampled_from([0, height - 1])),
+        st.tuples(st.sampled_from([0, width - 1]), st.integers(0, height - 1)),
+        st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
+    )
+    sources = draw(st.lists(cell, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        for x, y in sources:
+            trav[y, x] = True
+    return trav, sources, draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+
+
+def reaches_for(whole, resolution, rng):
+    """Reaches of 0, below one step, one step and just below it, values the
+    whole field attains and just below them, and beyond any path on the map."""
+    out = [0.0, 0.5 * resolution, math.nextafter(resolution, 0.0), resolution,
+           whole.size * SQRT2 * resolution, 1e9]
+    finite = whole[np.isfinite(whole)]
+    for value in rng.choice(finite, size=min(4, finite.size), replace=False).tolist():
+        out += [value, math.nextafter(value, 0.0)]
+    return out
+
+
+class TestBoundedField:
+    """A field with a finite reach is the whole field where that is at most
+    the reach and ``inf`` beyond, and every answer found on it is the one
+    the whole field gives."""
+
+    @given(masks_and_sources(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_field_within_reach_and_inf_beyond(self, case, seed):
+        trav, sources, res = case
+        whole = coo_distance_field(trav, res, sources)
+        for reach in reaches_for(whole, res, np.random.default_rng(seed)):
+            want = np.where(whole <= reach, whole, np.inf)
+            assert distance_field(trav, res, sources, reach).tobytes() == want.tobytes()
+
+    def test_one_source_searches_one_padded_window_per_reach(self, monkeypatch):
+        # Sources in every corner, beside the border and inside: the window
+        # is the same 2k + 1 square wherever it passes the map's edge, and
+        # the whole map once the window would be larger.
+        shapes = []
+        window_field = planning._window_field
+
+        def recorded(trav, cells, limit):
+            shapes.append(trav.shape)
+            return window_field(trav, cells, limit)
+
+        monkeypatch.setattr(planning, "_window_field", recorded)
+        rng = np.random.default_rng(3)
+        trav = rng.random((60, 70)) >= 0.2
+        sources = [(0, 0), (69, 0), (0, 59), (69, 59), (1, 30), (35, 58), (35, 30)]
+        for reach in (0.0, 0.05, 0.1, 0.35, 1.0, 2.8, 2.9, 4.0, math.inf):
+            k = math.ceil(reach / 0.1) + 1 if math.isfinite(reach) else math.inf
+            want = (2 * k + 1,) * 2 if (2 * k + 1) ** 2 < trav.size else trav.shape
+            for source in sources:
+                trav[source[1], source[0]] = True
+                shapes.clear()
+                field = distance_field(trav, 0.1, [source], reach)
+                assert shapes == [want]
+                whole = coo_distance_field(trav, 0.1, [source])
+                assert field.tobytes() == np.where(whole <= reach, whole, np.inf).tobytes()
+
+    def test_negative_or_nan_reach_is_rejected(self):
+        trav = np.ones((3, 3), dtype=bool)
+        for reach in (-0.1, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                distance_field(trav, 0.1, [(1, 1)], reach)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 0.5]),
+           st.integers(1, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_answers_found_within_reach_are_whole_field_answers(
+        self, seed, robot_radius, min_cells, attained
+    ):
+        # A belief explored out to a random disk around the robot, with
+        # obstacles and unknown speckle; the reach is random or a value the
+        # whole field attains, so answers tie on its rim.
+        rng = np.random.default_rng(seed)
+        height, width = (int(v) for v in rng.integers(3, 31, size=2))
+        cells = np.where(rng.random((height, width)) < rng.uniform(0.0, 0.25),
+                         CellState.OCCUPIED.value, CellState.FREE.value).astype(np.uint8)
+        start = (int(rng.integers(width)), int(rng.integers(height)))
+        ys, xs = np.mgrid[:height, :width]
+        explored = np.hypot(xs - start[0], ys - start[1]) <= rng.uniform(1.0, max(height, width))
+        cells[~explored | (rng.random((height, width)) < 0.03)] = CellState.UNKNOWN.value
+        cells[start[1], start[0]] = CellState.FREE.value
+        belief = GridMap(width, height, 0.25, cells)
+        trav = drivable_mask(belief, start, robot_radius)
+        whole = distance_field(trav, 0.25, [start], math.inf)
+        finite = whole[np.isfinite(whole)]
+        reach = float(rng.choice(finite)) if attained else float(rng.uniform(0.0, 6.0))
+        near = distance_field(trav, 0.25, [start], reach)
+        params = PlannerParams(view_radius=float(rng.uniform(0.5, 2.0)),
+                               view_directions=int(rng.integers(1, 9)),
+                               min_frontier_cells=min_cells)
+        found = nearest_frontier(belief, params, near)
+        if found is not None:
+            assert found == nearest_frontier(belief, params, whole)
+        for _ in range(3):
+            position = tuple(rng.uniform(0.0, [width * 0.25, height * 0.25]).tolist())
+            landmark = LandmarkEntry("lm000", "desk", position, 0.5, 0.0)
+            vp = generate_viewpoints(belief, landmark, params, near)
+            if vp is not None:
+                assert vp == generate_viewpoints(belief, landmark, params, whole)
+        gys, gxs = np.nonzero(np.isfinite(near))
+        for k in rng.choice(gxs.size, size=min(5, gxs.size), replace=False).tolist():
+            goal = (int(gxs[k]), int(gys[k]))
+            assert plan_path(near, goal, 0.25) == plan_path(whole, goal, 0.25)
+
+    def test_only_the_whole_field_finds_a_far_answer(self):
+        # A 1 m-cell corridor, the robot at its west end; the unknown east
+        # end, a landmark's viewpoints and the path to them lie beyond 5 m.
+        belief = open_belief(30, 3, unknown=[(29, y) for y in range(3)])
+        start = (0, 1)
+        trav = drivable_mask(belief, start, robot_radius=0.0)
+        near = distance_field(trav, 1.0, [start], 5.0)
+        whole = distance_field(trav, 1.0, [start], math.inf)
+        params = PlannerParams(view_radius=1.0, view_directions=4)
+        assert nearest_frontier(belief, params, near) is None
+        frontier = nearest_frontier(belief, params, whole)
+        assert frontier.closest_cell == (28, 1) and len(frontier.cells) == 3
+        landmark = LandmarkEntry("lm000", "desk", (20.5, 1.5), 0.5, 0.0)
+        assert generate_viewpoints(belief, landmark, params, near) is None
+        vp = generate_viewpoints(belief, landmark, params, whole)
+        assert (vp.pose.x, vp.pose.y) == pytest.approx((19.5, 1.5))
+        with pytest.raises(NoPathError):
+            plan_path(near, (19, 1), 1.0)
+        assert len(plan_path(whole, (19, 1), 1.0).cells) == 20
+        # Within the reach the two fields give one answer.
+        assert plan_path(near, (5, 1), 1.0) == plan_path(whole, (5, 1), 1.0)

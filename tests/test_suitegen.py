@@ -35,7 +35,7 @@ from objsearch.suitegen import (
     _split_rooms,
     generate_suite,
 )
-from objsearch.world import CellState, PlannerParams, load_scenario, serialize_scenario
+from objsearch.world import CellState, GridMap, PlannerParams, load_scenario, serialize_scenario
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
@@ -146,17 +146,26 @@ def doorway_map():
     return occ, (3.5, 0.1, 4.5, 1.2)
 
 
+def grid_of(occ, res=0.1):
+    """The map that placement builds beside ``occ``: Free, or Occupied where set."""
+    n = occ.shape[0]
+    return GridMap(n, n, res, np.where(occ, CellState.OCCUPIED.value, CellState.FREE.value))
+
+
 def test_placement_keeps_a_connected_map_connected():
+    # It also keeps the map it builds equal to the occupancy it places on.
     occ, _ = doorway_map()
     assert _connected(occ)
     for seed in range(60):
         trial = occ.copy()
+        grid = grid_of(trial)
         try:
-            _place_landmarks(trial, np.random.default_rng(seed), ["desk", "bed", "sofa"], set(),
-                             0.1, PlannerParams())
+            _place_landmarks(trial, grid, np.random.default_rng(seed), ["desk", "bed", "sofa"],
+                             set(), PlannerParams())
         except _Retry:
             continue
         assert _connected(trial), seed
+        assert grid == grid_of(trial), seed
 
 
 def test_placement_rejects_a_footprint_that_seals_the_doorway(monkeypatch):
@@ -170,9 +179,10 @@ def test_placement_rejects_a_footprint_that_seals_the_doorway(monkeypatch):
     trial[rows, cols] = True
     assert not _ring_connected(trial, rows, cols) and not _connected(trial)
     before = occ.copy()
+    grid = grid_of(occ)
     with pytest.raises(_Retry, match="could not place landmark 'desk'"):
-        _place_landmarks(occ, np.random.default_rng(0), ["desk"], set(), 0.1, PlannerParams())
-    assert np.array_equal(occ, before)
+        _place_landmarks(occ, grid, np.random.default_rng(0), ["desk"], set(), PlannerParams())
+    assert np.array_equal(occ, before) and grid == grid_of(before)
 
 
 SHORTCUT_SHAPES = [
@@ -211,7 +221,8 @@ def test_placement_leaves_a_free_point_on_the_planners_ring():
     for seed in range(40):
         occ = np.zeros((80, 80), dtype=bool)
         occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
-        (desk,) = _place_landmarks(occ, np.random.default_rng(seed), ["desk"], set(), 0.1, planner)
+        (desk,) = _place_landmarks(occ, grid_of(occ), np.random.default_rng(seed), ["desk"],
+                                   set(), planner)
         x0, y0, x1, y1 = desk.footprint
         ix, iy = int((0.5 * (x0 + x1) + 3.0) / 0.1), int(0.5 * (y0 + y1) / 0.1)
         assert 0 <= ix < 80 and not occ[iy, ix]

@@ -80,7 +80,7 @@ def stepwise_ground_truth_shortest(scenario):
             if inside and grid.in_bounds(ix, iy) and grid.is_free(ix, iy):
                 trav[iy, ix] = True
     trav[sy, sx] = True
-    dist = distance_field(trav, grid.resolution, [start])
+    dist = distance_field(trav, grid.resolution, [start], math.inf)
     hp = scenario.hyperparams
     slack = target.radius + 2.0 * grid.resolution
     max_range = hp.cam_range + grid.resolution
@@ -652,7 +652,7 @@ class TestTargetObservable:
                     )
                     drivable = drivable_mask(grid, start, radius)
                     ys, xs = np.nonzero(np.isfinite(distance_field(drivable, grid.resolution,
-                                                                   [start])))
+                                                                   [start], math.inf)))
                     got = observable(moved)
                     for order in (np.arange(xs.size), rng.permutation(xs.size)):
                         hit = reference_first_confirming(grid, moved.target,
@@ -697,7 +697,8 @@ class TestTargetObservable:
         set_cells(rows, ring(25, 25, 4, 8), "#")
         scenario = with_map(box_scenario(size_m=5.0, start=(0.55, 0.55, 0.0)), rows, (2.55, 2.55))
         dist = distance_field(
-            drivable_mask(scenario.map, (5, 5), scenario.planner.robot_radius), 0.1, [(5, 5)]
+            drivable_mask(scenario.map, (5, 5), scenario.planner.robot_radius), 0.1, [(5, 5)],
+            math.inf,
         )
         ys, xs = np.nonzero(np.isfinite(dist))
         gap = np.hypot(2.55 - (xs + 0.5) * 0.1, 2.55 - (ys + 0.5) * 0.1)
@@ -819,7 +820,7 @@ class TestCameraWindow:
             tx, ty = scenario.target.position
             start = grid.world_to_cell(scenario.start.x, scenario.start.y)
             drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
-            reachable = np.isfinite(distance_field(drivable, grid.resolution, [start]))
+            reachable = np.isfinite(distance_field(drivable, grid.resolution, [start], math.inf))
             want = loop_cells_near_rect(reachable, (tx, ty, tx, ty), grid.resolution,
                                         scenario.hyperparams.cam_range + grid.resolution)
             assert 0 < len(want) < grid.width * grid.height / 4
