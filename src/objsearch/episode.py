@@ -122,7 +122,7 @@ class _NavMaps:
         """Travel distance field from the robot cell over ``trav``, out to at
         least ``reach`` metres."""
         if reach > self.reach:
-            self.dist = distance_field(self.trav, self.resolution, [self.cell], reach)
+            self.dist = distance_field(self.trav, self.resolution, self.cell, reach)
             self.dist.setflags(write=False)
             self.reach = reach
         return self.dist
@@ -145,7 +145,6 @@ class EpisodeState:
     obs_counter: int = 0
     confirm_cursor: int = 0  # candidates before this index are already judged
     trace: list[dict] = field(default_factory=list)
-    cooccur_by_name: dict[str, float] = field(default_factory=dict)  # with the target phrase
     # Per-episode reuse; see the module docstring.
     swept: set[tuple[float, float]] = field(default_factory=set)
     nav_maps: _NavMaps | None = None
@@ -218,13 +217,11 @@ def _next_rng(state: EpisodeState) -> _LazyStream:
 
 def _target_cooccur(state: EpisodeState, name: str) -> float:
     scenario, ctx = state.scenario, state.ctx
-    known = state.cooccur_by_name
-    if name not in known:
-        known[name] = ctx.cooccurrence(scenario.target_phrase, name)
-        # Flag the fallback once, on the first name scored.
-        if len(known) == 1 and scenario.target_phrase not in ctx.generations:
-            _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
-    return known[name]
+    value = ctx.cooccurrence(scenario.target_phrase, name)
+    # Flag the fallback once: the first name scored is registered at once.
+    if not state.registry and scenario.target_phrase not in ctx.generations:
+        _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
+    return value
 
 
 def _register_sighting(

@@ -107,9 +107,6 @@ class GenerationTable:
     def __contains__(self, target: str) -> bool:
         return target.lower() in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, target: str) -> list[str]:
         try:
             return list(self._entries[target.lower()])

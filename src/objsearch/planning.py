@@ -231,19 +231,20 @@ def _neighbor_slots(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 def distance_field(
     traversable: np.ndarray,
     resolution: float,
-    sources: Iterable[tuple[int, int]],
+    source: tuple[int, int],
     reach: float,
 ) -> np.ndarray:
-    """Metric shortest-path distance from the nearest source to every cell
-    within ``reach`` metres of travel; ``math.inf`` gives the whole field.
+    """Metric shortest-path distance from the ``source`` cell (x, y) to every
+    cell within ``reach`` metres of travel; ``math.inf`` gives the whole field.
 
     Unreachable and non-traversable cells, and cells farther than ``reach``,
-    hold ``inf``.  Exact octile costs, computed with a C Dijkstra over the
+    hold ``inf``; so does every cell when the source is off the map or not
+    traversable.  Exact octile costs, computed with a C Dijkstra over the
     8-connected free-cell graph.  The
     graph's layout is fixed per map shape (:func:`_neighbor_slots`, cached):
     every cell has one directed slot per neighbour direction, so a call
-    builds only the weights, by source cell: the step out of a traversable
-    cell and ``inf`` out of any other, one row gathered from
+    builds only the weights, by the cell an edge leaves: the step out of a
+    traversable cell and ``inf`` out of any other, one row gathered from
     :data:`_WEIGHT_ROWS` per cell.  An ``inf`` edge is never relaxed.  A
     non-traversable cell may receive a finite value over its in-edges, but
     its out-edges are all ``inf``, so it passes nothing on and every other
@@ -264,47 +265,42 @@ def distance_field(
       neighbour, its minimising edge is relaxed, and it gets its whole-field
       value.  A cell past the limit never gets a value.
     - The mask is cropped to the square window of ``k = ceil(reach /
-      resolution) + 1`` cells on each side of the sources, padded with
-      non-traversable cells where it passes the map's border, so one source
-      always gives a ``2k + 1`` window and :func:`_neighbor_slots` one cached
-      layout per ``k``.  A step moves at most one cell along each axis and
-      costs at least one, so a cell within the limit (whose widening is far
-      below a step) lies at most ``ceil(reach / resolution)`` cells from a
-      source along each axis; the ``+ 1`` is a ring beyond that, so every
-      edge of every such cell is an edge of the window's graph, as of the
-      map's.  Padding adds only blocked cells, which pass nothing on.  The
-      same weights, graph and Dijkstra then run on the window.  The window
-      is skipped when it would hold more cells than the map.
+      resolution) + 1`` cells on each side of the source, padded with
+      non-traversable cells where it passes the map's border, so the
+      window is always ``2k + 1`` cells wide and :func:`_neighbor_slots`
+      has one cached layout per ``k``.  A step moves at most one cell along
+      each axis and costs at least one, so a cell within the limit (whose
+      widening is far below a step) lies at most ``ceil(reach /
+      resolution)`` cells from the source along each axis; the ``+ 1`` is a
+      ring beyond that, so every edge of every such cell is an edge of the
+      window's graph, as of the map's.  Padding adds only blocked cells,
+      which pass nothing on.  The same weights, graph and Dijkstra then run
+      on the window, or on the whole mask when the window would hold as
+      many cells as the map or more.  ``reach / resolution`` is clamped to
+      the map's longer side before the ``ceil``, which keeps ``k`` finite.
     """
     if not reach >= 0.0:
         raise DomainError(f"distance_field reach {reach} must be >= 0")
     height, width = traversable.shape
     trav = np.ascontiguousarray(traversable, dtype=bool)
-    cells = [
-        (int(x), int(y))
-        for x, y in sources
-        if 0 <= x < width and 0 <= y < height and trav[int(y), int(x)]
-    ]
-    if not cells:
+    x, y = int(source[0]), int(source[1])
+    if not (0 <= x < width and 0 <= y < height and trav[y, x]):
         return np.full((height, width), np.inf)
-    if math.isinf(reach):
-        return _window_field(trav, cells, math.inf) * resolution
     limit = reach / resolution * (1.0 + _TIE_TOLERANCE)
-    k = math.ceil(reach / resolution) + 1
-    xs, ys = zip(*cells)
-    x0, y0 = min(xs) - k, min(ys) - k
-    side_x, side_y = max(xs) + k + 1 - x0, max(ys) + k + 1 - y0
-    if side_x * side_y >= height * width:
-        field = _window_field(trav, cells, limit) * resolution
+    k = math.ceil(min(reach / resolution, max(height, width))) + 1
+    side = 2 * k + 1
+    if side * side >= height * width:
+        field = _window_field(trav, y * width + x, limit) * resolution
         field[field > reach] = np.inf
         return field
     # The window's part on the map, in map and in window coordinates.
-    on_map = (slice(max(y0, 0), min(y0 + side_y, height)),
-              slice(max(x0, 0), min(x0 + side_x, width)))
+    x0, y0 = x - k, y - k
+    on_map = (slice(max(y0, 0), min(y0 + side, height)),
+              slice(max(x0, 0), min(x0 + side, width)))
     in_window = tuple(slice(s.start - o, s.stop - o) for s, o in zip(on_map, (y0, x0)))
-    window = np.zeros((side_y, side_x), dtype=bool)
+    window = np.zeros((side, side), dtype=bool)
     window[in_window] = trav[on_map]
-    kept = _window_field(window, [(x - x0, y - y0) for x, y in cells], limit)[in_window]
+    kept = _window_field(window, k * side + k, limit)[in_window]
     kept *= resolution
     kept[kept > reach] = np.inf
     field = np.full((height, width), np.inf)
@@ -312,17 +308,16 @@ def distance_field(
     return field
 
 
-def _window_field(trav: np.ndarray, cells: list[tuple[int, int]], limit: float) -> np.ndarray:
+def _window_field(trav: np.ndarray, index: int, limit: float) -> np.ndarray:
     """:func:`distance_field`'s Dijkstra in steps on a contiguous mask, from
-    traversable source cells, searching no farther than ``limit``."""
+    the traversable cell at flat ``index``, searching no farther than ``limit``."""
     height, width = trav.shape
-    indices = [y * width + x for x, y in cells]
     weights = _WEIGHT_ROWS.take(trav.reshape(-1).view(np.uint8), axis=0)
     n = height * width
     graph = csr_matrix((weights.reshape(-1), *_neighbor_slots(height, width)), shape=(n, n))
-    field = _csgraph_dijkstra(graph, directed=True, indices=indices, min_only=True, limit=limit)
+    field = _csgraph_dijkstra(graph, directed=True, indices=index, min_only=True, limit=limit)
     field[~trav.reshape(-1)] = np.inf
-    field[indices] = 0.0
+    field[index] = 0.0
     return field.reshape(height, width)
 
 
@@ -555,7 +550,7 @@ def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     grid = scenario.map
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
-    dist = distance_field(drivable, grid.resolution, [start], math.inf)
+    dist = distance_field(drivable, grid.resolution, start, math.inf)
     tx, ty = scenario.target.position
     max_dist = scenario.hyperparams.cam_range + grid.resolution
     xs, ys = cells_near(np.isfinite(dist), (tx, ty, tx, ty), grid.resolution, max_dist)

@@ -386,25 +386,21 @@ _SWEEP_CACHE_SIZE = 512
 
 
 def raycast_batch(
-    grid: GridMap, origin, bearings: np.ndarray, max_range
+    grid: GridMap, origin: tuple[float, float], bearings: np.ndarray, max_range: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trace rays one at a time with :func:`_walk`.
+    """Trace rays from one (x, y) ``origin``, out to one ``max_range``, one
+    at a time with :func:`_walk`.
 
-    ``origin`` is one (x, y) point shared by every ray or an (n, 2) array
-    with one origin per ray; ``max_range`` is one range or one per ray.
-    Every origin must lie on the map, also when no ray is cast.  Returns
+    The origin must lie on the map, also when no ray is cast.  Returns
     (distances, blocked), each ray's :func:`_walk` from its direction
     cosines, ``np.cos`` and ``np.sin`` of the bearings array.
     """
+    x, y = float(origin[0]), float(origin[1])
+    _origin_cell(grid, x, y)
     bearings = np.asarray(bearings, dtype=np.float64)
-    n = bearings.shape[0]
-    points = np.asarray(origin, dtype=np.float64).reshape(-1, 2).tolist()
-    for x, y in points:
-        _origin_cell(grid, x, y)
-    rows = np.broadcast_to(np.arange(len(points)), (n,)).tolist()
-    reach = np.broadcast_to(np.asarray(max_range, dtype=np.float64), (n,)).tolist()
-    rays = [_walk(grid, *points[row], dx, dy, r) for row, dx, dy, r
-            in zip(rows, np.cos(bearings).tolist(), np.sin(bearings).tolist(), reach)]
+    reach = float(max_range)
+    rays = [_walk(grid, x, y, dx, dy, reach)
+            for dx, dy in zip(np.cos(bearings).tolist(), np.sin(bearings).tolist())]
     return (np.array([d for d, _ in rays], dtype=np.float64),
             np.array([b for _, b in rays], dtype=bool))
 

@@ -35,6 +35,7 @@ from objsearch import episode, world
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.errors import NoPathError
+from objsearch.knowledge import FALLBACK_COOCCURRENCE
 from objsearch.planning import (
     LandmarkEntry,
     Viewpoint,
@@ -312,11 +313,11 @@ def test_reuse_keys_on_sweep_origin_and_known_cells(ctx, monkeypatch):
     assert not np.array_equal(trav, stale_trav)
     assert np.array_equal(trav, fresh_trav(state, scenario))
     near = episode._nav_maps(state).field(reach)
-    assert near.tobytes() == distance_field(trav, 0.5, [(2, 2)], reach).tobytes()
+    assert near.tobytes() == distance_field(trav, 0.5, (2, 2), reach).tobytes()
     assert not near.flags.writeable
     dist = episode._nav_maps(state).field(math.inf)
     assert dist.tobytes() != stale_dist.tobytes()
-    assert dist.tobytes() == distance_field(trav, 0.5, [(2, 2)], math.inf).tobytes()
+    assert dist.tobytes() == distance_field(trav, 0.5, (2, 2), math.inf).tobytes()
     assert not trav.flags.writeable and not dist.flags.writeable
 
 
@@ -348,9 +349,9 @@ def test_reused_layers_equal_fresh_ones(scenarios, ctx, monkeypatch):
     def checked_field(maps, reach):
         dist = read_field(maps, reach)
         assert maps.reach >= reach
-        fresh = distance_field(maps.trav, maps.resolution, [maps.cell], maps.reach)
+        fresh = distance_field(maps.trav, maps.resolution, maps.cell, maps.reach)
         assert dist.tobytes() == fresh.tobytes()
-        whole = distance_field(maps.trav, maps.resolution, [maps.cell], math.inf)
+        whole = distance_field(maps.trav, maps.resolution, maps.cell, math.inf)
         finite = np.isfinite(dist)
         assert whole[finite].tobytes() == dist[finite].tobytes()
         assert (whole[~finite & np.isfinite(whole)] > maps.reach).all()
@@ -586,3 +587,35 @@ def test_a_frame_that_draws_nothing_builds_no_stream(scenarios, ctx, monkeypatch
     assert state.obs_counter == 160
     assert 0 < len(seeing) < 80
     assert built == [(3, c) for c in seeing]
+
+
+# The golden and clutter suites with their target renamed to "alarm", which
+# has a word vector but no entry in the generation table.
+FALLBACK_TRACE_SHA256 = "5d4c1b0193ce69314b83ce25aeadaa4fc221cb3580a8e4efd40656b0a28a98fe"
+
+
+def test_a_target_the_table_lacks_scores_every_landmark_by_the_fallback(scenarios, clutter, ctx):
+    """An episode flags the fallback prior once, directly before the first
+    landmark it registers (if it registers any), and every landmark it
+    registers scores :data:`~objsearch.knowledge.FALLBACK_COOCCURRENCE`."""
+    assert "alarm" in ctx.words and "alarm" not in ctx.generations
+    traces, flagged = [], 0
+    for i, scenario in [*enumerate(scenarios), *enumerate(clutter[0])]:
+        doc = world.scenario_to_dict(scenario)
+        doc["target"] = "alarm"
+        for ob in doc["objects"]:
+            if ob["is_target"]:
+                ob["name"] = "alarm"
+        trace = run_episode(world.load_scenario(json.dumps(doc)), ctx=ctx, seed=i).trace
+        events = [e["event"] for e in trace]
+        registered = [e for e in trace if e["event"] in ("landmark_new", "landmark_update")]
+        assert all(e["cooccur"] == FALLBACK_COOCCURRENCE for e in registered)
+        if registered:
+            flag = events.index("fallback_cooccurrence")
+            assert events[flag + 1] == "landmark_new"
+            assert "landmark_new" not in events[:flag] and trace[flag]["target"] == "alarm"
+            flagged += 1
+        assert events.count("fallback_cooccurrence") == (1 if registered else 0)
+        traces.append(trace_to_jsonl(trace))
+    assert flagged == 6
+    assert sha256("".join(traces)) == FALLBACK_TRACE_SHA256

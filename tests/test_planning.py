@@ -187,11 +187,10 @@ class TestDistanceField:
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         for density in (0.0, 0.3, 0.6, 1.0):
             trav = rng.random(shape) >= density
-            for count in (1, 3):
-                sources = random_sources(rng, trav, count)
+            for source in random_sources(rng, trav, 1) or [(0, 0)]:
                 for res in (0.1, 0.25):
-                    got = distance_field(trav, res, sources, math.inf)
-                    want = coo_distance_field(trav, res, sources)
+                    got = distance_field(trav, res, source, math.inf)
+                    want = coo_distance_field(trav, res, [source])
                     assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(1, 12), (12, 1), (5, 8)])
@@ -205,17 +204,18 @@ class TestDistanceField:
         for density in (0.0, 0.3):
             trav = rng.random(shape) >= density
             for source in border:
-                for sources in ([source], [source, border[-1 - border.index(source)]]):
-                    got = distance_field(trav, 0.1, sources, math.inf)
-                    assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
+                got = distance_field(trav, 0.1, source, math.inf)
+                assert got.tobytes() == coo_distance_field(trav, 0.1, [source]).tobytes()
 
-    def test_invalid_and_duplicate_sources(self):
+    def test_source_off_the_map_or_blocked(self):
         rng = np.random.default_rng(9)
         trav = rng.random((20, 30)) < 0.7
         blocked = tuple(int(v) for v in np.argwhere(~trav)[0][::-1])
-        for sources in ([], [(-1, 0)], [(30, 0)], [blocked], [(0, 0), (0, 0), blocked]):
-            got = distance_field(trav, 0.1, sources, math.inf)
-            assert got.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
+        for source in ((-1, 0), (0, -1), (30, 0), (0, 20), blocked):
+            for reach in (0.5, math.inf):
+                got = distance_field(trav, 0.1, source, reach)
+                assert got.tobytes() == coo_distance_field(trav, 0.1, [source]).tobytes()
+                assert np.isinf(got).all()
 
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (30, 50)])
     def test_blocked_cells_beside_sources_and_unreachable_islands(self, shape):
@@ -228,17 +228,16 @@ class TestDistanceField:
         for density in (0.0, 0.3, 0.6):
             for ring in (0.5, 1.0):
                 trav = rng.random(shape) >= density
-                sources = random_sources(rng, trav, 2)
-                for x, y in sources:
-                    near = trav[max(y - 1, 0) : y + 2, max(x - 1, 0) : x + 2]
-                    near &= rng.random(near.shape) >= ring
-                for x, y in sources:
-                    trav[y, x] = True
-                field = distance_field(trav, 0.1, sources, math.inf)
-                assert field.tobytes() == coo_distance_field(trav, 0.1, sources).tobytes()
+                (source,) = random_sources(rng, trav, 1)
+                x, y = source
+                near = trav[max(y - 1, 0) : y + 2, max(x - 1, 0) : x + 2]
+                near &= rng.random(near.shape) >= ring
+                trav[y, x] = True
+                field = distance_field(trav, 0.1, source, math.inf)
+                assert field.tobytes() == coo_distance_field(trav, 0.1, [source]).tobytes()
                 assert np.isinf(field[~trav]).all()
         blocked = np.zeros(shape, dtype=bool)
-        field = distance_field(blocked, 0.1, [(0, 0)], math.inf)
+        field = distance_field(blocked, 0.1, (0, 0), math.inf)
         assert field.tobytes() == coo_distance_field(blocked, 0.1, [(0, 0)]).tobytes()
         assert np.isinf(field).all()
 
@@ -248,7 +247,7 @@ class TestDistanceField:
         for k in range(40):
             trav = rng.random((25, 25)) < (0.75 if k % 2 else 0.45)
             start, goal = random_sources(rng, trav, 2)
-            field = distance_field(trav, 0.1, [start], math.inf)
+            field = distance_field(trav, 0.1, start, math.inf)
             want = field[goal[1], goal[0]]
             if math.isfinite(want):
                 path = plan_path(field, goal, 0.1)
@@ -276,7 +275,7 @@ class TestPlanPath:
                 if not sources:
                     continue
                 start = sources[0]
-                field = distance_field(trav, 0.25, [start], math.inf)
+                field = distance_field(trav, 0.25, start, math.inf)
                 goal = (int(rng.integers(width)), int(rng.integers(height)))
                 want = astar_path(trav, start, goal)
                 if want is None:
@@ -302,26 +301,26 @@ class TestPlanPath:
         for density in (0.0, 0.2, 0.4):
             trav = rng.random(shape) >= density
             start, goal = random_sources(rng, trav, 2)
-            field = distance_field(trav, 0.05, [start], math.inf)
+            field = distance_field(trav, 0.05, start, math.inf)
             if math.isfinite(field[goal[1], goal[0]]):
                 want = exact_descent(trav, start, goal)
                 assert list(plan_path(field, goal, 0.05).cells) == want
 
     def test_goal_at_the_source_is_one_cell(self):
         trav = np.ones((5, 6), dtype=bool)
-        path = plan_path(distance_field(trav, 0.5, [(2, 3)], math.inf), (2, 3), 0.5)
+        path = plan_path(distance_field(trav, 0.5, (2, 3), math.inf), (2, 3), 0.5)
         assert path == Path(cells=((2, 3),))
 
     @pytest.mark.parametrize("goal", [(-1, 0), (0, -1), (6, 0), (0, 5), (99, 99)])
     def test_goal_off_the_map_has_no_path(self, goal):
-        field = distance_field(np.ones((5, 6), dtype=bool), 0.5, [(2, 3)], math.inf)
+        field = distance_field(np.ones((5, 6), dtype=bool), 0.5, (2, 3), math.inf)
         with pytest.raises(NoPathError):
             plan_path(field, goal, 0.5)
 
     def test_unreachable_and_blocked_goals_have_no_path(self):
         trav = np.ones((5, 6), dtype=bool)
         trav[:, 3] = False  # a wall splits the map
-        field = distance_field(trav, 0.5, [(1, 1)], math.inf)
+        field = distance_field(trav, 0.5, (1, 1), math.inf)
         for goal in ((3, 2), (5, 4)):
             with pytest.raises(NoPathError):
                 plan_path(field, goal, 0.5)
@@ -332,12 +331,12 @@ class TestPlanPath:
         # the lower flat index, (2, 0) on row 0.
         trav = np.ones((3, 5), dtype=bool)
         trav[1, 2] = False
-        field = distance_field(trav, 0.1, [(1, 1)], math.inf)
+        field = distance_field(trav, 0.1, (1, 1), math.inf)
         path = plan_path(field, (3, 1), 0.1)
         assert path.cells == ((1, 1), (2, 0), (3, 1))
         assert path_length(path.cells, 0.1) == pytest.approx(2 * SQRT2 * 0.1, rel=1e-12)
         # Mirrored, the lower index is on row 0 again.
-        field = distance_field(trav, 0.1, [(3, 1)], math.inf)
+        field = distance_field(trav, 0.1, (3, 1), math.inf)
         assert plan_path(field, (1, 1), 0.1).cells == ((3, 1), (2, 0), (1, 1))
 
 
@@ -417,7 +416,7 @@ class TestGenerateViewpoints:
     def test_nearest_reachable_pose_wins(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 5)], math.inf))
+        vp = self.choose(belief, distance_field(trav, 1.0, (9, 5), math.inf))
         assert (vp.landmark.id, vp.landmark.name, vp.landmark.cooccur,
                 vp.landmark.sem_uncert) == ("lm000", "desk", 0.5, 0.1)
         assert vp.pose.x == pytest.approx(8.5) and vp.pose.y == pytest.approx(5.5)
@@ -429,7 +428,7 @@ class TestGenerateViewpoints:
     def test_tie_goes_to_lower_angle_index(self):
         belief = open_belief(11, 11)
         trav = np.ones((11, 11), dtype=bool)
-        vp = self.choose(belief, distance_field(trav, 1.0, [(5, 5)], math.inf))
+        vp = self.choose(belief, distance_field(trav, 1.0, (5, 5), math.inf))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((8.5, 5.5))
         vp = self.choose(belief, self.field(3.0, 2.0, 2.0, 2.0))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((5.5, 8.5))
@@ -445,18 +444,18 @@ class TestGenerateViewpoints:
         # other, so the field the episode builds holds inf at both.
         belief = open_belief(11, 11, unknown=[(8, 5)])
         assert self.choose(belief, distance_field(np.ones((11, 11), dtype=bool), 1.0,
-                                                  [(9, 9)], math.inf)).pose.x == pytest.approx(8.5)
+                                                  (9, 9), math.inf)).pose.x == pytest.approx(8.5)
         belief.cells[9, 5] = CellState.OCCUPIED
         trav = drivable_mask(belief, (9, 9), robot_radius=1.0)
         assert not trav[5, 8] and not trav[8, 5]
-        vp = self.choose(belief, distance_field(trav, 1.0, [(9, 9)], math.inf))
+        vp = self.choose(belief, distance_field(trav, 1.0, (9, 9), math.inf))
         assert (vp.pose.x, vp.pose.y) == pytest.approx((2.5, 5.5))
 
     def test_no_usable_candidate_gives_none(self):
         belief = open_belief(11, 11, unknown=self.RING)
         assert self.choose(belief, self.field()) is None
         trav = drivable_mask(belief, (0, 0), robot_radius=0.0)
-        assert self.choose(belief, distance_field(trav, 1.0, [(0, 0)], math.inf)) is None
+        assert self.choose(belief, distance_field(trav, 1.0, (0, 0), math.inf)) is None
 
     def test_ring_poses_off_the_map_are_skipped(self):
         belief = open_belief(11, 11)
@@ -612,12 +611,12 @@ class TestNearestFrontier:
     def test_closest_cluster_wins(self):
         belief = self.belief()
         free = belief.cells == CellState.FREE
-        field = distance_field(free, 1.0, [(0, 0)], math.inf)
+        field = distance_field(free, 1.0, (0, 0), math.inf)
         frontier = nearest_frontier(belief, PlannerParams(), field)
         assert frontier.cells == tuple(self.SMALL)
         assert frontier.centroid == pytest.approx((2.5, 2.5))
         assert frontier.closest_cell == (2, 1)  # ties with (1, 2); first in row order
-        field = distance_field(free, 1.0, [(14, 9)], math.inf)
+        field = distance_field(free, 1.0, (14, 9), math.inf)
         frontier = nearest_frontier(belief, PlannerParams(), field)
         assert frontier.cells == tuple(self.LARGE)
         assert frontier.closest_cell == (12, 6)
@@ -699,8 +698,8 @@ def test_disk_offsets_are_shared_read_only_and_exact(radius):
 
 @st.composite
 def masks_and_sources(draw):
-    """A random mask (1 x N, N x 1 or 2-D), one to three sources on its
-    corners, its border rows and columns or anywhere, and a resolution."""
+    """A random mask (1 x N, N x 1 or 2-D), a source on its corners, its
+    border rows and columns or anywhere, and a resolution."""
     height, width = draw(st.one_of(
         st.tuples(st.just(1), st.integers(1, 40)),
         st.tuples(st.integers(1, 40), st.just(1)),
@@ -714,11 +713,10 @@ def masks_and_sources(draw):
         st.tuples(st.sampled_from([0, width - 1]), st.integers(0, height - 1)),
         st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
     )
-    sources = draw(st.lists(cell, min_size=1, max_size=3))
+    x, y = source = draw(cell)
     if draw(st.booleans()):
-        for x, y in sources:
-            trav[y, x] = True
-    return trav, sources, draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+        trav[y, x] = True
+    return trav, source, draw(st.sampled_from([0.05, 0.1, 0.25, 1.0]))
 
 
 def reaches_for(whole, resolution, rng):
@@ -740,34 +738,35 @@ class TestBoundedField:
     @given(masks_and_sources(), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_whole_field_within_reach_and_inf_beyond(self, case, seed):
-        trav, sources, res = case
-        whole = coo_distance_field(trav, res, sources)
+        trav, source, res = case
+        whole = coo_distance_field(trav, res, [source])
         for reach in reaches_for(whole, res, np.random.default_rng(seed)):
             want = np.where(whole <= reach, whole, np.inf)
-            assert distance_field(trav, res, sources, reach).tobytes() == want.tobytes()
+            assert distance_field(trav, res, source, reach).tobytes() == want.tobytes()
 
     def test_one_source_searches_one_padded_window_per_reach(self, monkeypatch):
         # Sources in every corner, beside the border and inside: the window
         # is the same 2k + 1 square wherever it passes the map's edge, and
-        # the whole map once the window would be larger.
+        # the whole map once the window would be larger, also for reaches
+        # whose k would overflow.
         shapes = []
         window_field = planning._window_field
 
-        def recorded(trav, cells, limit):
+        def recorded(trav, index, limit):
             shapes.append(trav.shape)
-            return window_field(trav, cells, limit)
+            return window_field(trav, index, limit)
 
         monkeypatch.setattr(planning, "_window_field", recorded)
         rng = np.random.default_rng(3)
         trav = rng.random((60, 70)) >= 0.2
         sources = [(0, 0), (69, 0), (0, 59), (69, 59), (1, 30), (35, 58), (35, 30)]
-        for reach in (0.0, 0.05, 0.1, 0.35, 1.0, 2.8, 2.9, 4.0, math.inf):
-            k = math.ceil(reach / 0.1) + 1 if math.isfinite(reach) else math.inf
+        for reach in (0.0, 0.05, 0.1, 0.35, 1.0, 2.8, 2.9, 4.0, 1e308, math.inf):
+            k = math.ceil(reach / 0.1) + 1 if math.isfinite(reach / 0.1) else math.inf
             want = (2 * k + 1,) * 2 if (2 * k + 1) ** 2 < trav.size else trav.shape
             for source in sources:
                 trav[source[1], source[0]] = True
                 shapes.clear()
-                field = distance_field(trav, 0.1, [source], reach)
+                field = distance_field(trav, 0.1, source, reach)
                 assert shapes == [want]
                 whole = coo_distance_field(trav, 0.1, [source])
                 assert field.tobytes() == np.where(whole <= reach, whole, np.inf).tobytes()
@@ -776,7 +775,7 @@ class TestBoundedField:
         trav = np.ones((3, 3), dtype=bool)
         for reach in (-0.1, -math.inf, math.nan):
             with pytest.raises(DomainError):
-                distance_field(trav, 0.1, [(1, 1)], reach)
+                distance_field(trav, 0.1, (1, 1), reach)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 0.5]),
            st.integers(1, 4), st.booleans())
@@ -798,10 +797,10 @@ class TestBoundedField:
         cells[start[1], start[0]] = CellState.FREE.value
         belief = GridMap(width, height, 0.25, cells)
         trav = drivable_mask(belief, start, robot_radius)
-        whole = distance_field(trav, 0.25, [start], math.inf)
+        whole = distance_field(trav, 0.25, start, math.inf)
         finite = whole[np.isfinite(whole)]
         reach = float(rng.choice(finite)) if attained else float(rng.uniform(0.0, 6.0))
-        near = distance_field(trav, 0.25, [start], reach)
+        near = distance_field(trav, 0.25, start, reach)
         params = PlannerParams(view_radius=float(rng.uniform(0.5, 2.0)),
                                view_directions=int(rng.integers(1, 9)),
                                min_frontier_cells=min_cells)
@@ -825,8 +824,8 @@ class TestBoundedField:
         belief = open_belief(30, 3, unknown=[(29, y) for y in range(3)])
         start = (0, 1)
         trav = drivable_mask(belief, start, robot_radius=0.0)
-        near = distance_field(trav, 1.0, [start], 5.0)
-        whole = distance_field(trav, 1.0, [start], math.inf)
+        near = distance_field(trav, 1.0, start, 5.0)
+        whole = distance_field(trav, 1.0, start, math.inf)
         params = PlannerParams(view_radius=1.0, view_directions=4)
         assert nearest_frontier(belief, params, near) is None
         frontier = nearest_frontier(belief, params, whole)

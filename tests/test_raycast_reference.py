@@ -2,8 +2,11 @@
 
 ``stepwise_raycast_batch`` (in ``util``) is the Amanatides & Woo (1987)
 traversal advanced one grid-line crossing per iteration for every active ray.
-``raycast_batch``, which walks its rays one at a time, must reproduce its
-distances bit for bit (down to the sign of a zero) and its ``blocked`` flags.
+``raycast_batch``, which walks its rays from one origin out to one range one
+at a time, must reproduce its distances bit for bit (down to the sign of a
+zero) and its ``blocked`` flags; rays from many origins or to many ranges
+take one call each.  ``stepwise_ray`` (in ``util``), the same walk for one
+ray in Python scalars, must reproduce them too.
 The walk also flags the free and hit cells, and the lidar sweep, which writes
 those cells into the belief in one pass over all rays, must give the belief
 they give.  The sweep reads its crossing order from a cache keyed on
@@ -23,7 +26,7 @@ from objsearch import world
 from objsearch.errors import DomainError
 from objsearch.sensing import lidar_update
 from objsearch.world import CellState, GridMap, Pose, raycast_batch
-from util import empty_rows, stepwise_raycast_batch, unknown_belief
+from util import empty_rows, stepwise_ray, stepwise_raycast_batch, unknown_belief
 
 
 def assert_same_as_reference(grid, origin, bearings, max_range):
@@ -141,7 +144,7 @@ class TestRaycastMatchesStepwiseWalk:
             bearing = rng.uniform(-math.pi, math.pi)
             assert_same_as_reference(grid, origin, np.array([bearing]), rng.uniform(0.0, 4.0))
 
-    def test_more_rays_than_one_block(self):
+    def test_thousands_of_rays_from_one_origin(self):
         rng = np.random.default_rng(17)
         grid = random_grid(rng, 30, 25, density=0.1)
         bearings = rng.uniform(-math.pi, math.pi, size=3000)
@@ -163,13 +166,10 @@ class TestRaycastMatchesStepwiseWalk:
             assert_same_as_reference(grid, origin, AXIS_AND_DIAGONAL, max_range)
 
 
-def assert_per_ray_same_as_reference(grid, origins, bearings, ranges):
-    """One origin and range per ray: each ray equals its own single-ray walk."""
-    dist, blocked = raycast_batch(grid, np.array(origins), bearings, ranges)
-    for k, (origin, bearing, reach) in enumerate(zip(origins, bearings, ranges)):
-        want = stepwise_raycast_batch(grid, origin, np.array([bearing]), reach)
-        assert dist[k : k + 1].tobytes() == want[0].tobytes()
-        assert blocked[k] == want[1][0]
+def assert_each_ray_same_as_reference(grid, origins, bearings, ranges):
+    """One call per ray, each from its own origin out to its own range."""
+    for origin, bearing, reach in zip(origins, bearings, ranges):
+        assert_same_as_reference(grid, origin, np.array([bearing]), reach)
 
 
 def int64_corridor():
@@ -181,13 +181,15 @@ def int64_corridor():
 
 
 class TestPerRayOriginsAndRanges:
+    """Rays from many origins out to many ranges, one call per ray."""
+
     def test_random_maps(self):
         rng = np.random.default_rng(21)
         for _ in range(15):
             grid = random_grid(rng)
             origins = free_origins(grid, rng, 40)
             bearings = rng.uniform(-math.pi, math.pi, size=40)
-            assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 40))
+            assert_each_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 40))
 
     def test_grid_lines_corners_and_occupied_origins(self):
         rows = empty_rows(12, 12, border=False)
@@ -199,7 +201,7 @@ class TestPerRayOriginsAndRanges:
         bearings = np.concatenate([AXIS_AND_DIAGONAL, np.linspace(-3.0, 3.0, 13)])
         cases = [(o, b) for o in origins for b in bearings]
         ranges = np.resize([4.0, 0.5, 2.0, 0.0, 6.0], len(cases))
-        assert_per_ray_same_as_reference(
+        assert_each_ray_same_as_reference(
             grid, [o for o, _ in cases], np.array([b for _, b in cases]), ranges
         )
 
@@ -208,32 +210,86 @@ class TestPerRayOriginsAndRanges:
         grid = random_grid(rng, 30, 25, density=0.1)
         origins = free_origins(grid, rng, 12)
         ranges = np.array([0.0, -1.0, -math.inf, math.nan, 0.05, 1.0, 2.5, 50.0] + [3.0] * 4)
-        assert_per_ray_same_as_reference(grid, origins, rng.uniform(-3.0, 3.0, 12), ranges)
+        assert_each_ray_same_as_reference(grid, origins, rng.uniform(-3.0, 3.0, 12), ranges)
 
-    def test_more_rays_than_one_block(self):
+    def test_thousands_of_origins_and_ranges(self):
+        # Against the scalar walk, which is the batch walk's bit for bit
+        # (TestScalarReferenceWalk) and much faster one ray at a time.
         rng = np.random.default_rng(23)
         grid = random_grid(rng, 30, 25, density=0.1)
         origins = free_origins(grid, rng, 2500)
         bearings = rng.uniform(-math.pi, math.pi, size=2500)
-        assert_per_ray_same_as_reference(grid, origins, bearings, rng.uniform(0.0, 3.0, 2500))
+        for origin, bearing, reach in zip(origins, bearings, rng.uniform(0.0, 3.0, 2500)):
+            (dist,), (blocked,) = raycast_batch(grid, origin, np.array([bearing]), reach)
+            want_dist, want_blocked = stepwise_ray(grid, origin, bearing, reach)
+            assert np.float64(dist).tobytes() == np.float64(want_dist).tobytes()
+            assert blocked == want_blocked
 
-    def test_map_too_large_for_int32_cell_indices(self):
+    def test_rays_thousands_of_cells_long(self):
         grid = int64_corridor()
         rng = np.random.default_rng(24)
         origins = [(0.05, 1199.95), (0.25, 600.05), (0.15, 0.35), (0.05, 1000.0)]
         bearings = np.array([-math.pi / 2, math.pi / 2, 1.5, -1.57])
         ranges = np.array([1300.0, 700.0, 3.0, 2.0])
-        assert_per_ray_same_as_reference(grid, origins, bearings, ranges)
+        assert_each_ray_same_as_reference(grid, origins, bearings, ranges)
         bearings = rng.uniform(-math.pi, math.pi, size=40)
         assert_same_as_reference(grid, (0.15, 5.05), bearings, 120.0)
 
     def test_origin_outside_the_map_is_named(self):
         grid = GridMap.from_rows(["...", "..."], 1.0)
-        with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
-            raycast_batch(grid, np.array([(0.5, 0.5), (3.5, 0.5)]), np.zeros(2), 1.0)
-        for rays in (2, 0):  # a shared origin is checked even when no ray is cast
+        for rays in (2, 0):  # the origin is checked even when no ray is cast
             with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
                 raycast_batch(grid, (3.5, 0.5), np.zeros(rays), 1.0)
+
+    def test_per_ray_origins_or_ranges_are_refused(self):
+        grid = GridMap.from_rows(["...", "..."], 1.0)
+        with pytest.raises(TypeError):
+            raycast_batch(grid, np.array([(0.5, 0.5), (1.5, 0.5)]), np.zeros(2), 1.0)
+        with pytest.raises(TypeError):
+            raycast_batch(grid, (0.5, 0.5), np.zeros(2), np.array([1.0, 2.0]))
+
+
+class TestScalarReferenceWalk:
+    """``stepwise_ray`` is one ray of ``stepwise_raycast_batch``, bit for bit."""
+
+    @staticmethod
+    def assert_same_walk(grid, origin, bearing, max_range):
+        dist, blocked = stepwise_ray(grid, origin, bearing, max_range)
+        want = stepwise_raycast_batch(grid, origin, np.array([bearing]), max_range)
+        assert np.float64(dist).tobytes() == want[0].tobytes()
+        assert blocked == want[1][0]
+
+    @pytest.mark.parametrize("res", [0.02, 0.1, 0.5])
+    def test_random_rays(self, res):
+        rng = np.random.default_rng(int(res * 100) + 40)
+        grid = random_grid(rng, 60, 45, density=0.05, res=res)
+        origins = free_origins(grid, rng, 100)
+        bearings = np.concatenate([AXIS_AND_DIAGONAL, rng.uniform(-math.pi, math.pi, 92)])
+        for origin, bearing in zip(origins, bearings):
+            self.assert_same_walk(grid, origin, bearing, rng.uniform(0.0, 80.0 * res))
+
+    def test_grid_line_origins_invalid_ranges_and_occupied_origins(self):
+        rows = empty_rows(12, 12, border=False)
+        rows[5] = rows[5][:6] + "#" + rows[5][7:]
+        grid = GridMap.from_rows(rows, 0.5)
+        bearings = np.concatenate([AXIS_AND_DIAGONAL, np.linspace(-3.0, 3.0, 13)])
+        for origin in [(3.0, 3.0), (3.0, 3.2), (2.7, 3.0), (0.0, 0.0), (3.25, 3.25)]:
+            for bearing in bearings:
+                for reach in (4.0, 0.0, -1.0, math.nan, math.inf):
+                    self.assert_same_walk(grid, origin, bearing, reach)
+
+    def test_first_step_on_two_grid_lines(self):
+        cells = np.full((10, 60), CellState.FREE, dtype=np.uint8)
+        cells[5, 43] = CellState.OCCUPIED
+        grid = GridMap(60, 10, 0.1, cells)
+        dist, blocked = stepwise_ray(grid, (4.3, 0.5), -0.3, 1.0)
+        assert blocked and dist == 0.0 and math.copysign(1.0, dist) == -1.0
+        self.assert_same_walk(grid, (4.3, 0.5), -0.3, 1.0)
+
+    def test_origin_outside_the_map_is_named(self):
+        grid = GridMap.from_rows(["...", "..."], 1.0)
+        with pytest.raises(DomainError, match=r"raycast origin \(3\.5, 0\.5\) outside"):
+            stepwise_ray(grid, (3.5, 0.5), 0.0, 1.0)
 
 
 def reference_sweep_cells(grid, origin, rays, max_range):

@@ -1,11 +1,12 @@
 """Visibility searches against one-at-a-time references.
 
-``reference_line_of_sight`` is the single-pair occlusion test on the
-independent step-by-step grid walk, ``util.stepwise_raycast_batch``: one ray
-with a shared origin and a scalar range.  ``stepwise_ground_truth_shortest``
-is the SPL reference search: it frees the robot's disk at the start cell by
-cell, then walks the reachable cells in distance order and tests range and
-line of sight one cell at a time.  ``loop_cells_near_rect`` is the range
+``reference_line_of_sight`` is the single-pair occlusion test on one ray of
+the independent step-by-step grid walk, ``util.stepwise_ray``, which
+``test_raycast_reference`` shows bit-equal to ``util.stepwise_raycast_batch``.
+``stepwise_ground_truth_shortest`` is the SPL reference search: it frees the
+robot's disk at the start cell by cell, then walks the reachable cells in
+distance order and tests range and line of sight one cell at a time.
+``loop_cells_near_rect`` is the range
 rule tested one cell at a time over the whole map, and
 ``reference_first_confirming`` the range and confirming-cell rules together,
 one cell at a time.  The code under test must give the same cells, flags,
@@ -50,7 +51,7 @@ from objsearch.world import (
     load_scenario,
     scenario_to_dict,
 )
-from util import box_scenario, empty_rows, stepwise_raycast_batch
+from util import box_scenario, empty_rows, stepwise_ray, stepwise_raycast_batch
 
 GEN_SHAPE = SuiteParams(count=60, rooms=4, landmarks=8, map_side=20.0)
 NAV_SHAPE = SuiteParams(count=24, rooms=3, landmarks=6, map_side=14.0)
@@ -61,9 +62,8 @@ def reference_line_of_sight(world, origin, point, slack):
     distance = math.hypot(dx, dy)
     if distance <= 0.0:
         return True
-    bearing = math.atan2(dy, dx)
-    dist, blocked = stepwise_raycast_batch(world, origin, np.array([bearing]), distance)
-    return (not bool(blocked[0])) or float(dist[0]) >= distance - slack
+    dist, blocked = stepwise_ray(world, origin, math.atan2(dy, dx), distance)
+    return not blocked or dist >= distance - slack
 
 
 def stepwise_ground_truth_shortest(scenario):
@@ -80,7 +80,7 @@ def stepwise_ground_truth_shortest(scenario):
             if inside and grid.in_bounds(ix, iy) and grid.is_free(ix, iy):
                 trav[iy, ix] = True
     trav[sy, sx] = True
-    dist = distance_field(trav, grid.resolution, [start], math.inf)
+    dist = distance_field(trav, grid.resolution, start, math.inf)
     hp = scenario.hyperparams
     slack = target.radius + 2.0 * grid.resolution
     max_range = hp.cam_range + grid.resolution
@@ -652,7 +652,7 @@ class TestTargetObservable:
                     )
                     drivable = drivable_mask(grid, start, radius)
                     ys, xs = np.nonzero(np.isfinite(distance_field(drivable, grid.resolution,
-                                                                   [start], math.inf)))
+                                                                   start, math.inf)))
                     got = observable(moved)
                     for order in (np.arange(xs.size), rng.permutation(xs.size)):
                         hit = reference_first_confirming(grid, moved.target,
@@ -697,7 +697,7 @@ class TestTargetObservable:
         set_cells(rows, ring(25, 25, 4, 8), "#")
         scenario = with_map(box_scenario(size_m=5.0, start=(0.55, 0.55, 0.0)), rows, (2.55, 2.55))
         dist = distance_field(
-            drivable_mask(scenario.map, (5, 5), scenario.planner.robot_radius), 0.1, [(5, 5)],
+            drivable_mask(scenario.map, (5, 5), scenario.planner.robot_radius), 0.1, (5, 5),
             math.inf,
         )
         ys, xs = np.nonzero(np.isfinite(dist))
@@ -820,7 +820,7 @@ class TestCameraWindow:
             tx, ty = scenario.target.position
             start = grid.world_to_cell(scenario.start.x, scenario.start.y)
             drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
-            reachable = np.isfinite(distance_field(drivable, grid.resolution, [start], math.inf))
+            reachable = np.isfinite(distance_field(drivable, grid.resolution, start, math.inf))
             want = loop_cells_near_rect(reachable, (tx, ty, tx, ty), grid.resolution,
                                         scenario.hyperparams.cam_range + grid.resolution)
             assert 0 < len(want) < grid.width * grid.height / 4

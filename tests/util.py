@@ -169,3 +169,45 @@ def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hi
         if free_mask is not None and active.any():
             free_mask[iy[active], ix[active]] = True
     return dist, blocked
+
+
+def stepwise_ray(grid, origin, bearing, max_range):
+    """Reference: one ray of :func:`stepwise_raycast_batch`, walked with
+    Python scalars for callers that trace one ray at a time.  It shares no
+    code with ``objsearch.world``: it reads the grid's size, resolution and
+    cells alone, and takes its direction cosines from a one-element array,
+    as the batch walk does.  Returns (distance, blocked)."""
+    x0, y0 = float(origin[0]), float(origin[1])
+    res = grid.resolution
+    ix, iy = math.floor(x0 / res), math.floor(y0 / res)
+    width, height, cell = grid.width, grid.height, grid.cells.item
+    occupied = CellState.OCCUPIED.value
+    if not (0 <= ix < width and 0 <= iy < height):
+        raise DomainError(f"raycast origin {origin} outside map bounds")
+    max_range = float(max_range)
+    if cell(iy, ix) == occupied:
+        return 0.0, True
+    bearings = np.array([bearing], dtype=np.float64)
+    dx, dy = float(np.cos(bearings)[0]), float(np.sin(bearings)[0])
+    step_x, step_y = (dx > 0.0) - (dx < 0.0), (dy > 0.0) - (dy < 0.0)
+    tmax_x = tdelta_x = tmax_y = tdelta_y = math.inf
+    if step_x:
+        inv = 1.0 / dx
+        tmax_x, tdelta_x = ((ix + (step_x > 0)) * res - x0) * inv, res * abs(inv)
+    if step_y:
+        inv = 1.0 / dy
+        tmax_y, tdelta_y = ((iy + (step_y > 0)) * res - y0) * inv, res * abs(inv)
+    while True:
+        t_entry = tmax_x if tmax_x < tmax_y else tmax_y
+        if not t_entry <= max_range:
+            return max_range, False
+        if tmax_x <= tmax_y:
+            ix += step_x
+            tmax_x += tdelta_x
+        else:
+            iy += step_y
+            tmax_y += tdelta_y
+        if not (0 <= ix < width and 0 <= iy < height):
+            return max_range, False
+        if cell(iy, ix) == occupied:
+            return t_entry, True
