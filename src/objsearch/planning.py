@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy import ndimage
@@ -513,56 +513,61 @@ def cells_near(
 
 
 def first_confirming(
-    grid: GridMap, target: ObjectSpec, xs: np.ndarray, ys: np.ndarray
-) -> int | None:
-    """The one confirming-cell search: index into (``xs``, ``ys``) of the
-    first cell, in the given order, whose centre is in line of sight of the
-    target, past its :func:`object_slack`; None when no cell is.  Callers
-    pass the cells in camera range, those :func:`cells_near` finds within
-    ``cam_range + resolution`` of the target (half a cell of tolerance at the
-    rim).  The robot can turn, so the field of view does not matter.
+    grid: GridMap, target: ObjectSpec, hyper: HyperParams, mask: np.ndarray | tuple[int, int],
+    rank: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+) -> tuple[int, int] | None:
+    """The one confirming rule: the first cell set in ``mask``, in stable
+    order of the keys ``rank(xs, ys)``, whose centre lies in ``(0, max_dist]``
+    of the target and in line of sight of it past its :func:`object_slack`;
+    None when none is.  :func:`cells_near` finds the cells in range, and each
+    is tested with one :func:`~objsearch.sensing.line_of_sight` ray until one
+    confirms.  The robot can turn, so the field of view does not matter.
 
-    The cells are tested one at a time, each with one
-    :func:`~objsearch.sensing.line_of_sight` ray, and the search returns at
-    the first that confirms."""
+    ``max_dist`` is ``cam_range`` and one whole cell: the robot confirms from
+    poses anywhere in a cell, at most half its diagonal from the centre, so a
+    target the camera sees lies within ``max_dist`` of that centre.
+
+    ``mask`` may be one cell ``(x, y)`` instead, for the generator's start
+    check; ``rank`` is then unused, and ``math.hypot`` of the centre's
+    offsets decides the range, as for a point's gaps in :func:`cells_near`."""
     res = grid.resolution
+    tx, ty = target.position
+    max_dist = hyper.cam_range + res
+    if isinstance(mask, tuple):
+        x, y = mask
+        gap = math.hypot((x + 0.5) * res - tx, (y + 0.5) * res - ty)
+        cells = [mask] if 0.0 < gap <= max_dist else []
+    else:
+        xs, ys = cells_near(mask, (tx, ty, tx, ty), res, max_dist)
+        by_rank = np.argsort(rank(xs, ys), kind="stable")
+        cells = zip(xs[by_rank].tolist(), ys[by_rank].tolist())
     slack = object_slack(target, res)
-    for i in range(xs.size):
-        centre = ((xs.item(i) + 0.5) * res, (ys.item(i) + 0.5) * res)
-        if line_of_sight(grid, centre, target.position, slack):
-            return i
+    for x, y in cells:
+        if line_of_sight(grid, ((x + 0.5) * res, (y + 0.5) * res), target.position, slack):
+            return x, y
     return None
 
 
 def ground_truth_shortest(scenario: ScenarioSpec) -> float:
     """Length of the shortest path from the start, driving by the episode's
-    :func:`drivable_mask` on the fully known map, to a cell that
-    :func:`first_confirming` accepts among the reachable cells in camera
-    range; inf when none is.  So a start inside the inflated walls drives out
-    of the robot's own disk.
-
-    The reachable cells :func:`cells_near` the target are tried in order of
-    path length (a stable sort of them in row-major order, which keeps the
-    relative order of a sort over the whole map), so the first that
-    confirms is a nearest one.  The length is finite exactly when
-    :func:`target_observable` holds, which answers that without the
-    distance field."""
+    :func:`drivable_mask` on the fully known map, to a reachable cell that
+    :func:`first_confirming` accepts; inf when none is.  So a start inside the
+    inflated walls drives out of the robot's own disk.  The cells are ranked
+    by path length, so the first that confirms is a nearest one.  The length
+    is finite exactly when :func:`target_observable` holds, which answers
+    that without the distance field."""
     grid = scenario.map
     start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
     dist = distance_field(drivable, grid.resolution, start, math.inf)
-    tx, ty = scenario.target.position
-    max_dist = scenario.hyperparams.cam_range + grid.resolution
-    xs, ys = cells_near(np.isfinite(dist), (tx, ty, tx, ty), grid.resolution, max_dist)
-    by_length = np.argsort(dist[ys, xs], kind="stable")
-    ys, xs = ys[by_length], xs[by_length]
-    hit = first_confirming(grid, scenario.target, xs, ys)
-    return math.inf if hit is None else float(dist[ys[hit], xs[hit]])
+    hit = first_confirming(grid, scenario.target, scenario.hyperparams, np.isfinite(dist),
+                           lambda xs, ys: dist[ys, xs])
+    return math.inf if hit is None else float(dist[hit[1], hit[0]])
 
 
 def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
-    """Whether :func:`ground_truth_shortest` is finite: some cell in camera
-    range that :func:`first_confirming` accepts is reachable from the start.
+    """Whether :func:`ground_truth_shortest` is finite: some cell that
+    :func:`first_confirming` accepts is reachable from the start.
     ``traversable`` is the scenario map's :func:`traversable_mask` at the
     planner's robot radius; the start's disk is freed on a copy of it, which
     gives :func:`drivable_mask` without inflating the map again.
@@ -570,17 +575,16 @@ def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
     the same graph :func:`distance_field` searches (diagonal steps need no
-    free side cell).  Those :func:`cells_near` the target are tried nearest
-    the target first (a stable sort on ``np.hypot`` of their centres' offsets
-    from it), where a cell that confirms is most likely; the answer is
-    whether any cell confirms, so the order cannot change it."""
+    free side cell).  They are ranked nearest the target first, where a cell
+    that confirms is most likely; the answer is whether any cell confirms,
+    so the order cannot change it."""
     grid = scenario.map
     res = grid.resolution
     sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
     labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
     tx, ty = scenario.target.position
-    max_dist = scenario.hyperparams.cam_range + res
-    xs, ys = cells_near(labels == labels[sy, sx], (tx, ty, tx, ty), res, max_dist)
-    nearest = np.argsort(np.hypot((xs + 0.5) * res - tx, (ys + 0.5) * res - ty), kind="stable")
-    return first_confirming(grid, scenario.target, xs[nearest], ys[nearest]) is not None
+    return first_confirming(
+        grid, scenario.target, scenario.hyperparams, labels == labels[sy, sx],
+        lambda xs, ys: np.hypot((xs + 0.5) * res - tx, (ys + 0.5) * res - ty),
+    ) is not None

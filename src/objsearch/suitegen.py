@@ -13,10 +13,10 @@ robot clear of walls and does not confirm the target, and some cell that
 confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
 so every scenario has the finite shortest path SPL divides by.  The map is
 inflated once: the start check's traversable mask is the one that test
-reads.  Which cells are in camera range of the target, and which free cells
-lie near a host landmark, is decided by one rule,
-:func:`~objsearch.planning.cells_near`.  Generation never computes the
-path's length: the episode does, once, with
+reads.  Both checks ask one confirming rule, the one SPL's search asks,
+:func:`~objsearch.planning.first_confirming`; which free cells lie near a
+host landmark, :func:`~objsearch.planning.cells_near`.  Generation never
+computes the path's length: the episode does, once, with
 :func:`~objsearch.planning.ground_truth_shortest`.
 """
 
@@ -414,15 +414,11 @@ def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetConte
     sensor = SensorParams(**params.sensor)
 
     trav = traversable_mask(grid, planner.robot_radius)
-    tx, ty = target_pos
     for _ in range(300):
         ix, iy = int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1))
         if not trav[iy, ix] or (ix, iy) in used:
             continue
-        candidate = np.zeros((n, n), dtype=bool)
-        candidate[iy, ix] = True
-        xs, ys = cells_near(candidate, (tx, ty, tx, ty), res, hyper.cam_range + res)
-        if first_confirming(grid, objects[0], xs, ys) is None:
+        if first_confirming(grid, objects[0], hyper, (ix, iy), None) is None:
             break  # a start cell from which the target is not confirmable
     else:
         raise _Retry("no valid start cell")

@@ -181,6 +181,38 @@ def test_settable_values_are_pinned():
     assert sum(map(len, SETTABLE_VALUES.values())) == 56
 
 
+# The functions that read the camera's range.  Confirmation and SPL share
+# one rule, so a second reader of the range changes this list on purpose.
+CAM_RANGE_READERS = [
+    "planning.first_confirming", "sensing.camera_observe", "sensing.sighting",
+    "world.HyperParams.__post_init__",
+]
+
+
+def attribute_readers(attr: str) -> list[str]:
+    """``module.function`` (``module.Class.method`` for a method) of every
+    function in the package whose own body reads ``.attr``."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(child)):
+                    found.append(f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(found)
+
+
+def test_cam_range_readers_are_pinned():
+    assert attribute_readers("cam_range") == CAM_RANGE_READERS
+
+
 def load_tracer() -> types.ModuleType:
     """``objbench/tracer.py``, loaded by path: the benchmark is not a package."""
     spec = importlib.util.spec_from_file_location("objbench_tracer", TRACER)

@@ -36,6 +36,7 @@ from objsearch.suitegen import (
     generate_suite,
 )
 from objsearch.world import CellState, GridMap, PlannerParams, load_scenario, serialize_scenario
+from util import reference_first_confirming
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
 SUITE_SEED = 0
@@ -243,6 +244,23 @@ def test_later_landmarks_leave_a_free_point_on_every_ring(params, ctx):
         for lm in scenario.landmarks:
             ring = planning.viewpoint_ring(grid, lm.center, scenario.planner)
             assert any(grid.cells[iy, ix] == CellState.FREE for _, (ix, iy) in ring), lm.id
+
+
+@pytest.mark.parametrize("params", [
+    SUITE, CLUTTER_SUITE,
+    SuiteParams(count=24, rooms=3, landmarks=6, map_side=14.0),
+    SuiteParams(count=24, rooms=4, landmarks=8, map_side=20.0),
+    *(SuiteParams(count=8, rooms=2, landmarks=5, map_side=8.0, resolution=res)
+      for res in sorted(SMALL_SUITES_SHA256)),
+], ids=["pinned", "clutter", "nav", "gen", *(f"small-{res}" for res in sorted(SMALL_SUITES_SHA256))])
+def test_start_cell_never_confirms_its_target(params, ctx):
+    # The start check's answer, read back from the scenarios: the reference
+    # rule, asked of the start cell alone, finds it does not confirm.
+    for scenario in generate_suite(params, SUITE_SEED, ctx=ctx):
+        grid = scenario.map
+        ix, iy = grid.world_to_cell(scenario.start.x, scenario.start.y)
+        assert reference_first_confirming(grid, scenario.target, scenario.hyperparams.cam_range,
+                                          np.array([ix]), np.array([iy])) is None
 
 
 @pytest.mark.parametrize("rooms", [1, 2, 3, 4])

@@ -1,15 +1,15 @@
 """Visibility searches against one-at-a-time references.
 
-``reference_line_of_sight`` is the single-pair occlusion test on one ray of
-the independent step-by-step grid walk, ``util.stepwise_ray``, which
+``util.reference_line_of_sight`` is the single-pair occlusion test on one ray
+of the independent step-by-step grid walk, ``util.stepwise_ray``, which
 ``test_raycast_reference`` shows bit-equal to ``util.stepwise_raycast_batch``.
 ``stepwise_ground_truth_shortest`` is the SPL reference search: it frees the
 robot's disk at the start cell by cell, then walks the reachable cells in
 distance order and tests range and line of sight one cell at a time.
 ``loop_cells_near_rect`` is the range
 rule tested one cell at a time over the whole map, and
-``reference_first_confirming`` the range and confirming-cell rules together,
-one cell at a time.  The code under test must give the same cells, flags,
+``util.reference_first_confirming`` the range and confirming-cell rules
+together, one cell at a time.  The code under test must give the same cells, flags,
 indices and float, bit for bit.  Generation's reachability test
 ``target_observable``, which tries the cells nearest the target first, must
 hold exactly when that float is finite, which ``assert_same_shortest``
@@ -30,7 +30,7 @@ import pytest
 
 from scipy import ndimage
 
-from objsearch import planning, world
+from objsearch import planning, suitegen, world
 from objsearch.errors import DomainError
 from objsearch.planning import (
     cells_near,
@@ -41,29 +41,27 @@ from objsearch.planning import (
     target_observable,
     traversable_mask,
 )
-from objsearch.sensing import line_of_sight, object_slack
+from objsearch.sensing import line_of_sight
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import (
     CellState,
     GridMap,
+    HyperParams,
     ObjectSpec,
     Pose,
     load_scenario,
     scenario_to_dict,
 )
-from util import box_scenario, empty_rows, stepwise_ray, stepwise_raycast_batch
+from util import (
+    box_scenario,
+    empty_rows,
+    reference_first_confirming,
+    reference_line_of_sight,
+    stepwise_raycast_batch,
+)
 
 GEN_SHAPE = SuiteParams(count=60, rooms=4, landmarks=8, map_side=20.0)
 NAV_SHAPE = SuiteParams(count=24, rooms=3, landmarks=6, map_side=14.0)
-
-
-def reference_line_of_sight(world, origin, point, slack):
-    dx, dy = point[0] - origin[0], point[1] - origin[1]
-    distance = math.hypot(dx, dy)
-    if distance <= 0.0:
-        return True
-    dist, blocked = stepwise_ray(world, origin, math.atan2(dy, dx), distance)
-    return not blocked or dist >= distance - slack
 
 
 def stepwise_ground_truth_shortest(scenario):
@@ -342,32 +340,24 @@ class TestCellsNear:
 # --------------------------------------------------------------------------
 
 
-def reference_first_confirming(grid, target, cam_range, xs, ys):
-    """The range and confirming-cell rules one cell at a time, in the given
-    order, on ``reference_line_of_sight``."""
-    res = grid.resolution
-    tx, ty = target.position
-    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-        cx, cy = (x + 0.5) * res, (y + 0.5) * res
-        if not 0.0 < math.hypot(tx - cx, ty - cy) <= cam_range + res:
-            continue
-        if reference_line_of_sight(grid, (cx, cy), target.position, object_slack(target, res)):
-            return i
-    return None
-
-
 def search(grid, target, cam_range, xs, ys):
-    """The given cells that ``cells_near`` finds in camera range, in the
-    given order, searched by ``first_confirming``; the index is into the
-    given cells."""
-    tx, ty = target.position
-    in_range = np.zeros((grid.height, grid.width), dtype=bool)
-    near_xs, near_ys = cells_near(np.ones_like(in_range), (tx, ty, tx, ty), grid.resolution,
-                                  cam_range + grid.resolution)
-    in_range[near_ys, near_xs] = True
-    kept = np.flatnonzero(in_range[ys, xs])
-    hit = first_confirming(grid, target, xs[kept], ys[kept])
-    return None if hit is None else int(kept[hit])
+    """``first_confirming`` over a mask of the given (distinct) cells, ranked
+    in the given order; the answer is an index into the given cells."""
+    mask = np.zeros((grid.height, grid.width), dtype=bool)
+    position = np.full(mask.shape, -1)
+    mask[ys, xs] = True
+    position[ys, xs] = np.arange(xs.size)
+    hit = first_confirming(grid, target, HyperParams(cam_range=cam_range), mask,
+                           lambda xs, ys: position[ys, xs])
+    return None if hit is None else int(position[hit[1], hit[0]])
+
+
+def one_cell(grid, target, cam_range, x, y):
+    """``first_confirming`` asked of one cell, as the start check asks it,
+    with the answer as ``reference_first_confirming`` gives it."""
+    hit = first_confirming(grid, target, HyperParams(cam_range=cam_range), (x, y), None)
+    assert hit in (None, (x, y))
+    return None if hit is None else 0
 
 
 class TestFirstConfirming:
@@ -399,8 +389,8 @@ class TestFirstConfirming:
     @pytest.mark.parametrize("seed", range(4))
     def test_answer_after_many_near_cells(self, seed):
         # A long run of near cells that do not confirm, then the confirming
-        # ones, each order shuffled; first_confirming is handed the near
-        # cells alone and walks the whole blind run before it answers.
+        # ones, each order shuffled; given the near cells alone,
+        # first_confirming walks the whole blind run before it answers.
         rng, grid, target, cam_range, xs, ys = self.case(50 + seed)
         res = grid.resolution
         tx, ty = target.position
@@ -413,7 +403,7 @@ class TestFirstConfirming:
         blind, seen = rng.permutation(near[~hits]), rng.permutation(near[hits])
         assert blind.size > 100 and seen.size > 0
         order = np.concatenate([blind, seen])
-        assert first_confirming(grid, target, xs[order], ys[order]) == blind.size
+        assert search(grid, target, cam_range, xs[order], ys[order]) == blind.size
         order = np.concatenate([order, rng.permutation(np.flatnonzero(gap > cam_range))])
         got = search(grid, target, cam_range, xs[order], ys[order])
         assert got == blind.size
@@ -421,12 +411,14 @@ class TestFirstConfirming:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_cell_calls(self, seed):
+        # A one-cell mask, and the one cell asked directly.
         rng, grid, target, cam_range, xs, ys = self.case(60 + seed)
         for k in rng.choice(xs.size, size=300, replace=False).tolist():
             cell = xs[k : k + 1], ys[k : k + 1]
             got = search(grid, target, cam_range, *cell)
             assert got in (0, None)
             assert got == reference_first_confirming(grid, target, cam_range, *cell)
+            assert one_cell(grid, target, cam_range, int(xs[k]), int(ys[k])) == got
 
     @pytest.mark.parametrize("seed", range(4))
     def test_the_target_cell_is_skipped(self, seed):
@@ -440,10 +432,11 @@ class TestFirstConfirming:
         got = search(grid, target, cam_range, xs[order], ys[order])
         assert got is not None and got > 0
         assert got == reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
+        assert one_cell(grid, target, cam_range, ix, iy) is None
 
     def test_no_cells(self):
-        _, grid, target, _, xs, ys = self.case(70)
-        assert first_confirming(grid, target, xs[:0], ys[:0]) is None
+        _, grid, target, cam_range, xs, ys = self.case(70)
+        assert search(grid, target, cam_range, xs[:0], ys[:0]) is None
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +578,12 @@ class TestGroundTruthShortest:
         below = with_cam_range(base, math.nextafter(cam_range, 0.0))
         assert assert_same_shortest(below) == math.inf
         assert not observable(below)
+        # The rule asked of the rim cell alone, as the start check asks it.
+        cell = np.array([23]), np.array([20])
+        for scenario, want in ((at_rim, 0), (below, None)):
+            range_ = scenario.hyperparams.cam_range
+            assert reference_first_confirming(scenario.map, scenario.target, range_, *cell) == want
+            assert one_cell(scenario.map, scenario.target, range_, 23, 20) == want
 
 
 # --------------------------------------------------------------------------
@@ -800,23 +799,37 @@ class TestCameraWindow:
         assert any(math.isfinite(r) for r in results)
 
     def test_searches_only_cells_in_range(self, ctx, monkeypatch):
-        # On the 20 m maps both searches hand first_confirming exactly the
-        # reachable cells within cam_range + resolution of the target: a few
-        # thousand of the map's 40,000.  ground_truth_shortest searches first.
+        # On the 20 m maps both searches rank exactly the reachable cells
+        # within cam_range + resolution of the target: a few thousand of the
+        # map's 40,000.  ground_truth_shortest searches first.  The
+        # generator's start check asks the same rule of its start cell.
         passed = []
-        search = planning.first_confirming
+        rule = planning.first_confirming
 
-        def spied(grid, target, xs, ys):
-            passed.append((grid, target, xs, ys))
-            return search(grid, target, xs, ys)
+        def spied(grid, target, hyper, mask, rank):
+            ranked = []
+
+            def recorded(xs, ys):
+                ranked.append((xs, ys, rank(xs, ys)))
+                return ranked[-1][2]
+
+            hit = rule(grid, target, hyper, mask, None if rank is None else recorded)
+            passed.append((target, hyper, mask, ranked, hit))
+            return hit
 
         monkeypatch.setattr(planning, "first_confirming", spied)
-        for scenario in generate_suite(dataclasses.replace(GEN_SHAPE, count=3), 7, ctx=ctx):
+        monkeypatch.setattr(suitegen, "first_confirming", spied)
+        scenarios = generate_suite(dataclasses.replace(GEN_SHAPE, count=3), 7, ctx=ctx)
+        starts = [(target, hyper, mask) for target, hyper, mask, _, hit in passed
+                  if isinstance(mask, tuple) and hit is None]
+        for scenario in scenarios:
+            grid = scenario.map
+            start = grid.world_to_cell(scenario.start.x, scenario.start.y)
+            assert (scenario.target, scenario.hyperparams, start) in starts
             passed.clear()
             assert math.isfinite(ground_truth_shortest(scenario))
             assert observable(scenario)
             assert len(passed) == 2
-            grid = scenario.map
             tx, ty = scenario.target.position
             start = grid.world_to_cell(scenario.start.x, scenario.start.y)
             drivable = drivable_mask(grid, start, scenario.planner.robot_radius)
@@ -824,10 +837,11 @@ class TestCameraWindow:
             want = loop_cells_near_rect(reachable, (tx, ty, tx, ty), grid.resolution,
                                         scenario.hyperparams.cam_range + grid.resolution)
             assert 0 < len(want) < grid.width * grid.height / 4
-            for _, target, xs, ys in passed:
-                assert target == scenario.target
+            for target, hyper, _, ranked, _ in passed:
+                assert (target, hyper) == (scenario.target, scenario.hyperparams)
+                (xs, ys, _), = ranked
                 assert sorted(zip(xs.tolist(), ys.tolist())) == sorted(want)
-            # target_observable's cells come nearest the target first.
-            _, _, xs, ys = passed[1]
+            # target_observable ranks the cells nearest the target first.
+            (xs, ys, keys), = passed[1][3]
             gap = np.hypot((xs + 0.5) * grid.resolution - tx, (ys + 0.5) * grid.resolution - ty)
-            assert (np.diff(gap) >= 0.0).all()
+            assert (np.diff(gap[np.argsort(keys, kind="stable")]) >= 0.0).all()

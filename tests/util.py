@@ -1,4 +1,5 @@
-"""Shared helpers: small test scenarios and the step-by-step grid walk."""
+"""Shared helpers: small test scenarios, the step-by-step grid walk and the
+confirming rule tested one cell at a time on it."""
 
 from __future__ import annotations
 
@@ -111,8 +112,9 @@ def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hi
     shares no code with ``objsearch.world``; ``free_mask`` and ``hit_mask``,
     when given, collect the cells the rays cross and hit."""
     x0, y0 = float(origin[0]), float(origin[1])
-    ix0, iy0 = grid.world_to_cell(x0, y0)
-    if not grid.in_bounds(ix0, iy0):
+    res = grid.resolution
+    ix0, iy0 = math.floor(x0 / res), math.floor(y0 / res)
+    if not (0 <= ix0 < grid.width and 0 <= iy0 < grid.height):
         raise DomainError(f"raycast origin {origin} outside map bounds")
     bearings = np.asarray(bearings, dtype=np.float64)
     n = bearings.shape[0]
@@ -125,7 +127,6 @@ def stepwise_raycast_batch(grid, origin, bearings, max_range, free_mask=None, hi
     if free_mask is not None:
         free_mask[iy0, ix0] = True
 
-    res = grid.resolution
     dx = np.cos(bearings)
     dy = np.sin(bearings)
     step_x = np.sign(dx).astype(np.int64)
@@ -211,3 +212,32 @@ def stepwise_ray(grid, origin, bearing, max_range):
             return max_range, False
         if cell(iy, ix) == occupied:
             return t_entry, True
+
+
+def reference_line_of_sight(grid, origin, point, slack):
+    """Reference: whether ``point`` is in sight from ``origin``, that is
+    whether :func:`stepwise_ray` toward it is clear or stops within ``slack``
+    of it; a point is in sight of itself."""
+    dx, dy = point[0] - origin[0], point[1] - origin[1]
+    distance = math.hypot(dx, dy)
+    if distance <= 0.0:
+        return True
+    dist, blocked = stepwise_ray(grid, origin, math.atan2(dy, dx), distance)
+    return not blocked or dist >= distance - slack
+
+
+def reference_first_confirming(grid, target, cam_range, xs, ys):
+    """Reference: the range and confirming-cell rules one cell at a time, in
+    the given order.  Index of the first cell whose centre lies within (0,
+    cam_range + resolution] of the target and sees it, past the target's
+    radius and two cells, by :func:`reference_line_of_sight`; None when no
+    cell does."""
+    res = grid.resolution
+    tx, ty = target.position
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        cx, cy = (x + 0.5) * res, (y + 0.5) * res
+        if not 0.0 < math.hypot(tx - cx, ty - cy) <= cam_range + res:
+            continue
+        if reference_line_of_sight(grid, (cx, cy), target.position, target.radius + 2.0 * res):
+            return i
+    return None
