@@ -145,10 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ObjSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ObjSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

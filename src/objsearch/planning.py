@@ -34,6 +34,9 @@ _NEIGHBORS = tuple(
 # A cell's out-edge weights in :func:`distance_field`, in :data:`_NEIGHBORS`
 # order, indexed by whether the cell is traversable.
 _WEIGHT_ROWS = np.array([[math.inf] * len(_NEIGHBORS), [step for _, _, step in _NEIGHBORS]])
+# 8-connectivity for ``ndimage.label``: diagonal neighbours join, as on the
+# graph :func:`distance_field` searches.
+EIGHT_CONNECTED = ndimage.generate_binary_structure(2, 2)
 # Relative gap below which two path lengths are one length up to rounding;
 # distinct 8-connected lengths on any map here differ far more.
 _TIE_TOLERANCE = 1e-9
@@ -91,30 +94,22 @@ def _radius_cells(radius: float, resolution: float) -> int:
     return int(math.ceil(radius / resolution - 1e-9))
 
 
-@functools.cache
-def _disk_offsets(radius_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dy, dx) offsets of the cells within ``radius_cells`` of a centre cell.
-
-    Built once per radius and shared, so the arrays are read-only.
-    """
-    span = np.arange(-radius_cells, radius_cells + 1)
-    dy, dx = np.meshgrid(span, span, indexing="ij")
-    disk = (dx * dx + dy * dy) <= radius_cells * radius_cells + 1e-9
-    dy, dx = dy[disk], dx[disk]
-    dy.setflags(write=False)
-    dx.setflags(write=False)
-    return dy, dx
+def _disk_rows(radius_cells: int) -> Iterator[tuple[int, int]]:
+    """The one definition of the disk of cells within ``radius_cells`` of a
+    centre cell, row by row: ``(|dy|, half-width)`` for ``|dy|`` from the
+    radius down to 0, where row ``dy`` spans ``|dx| <= isqrt(r**2 - dy**2)``."""
+    for dy in range(radius_cells, -1, -1):
+        yield dy, math.isqrt(radius_cells * radius_cells - dy * dy)
 
 
 def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
-    """Dilate an occupancy mask by a disk of the given cell radius, the
-    offsets of :func:`_disk_offsets`; cells beyond the border count as free.
+    """Dilate an occupancy mask by the disk of :func:`_disk_rows` with the
+    given cell radius; cells beyond the border count as free.
 
-    The disk is a stack of rows: row ``dy`` spans the half-width ``isqrt(r**2
-    - dy**2)``, which grows as ``|dy|`` falls.  So the mask is dilated along x
-    one half-width at a time, each from the last by two shifted ORs, and
-    each dilation is ORed into the result shifted up and down by the
-    ``|dy|`` of every row that has that half-width: at most ``4r + 1``
+    The disk's half-width grows as ``|dy|`` falls.  So the mask is dilated
+    along x one half-width at a time, each from the last by two shifted
+    ORs, and each dilation is ORed into the result shifted up and down by
+    the ``|dy|`` of every row that has that half-width: at most ``4r + 1``
     shifted ORs, not one per disk cell.  Shifts of a whole side or more
     move every cell off the map and are skipped.
     """
@@ -124,8 +119,7 @@ def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
     row = occupied.copy()  # dilated along x by ``reach``
     out = np.zeros((height, width), dtype=bool)
     reach = 0
-    for dy in range(radius_cells, -1, -1):
-        half = math.isqrt(radius_cells * radius_cells - dy * dy)
+    for dy, half in _disk_rows(radius_cells):
         for dx in range(reach + 1, min(half, width - 1) + 1):
             row[:, dx:] |= occupied[:, :-dx]
             row[:, :-dx] |= occupied[:, dx:]
@@ -148,19 +142,21 @@ def traversable_mask(grid: GridMap, robot_radius: float) -> np.ndarray:
 def clear_robot_disk(
     trav: np.ndarray, grid: GridMap, cell: tuple[int, int], robot_radius: float
 ) -> np.ndarray:
-    """Whitelist the free cells under the robot's own footprint.
+    """Whitelist the free cells under the robot's own footprint, the disk of
+    :func:`_disk_rows` that :func:`traversable_mask` inflates by, one row of
+    cells at a time.
 
     A lidar update can reveal an obstacle right next to the robot, at which
     point inflation would swallow the cell it is standing on and strand it.
     The robot's body is proof those free cells are passable.
     """
     cx, cy = cell
-    dy, dx = _disk_offsets(_radius_cells(robot_radius, grid.resolution))
-    xs, ys = cx + dx, cy + dy
-    inside = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
-    xs, ys = xs[inside], ys[inside]
-    free = grid.cells[ys, xs] == CellState.FREE.value
-    trav[ys[free], xs[free]] = True
+    free = CellState.FREE.value
+    for dy, half in _disk_rows(_radius_cells(robot_radius, grid.resolution)):
+        cols = slice(max(cx - half, 0), min(cx + half + 1, grid.width))
+        for y in (cy - dy, cy + dy) if dy else (cy,):
+            if 0 <= y < grid.height:
+                trav[y, cols] |= grid.cells[y, cols] == free
     trav[cy, cx] = True
     return trav
 
@@ -453,7 +449,7 @@ def nearest_frontier(
     y0, x0 = int(rows[0]), int(cols[0])
     window = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
     mask, dist = mask[window], dist_field[window]
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    labels, _ = ndimage.label(mask, structure=EIGHT_CONNECTED)
     ys, xs = np.nonzero(mask & np.isfinite(dist))
     cell_labels = labels[ys, xs]
     large = np.bincount(labels.ravel())[cell_labels] >= params.min_frontier_cells
@@ -582,7 +578,7 @@ def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     res = grid.resolution
     sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
-    labels, _ = ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))
+    labels, _ = ndimage.label(drivable, structure=EIGHT_CONNECTED)
     tx, ty = scenario.target.position
     return first_confirming(
         grid, scenario.target, scenario.hyperparams, labels == labels[sy, sx],

@@ -32,7 +32,8 @@ from scipy import ndimage
 from .assets import AssetContext
 from .errors import DomainError, GenerationError, SchemaError
 from .planning import (
-    cells_near, first_confirming, target_observable, traversable_mask, viewpoint_ring,
+    EIGHT_CONNECTED, cells_near, first_confirming, target_observable, traversable_mask,
+    viewpoint_ring,
 )
 from .world import (
     CellState,
@@ -70,6 +71,8 @@ _MIN_ROOM_M = 2.8
 _TARGET_RADIUS = 0.15
 _MAX_SCENARIO_ATTEMPTS = 40
 _MAX_PLACE_ATTEMPTS = 80
+_FREE = CellState.FREE.value
+_OCCUPIED = CellState.OCCUPIED.value
 
 
 class _Retry(Exception):
@@ -169,7 +172,7 @@ def _sample_names(rng: np.random.Generator, pool: Sequence[str], k: int) -> list
 
 
 def _split_rooms(
-    occ: np.ndarray, rng: np.random.Generator, rooms: int, res: float, map_side: float
+    cells: np.ndarray, rng: np.random.Generator, rooms: int, res: float, map_side: float
 ) -> None:
     """Recursively split the interior with walls, leaving a door per wall.
 
@@ -189,7 +192,7 @@ def _split_rooms(
     R1 and R2, and p is 8-adjacent to at least one of them (to both where
     it meets the wall head-on, as an earlier door cell there does).  Either
     way c stays joined to R1 and R2."""
-    n = occ.shape[0]
+    n = cells.shape[0]
     min_cells = int(round(_MIN_ROOM_M / res))
     door_cells = int(round(_DOOR_WIDTH_M / res))
     rects = [(1, 1, n - 1, n - 1)]  # half-open cell rects (x0, y0, x1, y1)
@@ -207,46 +210,37 @@ def _split_rooms(
         cut = int(rng.integers(min_cells, span - min_cells))
         if vertical:
             wall_x = x0 + cut
-            occ[y0:y1, wall_x] = True
+            cells[y0:y1, wall_x] = _OCCUPIED
             door_at = int(rng.integers(y0, y1 - door_cells))
-            occ[door_at : door_at + door_cells, wall_x] = False
+            cells[door_at : door_at + door_cells, wall_x] = _FREE
             rects[-1:] = [(x0, y0, wall_x, y1), (wall_x + 1, y0, x1, y1)]
         else:
             wall_y = y0 + cut
-            occ[wall_y, x0:x1] = True
+            cells[wall_y, x0:x1] = _OCCUPIED
             door_at = int(rng.integers(x0, x1 - door_cells))
-            occ[wall_y, door_at : door_at + door_cells] = False
+            cells[wall_y, door_at : door_at + door_cells] = _FREE
             rects[-1:] = [(x0, y0, x1, wall_y), (x0, wall_y + 1, x1, y1)]
 
 
-_EIGHT = np.ones((3, 3), dtype=bool)  # 8-connectivity for ndimage
-
-
-def _connected(occ: np.ndarray) -> bool:
-    free = ~occ
-    if not free.any():
-        return False
-    _, count = ndimage.label(free, structure=_EIGHT)
-    return count == 1
+def _connected(cells: np.ndarray) -> bool:
+    """Whether the Free cells of a map's ``cells`` form one 8-connected region."""
+    return ndimage.label(cells == _FREE, structure=EIGHT_CONNECTED)[1] == 1
 
 
 def _ring_connected(trial: np.ndarray, rows: slice, cols: slice) -> bool:
     """Sufficient test that occupying a footprint kept a connected map connected.
 
-    ``trial`` is the map with the footprint, the cells ``rows`` by ``cols``,
-    occupied, all of which were free before.  The ring is the free cells of
-    ``trial`` 8-adjacent to the footprint, so those of the rectangle grown
-    by one cell and clipped to the map.  If the map was 8-connected before
+    ``trial`` is the map's cells with the footprint, the cells ``rows`` by
+    ``cols``, occupied, all of which were free before.  The ring is the free
+    cells of ``trial`` 8-adjacent to the footprint, so those of the
+    rectangle grown by one cell and clipped to the map.  If the map was 8-connected before
     and the ring is non-empty and 8-connected among its own cells, ``trial``
     is 8-connected: a path between two free cells of ``trial`` that crossed
     the footprint enters it from a ring cell and leaves it to a ring cell,
     and that stretch can be replaced by a path through the ring.  A False
     answer proves nothing; the caller then runs :func:`_connected`."""
-    ring = ~trial[max(rows.start - 1, 0) : rows.stop + 1, max(cols.start - 1, 0) : cols.stop + 1]
-    if not ring.any():
-        return False
-    _, count = ndimage.label(ring, structure=_EIGHT)
-    return count == 1
+    ring = trial[max(rows.start - 1, 0) : rows.stop + 1, max(cols.start - 1, 0) : cols.stop + 1]
+    return ndimage.label(ring == _FREE, structure=EIGHT_CONNECTED)[1] == 1
 
 
 def _rect_distance(a: tuple, b: tuple) -> float:
@@ -274,7 +268,6 @@ def _wall_footprint(
 
 
 def _place_landmarks(
-    occ: np.ndarray,
     grid: GridMap,
     rng: np.random.Generator,
     names: list[str],
@@ -285,41 +278,35 @@ def _place_landmarks(
     whose centre it covers) that keeps the free space 8-connected and leaves
     a free point on the planner's viewpoint ring around it.
 
-    Precondition: the free space of ``occ`` is one 8-connected region, as
+    Precondition: the free space of ``grid`` is one 8-connected region, as
     :func:`_split_rooms` guarantees.  Each accepted placement keeps it so,
     so every trial footprint is first checked with the
     :func:`_ring_connected` shortcut, whose True answer proves the trial
     connected on a connected map.  Only when the ring test fails does the
-    full :func:`_connected` label decide.
-
-    ``grid`` is the map being built from ``occ``: each accepted footprint is
-    written to both."""
-    n = occ.shape[0]
+    full :func:`_connected` label decide.  Each trial occupies a copy of
+    ``grid.cells``; an accepted footprint is written into ``grid.cells``."""
+    n = grid.width
     res = grid.resolution
     placed: list[LandmarkSpec] = []
     for idx, name in enumerate(names):
         for _ in range(_MAX_PLACE_ATTEMPTS):
             rect = _wall_footprint(rng, n, res)
             rows, cols = _footprint_window(grid, rect)
-            window = occ[rows, cols]
-            if window.size == 0 or window.any():
+            window = grid.cells[rows, cols]
+            if window.size == 0 or (window == _OCCUPIED).any():
                 continue
             if any(_rect_distance(rect, lm.footprint) < 0.5 for lm in placed):
                 continue
-            trial = occ.copy()
-            trial[rows, cols] = True
+            trial = grid.cells.copy()
+            trial[rows, cols] = _OCCUPIED
             if not (_ring_connected(trial, rows, cols) or _connected(trial)):
                 continue
-            center = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))
-            if all(trial[iy, ix] for _, (ix, iy) in viewpoint_ring(grid, center, planner)):
+            landmark = LandmarkSpec(id=f"L{idx}", name=name, known=name in known, footprint=rect)
+            ring = viewpoint_ring(grid, landmark.center, planner)
+            if all(trial[iy, ix] == _OCCUPIED for _, (ix, iy) in ring):
                 continue
-            occ[rows, cols] = True
-            grid.cells[rows, cols] = CellState.OCCUPIED.value
-            placed.append(
-                LandmarkSpec(
-                    id=f"L{idx}", name=name, known=name in known, footprint=rect
-                )
-            )
+            grid.cells[rows, cols] = _OCCUPIED
+            placed.append(landmark)
             break
         else:
             raise _Retry(f"could not place landmark {name!r}")
@@ -365,9 +352,10 @@ def _place_object(
 def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetContext) -> ScenarioSpec:
     res = params.resolution
     n = int(round(params.map_side / res))
-    occ = np.zeros((n, n), dtype=bool)
-    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
-    _split_rooms(occ, rng, params.rooms, res, params.map_side)
+    grid = GridMap(n, n, res, np.full((n, n), _FREE, dtype=np.uint8))
+    cells = grid.cells
+    cells[0, :] = cells[-1, :] = cells[:, 0] = cells[:, -1] = _OCCUPIED
+    _split_rooms(cells, rng, params.rooms, res, params.map_side)
 
     known_names = _sample_names(rng, params.known_pool, params.known_landmarks)
     unknown_names = _sample_names(
@@ -375,8 +363,7 @@ def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetConte
     )
     names = known_names + unknown_names
     planner = PlannerParams(**params.planner)
-    grid = GridMap(n, n, res, occ.view(np.uint8) + CellState.FREE.value)
-    landmarks = _place_landmarks(occ, grid, rng, names, set(known_names), planner)
+    landmarks = _place_landmarks(grid, rng, names, set(known_names), planner)
 
     for _ in range(2 * len(params.targets)):
         target_name = _pick(rng, params.targets)
@@ -387,7 +374,7 @@ def _generate_one(params: SuiteParams, rng: np.random.Generator, ctx: AssetConte
         raise _Retry("no target in the pool is placeable under the weights")
 
     used: set[tuple[int, int]] = set()
-    free = ~occ
+    free = cells == _FREE
     host = landmarks[_weighted_pick(rng, weights)]
     target_pos = _place_object(free, rng, host.footprint, res, used)
     objects = [

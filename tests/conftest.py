@@ -13,9 +13,10 @@ def ctx() -> AssetContext:
 
 @pytest.fixture
 def no_inflation(monkeypatch):
-    """Fail a test that reaches map inflation, which allocates a disk of
-    offsets as wide as the robot."""
+    """Fail a test that reaches map inflation (:func:`planning.inflate_occupied`).
+    A robot too wide for its map must be rejected before any map is
+    inflated, and inflating for such a radius can take minutes."""
     def inflate(*args):
         raise AssertionError("the map was inflated")
 
-    monkeypatch.setattr(planning, "_disk_offsets", inflate)
+    monkeypatch.setattr(planning, "inflate_occupied", inflate)

@@ -3,9 +3,10 @@
 The digests pin the exact bytes of the episode traces and batch records of a
 small generated suite, so a change that alters behaviour, even in the last
 digit of a float, fails here and has to re-pin them on purpose.  A second
-trace digest covers a suite with camera misses and clutter.  The lazy-stream
-tests check that a frame's camera stream, built on its first draw, draws what
-the eager Generator draws.  The ranking tests replay every ``plan`` event
+trace digest covers a suite with camera misses and clutter, and two more pin
+small suites and their traces for robots wider than the goldens'.  The
+lazy-stream tests check that a frame's camera stream, built on its first
+draw, draws what the eager Generator draws.  The ranking tests replay every ``plan`` event
 of the golden traces and check that a landmark the skip rule drops is never
 planned again.  The reuse tests check that the layers an episode reuses
 (skipped sweeps, cached traversable masks and distance fields, bounded or
@@ -48,7 +49,7 @@ from objsearch.planning import (
 )
 from objsearch.sensing import camera_observe, lidar_update, observation_rng
 from objsearch.suitegen import SuiteParams, generate_suite
-from objsearch.world import CellState, GridMap, Pose, SensorParams
+from objsearch.world import CellState, GridMap, Pose, SensorParams, serialize_scenario
 from util import box_scenario
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
@@ -131,6 +132,27 @@ def test_a_success_never_travels_less_than_its_shortest_path(traces, clutter, ct
             assert end["traveled"] >= end["shortest"], (suite, end)
         if suite == "wide robot":
             assert len(successes) >= 5
+
+
+# Robots whose disk is wider than the goldens' two cells: 5 cells at 0.1 m
+# and 6 at 0.05 m.  Each digest covers a small suite's scenarios and the
+# trace of each, so map inflation, the robot's own disk and generation's
+# drivable checks are all pinned at these radii.
+WIDE_ROBOT_SHA256 = {
+    (0.45, 0.1, 10.0): "4c770434767519c9131375d022ba812c63dd78b6e49104c140fe2b3ac6aa317c",
+    (0.3, 0.05, 8.0): "b3146328ccedeeeb24e00df8571bdc61e3ebdada78265639cedd1da59a4a81bf",
+}
+
+
+@pytest.mark.parametrize("radius, resolution, map_side", sorted(WIDE_ROBOT_SHA256))
+def test_wide_robot_suites_and_traces_are_pinned(radius, resolution, map_side, ctx):
+    params = SuiteParams(count=4, rooms=2, landmarks=5, map_side=map_side, resolution=resolution,
+                         planner={"robot_radius": radius})
+    scenarios = generate_suite(params, SUITE_SEED, ctx=ctx)
+    texts = [serialize_scenario(s) + "\n" for s in scenarios]
+    texts += [trace_to_jsonl(run_episode(s, ctx=ctx, seed=i).trace)
+              for i, s in enumerate(scenarios)]
+    assert sha256("".join(texts)) == WIDE_ROBOT_SHA256[(radius, resolution, map_side)]
 
 
 def golden_digests(scenarios, ctx):

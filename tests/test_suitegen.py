@@ -35,7 +35,9 @@ from objsearch.suitegen import (
     _split_rooms,
     generate_suite,
 )
-from objsearch.world import CellState, GridMap, PlannerParams, load_scenario, serialize_scenario
+from objsearch.world import (
+    CellState, GridMap, PlannerParams, _footprint_window, load_scenario, serialize_scenario,
+)
 from util import reference_first_confirming
 
 SUITE = SuiteParams(count=6, rooms=4, landmarks=8, map_side=20.0)
@@ -80,12 +82,28 @@ def test_generated_scenarios_survive_json(params, ctx):
         assert serialize_scenario(again) == text
 
 
+FREE, OCCUPIED = CellState.FREE.value, CellState.OCCUPIED.value
+
+
+def cells_of(occ):
+    """Map cells as generation builds them: Free, or Occupied where ``occ`` is set."""
+    return np.where(occ, OCCUPIED, FREE).astype(np.uint8)
+
+
+def walled_cells(n):
+    """The cells of an ``n`` by ``n`` map, Free inside a closed outer wall."""
+    occ = np.zeros((n, n), dtype=bool)
+    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    return cells_of(occ)
+
+
 def reference_ring_connected(trial, rows, cols):
     """The ring as the footprint rectangle dilated by one 8-neighbour step,
     minus the occupied cells, labelled over the whole map."""
     footprint = np.zeros(trial.shape, dtype=bool)
     footprint[rows, cols] = True
-    ring = ndimage.binary_dilation(footprint, structure=np.ones((3, 3), dtype=bool)) & ~trial
+    ring = ndimage.binary_dilation(footprint, structure=np.ones((3, 3), dtype=bool))
+    ring &= trial == FREE
     return ring.any() and ndimage.label(ring, structure=np.ones((3, 3), dtype=bool))[1] == 1
 
 
@@ -102,10 +120,10 @@ def test_ring_shortcut_never_accepts_a_disconnected_map(seed, density):
     occ = rng.random((height, width)) < density
     occ[rows, cols] = False
     labels, _ = ndimage.label(~occ, structure=np.ones((3, 3), dtype=bool))
-    occ = labels != labels[r0, c0]
-    assert _connected(occ)
-    trial = occ.copy()
-    trial[rows, cols] = True
+    cells = cells_of(labels != labels[r0, c0])
+    assert _connected(cells)
+    trial = cells.copy()
+    trial[rows, cols] = OCCUPIED
     answer = _ring_connected(trial, rows, cols)
     assert answer == reference_ring_connected(trial, rows, cols)
     if answer:
@@ -113,12 +131,13 @@ def test_ring_shortcut_never_accepts_a_disconnected_map(seed, density):
 
 
 def test_ring_shortcut_answers_both_ways():
-    occ = np.zeros((8, 8), dtype=bool)
-    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
-    # A block in the open keeps its ring; one across the room cuts it.
-    for rows, cols, want in ((slice(3, 5), slice(3, 5), True), (slice(1, 7), slice(4, 5), False)):
-        trial = occ.copy()
-        trial[rows, cols] = True
+    cells = walled_cells(8)
+    # A block in the open keeps its ring; one across the room cuts it, and
+    # one that fills the room leaves no ring and no free cell.
+    for rows, cols, want in ((slice(3, 5), slice(3, 5), True), (slice(1, 7), slice(4, 5), False),
+                             (slice(1, 7), slice(1, 7), False)):
+        trial = cells.copy()
+        trial[rows, cols] = OCCUPIED
         assert _ring_connected(trial, rows, cols) == want == _connected(trial)
 
 
@@ -127,63 +146,61 @@ def test_ring_shortcut_answers_both_ways():
 def test_room_split_leaves_one_connected_region(rooms, map_side, res, seed):
     # Landmark placement relies on this: it labels the whole map only when a
     # footprint's ring is split.
-    n = int(round(map_side / res))
-    occ = np.zeros((n, n), dtype=bool)
-    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
+    cells = walled_cells(int(round(map_side / res)))
     try:
-        _split_rooms(occ, np.random.default_rng(seed), rooms, res, map_side)
+        _split_rooms(cells, np.random.default_rng(seed), rooms, res, map_side)
     except GenerationError:
         return
-    assert _connected(occ)
+    assert _connected(cells)
 
 
 def doorway_map():
     """An 8 m map at 0.1 m split by a wall at column 40 whose one doorway,
     rows 1..11, runs along the south wall, and a south-wall footprint of free
     cells, rows 1..11 by columns 35..44, that covers the whole doorway."""
-    occ = np.zeros((80, 80), dtype=bool)
-    occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = occ[:, 40] = True
-    occ[1:12, 40] = False
-    return occ, (3.5, 0.1, 4.5, 1.2)
+    cells = walled_cells(80)
+    cells[12:, 40] = OCCUPIED
+    return cells, (3.5, 0.1, 4.5, 1.2)
 
 
-def grid_of(occ, res=0.1):
-    """The map that placement builds beside ``occ``: Free, or Occupied where set."""
-    n = occ.shape[0]
-    return GridMap(n, n, res, np.where(occ, CellState.OCCUPIED.value, CellState.FREE.value))
+def grid_of(cells, res=0.1):
+    """A square map at ``res`` over ``cells``, which placement writes into."""
+    n = cells.shape[0]
+    return GridMap(n, n, res, cells)
 
 
 def test_placement_keeps_a_connected_map_connected():
-    # It also keeps the map it builds equal to the occupancy it places on.
-    occ, _ = doorway_map()
-    assert _connected(occ)
+    # It writes each placed footprint into the map and changes no other cell.
+    cells, _ = doorway_map()
+    assert _connected(cells)
     for seed in range(60):
-        trial = occ.copy()
-        grid = grid_of(trial)
+        grid = grid_of(cells.copy())
         try:
-            _place_landmarks(trial, grid, np.random.default_rng(seed), ["desk", "bed", "sofa"],
-                             set(), PlannerParams())
+            placed = _place_landmarks(grid, np.random.default_rng(seed), ["desk", "bed", "sofa"],
+                                      set(), PlannerParams())
         except _Retry:
             continue
-        assert _connected(trial), seed
-        assert grid == grid_of(trial), seed
+        assert _connected(grid.cells), seed
+        want = cells.copy()
+        for lm in placed:
+            want[_footprint_window(grid, lm.footprint)] = OCCUPIED
+        assert np.array_equal(grid.cells, want), seed
 
 
 def test_placement_rejects_a_footprint_that_seals_the_doorway(monkeypatch):
     # The footprint's ring is split by the dividing wall, so the shortcut
     # fails and the full check rejects it.
-    occ, sealing = doorway_map()
+    cells, sealing = doorway_map()
     monkeypatch.setattr(suitegen, "_wall_footprint", lambda rng, n, res: sealing)
     rows, cols = slice(1, 12), slice(35, 45)
-    assert not occ[rows, cols].any()
-    trial = occ.copy()
-    trial[rows, cols] = True
+    assert (cells[rows, cols] == FREE).all()
+    trial = cells.copy()
+    trial[rows, cols] = OCCUPIED
     assert not _ring_connected(trial, rows, cols) and not _connected(trial)
-    before = occ.copy()
-    grid = grid_of(occ)
+    grid = grid_of(cells.copy())
     with pytest.raises(_Retry, match="could not place landmark 'desk'"):
-        _place_landmarks(occ, grid, np.random.default_rng(0), ["desk"], set(), PlannerParams())
-    assert np.array_equal(occ, before) and grid == grid_of(before)
+        _place_landmarks(grid, np.random.default_rng(0), ["desk"], set(), PlannerParams())
+    assert np.array_equal(grid.cells, cells)
 
 
 SHORTCUT_SHAPES = [
@@ -208,7 +225,7 @@ def test_ring_shortcut_changes_no_scenario(params, ctx, monkeypatch):
 
 
 def test_pinned_suite_labels_no_whole_map(ctx, monkeypatch):
-    def forbidden(occ):
+    def forbidden(cells):
         raise AssertionError("placement labelled the whole map")
 
     monkeypatch.setattr(suitegen, "_connected", forbidden)
@@ -220,13 +237,12 @@ def test_placement_leaves_a_free_point_on_the_planners_ring():
     # centre, so placement must leave that point free.
     planner = PlannerParams(view_radius=3.0, view_directions=1)
     for seed in range(40):
-        occ = np.zeros((80, 80), dtype=bool)
-        occ[0, :] = occ[-1, :] = occ[:, 0] = occ[:, -1] = True
-        (desk,) = _place_landmarks(occ, grid_of(occ), np.random.default_rng(seed), ["desk"],
+        cells = walled_cells(80)
+        (desk,) = _place_landmarks(grid_of(cells), np.random.default_rng(seed), ["desk"],
                                    set(), planner)
         x0, y0, x1, y1 = desk.footprint
         ix, iy = int((0.5 * (x0 + x1) + 3.0) / 0.1), int(0.5 * (y0 + y1) / 0.1)
-        assert 0 <= ix < 80 and not occ[iy, ix]
+        assert 0 <= ix < 80 and cells[iy, ix] == FREE
 
 
 @pytest.mark.parametrize("params", [
