@@ -35,6 +35,7 @@ from objsearch.planning import (
     LandmarkEntry,
     Path,
     Viewpoint,
+    _disk_rows,
     clear_robot_disk,
     Frontier,
     distance_field,
@@ -678,6 +679,22 @@ class TestNearestFrontier:
         belief = open_belief(15, 10)
         belief.cells[4:6, 4:9] = CellState.OCCUPIED
         assert nearest_frontier(belief, PlannerParams(), np.zeros((10, 15))) is None
+
+
+@pytest.mark.parametrize("radius", range(7))
+def test_disk_rows_are_exact(radius):
+    # Every row of the disk dx**2 + dy**2 <= r**2, widest |dy| first, with
+    # its half-width, and nothing else.
+    span = np.arange(-radius, radius + 1)
+    dy, dx = np.meshgrid(span, span, indexing="ij")
+    disk = (dx * dx + dy * dy) <= radius * radius
+    want = [(d, int(np.abs(dx[dy == d][disk[dy == d]]).max())) for d in range(radius, -1, -1)]
+    assert list(_disk_rows(radius)) == want
+    rebuilt = np.zeros_like(disk)
+    for d, half in _disk_rows(radius):
+        rebuilt[radius - d, radius - half:radius + half + 1] = True
+        rebuilt[radius + d, radius - half:radius + half + 1] = True
+    assert np.array_equal(rebuilt, disk)
 
 
 @st.composite
