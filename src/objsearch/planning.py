@@ -456,7 +456,9 @@ def nearest_frontier(
     ys, xs, cell_labels = ys[large], xs[large], cell_labels[large]
     if xs.size == 0:
         return None
-    win = np.lexsort((cell_labels, dist[ys, xs]))[0]
+    cell_dist = dist[ys, xs]
+    nearest = np.flatnonzero(cell_dist == cell_dist.min())  # in row-major order
+    win = nearest[np.argmin(cell_labels[nearest])]
     closest = (int(xs[win]) + x0, int(ys[win]) + y0)
     ys, xs = np.nonzero(labels == cell_labels[win])
     by_cell = np.lexsort((ys, xs))  # (x, y) order, as the cells are listed
@@ -508,6 +510,15 @@ def cells_near(
     return xs[near] + x0, ys[near] + y0
 
 
+def _by_rank(xs: np.ndarray, ys: np.ndarray, keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Cells ``(x, y)`` in stable order of ``keys``, lazily: the first by
+    ``np.argmin``, the rest from a stable sort made only if they are asked for."""
+    top = int(np.argmin(keys))
+    yield int(xs[top]), int(ys[top])
+    rest = np.argsort(keys, kind="stable")[1:]
+    yield from zip(xs[rest].tolist(), ys[rest].tolist())
+
+
 def first_confirming(
     grid: GridMap, target: ObjectSpec, hyper: HyperParams, mask: np.ndarray | tuple[int, int],
     rank: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
@@ -518,6 +529,12 @@ def first_confirming(
     None when none is.  :func:`cells_near` finds the cells in range, and each
     is tested with one :func:`~objsearch.sensing.line_of_sight` ray until one
     confirms.  The robot can turn, so the field of view does not matter.
+
+    The top-ranked cell is tried first, before any sort: ``np.argmin`` of
+    the keys, which picks the first of tied keys, as the stable sort puts
+    first.  The rest are sorted only when that cell does not confirm.  Both
+    callers' keys are finite; a NaN key would break the agreement, since
+    ``argmin`` picks the first NaN and the sort puts NaNs last.
 
     ``max_dist`` is ``cam_range`` and one whole cell: the robot confirms from
     poses anywhere in a cell, at most half its diagonal from the centre, so a
@@ -535,8 +552,7 @@ def first_confirming(
         cells = [mask] if 0.0 < gap <= max_dist else []
     else:
         xs, ys = cells_near(mask, (tx, ty, tx, ty), res, max_dist)
-        by_rank = np.argsort(rank(xs, ys), kind="stable")
-        cells = zip(xs[by_rank].tolist(), ys[by_rank].tolist())
+        cells = _by_rank(xs, ys, rank(xs, ys)) if xs.size else []
     slack = object_slack(target, res)
     for x, y in cells:
         if line_of_sight(grid, ((x + 0.5) * res, (y + 0.5) * res), target.position, slack):
@@ -571,16 +587,20 @@ def target_observable(scenario: ScenarioSpec, traversable: np.ndarray) -> bool:
     The reachable cells are the start's 8-connected component of the
     drivable mask, which ``ndimage.label`` with a 3x3 structure finds over
     the same graph :func:`distance_field` searches (diagonal steps need no
-    free side cell).  They are ranked nearest the target first, where a cell
-    that confirms is most likely; the answer is whether any cell confirms,
-    so the order cannot change it."""
+    free side cell).  The start's cell is drivable, so when the label finds
+    one component, that component is the drivable mask itself, which is
+    searched as it is; this is the common case on generated maps.  The
+    cells are ranked nearest the target first, where a cell that confirms
+    is most likely; the answer is whether any cell confirms, so the order
+    cannot change it."""
     grid = scenario.map
     res = grid.resolution
     sx, sy = start = grid.world_to_cell(scenario.start.x, scenario.start.y)
     drivable = clear_robot_disk(traversable.copy(), grid, start, scenario.planner.robot_radius)
-    labels, _ = ndimage.label(drivable, structure=EIGHT_CONNECTED)
+    labels, count = ndimage.label(drivable, structure=EIGHT_CONNECTED)
+    reachable = drivable if count == 1 else labels == labels[sy, sx]
     tx, ty = scenario.target.position
     return first_confirming(
-        grid, scenario.target, scenario.hyperparams, labels == labels[sy, sx],
+        grid, scenario.target, scenario.hyperparams, reachable,
         lambda xs, ys: np.hypot((xs + 0.5) * res - tx, (ys + 0.5) * res - ty),
     ) is not None

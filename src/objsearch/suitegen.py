@@ -7,16 +7,18 @@ to exploit).  Generation is a pure function of (params, seed).
 
 Generation checks what a scenario needs and no more: the free space stays
 one 8-connected region, which the room split guarantees by construction and
-each landmark placement keeps (its ring of free cells is checked, and the
-whole map is labelled only when the ring is split), the start cell keeps the
-robot clear of walls and does not confirm the target, and some cell that
-confirms the target is reachable from the start (:func:`~objsearch.planning.target_observable`),
-so every scenario has the finite shortest path SPL divides by.  The map is
-inflated once: the start check's traversable mask is the one that test
-reads.  Both checks ask one confirming rule, the one SPL's search asks,
-:func:`~objsearch.planning.first_confirming`; which free cells lie near a
-host landmark, :func:`~objsearch.planning.cells_near`.  Generation never
-computes the path's length: the episode does, once, with
+each landmark placement keeps (its ring of free cells is read once around
+the footprint's border, and the whole map is labelled only when the ring is
+split), the start cell keeps the robot clear of walls and does not confirm
+the target, and some cell that confirms the target is reachable from the
+start (:func:`~objsearch.planning.target_observable`), so every scenario has
+the finite shortest path SPL divides by.  The map is inflated once: the
+start check's traversable mask is the one that test reads.  Both checks ask
+one confirming rule, the one SPL's search asks,
+:func:`~objsearch.planning.first_confirming`, which stops at its first
+confirming cell and sorts no cells when the top-ranked one confirms; which
+free cells lie near a host landmark, :func:`~objsearch.planning.cells_near`.
+Generation never computes the path's length: the episode does, once, with
 :func:`~objsearch.planning.ground_truth_shortest`.
 """
 
@@ -238,9 +240,33 @@ def _ring_connected(trial: np.ndarray, rows: slice, cols: slice) -> bool:
     is 8-connected: a path between two free cells of ``trial`` that crossed
     the footprint enters it from a ring cell and leaves it to a ring cell,
     and that stretch can be replaced by a path through the ring.  A False
-    answer proves nothing; the caller then runs :func:`_connected`."""
-    ring = trial[max(rows.start - 1, 0) : rows.stop + 1, max(cols.start - 1, 0) : cols.stop + 1]
-    return ndimage.label(ring == _FREE, structure=EIGHT_CONNECTED)[1] == 1
+    answer proves nothing; the caller then runs :func:`_connected`.
+
+    The ring is read without a label.  Grown by one cell on every side, with
+    cells off the map read as occupied, the footprint fills the inside of a
+    rectangle at least 3 cells along each axis, so the ring is the free part
+    of that rectangle's border.  Two border cells are 8-adjacent exactly
+    when they are next to each other on the border's cycle, or both next to
+    one corner of it, which makes them diagonal to each other.  So an
+    occupied corner between two free cells joins them, as a free one would,
+    and after that the ring is one 8-connected region exactly when one run
+    of free cells is left on the cycle, the whole cycle counting as one run.
+    """
+    height, width = trial.shape
+    y0, x0 = rows.start - 1, cols.start - 1
+    grown = trial[max(y0, 0) : rows.stop + 1, max(x0, 0) : cols.stop + 1]
+    off_map = ((int(y0 < 0), int(rows.stop >= height)), (int(x0 < 0), int(cols.stop >= width)))
+    if off_map != ((0, 0), (0, 0)):
+        grown = np.pad(grown, off_map, constant_values=_OCCUPIED)
+    # The border clockwise from the top-left corner, which each side ends before.
+    h, w = grown.shape
+    free = np.concatenate((grown[0, :-1], grown[:-1, -1], grown[-1, :0:-1],
+                           grown[:0:-1, 0])) == _FREE
+    for corner in (0, w - 1, w + h - 2, 2 * w + h - 3):
+        if not free[corner]:
+            free[corner] = free[corner - 1] and free[corner + 1]
+    starts = np.count_nonzero(free[1:] > free[:-1]) + (free[0] > free[-1])
+    return starts == 1 or bool(free.all())
 
 
 def _rect_distance(a: tuple, b: tuple) -> float:

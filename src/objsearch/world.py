@@ -324,7 +324,7 @@ class ScenarioSpec:
             if x0 < 0 or y0 < 0 or x1 > w_m or y1 > h_m:
                 raise ValidationError(f"landmark {lm.id}: footprint outside map bounds")
             rows, cols = _footprint_window(grid, lm.footprint)
-            free = grid.cells[rows, cols] != CellState.OCCUPIED
+            free = grid.cells[rows, cols] != CellState.OCCUPIED.value
             if free.any():
                 # The first free cell in row-major order.
                 iy, ix = np.unravel_index(int(np.argmax(free)), free.shape)
@@ -642,10 +642,14 @@ def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
     cells[:] = belief[1:-1, 1:-1]
 
 
+@lru_cache(maxsize=8)
 def _sweep_directions(rays: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction cosines of a sweep's ``rays`` bearings, evenly spaced from 0."""
+    """Direction cosines of a sweep's ``rays`` bearings, evenly spaced from 0.
+    Both arrays are read-only, shared by every sweep of ``rays`` rays."""
     bearings = np.arange(rays, dtype=np.float64) * (2.0 * math.pi / rays)
-    return np.cos(bearings), np.sin(bearings)
+    dx, dy = np.cos(bearings), np.sin(bearings)
+    dx.flags.writeable = dy.flags.writeable = False
+    return dx, dy
 
 
 # --------------------------------------------------------------------------

@@ -625,6 +625,22 @@ class TestNearestFrontier:
         assert self.choose(5.0, 5.0) == self.SMALL
         assert self.choose(5.0, 4.0) == self.LARGE
 
+    def test_ties_go_to_label_then_row_order(self):
+        # Unknown column x = 1, rows 1..7, leaves cluster 1 (its first cell
+        # is (1, 0)); unknown (8, 4) leaves cluster 2, whose cell (8, 3) lies
+        # before every tied cell of cluster 1 in row-major order.  Cluster 1
+        # ties with itself at (2, 6) and (0, 7): row-major order, not (x, y)
+        # order, picks (2, 6).
+        belief = open_belief(12, 10, [(1, y) for y in range(1, 8)] + [(8, 4)])
+        dist = np.full((10, 12), 9.0)
+        for x, y in ((2, 6), (0, 7), (8, 3)):
+            dist[y, x] = 3.0
+        params = PlannerParams(min_frontier_cells=1)
+        frontier = nearest_frontier(belief, params, dist)
+        assert frontier == loop_nearest_frontier(belief, params, dist)
+        assert frontier.closest_cell == (2, 6)
+        assert (1, 0) in frontier.cells and (8, 3) not in frontier.cells
+
     def test_small_clusters_are_ignored(self):
         assert self.choose(1.0, 9.0, PlannerParams(min_frontier_cells=5)) == self.LARGE
         assert self.choose(1.0, 9.0, PlannerParams(min_frontier_cells=7)) is None

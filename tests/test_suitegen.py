@@ -141,6 +141,35 @@ def test_ring_shortcut_answers_both_ways():
         assert _ring_connected(trial, rows, cols) == want == _connected(trial)
 
 
+@pytest.mark.parametrize("place", ["open", "first row", "last column", "first corner",
+                                   "last corner"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1), (2, 2)],
+                         ids=["1x1", "1x3", "3x1", "2x2"])
+def test_ring_walk_matches_the_label_on_every_ring(shape, place):
+    # Every free/occupied pattern of the ring cells around a footprint on a
+    # 6 by 7 map, in the open or clipped by one edge or by two at a corner,
+    # where the ring is open.
+    height, width = 6, 7
+    fh, fw = shape
+    y0 = {"open": 2, "first row": 0, "last column": 2, "first corner": 0}.get(place, height - fh)
+    x0 = {"open": 2, "first row": 2, "first corner": 0}.get(place, width - fw)
+    rows, cols = slice(y0, y0 + fh), slice(x0, x0 + fw)
+    footprint = np.zeros((height, width), dtype=bool)
+    footprint[rows, cols] = True
+    ring = ndimage.binary_dilation(footprint, structure=np.ones((3, 3), dtype=bool)) & ~footprint
+    assert (ring.sum() == (fh + 2) * (fw + 2) - fh * fw) == (place == "open")
+    ys, xs = np.nonzero(ring)
+    answers = set()
+    for pattern in range(2 ** xs.size):
+        trial = np.full((height, width), FREE, dtype=np.uint8)
+        trial[rows, cols] = OCCUPIED
+        trial[ys, xs] = np.where((pattern >> np.arange(xs.size)) & 1, OCCUPIED, FREE)
+        answer = _ring_connected(trial, rows, cols)
+        assert answer == reference_ring_connected(trial, rows, cols), pattern
+        answers.add(answer)
+    assert answers == {True, False}
+
+
 @given(st.integers(1, 4), st.floats(8.0, 20.0), st.floats(0.02, 0.5), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_room_split_leaves_one_connected_region(rooms, map_side, res, seed):

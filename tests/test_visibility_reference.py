@@ -438,6 +438,37 @@ class TestFirstConfirming:
         _, grid, target, cam_range, xs, ys = self.case(70)
         assert search(grid, target, cam_range, xs[:0], ys[:0]) is None
 
+    @pytest.mark.parametrize("top_confirms", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_keys_take_the_stable_order(self, seed, top_confirms):
+        # Keys of three values, so nearly every cell ties with others.  The
+        # first near cell in row-major order among the least keys is the top
+        # cell; it confirms, or it is blind and the least keys hold a
+        # confirming cell after it, so the answer comes from the sorted rest.
+        rng, grid, target, cam_range, xs, ys = self.case(90 + seed)
+        res = grid.resolution
+        tx, ty = target.position
+        gap = np.hypot(tx - (xs + 0.5) * res, ty - (ys + 0.5) * res)
+        near = np.flatnonzero((gap > 0.0) & (gap <= cam_range + res))
+        sees = {k for k in near.tolist()
+                if reference_first_confirming(grid, target, cam_range, xs[[k]], ys[[k]]) == 0}
+        keys = rng.integers(1, 3, size=xs.size)
+        pick = rng.permutation(near).tolist()
+        if top_confirms:
+            top = next(k for k in pick if k in sees)
+        else:
+            top = next(k for k in pick if k not in sees and k < max(sees))
+            keys[next(k for k in pick if k > top and k in sees)] = 0
+        keys[top] = 0
+        keys[[k for k in pick if k > top][:40]] = 0
+        order = np.argsort(keys, kind="stable")
+        want = reference_first_confirming(grid, target, cam_range, xs[order], ys[order])
+        rank = keys.reshape(grid.height, grid.width)  # xs, ys are every cell, row-major
+        hit = first_confirming(grid, target, HyperParams(cam_range=cam_range),
+                               np.ones(rank.shape, dtype=bool), lambda xs, ys: rank[ys, xs])
+        assert hit == (int(xs[order[want]]), int(ys[order[want]]))
+        assert (hit == (int(xs[top]), int(ys[top]))) == top_confirms
+
 
 # --------------------------------------------------------------------------
 # ground_truth_shortest
@@ -673,6 +704,24 @@ class TestTargetObservable:
         set_cells(rows, [(30, iy) for iy in range(5, 17)], "#")
         sealed = with_map(scenario, rows, (5.0, 5.0))
         assert assert_same_shortest(sealed) == math.inf
+
+    def test_only_the_starts_component_is_searched(self):
+        # The sealed room's two halves are two components of the drivable
+        # mask, and only the target's half holds a confirming cell: the
+        # answer follows the start.  With the door open they are one.
+        rows = empty_rows(60, 60)
+        set_cells(rows, [(30, iy) for iy in range(60)], "#")
+        base = box_scenario(size_m=6.0)
+        for start, door, want in (((0.55, 5.5), False, False), ((4.05, 1.05), False, True),
+                                  ((0.55, 5.5), True, True)):
+            if door:
+                set_cells(rows, [(30, iy) for iy in range(5, 17)], ".")
+            scenario = with_map(dataclasses.replace(base, start=Pose(*start)), rows, (5.0, 5.0))
+            cell = scenario.map.world_to_cell(*start)
+            drivable = drivable_mask(scenario.map, cell, scenario.planner.robot_radius)
+            assert ndimage.label(drivable, structure=np.ones((3, 3), dtype=bool))[1] == 2 - door
+            assert observable(scenario) == want
+            assert math.isfinite(assert_same_shortest(scenario)) == want
 
     def test_diagonal_step_joins_the_rooms(self):
         # The sealed room's wall doubled, with one diagonal step through it:
