@@ -18,7 +18,9 @@ The world is static and a sweep only writes true cell states, so a lidar
 sweep from a point already swept in this episode is skipped.  The sweep is
 the only code that writes the belief, and each one it runs drops the
 traversable mask and distance field; until the next, they are reused,
-read-only, while the robot stays in one cell.  The distance field serves
+read-only, while the robot stays in one cell.  A stop's camera frames, a
+scan's or a visit's, share each entity's range, bearing and line of sight
+(:class:`~objsearch.sensing.CameraStop`).  The distance field serves
 viewpoint choice, frontier choice and navigation alike, by one rule
 (:func:`_nearest_by_travel`): each is answered on the field out to the lidar
 range, which the sweep has just covered, and only when that finds nothing
@@ -72,9 +74,9 @@ from .planning import (
 )
 from .sensing import (
     CameraObservation,
+    CameraStop,
     DetectionRecord,
     bbox_from_geometry,
-    camera_observe,
     lidar_update,
     object_slack,
     observation_rng,
@@ -266,6 +268,8 @@ def _process_observation(state: EpisodeState, obs: CameraObservation, scanning: 
 
     A scan frame (``scanning``) does both for every detection; a pan view at
     a viewpoint only matches the detections of unknown label."""
+    if not obs.detections:  # most frames
+        return
     scenario, store = state.scenario, state.store
     hp = scenario.hyperparams
     unknown_names = scenario.unknown_landmark_names
@@ -298,11 +302,10 @@ def initial_scan(state: EpisodeState) -> None:
     matches the target on every detection."""
     hp = state.scenario.hyperparams
     _sweep(state)
+    stop = CameraStop(state.scenario, state.store, state.pose.x, state.pose.y)
     detections = 0
     for h in range(hp.scan_headings):
-        heading = 2.0 * math.pi * h / hp.scan_headings
-        pose = Pose(state.pose.x, state.pose.y, heading)
-        obs = camera_observe(state.scenario, state.store, pose, _next_rng(state))
+        obs = stop.observe(2.0 * math.pi * h / hp.scan_headings, _next_rng(state))
         detections += len(obs.detections)
         _process_observation(state, obs, scanning=True)
     _emit(state, "scan", pose=state.pose, headings=hp.scan_headings, detections=detections)
@@ -414,12 +417,13 @@ def _walk(state: EpisodeState, path: Path) -> tuple[float, bool]:
         px, py = cells[k - 1]
         cx, cy = cells[k]
         step = (1.0 if abs(cx - px) + abs(cy - py) == 1 else math.sqrt(2.0)) * res
-        wx, wy = state.belief.cell_to_world(cx, cy)
-        state.pose = Pose(wx, wy, math.atan2(cy - py, cx - px))
         state.traveled += step
         walked += step
         last = k == len(cells) - 1
         if last or k % interval == 0:
+            # Only a sweep or the walk's end reads the pose.
+            wx, wy = state.belief.cell_to_world(cx, cy)
+            state.pose = Pose(wx, wy, math.atan2(cy - py, cx - px))
             _sweep(state)
             if not last:
                 trav = _nav_maps(state).trav
@@ -486,9 +490,9 @@ def visit_waypoint(state: EpisodeState, vp: Viewpoint) -> bool:
     landmark.visited = True
     state.waypoints_visited += 1
     _emit(state, "arrive", id=landmark.id)
+    stop = CameraStop(state.scenario, state.store, vp.pose.x, vp.pose.y)
     for offset in _pan_offsets(state.scenario.hyperparams.pan_views):
-        pose = Pose(vp.pose.x, vp.pose.y, vp.pose.theta + offset)
-        obs = camera_observe(state.scenario, state.store, pose, _next_rng(state))
+        obs = stop.observe(vp.pose.theta + offset, _next_rng(state))
         _process_observation(state, obs, scanning=False)
     return True
 

@@ -112,24 +112,38 @@ def inflate_occupied(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
     the ``|dy|`` of every row that has that half-width: at most ``4r + 1``
     shifted ORs, not one per disk cell.  Shifts of a whole side or more
     move every cell off the map and are skipped.
+
+    Every shift is one contiguous slice of the mask laid out flat, with
+    ``pad = min(r, width - 1)`` free columns after each row.  A shift along
+    x by ``dx <= pad`` moves a map cell either within its row or into the
+    pad (rightwards it stays in its own row's pad; leftwards past column 0
+    it lands in the previous row's pad, at column ``width + pad - dx`` or
+    more).  Only ``occupied`` is shifted along x, so the pad holds nothing
+    but free cells before, and shifts along y move whole padded rows, so
+    whatever lands in the pad stays there and is cut off at the end.
     """
     if radius_cells <= 0:
         return occupied.copy()
     height, width = occupied.shape
-    row = occupied.copy()  # dilated along x by ``reach``
-    out = np.zeros((height, width), dtype=bool)
+    stride = width + min(radius_cells, width - 1)
+    source = np.zeros((height, stride), dtype=bool)
+    source[:, :width] = occupied
+    source = source.ravel()
+    row = source.copy()  # dilated along x by ``reach``
+    out = np.zeros_like(source)
     reach = 0
     for dy, half in _disk_rows(radius_cells):
         for dx in range(reach + 1, min(half, width - 1) + 1):
-            row[:, dx:] |= occupied[:, :-dx]
-            row[:, :-dx] |= occupied[:, dx:]
+            row[dx:] |= source[:-dx]
+            row[:-dx] |= source[dx:]
         reach = half
         if dy == 0:
             out |= row
         elif dy < height:
-            out[dy:] |= row[:-dy]
-            out[:-dy] |= row[dy:]
-    return out
+            shift = dy * stride
+            out[shift:] |= row[:-shift]
+            out[:-shift] |= row[shift:]
+    return out.reshape(height, stride)[:, :width]
 
 
 def traversable_mask(grid: GridMap, robot_radius: float) -> np.ndarray:

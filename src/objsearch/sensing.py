@@ -148,19 +148,134 @@ def object_slack(obj: ObjectSpec, resolution: float) -> float:
     return obj.radius + 2.0 * resolution
 
 
+class Sightlines:
+    """Points as a camera at one position sees them, at any heading.
+
+    The sighting rule in its two parts: each point's range and bearing are
+    worked out once, when the position is given, and its line of sight on
+    the first heading that has it in view, since none of them depends on
+    the heading; :meth:`seen` applies the field-of-view test per heading.
+    ``targets`` are ``(point, slack)`` pairs, and ``in_range`` lists the
+    indices of those within range, in order."""
+
+    def __init__(
+        self, grid: GridMap, hp: HyperParams, origin: tuple[float, float],
+        targets: list[tuple[tuple[float, float], float]],
+    ) -> None:
+        x, y = origin
+        self._grid, self._origin, self._targets = grid, origin, targets
+        self._half_fov = hp.fov / 2.0
+        self._polar: list[tuple[float, float] | None] = []  # (range, bearing) in range
+        for (px, py), _ in targets:
+            distance = math.hypot(px - x, py - y)
+            in_range = 0.0 < distance <= hp.cam_range
+            self._polar.append((distance, math.atan2(py - y, px - x)) if in_range else None)
+        self._clear: list[bool | None] = [None] * len(targets)  # line of sight, once asked
+        self.in_range = [i for i, polar in enumerate(self._polar) if polar is not None]
+
+    def seen(self, i: int, heading: float) -> tuple[float, float] | None:
+        """(range, relative bearing) of target ``i`` when the camera faces
+        ``heading`` and sees it; None when it does not."""
+        polar = self._polar[i]
+        if polar is None:
+            return None
+        distance, bearing = polar
+        rel = normalize_angle(bearing - heading)
+        if abs(rel) > self._half_fov:
+            return None
+        if self._clear[i] is None:
+            point, slack = self._targets[i]
+            self._clear[i] = line_of_sight(self._grid, self._origin, point, slack)
+        return (distance, rel) if self._clear[i] else None
+
+
 def sighting(
     grid: GridMap, hp: HyperParams, pose: Pose, point: tuple[float, float], slack: float
 ) -> tuple[float, float] | None:
     """The one sighting rule: (range, relative bearing) of a point the camera
     at ``pose`` sees, that is within ``(0, cam_range]``, inside the field of
-    view and in :func:`line_of_sight`; None when it does not see it."""
-    distance = math.hypot(point[0] - pose.x, point[1] - pose.y)
-    if distance <= 0.0 or distance > hp.cam_range:
-        return None
-    rel = normalize_angle(math.atan2(point[1] - pose.y, point[0] - pose.x) - pose.theta)
-    if abs(rel) > hp.fov / 2.0 or not line_of_sight(grid, (pose.x, pose.y), point, slack):
-        return None
-    return distance, rel
+    view and in :func:`line_of_sight`; None when it does not see it.  It is
+    the one-point, one-heading case of :class:`Sightlines`."""
+    return Sightlines(grid, hp, (pose.x, pose.y), [(point, slack)]).seen(0, pose.theta)
+
+
+class CameraStop:
+    """The camera at one stop position ``(x, y)``: :meth:`observe` makes the
+    frame at any heading.  Every entity's sighting geometry is shared by the
+    frames (:class:`Sightlines`), so a frame does only its field-of-view
+    tests and its draws.
+
+    A frame's detections come from every visible entity in the field of view.
+    Deterministic for a fixed rng state: entities are processed in scenario
+    order (landmarks, then objects, then clutter) and draws happen in a fixed
+    order per detection.
+    """
+
+    def __init__(self, scenario: ScenarioSpec, store: TextEmbeddingStore, x: float,
+                 y: float) -> None:
+        grid = scenario.map
+        if not grid.is_free(*grid.world_to_cell(x, y)):
+            raise DomainError("camera pose is not in free space")
+        res = grid.resolution
+        self._scenario, self._store, self._x, self._y = scenario, store, x, y
+        self._entities = [
+            (lm.id, lm.name, lm.radius, lm.known) for lm in scenario.landmarks
+        ] + [(ob.id, ob.name, ob.radius, False) for ob in scenario.objects]
+        self._sights = Sightlines(grid, scenario.hyperparams, (x, y), [
+            (lm.center, lm.radius + res) for lm in scenario.landmarks
+        ] + [(ob.position, object_slack(ob, res)) for ob in scenario.objects])
+
+    def observe(self, heading: float, rng: np.random.Generator) -> CameraObservation:
+        """The frame facing ``heading``, as the frame's :class:`Pose` stores
+        it (normalised), with its draws from ``rng``."""
+        scenario, store = self._scenario, self._store
+        grid, hp, sp = scenario.map, scenario.hyperparams, scenario.sensor
+        pose = Pose(self._x, self._y, heading)
+        detections: list[DetectionRecord] = []
+        for i in self._sights.in_range:
+            seen = self._sights.seen(i, pose.theta)
+            if seen is None:
+                continue
+            entity_id, name, radius, known = self._entities[i]
+            distance, rel = seen
+            if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
+                continue
+            canonical = store.get(name)
+            if sp.sigma_emb > 0.0:
+                emb = unit(canonical + sp.sigma_emb * rng.standard_normal(canonical.shape[0]))
+            else:
+                emb = canonical
+            detections.append(
+                DetectionRecord(
+                    source_object=entity_id,
+                    label=name if known else UNKNOWN_LABEL,
+                    bbox=bbox_from_geometry(rel, distance, radius, hp.fov),
+                    patch_embedding=emb,
+                    range=distance,
+                    bearing=rel,
+                )
+            )
+
+        for _ in range(sp.clutter):
+            rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
+            bearing = np.array([pose.theta + rel])
+            ray_dist, _ = raycast_batch(grid, (self._x, self._y), bearing, hp.cam_range)
+            limit = float(ray_dist[0]) - grid.resolution
+            if limit <= _CLUTTER_MIN_RANGE:
+                continue
+            distance = rng.uniform(_CLUTTER_MIN_RANGE, limit)
+            emb = unit(rng.standard_normal(store.get(scenario.target_phrase).shape[0]))
+            detections.append(
+                DetectionRecord(
+                    source_object=CLUTTER_SOURCE,
+                    label=UNKNOWN_LABEL,
+                    bbox=bbox_from_geometry(rel, distance, _CLUTTER_RADIUS, hp.fov),
+                    patch_embedding=emb,
+                    range=distance,
+                    bearing=rel,
+                )
+            )
+        return CameraObservation(pose=pose, detections=tuple(detections))
 
 
 def camera_observe(
@@ -169,71 +284,10 @@ def camera_observe(
     pose: Pose,
     rng: np.random.Generator,
 ) -> CameraObservation:
-    """Synthesize detections for every visible entity in the field of view.
-
-    Deterministic for a fixed rng state: entities are processed in scenario
-    order (landmarks, then objects, then clutter) and draws happen in a fixed
-    order per detection.
-    """
-    grid = scenario.map
-    ix, iy = grid.world_to_cell(pose.x, pose.y)
-    if not grid.is_free(ix, iy):
-        raise DomainError("camera pose is not in free space")
-    hp = scenario.hyperparams
-    sp = scenario.sensor
-    res = grid.resolution
-
-    detections: list[DetectionRecord] = []
-    entities = [
-        (lm.id, lm.name, lm.center, lm.radius, lm.known, lm.radius + res)
-        for lm in scenario.landmarks
-    ] + [
-        (ob.id, ob.name, ob.position, ob.radius, False, object_slack(ob, res))
-        for ob in scenario.objects
-    ]
-    for entity_id, name, center, radius, known, slack in entities:
-        seen = sighting(grid, hp, pose, center, slack)
-        if seen is None:
-            continue
-        distance, rel = seen
-        if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
-            continue
-        canonical = store.get(name)
-        if sp.sigma_emb > 0.0:
-            emb = unit(canonical + sp.sigma_emb * rng.standard_normal(canonical.shape[0]))
-        else:
-            emb = canonical
-        detections.append(
-            DetectionRecord(
-                source_object=entity_id,
-                label=name if known else UNKNOWN_LABEL,
-                bbox=bbox_from_geometry(rel, distance, radius, hp.fov),
-                patch_embedding=emb,
-                range=distance,
-                bearing=rel,
-            )
-        )
-
-    for _ in range(sp.clutter):
-        rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
-        bearing = np.array([pose.theta + rel])
-        ray_dist, _ = raycast_batch(grid, (pose.x, pose.y), bearing, hp.cam_range)
-        limit = float(ray_dist[0]) - res
-        if limit <= _CLUTTER_MIN_RANGE:
-            continue
-        distance = rng.uniform(_CLUTTER_MIN_RANGE, limit)
-        emb = unit(rng.standard_normal(store.get(scenario.target_phrase).shape[0]))
-        detections.append(
-            DetectionRecord(
-                source_object=CLUTTER_SOURCE,
-                label=UNKNOWN_LABEL,
-                bbox=bbox_from_geometry(rel, distance, _CLUTTER_RADIUS, hp.fov),
-                patch_embedding=emb,
-                range=distance,
-                bearing=rel,
-            )
-        )
-    return CameraObservation(pose=pose, detections=tuple(detections))
+    """Synthesize detections for every visible entity in the field of view:
+    the one-frame case of :class:`CameraStop`, at the pose's position and
+    heading."""
+    return CameraStop(scenario, store, pose.x, pose.y).observe(pose.theta, rng)
 
 
 def observation_rng(seed: int, counter: int) -> np.random.Generator:

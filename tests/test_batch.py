@@ -17,6 +17,7 @@ from objsearch.batch import (
     run_config_from_dict,
 )
 from objsearch.cli import build_parser, main
+from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.errors import DomainError, SchemaError
 from objsearch.knowledge import cooccurrence
 from objsearch.planning import ground_truth_shortest, traversable_mask
@@ -409,6 +410,26 @@ class TestCliHappyPath:
             code = main(["run", str(path), "--seed", str(record.seed)])
             status = capsys.readouterr().out.split(":")[0]
             assert (code, status) == ((0, "success") if record.success else (1, "failure"))
+
+
+class TestPresetRun:
+    """``run --preset`` runs the episode its preset defines: the scenario's
+    hyperparameters rewritten and the preset's generation table loaded."""
+
+    @pytest.mark.parametrize("preset", ["web_table", "nearest_point"])
+    def test_trace_is_the_presets_episode(self, preset, tmp_path, ctx):
+        scenario = generate_suite(SuiteParams(count=1, rooms=3, landmarks=6, map_side=14.0), 0,
+                                  ctx=ctx)[0]
+        path = tmp_path / "scenario.json"
+        path.write_text(serialize_scenario(scenario), encoding="utf-8")
+        trace = tmp_path / "t.jsonl"
+        code = main(["run", str(path), "--preset", preset, "--trace", str(trace)])
+        result = run_episode(apply_preset(scenario, preset), ctx=context_for_preset(preset, None))
+        assert code == (0 if result.success else 1)
+        assert trace.read_bytes() == trace_to_jsonl(result.trace).encode("utf-8")
+        if preset == "web_table":  # the table is read: this episode's trace shows it
+            assert trace_to_jsonl(run_episode(scenario, ctx=ctx).trace) != trace_to_jsonl(
+                result.trace)
 
 
 class TestInteractiveRun:

@@ -37,6 +37,7 @@ from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.errors import NoPathError
 from objsearch.knowledge import FALLBACK_COOCCURRENCE
+from objsearch.matching import UNKNOWN_LABEL, TextEmbeddingStore
 from objsearch.planning import (
     LandmarkEntry,
     Viewpoint,
@@ -47,7 +48,14 @@ from objsearch.planning import (
     plan_waypoints,
     traversable_mask,
 )
-from objsearch.sensing import camera_observe, lidar_update, observation_rng
+from objsearch.sensing import (
+    BBox,
+    CameraObservation,
+    DetectionRecord,
+    camera_observe,
+    lidar_update,
+    observation_rng,
+)
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import CellState, GridMap, Pose, SensorParams, serialize_scenario
 from util import box_scenario
@@ -422,6 +430,28 @@ def test_a_custom_rule_judges_each_candidate_with_the_scenario(ctx):
     assert len(shown) > 1 and not result.success
     assert [[c.score, list(c.position)] for c, _ in judged] == shown
     assert all(given is scenario for _, given in judged)
+
+
+@pytest.mark.parametrize("names", [("desk", "bed"), ("bed", "desk")])
+def test_tied_unknown_names_register_the_first(names, ctx):
+    """Two unknown names with equal vectors tie on every score: the first in
+    scenario order names the landmark, and the softmax splits evenly."""
+    scenario = box_scenario(landmarks=[
+        {"id": f"L{k}", "name": name, "known": False,
+         "footprint": [2.0 + 3.0 * k, 5.0, 2.6 + 3.0 * k, 5.6]}
+        for k, name in enumerate(names)
+    ])
+    state = episode.start_state(scenario, ctx, 0, None)
+    vectors = {name: state.store.get(name) for name in scenario.entity_names()}
+    vectors["bed"] = vectors["desk"]
+    state.store = TextEmbeddingStore(vectors)
+    detection = DetectionRecord("L1", UNKNOWN_LABEL, BBox(300.0, 220.0, 340.0, 260.0),
+                                state.store.get("desk"), 2.0, 0.0)
+    episode._process_observation(state, CameraObservation(scenario.start, (detection,)),
+                                 scanning=True)
+    (entry,) = state.registry
+    assert entry.name == names[0]
+    assert entry.sem_uncert == pytest.approx(math.log(2.0))
 
 
 def events_of(trace):

@@ -1,5 +1,6 @@
-"""Shared helpers: small test scenarios, the step-by-step grid walk and the
-confirming rule tested one cell at a time on it."""
+"""Shared helpers: small test scenarios, the step-by-step grid walk, the
+confirming rule tested one cell at a time on it, and one camera frame
+computed entity by entity from its pose alone."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import math
 import numpy as np
 
 from objsearch.errors import DomainError
-from objsearch.world import CellState, GridMap, ScenarioSpec, load_scenario
+from objsearch.matching import UNKNOWN_LABEL, unit
+from objsearch.sensing import bbox_from_geometry
+from objsearch.world import CellState, GridMap, ScenarioSpec, load_scenario, normalize_angle
 
 
 def unknown_belief(grid: GridMap) -> GridMap:
@@ -241,3 +244,48 @@ def reference_first_confirming(grid, target, cam_range, xs, ys):
         if reference_line_of_sight(grid, (cx, cy), target.position, target.radius + 2.0 * res):
             return i
     return None
+
+
+def reference_camera_frame(scenario, store, pose, rng):
+    """Reference: one camera frame worked out from its pose alone, entity by
+    entity, as ``(source, label, bbox, embedding, range, bearing)`` tuples.
+    Each entity's range, bearing, field of view and
+    :func:`reference_line_of_sight` are computed for this frame, and the
+    draws come in the camera's order: a miss, then the embedding noise, per
+    seen entity, then each clutter detection's bearing, its
+    :func:`stepwise_ray` limit, range and embedding.  It shares no sighting
+    code with ``objsearch.sensing``; only the box projection is the
+    package's."""
+    grid, hp, sp = scenario.map, scenario.hyperparams, scenario.sensor
+    res = grid.resolution
+    entities = [(lm.id, lm.name, lm.center, lm.radius, lm.known, lm.radius + res)
+                for lm in scenario.landmarks]
+    entities += [(ob.id, ob.name, ob.position, ob.radius, False, ob.radius + 2.0 * res)
+                 for ob in scenario.objects]
+    frame = []
+    for entity_id, name, (px, py), radius, known, slack in entities:
+        distance = math.hypot(px - pose.x, py - pose.y)
+        if not 0.0 < distance <= hp.cam_range:
+            continue
+        rel = normalize_angle(math.atan2(py - pose.y, px - pose.x) - pose.theta)
+        if abs(rel) > hp.fov / 2.0:
+            continue
+        if not reference_line_of_sight(grid, (pose.x, pose.y), (px, py), slack):
+            continue
+        if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
+            continue
+        emb = store.get(name)
+        if sp.sigma_emb > 0.0:
+            emb = unit(emb + sp.sigma_emb * rng.standard_normal(emb.shape[0]))
+        frame.append((entity_id, name if known else UNKNOWN_LABEL,
+                      bbox_from_geometry(rel, distance, radius, hp.fov), emb, distance, rel))
+    for _ in range(sp.clutter):
+        rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
+        limit = stepwise_ray(grid, (pose.x, pose.y), pose.theta + rel, hp.cam_range)[0] - res
+        if limit <= 0.3:
+            continue
+        distance = rng.uniform(0.3, limit)
+        emb = unit(rng.standard_normal(store.get(scenario.target_phrase).shape[0]))
+        frame.append(("clutter", UNKNOWN_LABEL, bbox_from_geometry(rel, distance, 0.2, hp.fov),
+                      emb, distance, rel))
+    return frame
