@@ -26,12 +26,17 @@ viewpoint choice, frontier choice and navigation alike, by one rule
 range, which the sweep has just covered, and only when that finds nothing
 on the whole field; a leg's path is walked down the field from its goal.
 A bounded field gives the whole field's answer whenever it gives one, so
-the rule changes no trace.  Across episodes one thing is reused:
-the lidar's sweep geometry (each ray's crossing order), cached for the
-whole process by :func:`~objsearch.world._sweep_geometry`.  It is a pure
-function of its key (resolution, ray count, range, crossing count and the
-pose's exact offsets to its cell's grid lines), so it reads nothing an
-episode writes and cannot change a trace.
+the rule changes no trace.  Across episodes four things are reused, each
+a pure function of its key, so none reads anything an episode writes or
+can change a trace.  Three are cached for the whole process: the lidar's
+sweep geometry (each ray's crossing order), keyed on resolution, ray
+count, range, crossing count and the pose's exact offsets to its cell's
+grid lines (:func:`~objsearch.world._sweep_geometry`); a sweep's direction
+cosines, keyed on its ray count (:func:`~objsearch.world._sweep_directions`);
+and the distance field's graph layout, keyed on the map's shape
+(:func:`~objsearch.planning._neighbor_slots`).  The fourth is each (target,
+landmark) co-occurrence score, remembered by the episode's
+:class:`~objsearch.assets.AssetContext`.
 
 An :class:`EpisodeState` holds the episode's fixed inputs beside what the
 loop builds from them, so each step takes the state and its own arguments.
@@ -76,12 +81,12 @@ from .sensing import (
     CameraObservation,
     CameraStop,
     DetectionRecord,
+    Sightlines,
     bbox_from_geometry,
     lidar_update,
     object_slack,
     observation_rng,
     project_detection,
-    sighting,
 )
 from .world import CellState, GridMap, Pose, ScenarioSpec
 
@@ -217,24 +222,22 @@ def _next_rng(state: EpisodeState) -> _LazyStream:
     return rng
 
 
-def _target_cooccur(state: EpisodeState, name: str) -> float:
-    scenario, ctx = state.scenario, state.ctx
-    value = ctx.cooccurrence(scenario.target_phrase, name)
-    # Flag the fallback once: the first name scored is registered at once.
-    if not state.registry and scenario.target_phrase not in ctx.generations:
-        _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
-    return value
-
-
 def _register_sighting(
-    state: EpisodeState, name: str, position: tuple[float, float], sem_uncert: float,
-    cooccur_value: float,
+    state: EpisodeState, name: str, position: tuple[float, float], sem_uncert: float
 ) -> None:
-    merge_radius = MERGE_RADIUS_CELLS * state.scenario.map.resolution
+    """Register a landmark sighting with its co-occurrence with the target: a
+    new entry, or an update of the entry within merge radius when this
+    sighting's semantic uncertainty is lower."""
+    scenario, ctx = state.scenario, state.ctx
+    cooccur_value = ctx.cooccurrence(scenario.target_phrase, name)
+    merge_radius = MERGE_RADIUS_CELLS * scenario.map.resolution
     entry = next(
         (e for e in state.registry if math.dist(e.position, position) <= merge_radius), None
     )
     if entry is None:
+        # Flag the fallback once, as the first entry is written.
+        if not state.registry and scenario.target_phrase not in ctx.generations:
+            _emit(state, "fallback_cooccurrence", target=scenario.target_phrase)
         entry = LandmarkEntry(
             id=f"lm{len(state.registry):03d}",
             name=name,
@@ -278,16 +281,14 @@ def _process_observation(state: EpisodeState, obs: CameraObservation, scanning: 
         position = project_detection(det, obs.pose)
         if scanning:
             if det.label != UNKNOWN_LABEL:
-                value = _target_cooccur(state, det.label)
-                _register_sighting(state, det.label, position, 0.0, value)
+                _register_sighting(state, det.label, position, 0.0)
             elif unknown_names:
                 name, score = best_landmark_match(det.patch_embedding, unknown_names, store)
                 if score > hp.m_t:
                     prob = landmark_probability(
                         det.patch_embedding, unknown_names, store, hp.temperature
                     )
-                    value = _target_cooccur(state, name)
-                    _register_sighting(state, name, position, semantic_uncertainty(prob), value)
+                    _register_sighting(state, name, position, semantic_uncertainty(prob))
         if scanning or det.label == UNKNOWN_LABEL:
             score = matching_score(target_vec, det.patch_embedding)
             if score > hp.m_t:
@@ -319,13 +320,13 @@ def initial_scan(state: EpisodeState) -> None:
 def _confirm_candidate(cand: CandidatePatch, scenario: ScenarioSpec) -> bool:
     """Regenerate the target's ground-truth box from the candidate's pose and
     apply the IoU / IoA success rule."""
-    target = scenario.target
-    hp = scenario.hyperparams
+    target, hp, pose = scenario.target, scenario.hyperparams, cand.obs_pose
     slack = object_slack(target, scenario.map.resolution)
-    seen = sighting(scenario.map, hp, cand.obs_pose, target.position, slack)
+    sights = Sightlines(scenario.map, hp, (pose.x, pose.y), [(target.position, slack)])
+    seen = next(sights.in_view(pose.theta), None)
     if seen is None:
         return False
-    distance, rel = seen
+    _, distance, rel = seen
     gt_box = bbox_from_geometry(rel, distance, target.radius, hp.fov)
     iou, ioa = iou_ioa(cand.detection.bbox, gt_box)
     return iou > IOU_CONFIRM or ioa > IOA_CONFIRM

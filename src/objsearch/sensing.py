@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -151,64 +152,57 @@ def object_slack(obj: ObjectSpec, resolution: float) -> float:
 class Sightlines:
     """Points as a camera at one position sees them, at any heading.
 
-    The sighting rule in its two parts: each point's range and bearing are
-    worked out once, when the position is given, and its line of sight on
-    the first heading that has it in view, since none of them depends on
-    the heading; :meth:`seen` applies the field-of-view test per heading.
-    ``targets`` are ``(point, slack)`` pairs, and ``in_range`` lists the
-    indices of those within range, in order."""
+    The sighting rule in its two parts: each point's range, bearing and line
+    of sight are worked out once, when the position is given, since none of
+    them depends on the heading, and only the points within ``(0,
+    cam_range]`` and in :func:`line_of_sight` are kept; :meth:`in_view`
+    applies the field-of-view test per heading.  ``targets`` are ``(point,
+    slack)`` pairs."""
 
     def __init__(
         self, grid: GridMap, hp: HyperParams, origin: tuple[float, float],
         targets: list[tuple[tuple[float, float], float]],
     ) -> None:
         x, y = origin
-        self._grid, self._origin, self._targets = grid, origin, targets
         self._half_fov = hp.fov / 2.0
-        self._polar: list[tuple[float, float] | None] = []  # (range, bearing) in range
-        for (px, py), _ in targets:
+        self._visible: list[tuple[int, float, float]] = []  # (index, range, bearing)
+        for i, ((px, py), slack) in enumerate(targets):
             distance = math.hypot(px - x, py - y)
-            in_range = 0.0 < distance <= hp.cam_range
-            self._polar.append((distance, math.atan2(py - y, px - x)) if in_range else None)
-        self._clear: list[bool | None] = [None] * len(targets)  # line of sight, once asked
-        self.in_range = [i for i, polar in enumerate(self._polar) if polar is not None]
+            if 0.0 < distance <= hp.cam_range and line_of_sight(grid, origin, (px, py), slack):
+                self._visible.append((i, distance, math.atan2(py - y, px - x)))
 
-    def seen(self, i: int, heading: float) -> tuple[float, float] | None:
-        """(range, relative bearing) of target ``i`` when the camera faces
-        ``heading`` and sees it; None when it does not."""
-        polar = self._polar[i]
-        if polar is None:
-            return None
-        distance, bearing = polar
-        rel = normalize_angle(bearing - heading)
-        if abs(rel) > self._half_fov:
-            return None
-        if self._clear[i] is None:
-            point, slack = self._targets[i]
-            self._clear[i] = line_of_sight(self._grid, self._origin, point, slack)
-        return (distance, rel) if self._clear[i] else None
+    def in_view(self, heading: float) -> Iterator[tuple[int, float, float]]:
+        """(index, range, relative bearing) of each visible target inside the
+        field of view when the camera faces ``heading``, in order."""
+        for i, distance, bearing in self._visible:
+            rel = normalize_angle(bearing - heading)
+            if abs(rel) <= self._half_fov:
+                yield i, distance, rel
 
 
-def sighting(
-    grid: GridMap, hp: HyperParams, pose: Pose, point: tuple[float, float], slack: float
-) -> tuple[float, float] | None:
-    """The one sighting rule: (range, relative bearing) of a point the camera
-    at ``pose`` sees, that is within ``(0, cam_range]``, inside the field of
-    view and in :func:`line_of_sight`; None when it does not see it.  It is
-    the one-point, one-heading case of :class:`Sightlines`."""
-    return Sightlines(grid, hp, (pose.x, pose.y), [(point, slack)]).seen(0, pose.theta)
+def _edge_range(grid: GridMap, x: float, y: float, bearing: float) -> float:
+    """Range from (x, y), on the map, along ``bearing`` to the map's edge,
+    where a lidar ray ends."""
+    dx, dy = math.cos(bearing), math.sin(bearing)
+    width, height = grid.size_meters
+    return min(((width if dx > 0.0 else 0.0) - x) / dx if dx else math.inf,
+               ((height if dy > 0.0 else 0.0) - y) / dy if dy else math.inf)
 
 
 class CameraStop:
     """The camera at one stop position ``(x, y)``: :meth:`observe` makes the
-    frame at any heading.  Every entity's sighting geometry is shared by the
-    frames (:class:`Sightlines`), so a frame does only its field-of-view
-    tests and its draws.
+    frame at any heading.  Which entities the stop sees, and at what range
+    and bearing, is worked out once, when the stop is made
+    (:class:`Sightlines`), so a frame does only its field-of-view tests and
+    its draws.
 
-    A frame's detections come from every visible entity in the field of view.
-    Deterministic for a fixed rng state: entities are processed in scenario
-    order (landmarks, then objects, then clutter) and draws happen in a fixed
-    order per detection.
+    A frame's detections come from every visible entity in the field of view,
+    then from its clutter: each clutter detection lies on a seeded bearing,
+    at a seeded range from 0.3 m to one cell short of where its ray ends (an
+    occupied cell, the camera's range or the map's edge), so it is always on
+    the map.  Deterministic for a fixed rng state: entities are processed in
+    scenario order (landmarks, then objects, then clutter) and draws happen
+    in a fixed order per detection.
     """
 
     def __init__(self, scenario: ScenarioSpec, store: TextEmbeddingStore, x: float,
@@ -232,12 +226,8 @@ class CameraStop:
         grid, hp, sp = scenario.map, scenario.hyperparams, scenario.sensor
         pose = Pose(self._x, self._y, heading)
         detections: list[DetectionRecord] = []
-        for i in self._sights.in_range:
-            seen = self._sights.seen(i, pose.theta)
-            if seen is None:
-                continue
+        for i, distance, rel in self._sights.in_view(pose.theta):
             entity_id, name, radius, known = self._entities[i]
-            distance, rel = seen
             if sp.p_miss > 0.0 and rng.random() < sp.p_miss:
                 continue
             canonical = store.get(name)
@@ -258,9 +248,9 @@ class CameraStop:
 
         for _ in range(sp.clutter):
             rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
-            bearing = np.array([pose.theta + rel])
-            ray_dist, _ = raycast_batch(grid, (self._x, self._y), bearing, hp.cam_range)
-            limit = float(ray_dist[0]) - grid.resolution
+            bearing = pose.theta + rel
+            (ray,), _ = raycast_batch(grid, (self._x, self._y), np.array([bearing]), hp.cam_range)
+            limit = min(float(ray), _edge_range(grid, self._x, self._y, bearing)) - grid.resolution
             if limit <= _CLUTTER_MIN_RANGE:
                 continue
             distance = rng.uniform(_CLUTTER_MIN_RANGE, limit)

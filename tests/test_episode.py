@@ -14,8 +14,12 @@ whole) equal fresh computations, that a bounded field is the whole field
 wherever it is finite, and that navigation walks down the field a plan cycle
 built and builds none for a goal it cannot drive to.
 The lidar's sweep-geometry cache outlives episodes, so the goldens are also
-checked from a cold cache, a warm one and one filled past its size.  No
-success travels less than the SPL shortest path it is scored against.  Each
+checked from a cold cache, a warm one and one filled past its size, and
+from every process-wide cache cleared with a fresh asset context.  No
+success travels less than the SPL shortest path it is scored against.
+The confirmation oracle is checked against a reference rule from random
+poses and at the camera's edges, and clutter on a map without border walls
+against the map's bounds.  Each
 way an episode can end without success (the budget spent on a frontier leg
 or on a visit, no path to a viewpoint, nothing left to explore, a cycle that
 changes nothing) has a small room that ends it so, checked by its trace's
@@ -24,15 +28,20 @@ last events.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import objsearch
 from objsearch import episode, world
+from objsearch.assets import AssetContext
 from objsearch.batch import RunConfig, records_to_jsonl, run_batch
 from objsearch.episode import run_episode, trace_to_jsonl
 from objsearch.errors import NoPathError
@@ -49,16 +58,26 @@ from objsearch.planning import (
     traversable_mask,
 )
 from objsearch.sensing import (
+    IMAGE_WIDTH,
     BBox,
     CameraObservation,
     DetectionRecord,
+    bbox_from_geometry,
     camera_observe,
     lidar_update,
     observation_rng,
 )
 from objsearch.suitegen import SuiteParams, generate_suite
-from objsearch.world import CellState, GridMap, Pose, SensorParams, serialize_scenario
-from util import box_scenario
+from objsearch.world import (
+    CellState,
+    GridMap,
+    ObjectSpec,
+    Pose,
+    SensorParams,
+    normalize_angle,
+    serialize_scenario,
+)
+from util import box_scenario, open_border_scenario, reference_confirms
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
@@ -185,6 +204,36 @@ def test_sweep_geometry_cache_cannot_change_traces(scenarios, ctx):
     assert cache.cache_info().currsize == size
     assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
     assert cache.cache_info().currsize == size
+
+
+# What outlives an episode in a process besides its AssetContext, as the
+# episode module's docstring lists it: a new cache changes this on purpose.
+PROCESS_CACHES = ["planning._neighbor_slots", "world._sweep_directions", "world._sweep_geometry"]
+
+
+def process_caches():
+    """The package's lru caches, by ``module.function``."""
+    found = {}
+    for info in pkgutil.iter_modules(objsearch.__path__):
+        module = importlib.import_module(f"objsearch.{info.name}")
+        found.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
+                     if hasattr(value, "cache_clear") and value.__module__ == module.__name__)
+    return found
+
+
+def test_golden_traces_from_cold_process_caches(scenarios, clutter):
+    """The clean and clutter goldens hold from cleared lru caches and a fresh
+    :class:`~objsearch.assets.AssetContext`, whose co-occurrence memo starts
+    empty: what episodes share cannot change a trace."""
+    caches = process_caches()
+    assert sorted(caches) == PROCESS_CACHES
+    for suite, digest in [(scenarios, TRACE_SHA256), (clutter[0], CLUTTER_TRACE_SHA256)]:
+        for cache in caches.values():
+            cache.cache_clear()
+        fresh = AssetContext.load()
+        traces = [trace_to_jsonl(run_episode(s, ctx=fresh, seed=i).trace)
+                  for i, s in enumerate(suite)]
+        assert sha256("".join(traces)) == digest
 
 
 def test_sweep_geometry_entry_is_small(scenarios):
@@ -430,6 +479,120 @@ def test_a_custom_rule_judges_each_candidate_with_the_scenario(ctx):
     assert len(shown) > 1 and not result.success
     assert [[c.score, list(c.position)] for c, _ in judged] == shown
     assert all(given is scenario for _, given in judged)
+
+
+def candidate_seen_from(pose, box):
+    """A candidate with ``box``, seen from ``pose``: all confirmation reads."""
+    detection = DetectionRecord("T0", UNKNOWN_LABEL, box, np.zeros(1), 0.0, 0.0)
+    return episode.CandidatePatch(detection, 1.0, (pose.x, pose.y), pose)
+
+
+def projected_box(obj, pose, fov, rng):
+    """The box of ``obj`` as the camera at ``pose`` projects it, or a random
+    one when the object is not ahead of the camera."""
+    (ox, oy), (x, y) = obj.position, (pose.x, pose.y)
+    distance = math.hypot(ox - x, oy - y)
+    rel = normalize_angle(math.atan2(oy - y, ox - x) - pose.theta)
+    if distance > 0.0 and abs(rel) <= fov / 2.0:
+        return bbox_from_geometry(rel, distance, obj.radius, fov)
+    x_min, y_min = rng.uniform(0.0, 600.0), rng.uniform(0.0, 440.0)
+    return BBox(x_min, y_min, x_min + rng.uniform(4.0, 40.0), y_min + rng.uniform(4.0, 40.0))
+
+
+def shifted(box, rng):
+    """The box moved sideways by up to its width, clipped to the image."""
+    shift = rng.uniform(-1.0, 1.0) * box.width
+    x_min = min(max(0.0, box.x_min + shift), IMAGE_WIDTH - 1.0)
+    x_max = max(min(IMAGE_WIDTH, box.x_max + shift), x_min + 1.0)
+    return BBox(x_min, box.y_min, x_max, box.y_max)
+
+
+def test_confirmation_equals_the_reference_rule():
+    """The confirmation oracle judges as ``util.reference_confirms`` does,
+    from random poses on cluttered maps, with three boxes per pose: the
+    target's own, a distractor's and the target's shifted sideways."""
+    base = box_scenario(size_m=4.0)
+    rng = np.random.default_rng(41)
+    outcomes = collections.Counter()
+    for _ in range(6):
+        cells = np.where(rng.random((40, 40)) < 0.08, CellState.OCCUPIED, CellState.FREE)
+        cells[0, :] = cells[-1, :] = cells[:, 0] = cells[:, -1] = CellState.OCCUPIED
+        grid = GridMap(40, 40, 0.1, cells.astype(np.uint8))
+        free = np.argwhere(cells == CellState.FREE)
+
+        def spot():
+            iy, ix = free[rng.integers(len(free))]
+            return grid.cell_to_world(int(ix), int(iy))
+
+        target = ObjectSpec("T0", "book", spot(), 0.15, is_target=True)
+        distractor = ObjectSpec("D0", "cup", spot(), 0.1)
+        scenario = dataclasses.replace(base, map=grid, objects=[target, distractor],
+                                       start=Pose(*spot()))
+        fov = scenario.hyperparams.fov
+        for _ in range(40):
+            x, y = spot()
+            aim = math.atan2(target.position[1] - y, target.position[0] - x)
+            pose = Pose(x, y, aim + rng.uniform(-0.75, 0.75) * fov)
+            own = projected_box(target, pose, fov, rng)
+            other = projected_box(distractor, pose, fov, rng)
+            for kind, box in [("own", own), ("distractor", other), ("shifted", shifted(own, rng))]:
+                judged = episode._confirm_candidate(candidate_seen_from(pose, box), scenario)
+                assert judged == reference_confirms(scenario, box, pose)
+                outcomes[kind, judged] += 1
+    assert all(outcomes[kind, judged] >= 20 for kind in ("own", "shifted")
+               for judged in (True, False))
+    assert outcomes["distractor", False] >= 100
+
+
+def test_confirmation_at_the_camera_edges():
+    """The target's own box confirms at exactly cam_range and at exactly
+    +-fov/2, and not from the target's own position nor just past either
+    edge; the oracle and ``util.reference_confirms`` agree on each."""
+    def judge(scenario, pose, box):
+        judged = episode._confirm_candidate(candidate_seen_from(pose, box), scenario)
+        assert judged == reference_confirms(scenario, box, pose)
+        return judged
+
+    def with_hyperparams(scenario, **values):
+        hp = dataclasses.replace(scenario.hyperparams, **values)
+        return dataclasses.replace(scenario, hyperparams=hp)
+
+    def target_at(x, y):
+        return box_scenario(objects=[{"id": "T0", "name": "book", "position": [x, y],
+                                      "radius": 0.15, "is_target": True}])
+
+    pose = Pose(1.0, 1.0, 0.0)
+    at_range = target_at(4.5, 1.0)  # 3.5 m due east: exactly cam_range
+    assert at_range.hyperparams.cam_range == 3.5
+    box = bbox_from_geometry(0.0, 3.5, 0.15, at_range.hyperparams.fov)
+    assert judge(at_range, pose, box)
+    assert not judge(with_hyperparams(at_range, cam_range=math.nextafter(3.5, 0.0)), pose, box)
+    assert not judge(target_at(1.0, 1.0), pose, BBox(300.0, 220.0, 340.0, 260.0))
+    ahead = target_at(3.0, 1.0)
+    for heading in (-0.5, 0.5):
+        turned = Pose(1.0, 1.0, heading)
+        rel = normalize_angle(0.0 - turned.theta)
+        fov = 2.0 * abs(rel)  # the target due east lies exactly on the edge
+        box = bbox_from_geometry(rel, 2.0, 0.15, fov)
+        assert judge(with_hyperparams(ahead, fov=fov), turned, box)
+        assert not judge(with_hyperparams(ahead, fov=math.nextafter(fov, 0.0)), turned, box)
+
+
+@pytest.mark.parametrize("cam_range", [None, math.inf])
+def test_clutter_on_an_open_map_stays_on_it(cam_range, ctx):
+    """On a map whose border cells are free, a clutter ray ends at the map's
+    edge, as a lidar ray does: no episode raises, at the default camera
+    range or one past the map, and every position an episode registers or
+    matches lies on the map."""
+    scenario = open_border_scenario(cam_range)
+    width, height = scenario.map.size_meters
+    positions = []
+    for seed in range(40):
+        trace = run_episode(scenario, ctx=ctx, seed=seed).trace
+        positions += [e["pos"] for e in trace
+                      if e["event"] in ("landmark_new", "landmark_update", "candidate")]
+    assert len(positions) > 100
+    assert all(0.0 <= x < width and 0.0 <= y < height for x, y in positions)
 
 
 @pytest.mark.parametrize("names", [("desk", "bed"), ("bed", "desk")])

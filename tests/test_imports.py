@@ -183,8 +183,8 @@ def test_settable_values_are_pinned():
 
 # The functions that read the camera's range.  Confirmation and SPL share
 # one rule, so a second reader of the range changes this list on purpose.
-# The camera's range test is made once per stop position (``Sightlines``),
-# whose one-point, one-heading case is ``sensing.sighting``; its clutter rays
+# The camera's range test is made once per stop position (``Sightlines``,
+# which the confirmation oracle builds for its one point); its clutter rays
 # are cast per frame (``CameraStop.observe``).
 CAM_RANGE_READERS = [
     "planning.first_confirming", "sensing.CameraStop.observe", "sensing.Sightlines.__init__",

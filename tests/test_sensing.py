@@ -6,7 +6,8 @@ on the facts checked here: a sweep only ever writes a cell's true state, so
 repeating it changes nothing and a known cell never changes value.  A stop's
 frames share one sighting geometry
 (:class:`~objsearch.sensing.CameraStop`), and each must equal the frame
-worked out from its pose alone (``util.reference_camera_frame``).
+worked out from its pose alone (``util.reference_camera_frame``), also on
+a map without border walls, where a clutter ray ends at the map's edge.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ import numpy as np
 import pytest
 
 from objsearch.errors import DomainError
-from objsearch.sensing import CameraStop, camera_observe, lidar_update, observation_rng
+from objsearch.sensing import (
+    CameraStop,
+    camera_observe,
+    lidar_update,
+    observation_rng,
+    project_detection,
+)
 from objsearch.suitegen import SuiteParams, generate_suite
 from objsearch.world import CellState, GridMap, Pose, SensorParams
-from util import box_scenario, reference_camera_frame, unknown_belief
+from util import box_scenario, open_border_scenario, reference_camera_frame, unknown_belief
 
 
 def cluttered_grid(seed, width=40, height=30, density=0.12):
@@ -108,28 +115,33 @@ def stop_cases(ctx, case):
                       "radius": 0.15}],
         )
         return scenario, [(1.0, 1.0)]
-    scenario = generate_suite(SuiteParams(count=1, rooms=3, landmarks=6, map_side=14.0), 0,
-                              ctx=ctx)[0]
+    if case == "open border":
+        scenario = open_border_scenario()
+    else:
+        scenario = generate_suite(SuiteParams(count=1, rooms=3, landmarks=6, map_side=14.0), 0,
+                                  ctx=ctx)[0]
     if case == "noisy":
         scenario = dataclasses.replace(scenario, sensor=SensorParams(p_miss=0.1, clutter=2))
     elif case == "full circle":
         hyper = dataclasses.replace(scenario.hyperparams, fov=2.0 * math.pi)
         scenario = dataclasses.replace(scenario, hyperparams=hyper)
     else:
-        assert case == "clean"
+        assert case in ("clean", "open border")
     grid = scenario.map
     free = np.argwhere(grid.cells == CellState.FREE)
     picks = free[np.random.default_rng(3).integers(len(free), size=15)]
     return scenario, [grid.cell_to_world(int(ix), int(iy)) for iy, ix in picks]
 
 
-@pytest.mark.parametrize("case", ["clean", "noisy", "full circle", "edges"])
+@pytest.mark.parametrize("case", ["clean", "noisy", "full circle", "edges", "open border"])
 def test_stop_frames_equal_the_per_frame_reference(case, ctx):
     """Every frame a :class:`CameraStop` makes, and the one-frame
     :func:`camera_observe`, equals the reference frame worked out from its
     pose alone: detections field by field, embeddings bitwise, and the
-    frame's stream left in the same state."""
+    frame's stream left in the same state.  Every detection lies on the
+    map, also on a map whose border cells are free."""
     scenario, stops = stop_cases(ctx, case)
+    width, height = scenario.map.size_meters
     store = ctx.text_store_for(scenario)
     headings = [2.0 * math.pi * h / 12 for h in range(12)] + [0.3, -2.9, 7.0]
     seen, counter = set(), 0
@@ -146,8 +158,12 @@ def test_stop_frames_equal_the_per_frame_reference(case, ctx):
             assert frame_key(camera_observe(scenario, store, pose, once).detections) == want
             assert rng.bit_generator.state == once.bit_generator.state == ref.bit_generator.state
             seen.update(d.source_object for d in obs.detections)
+            for x_seen, y_seen in (project_detection(d, pose) for d in obs.detections):
+                assert 0.0 <= x_seen < width and 0.0 <= y_seen < height
     if case == "edges":
         assert seen == {"L0", "T0"}  # not the camera's own position, not past its range
+    elif case == "open border":
+        assert seen == {"L0", "T0", "clutter"}
     else:
         assert len(seen - {"clutter"}) >= 4
         assert ("clutter" in seen) == (case == "noisy")

@@ -1,6 +1,7 @@
 """Shared helpers: small test scenarios, the step-by-step grid walk, the
-confirming rule tested one cell at a time on it, and one camera frame
-computed entity by entity from its pose alone."""
+confirming rule tested one cell at a time on it, and one camera frame and
+one candidate's confirmation computed entity by entity from its pose
+alone."""
 
 from __future__ import annotations
 
@@ -86,6 +87,30 @@ def box_scenario(
         doc["sensor"] = sensor
     if planner:
         doc["planner"] = planner
+    return load_scenario(json.dumps(doc))
+
+
+def open_border_scenario(cam_range: float | None = None) -> ScenarioSpec:
+    """A 6 m by 3 m map at 0.1 m whose border cells are free: a one-cell wall
+    at x = 3 m with a 0.4 m door, an unknown 0.4 m desk, the target cup
+    beyond the wall, and three clutter detections per frame."""
+    rows = ["".join("#" if (ix == 30 and not 13 <= iy <= 16)
+                    or (10 <= ix <= 13 and 20 <= iy <= 23) else "."
+                    for ix in range(60))
+            for iy in range(29, -1, -1)]
+    doc = {
+        "map": {"rows": rows, "resolution": 0.1},
+        "landmarks": [{"id": "L0", "name": "desk", "known": False,
+                       "footprint": [1.0, 2.0, 1.4, 2.4]}],
+        "objects": [{"id": "T0", "name": "cup", "position": [5.55, 2.55], "radius": 0.15,
+                     "is_target": True}],
+        "start": [0.55, 0.55, 0.0],
+        "target": "cup",
+        "sensor": {"clutter": 3},
+        "hyperparams": {"fail_distance": 30.0},
+    }
+    if cam_range is not None:
+        doc["hyperparams"]["cam_range"] = cam_range
     return load_scenario(json.dumps(doc))
 
 
@@ -246,16 +271,43 @@ def reference_first_confirming(grid, target, cam_range, xs, ys):
     return None
 
 
+def reference_confirms(scenario, box, pose):
+    """Reference: whether a candidate box seen from ``pose`` confirms the
+    target.  The target must lie within (0, cam_range] of the pose, within
+    fov/2 of its heading and in :func:`reference_line_of_sight`, past its
+    radius and two cells; then the box must overlap the target's projected
+    box with IoU above 0.3 or cover it with IoA (over the candidate's area)
+    above 0.5."""
+    grid, hp, target = scenario.map, scenario.hyperparams, scenario.target
+    tx, ty = target.position
+    distance = math.hypot(tx - pose.x, ty - pose.y)
+    if not 0.0 < distance <= hp.cam_range:
+        return False
+    rel = normalize_angle(math.atan2(ty - pose.y, tx - pose.x) - pose.theta)
+    if abs(rel) > hp.fov / 2.0:
+        return False
+    slack = target.radius + 2.0 * grid.resolution
+    if not reference_line_of_sight(grid, (pose.x, pose.y), target.position, slack):
+        return False
+    truth = bbox_from_geometry(rel, distance, target.radius, hp.fov)
+    overlap = (max(0.0, min(box.x_max, truth.x_max) - max(box.x_min, truth.x_min))
+               * max(0.0, min(box.y_max, truth.y_max) - max(box.y_min, truth.y_min)))
+    box_area = (box.x_max - box.x_min) * (box.y_max - box.y_min)
+    truth_area = (truth.x_max - truth.x_min) * (truth.y_max - truth.y_min)
+    return overlap / (box_area + truth_area - overlap) > 0.3 or overlap / box_area > 0.5
+
+
 def reference_camera_frame(scenario, store, pose, rng):
     """Reference: one camera frame worked out from its pose alone, entity by
     entity, as ``(source, label, bbox, embedding, range, bearing)`` tuples.
     Each entity's range, bearing, field of view and
     :func:`reference_line_of_sight` are computed for this frame, and the
     draws come in the camera's order: a miss, then the embedding noise, per
-    seen entity, then each clutter detection's bearing, its
-    :func:`stepwise_ray` limit, range and embedding.  It shares no sighting
-    code with ``objsearch.sensing``; only the box projection is the
-    package's."""
+    seen entity, then each clutter detection's bearing, its limit, range and
+    embedding.  The limit is a cell short of where the clutter ray ends: its
+    :func:`stepwise_ray` hit or range, or the map's edge, whichever is
+    nearer.  It shares no sighting code with ``objsearch.sensing``; only the
+    box projection is the package's."""
     grid, hp, sp = scenario.map, scenario.hyperparams, scenario.sensor
     res = grid.resolution
     entities = [(lm.id, lm.name, lm.center, lm.radius, lm.known, lm.radius + res)
@@ -281,7 +333,14 @@ def reference_camera_frame(scenario, store, pose, rng):
                       bbox_from_geometry(rel, distance, radius, hp.fov), emb, distance, rel))
     for _ in range(sp.clutter):
         rel = rng.uniform(-hp.fov / 2.0, hp.fov / 2.0)
-        limit = stepwise_ray(grid, (pose.x, pose.y), pose.theta + rel, hp.cam_range)[0] - res
+        bearing = pose.theta + rel
+        # Per axis, the range to the map side the ray heads for.
+        edges = [((cells * res if step > 0.0 else 0.0) - start) / step
+                 for start, step, cells in ((pose.x, math.cos(bearing), grid.width),
+                                            (pose.y, math.sin(bearing), grid.height))
+                 if step != 0.0]
+        ray = stepwise_ray(grid, (pose.x, pose.y), bearing, hp.cam_range)[0]
+        limit = min([ray, *edges]) - res
         if limit <= 0.3:
             continue
         distance = rng.uniform(0.3, limit)
