@@ -175,10 +175,13 @@ def run_batch(config: RunConfig, asset_root: Path | None = None) -> AggregateRep
         (i, labels[i], apply_preset(s, config.preset), config.seed_base + i, ctx)
         for i, s in enumerate(scenarios)
     ]
-    if config.parallelism == 1 or len(tasks) == 1:
+    # The pool starts all its workers at once, so it gets no more than the
+    # episodes need.
+    workers = min(config.parallelism, len(tasks))
+    if workers == 1:
         records = [_run_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, tasks))
 
     report = score_records(records, config.preset)

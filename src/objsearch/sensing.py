@@ -83,17 +83,19 @@ class CameraObservation:
 def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_range: float) -> None:
     """Sweep ``rays`` evenly spaced bearings, growing the belief map in place.
 
-    Cells crossed before a hit become Free, hit cells become Occupied; known
-    cells never revert to Unknown.  The cells are those :func:`raycast_batch`
-    walks through, found for all rays at once in two halves: the geometry
-    half, each ray's merged grid-line crossings, is read from a process-wide
-    cache keyed on the pose's exact offsets to its cell's grid lines (with
-    the resolution, ray count, range and crossing count), and only the map
-    half, which cuts each ray at its first step off the map or onto an
-    occupied cell, runs per sweep on a copy of the world inside a border of
-    off-map cells.  The sweep writes the belief's cells in place, cell for
-    cell of the world's, so the belief must have the world's width, height
-    and resolution.
+    Every cell a ray reaches takes the world's value: the pose's cell, and
+    each ray's cells up to and including the first it stops on (occupied,
+    or off the map) while it is in range.  So crossed cells become Free and
+    hit cells Occupied, and known cells never revert to Unknown.  The cells
+    are those :func:`raycast_batch` walks through, found for all rays at
+    once in two halves: the geometry half, each ray's merged grid-line
+    crossings, is read from a process-wide cache keyed on the pose's exact
+    offsets to its cell's grid lines (with the resolution, ray count, range
+    and crossing count), and only the map half, which cuts each ray after
+    its first stop, runs per sweep on a copy of the world inside a border
+    of off-map cells.  The sweep writes the belief's cells in place, cell
+    for cell of the world's, so the belief must have the world's width,
+    height and resolution.
     """
     geometry = (world.width, world.height, world.resolution)
     if (belief.width, belief.height, belief.resolution) != geometry:

@@ -273,6 +273,8 @@ class PlannerParams:
             raise ValidationError("planner.step_interval: must be >= 1")
         if self.view_directions < 1:
             raise ValidationError("planner.view_directions: must be >= 1")
+        if self.min_frontier_cells < 1:
+            raise ValidationError("planner.min_frontier_cells: must be >= 1")
         if not (math.isfinite(self.robot_radius) and self.robot_radius >= 0):
             raise ValidationError("planner.robot_radius: must be non-negative and finite")
         if not (math.isfinite(self.view_radius) and self.view_radius > 0):
@@ -525,16 +527,15 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
 
 
 def _cut_rays(padded, ix0, iy0, dx, dy, x_step, within):
-    """Map half: cut each ray at its first step off the map or onto an
-    occupied cell.
+    """Map half: the cells each ray reaches, up to and including its first
+    stop, an occupied cell or a step off the map, while it is in range.
 
     ``padded`` is the map inside a one-cell border of :data:`_OFF_MAP`,
     ``ix0``/``iy0`` the origin cell on the map, ``dx``/``dy`` each ray's
     direction cosines, ``x_step`` (rays, steps) whether each merged crossing
     is an x step, and ``within`` each ray's count of crossings in range.
-    Returns ``(free, hits)``, flat indices into ``padded`` of the cells the
-    rays cross before their cut (origin cell excluded) and of the occupied
-    cells they stop on, all on the map.
+    Returns the flat indices into ``padded`` of the reached cells, origin
+    cell excluded; a stop off the map is a border cell.
 
     An x step moves the flat index by the sign of ``dx`` and a y step by the
     sign of ``dy`` times ``width``, so each ray's cells are one cumulative
@@ -543,10 +544,10 @@ def _cut_rays(padded, ix0, iy0, dx, dy, x_step, within):
     the border: one cell of border is all the margin the cut needs.  Later
     steps may index any cell or none; the read clips them, and they lie
     past the ray's first stop (an occupied or border cell, or an extra
-    column read as off the map), which is all the cut reads.  The cut is the
-    stop or the in-range count, whichever comes first, and the ray hits
-    when its stop is occupied and in range.  The sum's magnitude stays
-    below ``width * (height + steps)``, which picks int32 or int64 for it.
+    column read as off the map), which is all the cut reads.  A ray reaches
+    the cells of its first ``min(stop + 1, within)`` steps, where ``stop``
+    counts the steps before its first stop.  The sum's magnitude stays below
+    ``width * (height + steps)``, which picks int32 or int64 for it.
     """
     n, steps = x_step.shape
     height, width = padded.shape
@@ -562,84 +563,72 @@ def _cut_rays(padded, ix0, iy0, dx, dy, x_step, within):
     cell[:, steps] = 0  # a corner of the border
     # int32 sums faster, but NumPy indexes with intp without converting.
     cell = cell.astype(np.intp, copy=False)
-    values = padded.take(cell, mode="clip")
-    occupied = CellState.OCCUPIED.value
-    first = np.argmax(values >= occupied, axis=1)
-    cut = np.minimum(first, within)
-    rays = np.arange(n)
-    hit = (first < within) & (values[rays, first] == occupied)
-    return cell[np.arange(steps + 1) < cut[:, None]], cell[rays[hit], first[hit]]
+    first = np.argmax(padded.take(cell, mode="clip") >= CellState.OCCUPIED.value, axis=1)
+    cut = np.minimum(first + 1, within)
+    return cell[np.arange(steps + 1) < cut[:, None]]
 
 
 @lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _sweep_geometry(res, rays, max_range, crossings, offsets):
     """The geometry half of a sweep of ``rays`` evenly spaced bearings from
     an origin with ``offsets`` ``((ix + 1) * res - x, ix * res - x,
-    (iy + 1) * res - y, iy * res - y)``, as (packed x-step flags, in-range
-    counts).
+    (iy + 1) * res - y, iy * res - y)``: one ``(block, packed x-step flags,
+    in-range counts)`` per block of rays (:func:`_blocks`).
 
     A pure function of its arguments, so it is cached for the whole process.
     The flags of each ray's merged crossings are bit-packed along the ray
-    (``np.packbits``), and the counts take the smallest unsigned type that
-    holds ``2 * crossings``, to keep entries small.
+    (``np.packbits``), to the longest ray of its block, and the counts take
+    the smallest unsigned type that holds ``2 * crossings``, to keep entries
+    small.
     """
     x_hi, x_lo, y_hi, y_lo = offsets
     dx, dy = _sweep_directions(rays)
     gap_x = np.where(dx > 0.0, x_hi, x_lo)
     gap_y = np.where(dy > 0.0, y_hi, y_lo)
-    blocks = _blocks(rays, crossings)
-    halves = [_step_order(res, gap_x[block], gap_y[block], dx[block], dy[block], max_range,
-                          crossings)
-              for block in blocks]
-    steps = max(order.shape[1] for order, _ in halves)
-    packed = np.zeros((rays, (steps + 7) // 8), dtype=np.uint8)
-    within = np.empty(rays, dtype=np.min_scalar_type(2 * crossings))
-    for block, (order, count) in zip(blocks, halves):
-        flags = np.packbits(order < crossings, axis=1)
-        packed[block, : flags.shape[1]] = flags
-        within[block] = count
-    packed.flags.writeable = within.flags.writeable = False
-    return packed, within
+    entry = []
+    for block in _blocks(rays, crossings):
+        order, within = _step_order(res, gap_x[block], gap_y[block], dx[block], dy[block],
+                                    max_range, crossings)
+        packed = np.packbits(order < crossings, axis=1)
+        within = within.astype(np.min_scalar_type(2 * crossings))
+        packed.flags.writeable = within.flags.writeable = False
+        entry.append((block, packed, within))
+    return tuple(entry)
 
 
 def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
-    """Write into ``cells``, a belief of ``grid``'s geometry, the cells that
-    ``rays`` evenly spaced rays from ``origin``, in a free cell, cross (Free,
-    origin cell included) and hit (Occupied), as :func:`_walk` steps through
-    them on bearings ``k * 2 pi / rays``, found for all rays at once in two
-    halves: the geometry half (:func:`_step_order`) merges each ray's
-    grid-line crossings within range, and the map half (:func:`_cut_rays`)
-    cuts each ray at its first step off the map or onto an occupied cell.
+    """Copy into ``cells``, a belief of ``grid``'s geometry, ``grid``'s value
+    of every cell that ``rays`` evenly spaced rays from ``origin``, in a free
+    cell, reach: the origin cell, and each ray's cells up to and including
+    its first stop, an occupied cell or a step off the map, while it is in
+    range.  The rays step as :func:`_walk` does, on bearings
+    ``k * 2 pi / rays``, found for all rays at once in two halves: the
+    geometry half (:func:`_step_order`) merges each ray's grid-line
+    crossings within range, and the map half (:func:`_cut_rays`) cuts each
+    ray after its first stop.
 
     The geometry half comes from :func:`_sweep_geometry`, keyed on the
     origin's exact offsets to its cell's grid lines; only the map half runs
     per sweep.  It reads a copy of ``grid`` inside a one-cell border of
-    :data:`_OFF_MAP`, so leaving the map is one more stop, and its flat
-    indices into that padded shape are written into a padded copy of
-    ``cells``, whose inner cells are copied back.  Free cells are never
-    occupied in ``grid`` and hit cells always are, so the two writes never
-    touch the same cell, and neither touches the border.
+    :data:`_OFF_MAP`, so leaving the map is one more stop, and marks the
+    cells it reaches in a mask of that bordered shape.  A stop off the map
+    marks a border cell, and only the mask's inner cells are copied.
     """
     x, y = origin
     res = grid.resolution
     ix, iy = grid.world_to_cell(x, y)
-    cells[iy, ix] = CellState.FREE
     crossings = _crossing_count(grid, max_range)
     offsets = ((ix + 1) * res - x, ix * res - x, (iy + 1) * res - y, iy * res - y)
-    packed, within = _sweep_geometry(res, rays, max_range, crossings, offsets)
     dx, dy = _sweep_directions(rays)
     padded = np.full((grid.height + 2, grid.width + 2), _OFF_MAP, dtype=np.uint8)
     padded[1:-1, 1:-1] = grid.cells
-    belief = np.empty_like(padded)
-    belief[1:-1, 1:-1] = cells
-    flat = belief.reshape(-1)
-    for block in _blocks(rays, crossings):
-        steps = int(within[block].max())
-        x_step = np.unpackbits(packed[block], axis=1, count=steps).view(bool)
-        free, hits = _cut_rays(padded, ix, iy, dx[block], dy[block], x_step, within[block])
-        flat[free] = CellState.FREE
-        flat[hits] = CellState.OCCUPIED
-    cells[:] = belief[1:-1, 1:-1]
+    seen = np.zeros(padded.shape, dtype=bool)
+    seen[iy + 1, ix + 1] = True
+    flat = seen.reshape(-1)
+    for block, packed, within in _sweep_geometry(res, rays, max_range, crossings, offsets):
+        x_step = np.unpackbits(packed, axis=1, count=int(within.max())).view(bool)
+        flat[_cut_rays(padded, ix, iy, dx[block], dy[block], x_step, within)] = True
+    np.copyto(cells, grid.cells, where=seen[1:-1, 1:-1])
 
 
 @lru_cache(maxsize=8)

@@ -107,6 +107,34 @@ def test_suite_batch_generates_only_the_episodes_it_runs(monkeypatch, ctx):
     ]
 
 
+def test_pool_gets_no_more_workers_than_episodes(monkeypatch):
+    # An in-process stand-in for the pool, which would start every worker
+    # it is asked for at its first submit.
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(batch, "ProcessPoolExecutor", Pool)
+    shape = SuiteParams(count=2, rooms=1, landmarks=3, map_side=8.0)
+    serial = run_batch(RunConfig(episodes=2, suite=shape)).records
+    assert started == []
+    assert run_batch(RunConfig(episodes=2, suite=shape, parallelism=8)).records == serial
+    assert started == [2]
+    run_batch(RunConfig(episodes=1, suite=shape, parallelism=8))
+    assert started == [2]
+
+
 class TestSuiteParamsParsing:
     def test_lists_become_tuples_and_sections_parse(self):
         params = suite_params_from_dict(

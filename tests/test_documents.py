@@ -284,6 +284,9 @@ def test_batch_fault_messages(doc, message):
         (lambda: SensorParams(lidar_range=math.inf),
          "sensor.lidar_range: must be positive and finite"),
         (lambda: PlannerParams(view_directions=0), "planner.view_directions: must be >= 1"),
+        (lambda: PlannerParams(min_frontier_cells=0), "planner.min_frontier_cells: must be >= 1"),
+        (lambda: suite_params_from_dict({"planner": {"min_frontier_cells": -3}}),
+         "planner.min_frontier_cells: must be >= 1"),
         (lambda: LandmarkSpec(**{**LANDMARK, "name": " "}), "landmark L0: name must be non-empty"),
         (lambda: LandmarkSpec(**{**LANDMARK, "footprint": (0.2, 0.7, 0.2, 0.9)}),
          "landmark L0: footprint must have positive area"),
@@ -292,7 +295,8 @@ def test_batch_fault_messages(doc, message):
     ids=["suite-sensor", "suite-hyperparams", "suite-planner", "batch-hyperparams",
          "batch-seeded-sensor", "SuiteParams-planner", "SuiteParams-hyperparams",
          "SuiteParams-unknown-key", "SuiteParams-mistyped-value",
-         "HyperParams", "SensorParams", "PlannerParams", "LandmarkSpec-name",
+         "HyperParams", "SensorParams", "PlannerParams", "PlannerParams-frontier-0",
+         "suite-planner-frontier-negative", "LandmarkSpec-name",
          "LandmarkSpec-footprint", "ObjectSpec"],
 )
 def test_out_of_range_values_fail_where_built(build, message):

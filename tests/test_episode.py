@@ -241,9 +241,9 @@ def test_sweep_geometry_entry_is_small(scenarios):
     grid = scenarios[0].map
     res = grid.resolution
     crossings = world._crossing_count(grid, sensor.lidar_range)
-    packed, within = world._sweep_geometry(res, sensor.lidar_rays, sensor.lidar_range, crossings,
-                                           (res / 2, -res / 2, res / 2, -res / 2))
-    assert packed.nbytes + within.nbytes <= 4096
+    entry = world._sweep_geometry(res, sensor.lidar_rays, sensor.lidar_range, crossings,
+                                  (res / 2, -res / 2, res / 2, -res / 2))
+    assert sum(packed.nbytes + within.nbytes for _, packed, within in entry) <= 4096
 
 
 def test_same_seed_same_trace(scenarios, traces, ctx):

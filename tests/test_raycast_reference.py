@@ -341,6 +341,12 @@ def x_offsets(ix, res):
     return (ix + 1) * res - x, ix * res - x
 
 
+def sweep_within(res, rays, max_range, crossings, offsets):
+    """Each ray's count of crossings in range, over all blocks of the sweep."""
+    entry = world._sweep_geometry(res, rays, max_range, crossings, offsets)
+    return np.concatenate([within for _, _, within in entry])
+
+
 class TestLidarSweepMatchesStepwiseWalk:
     @pytest.mark.parametrize("res", [0.02, 0.05, 0.1, 0.2, 0.5])
     @pytest.mark.parametrize("rays", [8, 90, 360, 720])
@@ -398,19 +404,35 @@ class TestLidarSweepMatchesStepwiseWalk:
         geometry = world._sweep_geometry.__wrapped__  # uncached
         one, other = (geometry(res, 8, 0.5, crossings, x_offsets(i, res) * 2)
                       for i in (template, cell))
-        assert not np.array_equal(one[0], other[0])
+        assert not all(np.array_equal(a, b) for (_, a, _), (_, b, _) in zip(one, other))
         world._sweep_geometry.cache_clear()
         origins = [grid.cell_to_world(template, template), grid.cell_to_world(cell, cell)]
         assert_sweeps_match_reference(grid, origins, 8, 0.5)
 
     @pytest.mark.parametrize("rays, max_range, blocks", [(3000, 10.0, 4), (2501, 1.7, 2)])
     def test_more_rays_than_one_block(self, rays, max_range, blocks):
-        # The cached geometry pads each block's rows to the longest ray of
-        # the sweep, and the sweep unpacks it block by block.
+        # The cached geometry packs each block's rows to the longest ray of
+        # that block, and the sweep unpacks it block by block.
         rng = np.random.default_rng(rays)
         grid = random_grid(rng, 40, 34, density=0.1, res=0.1)
         assert len(world._blocks(rays, world._crossing_count(grid, max_range))) == blocks
         assert_sweeps_match_reference(grid, sweep_origins(grid, rng, 2), rays, max_range)
+
+    def test_blocks_unpacked_to_their_own_longest_ray(self):
+        # From just inside a cell's lower-left corner, the rays of the third
+        # quadrant cross more grid lines in range than those of the first,
+        # so a sweep of four quarter-turn blocks packs its blocks to
+        # different lengths, and each is unpacked to its own.
+        res, max_range, ix = 0.1, 5.0, 60
+        grid = GridMap(120, 120, res, np.full((120, 120), CellState.FREE, dtype=np.uint8))
+        crossings = world._crossing_count(grid, max_range)
+        rays = 4 * world._blocks(1, crossings)[0].stop  # four blocks' worth
+        x = ix * res + 1e-3
+        offsets = ((ix + 1) * res - x, ix * res - x) * 2
+        entry = world._sweep_geometry(res, rays, max_range, crossings, offsets)
+        longest = [int(within.max()) for _, _, within in entry]
+        assert len(entry) == 4 and longest[2] > longest[0]
+        assert_sweeps_match_reference(grid, [(x, x)], rays, max_range)
 
     def test_map_too_large_for_int32_cell_indices(self):
         grid = int64_corridor()
@@ -435,7 +457,7 @@ class TestLidarSweepMatchesStepwiseWalk:
         max_range = 3.0 * max(width, height) * res
         crossings = world._crossing_count(grid, max_range)
         offsets = (res / 2, -res / 2, res / 2, -res / 2)
-        within = world._sweep_geometry(res, 8, max_range, crossings, offsets)[1]
+        within = sweep_within(res, 8, max_range, crossings, offsets)
         assert within.max() == 2 * crossings
         for reach in (max_range, 1.5 * res):
             assert_sweeps_match_reference(grid, origins, rays, reach)
@@ -454,7 +476,7 @@ class TestLidarSweepMatchesStepwiseWalk:
         crossings = world._crossing_count(grid, max_range)
         ix = grid.world_to_cell(*origin)[0]
         offsets = ((ix + 1) * res - origin[0], ix * res - origin[0], res / 2, -res / 2)
-        within = world._sweep_geometry(res, 8, max_range, crossings, offsets)[1]
+        within = sweep_within(res, 8, max_range, crossings, offsets)
         assert crossings == width and within.max() == 2 * width
         assert (width + 2) * (3 + 2 * width) >= 2**31
         assert_sweeps_match_reference(grid, [origin], 8, max_range)
