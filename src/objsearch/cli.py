@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a single ``run`` episode ends in failure
 (that is a reported outcome, not an error), 2 on configuration or asset
-problems.
+problems, and 3 when an episode raises after its inputs were accepted
+(:class:`~objsearch.errors.EpisodeError`: a fault in the program, not in a
+document).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .batch import (
     PRESETS,
 )
 from .episode import CandidatePatch, run_episode, trace_to_jsonl
-from .errors import ObjSearchError
+from .errors import EpisodeError, ObjSearchError
 from .suitegen import generate_suite, suite_from_dict
 from .world import ScenarioSpec, load_scenario_file, parse_json, serialize_scenario
 
@@ -145,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except EpisodeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ObjSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

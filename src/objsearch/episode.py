@@ -26,15 +26,19 @@ viewpoint choice, frontier choice and navigation alike, by one rule
 range, which the sweep has just covered, and only when that finds nothing
 on the whole field; a leg's path is walked down the field from its goal.
 A bounded field gives the whole field's answer whenever it gives one, so
-the rule changes no trace.  Across episodes four things are reused, each
+the rule changes no trace.  Across episodes five things are reused, each
 a pure function of its key, so none reads anything an episode writes or
-can change a trace.  Three are cached for the whole process: the lidar's
+can change a trace.  Four are cached for the whole process: the lidar's
 sweep geometry (each ray's crossing order), keyed on resolution, ray
 count, range, crossing count and the pose's exact offsets to its cell's
-grid lines (:func:`~objsearch.world._sweep_geometry`); a sweep's direction
-cosines, keyed on its ray count (:func:`~objsearch.world._sweep_directions`);
-and the distance field's graph layout, keyed on the map's shape
-(:func:`~objsearch.planning._neighbor_slots`).  The fourth is each (target,
+grid lines (:func:`~objsearch.world._sweep_geometry`); the flat-index
+offsets of the cells each ray of a sweep enters, shared by every geometry
+with the same step pattern and keyed on its packed x-step flags, step
+count, block of rays, ray count and the bordered map's width
+(:func:`~objsearch.world._ray_offsets`); a sweep's direction cosines,
+keyed on its ray count (:func:`~objsearch.world._sweep_directions`); and
+the distance field's graph layout, keyed on the map's shape
+(:func:`~objsearch.planning._neighbor_slots`).  The fifth is each (target,
 landmark) co-occurrence score, remembered by the episode's
 :class:`~objsearch.assets.AssetContext`.
 
@@ -54,7 +58,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .assets import AssetContext
-from .errors import DomainError, NoPathError
+from .errors import DomainError, EpisodeError, NoPathError, ObjSearchError
 from .matching import (
     UNKNOWN_LABEL,
     TextEmbeddingStore,
@@ -610,15 +614,22 @@ def run_episode(
     confirm_fn: ConfirmFn | None = None,
 ) -> EpisodeResult:
     """Run one episode: :func:`_search` until a candidate is confirmed, the
-    travel budget is spent, or there is nothing left to explore."""
+    travel budget is spent, or there is nothing left to explore.
+
+    A bad seed or an unembeddable phrase raises as :func:`start_state` finds
+    it; a package error raised after that, by the SPL search or the loop, is
+    raised as an :class:`~objsearch.errors.EpisodeError`."""
     state = start_state(scenario, ctx, seed, confirm_fn)
     _emit(state, "episode_start", seed=state.seed, target=scenario.target_phrase,
           start=scenario.start)
-    shortest = ground_truth_shortest(scenario)
     try:
+        shortest = ground_truth_shortest(scenario)
         success = _search(state)
     except _BudgetSpent:
         success = False
+    except ObjSearchError as exc:
+        raise EpisodeError(f"episode (seed {state.seed}) failed after its inputs were "
+                           f"accepted: {exc}") from exc
     _emit(state, "episode_end", success=success, traveled=state.traveled,
           shortest=shortest if math.isfinite(shortest) else None,
           waypoints_visited=state.waypoints_visited)

@@ -31,3 +31,8 @@ class GenerationError(ObjSearchError):
 
 class AssetError(ObjSearchError):
     """A required asset file is missing or unreadable."""
+
+
+class EpisodeError(ObjSearchError):
+    """An episode raised after its inputs were accepted: a fault in the loop,
+    not in a document.  Its message ends with the wrapped error's."""

@@ -88,13 +88,16 @@ def lidar_update(belief: GridMap, world: GridMap, pose: Pose, rays: int, max_ran
     or off the map) while it is in range.  So crossed cells become Free and
     hit cells Occupied, and known cells never revert to Unknown.  The cells
     are those :func:`raycast_batch` walks through, found for all rays at
-    once in two halves: the geometry half, each ray's merged grid-line
-    crossings, is read from a process-wide cache keyed on the pose's exact
+    once.  What does not depend on the map comes from two process-wide
+    caches: each ray's merged grid-line crossings, keyed on the pose's exact
     offsets to its cell's grid lines (with the resolution, ray count, range
-    and crossing count), and only the map half, which cuts each ray after
-    its first stop, runs per sweep on a copy of the world inside a border
-    of off-map cells.  The sweep writes the belief's cells in place, cell
-    for cell of the world's, so the belief must have the world's width,
+    and crossing count), and the flat-index offsets of the cells they
+    enter, keyed on that step pattern and the map's width.  Per sweep, on a
+    copy of the world inside a border of off-map cells, each block of rays
+    takes one add of the pose cell's index to the offsets, one clipped read
+    of the map, one ``argmax`` for each ray's first stop and one masked mark
+    of the cells up to it.  The sweep writes the belief's cells in place,
+    cell for cell of the world's, so the belief must have the world's width,
     height and resolution.
     """
     geometry = (world.width, world.height, world.resolution)

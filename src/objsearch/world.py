@@ -385,6 +385,9 @@ _OFF_MAP = 3  # border cell of a sweep's padded map; above OCCUPIED, so a ray st
 # Sweep geometries kept: an entry is under 3 KB at the default sensor, and 24
 # episodes sweep from 117 distinct offsets on 14 m maps and 172 on 20 m maps.
 _SWEEP_CACHE_SIZE = 512
+# Step patterns kept: an entry is about 36 KB at the default sensor, and 24
+# episodes' geometries share 33 patterns on 14 m maps and 34 on 20 m maps.
+_OFFSETS_CACHE_SIZE = 64
 
 
 def raycast_batch(
@@ -526,48 +529,6 @@ def _step_order(res, gap_x, gap_y, dx, dy, max_range, crossings):
     return order, within
 
 
-def _cut_rays(padded, ix0, iy0, dx, dy, x_step, within):
-    """Map half: the cells each ray reaches, up to and including its first
-    stop, an occupied cell or a step off the map, while it is in range.
-
-    ``padded`` is the map inside a one-cell border of :data:`_OFF_MAP`,
-    ``ix0``/``iy0`` the origin cell on the map, ``dx``/``dy`` each ray's
-    direction cosines, ``x_step`` (rays, steps) whether each merged crossing
-    is an x step, and ``within`` each ray's count of crossings in range.
-    Returns the flat indices into ``padded`` of the reached cells, origin
-    cell excluded; a stop off the map is a border cell.
-
-    An x step moves the flat index by the sign of ``dx`` and a y step by the
-    sign of ``dy`` times ``width``, so each ray's cells are one cumulative
-    sum from the origin's index.  Each step moves one cell along one axis,
-    so a ray stays on the map up to its first step off it, which lands in
-    the border: one cell of border is all the margin the cut needs.  Later
-    steps may index any cell or none; the read clips them, and they lie
-    past the ray's first stop (an occupied or border cell, or an extra
-    column read as off the map), which is all the cut reads.  A ray reaches
-    the cells of its first ``min(stop + 1, within)`` steps, where ``stop``
-    counts the steps before its first stop.  The sum's magnitude stays below
-    ``width * (height + steps)``, which picks int32 or int64 for it.
-    """
-    n, steps = x_step.shape
-    height, width = padded.shape
-    index = np.int32 if width * (height + steps) < 2**31 else np.int64
-    move_x = np.sign(dx).astype(index)
-    move_y = np.sign(dy).astype(index) * width
-    cell = np.empty((n, steps + 1), dtype=index)
-    run = cell[:, :steps]
-    np.multiply(x_step, (move_x - move_y)[:, None], out=run)
-    run += move_y[:, None]
-    run[:, :1] += (iy0 + 1) * width + ix0 + 1
-    np.cumsum(run, axis=1, out=run)
-    cell[:, steps] = 0  # a corner of the border
-    # int32 sums faster, but NumPy indexes with intp without converting.
-    cell = cell.astype(np.intp, copy=False)
-    first = np.argmax(padded.take(cell, mode="clip") >= CellState.OCCUPIED.value, axis=1)
-    cut = np.minimum(first + 1, within)
-    return cell[np.arange(steps + 1) < cut[:, None]]
-
-
 @lru_cache(maxsize=_SWEEP_CACHE_SIZE)
 def _sweep_geometry(res, rays, max_range, crossings, offsets):
     """The geometry half of a sweep of ``rays`` evenly spaced bearings from
@@ -596,38 +557,94 @@ def _sweep_geometry(res, rays, max_range, crossings, offsets):
     return tuple(entry)
 
 
+@lru_cache(maxsize=_OFFSETS_CACHE_SIZE)
+def _ray_offsets(flags, steps, start, stop, rays, width):
+    """The flat-index offsets from the origin's cell of the cells the rays
+    ``start:stop`` of a sweep of ``rays`` bearings step into, in a row-major
+    map ``width`` cells wide (the sweep's bordered map): one row per ray,
+    one column per merged crossing,
+    the first ``steps`` of them, whose x-step flags :func:`_sweep_geometry`
+    packed into the bytes ``flags``, then one spare column of zeros for the
+    sweep's extra off-map column.
+
+    A step enters one cell (the Amanatides & Woo walk crosses one grid line
+    per step): an x step moves the flat index by the sign of ``dx`` and a y
+    step by the sign of ``dy`` times ``width``, so each ray's offsets are
+    one cumulative sum of its moves.  They depend on the step pattern and
+    the width alone, not on the map's cells, the origin or its exact
+    offsets, so they are cached for the whole process and shared by every
+    geometry entry with the same pattern.  A step moves the index by at most
+    ``width``, so the offsets stay below ``(width + 1) * steps`` in
+    magnitude, which picks the smallest signed type that holds them (int16
+    at the default sensor on maps up to 60 m wide at 0.1 m) to keep entries
+    small.
+    """
+    dx, dy = _sweep_directions(rays)
+    move_x = np.sign(dx[start:stop]).astype(np.intp)
+    move_y = np.sign(dy[start:stop]).astype(np.intp) * width
+    packed = np.frombuffer(flags, dtype=np.uint8).reshape(move_x.shape[0], -1)
+    x_step = np.unpackbits(packed, axis=1, count=steps).view(bool)
+    offsets = np.zeros((move_x.shape[0], steps + 1),
+                       dtype=np.min_scalar_type(-(width + 1) * steps))
+    offsets[:, :steps] = np.cumsum(np.where(x_step, move_x[:, None], move_y[:, None]), axis=1)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _raycast_sweep(grid, origin, rays, max_range, cells: np.ndarray) -> None:
     """Copy into ``cells``, a belief of ``grid``'s geometry, ``grid``'s value
     of every cell that ``rays`` evenly spaced rays from ``origin``, in a free
     cell, reach: the origin cell, and each ray's cells up to and including
     its first stop, an occupied cell or a step off the map, while it is in
     range.  The rays step as :func:`_walk` does, on bearings
-    ``k * 2 pi / rays``, found for all rays at once in two halves: the
-    geometry half (:func:`_step_order`) merges each ray's grid-line
-    crossings within range, and the map half (:func:`_cut_rays`) cuts each
-    ray after its first stop.
+    ``k * 2 pi / rays``.
 
-    The geometry half comes from :func:`_sweep_geometry`, keyed on the
-    origin's exact offsets to its cell's grid lines; only the map half runs
-    per sweep.  It reads a copy of ``grid`` inside a one-cell border of
-    :data:`_OFF_MAP`, so leaving the map is one more stop, and marks the
-    cells it reaches in a mask of that bordered shape.  A stop off the map
-    marks a border cell, and only the mask's inner cells are copied.
+    What does not depend on the map is cached for the whole process: each
+    ray's merged grid-line crossings within range (:func:`_sweep_geometry`,
+    keyed on the origin's exact offsets to its cell's grid lines), and the
+    flat-index offsets of the cells they enter (:func:`_ray_offsets`, keyed
+    on the step pattern and the map's width).  Per sweep, the map is copied
+    inside a one-cell border of :data:`_OFF_MAP`, so leaving the map is one
+    more stop; then per block of rays there is one add of the origin cell's
+    flat index to the offsets, one clipped read of the bordered map, one
+    ``argmax`` for each ray's first stop and one masked mark of the cells
+    before each ray's cut in a mask of the bordered shape.  Only the mask's
+    inner cells are copied.
+
+    Each step moves one cell along one axis, so a ray stays on the map up to
+    its first step off it, which lands in the border: one cell of border is
+    all the margin the cut needs.  Later steps may index any cell or none;
+    the read clips them to the bordered map's first or last cell, and they
+    lie past the ray's first stop, which is all the cut reads.  One extra
+    column of index 0, a corner of the border, gives a ray with no stop
+    among its steps a stop at ``steps``.  A ray reaches the cells of its
+    first ``min(stop + 1, within)`` steps, where ``stop`` counts the steps
+    before its first stop and ``within`` its crossings in range.  The
+    origin's index is an ``np.intp`` added in ``intp`` (``dtype=np.intp``),
+    so the offsets' small type cannot overflow the sum under either of
+    NumPy's promotion rules, value-based before NEP 50 or not.
     """
     x, y = origin
     res = grid.resolution
     ix, iy = grid.world_to_cell(x, y)
     crossings = _crossing_count(grid, max_range)
     offsets = ((ix + 1) * res - x, ix * res - x, (iy + 1) * res - y, iy * res - y)
-    dx, dy = _sweep_directions(rays)
     padded = np.full((grid.height + 2, grid.width + 2), _OFF_MAP, dtype=np.uint8)
     padded[1:-1, 1:-1] = grid.cells
+    width = padded.shape[1]
+    start = np.intp((iy + 1) * width + ix + 1)
     seen = np.zeros(padded.shape, dtype=bool)
-    seen[iy + 1, ix + 1] = True
     flat = seen.reshape(-1)
+    flat[start] = True
     for block, packed, within in _sweep_geometry(res, rays, max_range, crossings, offsets):
-        x_step = np.unpackbits(packed, axis=1, count=int(within.max())).view(bool)
-        flat[_cut_rays(padded, ix, iy, dx[block], dy[block], x_step, within)] = True
+        steps = int(within.max())
+        ray_offsets = _ray_offsets(packed.tobytes(), steps, block.start, block.stop, rays, width)
+        cell = np.add(ray_offsets, start, dtype=np.intp)
+        cell[:, steps] = 0  # a corner of the border
+        first = np.argmax(padded.take(cell, mode="clip") >= CellState.OCCUPIED.value, axis=1)
+        # Compared in the counts' small type, which holds every value here.
+        cut = np.minimum(first + 1, within).astype(within.dtype)
+        flat[cell[np.arange(steps + 1, dtype=within.dtype) < cut[:, None]]] = True
     np.copyto(cells, grid.cells, where=seen[1:-1, 1:-1])
 
 

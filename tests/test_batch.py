@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from objsearch import batch
+from objsearch import batch, episode
 from objsearch.batch import (
     PRESETS,
     EpisodeRecord,
@@ -335,6 +335,27 @@ class TestCliExitCodes:
         doc = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
         assert doc["spl_faults"] == 1
         assert doc["spl"] == pytest.approx(4.0 / 4.5 / 2)
+
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    def test_error_raised_mid_episode_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        """An error that escapes the episode loop after its inputs were
+        accepted is a fault in the program, not in a document: it exits 3,
+        while a bad document still exits 2."""
+        def fault(state):
+            raise DomainError("injected loop fault")
+
+        monkeypatch.setattr(episode, "_search", fault)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(serialize_scenario(box_scenario()), encoding="utf-8")
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({"scenarios": [str(scenario)]}), encoding="utf-8")
+        argv = [command, str(scenario if command == "run" else config)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: episode (seed ") and "injected loop fault" in err
+        scenario.write_text("{", encoding="utf-8")
+        assert main(argv) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -77,7 +77,7 @@ from objsearch.world import (
     normalize_angle,
     serialize_scenario,
 )
-from util import box_scenario, open_border_scenario, reference_confirms
+from util import box_scenario, open_border_scenario, reference_confirms, sweep_offsets
 
 SUITE = SuiteParams(count=3, rooms=3, landmarks=6, map_side=14.0)
 SUITE_SEED = 0
@@ -188,27 +188,34 @@ def golden_digests(scenarios, ctx):
 
 
 def test_sweep_geometry_cache_cannot_change_traces(scenarios, ctx):
-    """The goldens hold from a cleared cache, after a warm-up in reverse
-    episode order, and with the cache full of other keys, so that it evicts
-    while the episodes run; the cache never grows past its size."""
-    cache = world._sweep_geometry
-    size = cache.cache_info().maxsize
-    cache.cache_clear()
+    """The goldens hold from cleared sweep caches (the crossing orders and
+    the offsets shared per step pattern), after a warm-up in reverse episode
+    order, and with both caches full of other keys, so that they evict
+    while the episodes run; neither grows past its size."""
+    caches = (world._sweep_geometry, world._ray_offsets)
+    for cache in caches:
+        cache.cache_clear()
     assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
-    cache.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     for i in reversed(range(len(scenarios))):
         run_episode(scenarios[i], ctx=ctx, seed=i)
     assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
-    for k in range(size + 10):
-        cache(0.1, 4, 0.3, 6, (0.05 + k * 1e-9, -0.05, 0.05, -0.05))
-    assert cache.cache_info().currsize == size
+    geometry, offsets = (cache.cache_info().maxsize for cache in caches)
+    for k in range(geometry + 10):
+        world._sweep_geometry(0.1, 4, 0.3, 6, (0.05 + k * 1e-9, -0.05, 0.05, -0.05))
+    for k in range(offsets + 10):
+        world._ray_offsets(b"\x80", 1, 0, 1, 4, 3 + k)  # one ray, one x step
+    sizes = [cache.cache_info().currsize for cache in caches]
+    assert sizes == [geometry, offsets]
     assert golden_digests(scenarios, ctx) == (TRACE_SHA256, RECORDS_SHA256)
-    assert cache.cache_info().currsize == size
+    assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 # What outlives an episode in a process besides its AssetContext, as the
 # episode module's docstring lists it: a new cache changes this on purpose.
-PROCESS_CACHES = ["planning._neighbor_slots", "world._sweep_directions", "world._sweep_geometry"]
+PROCESS_CACHES = ["planning._neighbor_slots", "world._ray_offsets", "world._sweep_directions",
+                  "world._sweep_geometry"]
 
 
 def process_caches():
@@ -244,6 +251,18 @@ def test_sweep_geometry_entry_is_small(scenarios):
     entry = world._sweep_geometry(res, sensor.lidar_rays, sensor.lidar_range, crossings,
                                   (res / 2, -res / 2, res / 2, -res / 2))
     assert sum(packed.nbytes + within.nbytes for _, packed, within in entry) <= 4096
+
+
+def test_ray_offsets_cache_fits_its_byte_budget(scenarios):
+    """Full, the offsets cache holds at most 3 MiB at the default sensor:
+    one entry's bytes, for a sweep from a cell centre of a golden map (36 KB
+    of int16), times its size.  Nav's sweeps share 33 step patterns, so
+    they fill about half of it."""
+    sensor = SensorParams()
+    grid = scenarios[0].map
+    offsets = sweep_offsets(grid, grid.cell_to_world(1, 1), sensor.lidar_rays, sensor.lidar_range)
+    nbytes = sum(block.nbytes for block in offsets)
+    assert nbytes * world._ray_offsets.cache_info().maxsize <= 3 * 2**20
 
 
 def test_same_seed_same_trace(scenarios, traces, ctx):

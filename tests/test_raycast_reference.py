@@ -12,7 +12,10 @@ those cells into the belief in one pass over all rays, must give the belief
 they give.  The sweep reads its crossing order from a cache keyed on
 the origin's exact offsets to its cell's grid lines, so its beliefs are
 checked from origins whose offsets differ by a single ulp too, over several
-blocks of rays, and with int64 cell indices.
+blocks of rays, and with int64 cell indices.  The flat-index offsets of its
+cells come from a second cache, keyed on the step pattern and the map's
+width, so beliefs are checked on maps of two widths swept from equal
+offsets, and from origins whose index passes the int16 offsets' range.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from objsearch import world
 from objsearch.errors import DomainError
 from objsearch.sensing import lidar_update
 from objsearch.world import CellState, GridMap, Pose, raycast_batch
-from util import empty_rows, stepwise_ray, stepwise_raycast_batch, unknown_belief
+from util import empty_rows, stepwise_ray, stepwise_raycast_batch, sweep_offsets, unknown_belief
 
 
 def assert_same_as_reference(grid, origin, bearings, max_range):
@@ -464,10 +467,9 @@ class TestLidarSweepMatchesStepwiseWalk:
 
     def test_sweep_too_long_for_int32_cell_indices(self):
         # A diagonal ray on a 1-row map 34,000 cells long, in range of every
-        # crossing, takes 68,000 steps, and the bound on its index sum over
-        # the bordered map, 34,002 * (3 + 68,000), passes 2**31, so its
-        # cells are summed in int64.  Walls near the origin keep the
-        # reference walk short.
+        # crossing, takes 68,000 steps, and the bound on its offsets over
+        # the bordered map, (34,002 + 1) * 68,000, passes 2**31, so they are
+        # int64.  Walls near the origin keep the reference walk short.
         width, res, max_range = 34_000, 0.1, 5_000.0
         cells = np.full((1, width), CellState.FREE, dtype=np.uint8)
         cells[0, [16_990, 17_010]] = CellState.OCCUPIED
@@ -478,5 +480,39 @@ class TestLidarSweepMatchesStepwiseWalk:
         offsets = ((ix + 1) * res - origin[0], ix * res - origin[0], res / 2, -res / 2)
         within = sweep_within(res, 8, max_range, crossings, offsets)
         assert crossings == width and within.max() == 2 * width
-        assert (width + 2) * (3 + 2 * width) >= 2**31
+        assert (width + 3) * 2 * width >= 2**31
         assert_sweeps_match_reference(grid, [origin], 8, max_range)
+        assert np.dtype(np.int64) in {e.dtype for e in sweep_offsets(grid, origin, 8, max_range)}
+
+    def test_padded_index_past_int16_with_int16_offsets(self):
+        # On a 300 x 300 map at 0.1 m the bordered map is 302 cells wide, so
+        # an origin above row 107 has a flat index past 32,767, while a
+        # 0.5 m sweep takes at most 16 steps (8 crossings per axis), whose
+        # offsets, below 303 * 16 in magnitude, are int16.  Adding such an
+        # origin to int16 offsets in int16 would overflow.
+        rng = np.random.default_rng(36)
+        grid = random_grid(rng, 300, 300, density=0.1, res=0.1)
+        origins = [(x, y) for x, y in free_origins(grid, rng, 12)
+                   if (int(y / 0.1) + 1) * 302 > 2**15]
+        assert len(origins) >= 6
+        assert_sweeps_match_reference(grid, origins, 90, 0.5)
+        for origin in origins:
+            assert {e.dtype for e in sweep_offsets(grid, origin, 90, 0.5)} == {np.dtype(np.int16)}
+
+    def test_offsets_cache_is_keyed_on_the_map_width(self):
+        """Two maps of different widths, swept in alternation from origins
+        with the same exact offsets, share every crossing order and step
+        pattern but not their flat-index offsets: a y step moves the index
+        by a whole row of the bordered map.  An offsets cache keyed without
+        the width would serve one map the other's offsets, and fail here."""
+        rng = np.random.default_rng(37)
+        narrow, wide = (random_grid(rng, w, 30, density=0.1, res=0.1) for w in (30, 41))
+        cells = [(ix, iy) for ix, iy in ((7, 9), (15, 15), (22, 20))
+                 if narrow.cells[iy, ix] == wide.cells[iy, ix] == CellState.FREE]
+        assert len(cells) >= 2
+        world._ray_offsets.cache_clear()
+        for ix, iy in cells:
+            origin = narrow.cell_to_world(ix, iy)
+            for grid in (narrow, wide, narrow):
+                assert_sweeps_match_reference(grid, [origin], 90, 1.2)
+        assert world._ray_offsets.cache_info().hits > 0

@@ -1,7 +1,7 @@
 """Shared helpers: small test scenarios, the step-by-step grid walk, the
-confirming rule tested one cell at a time on it, and one camera frame and
-one candidate's confirmation computed entity by entity from its pose
-alone."""
+confirming rule tested one cell at a time on it, one camera frame and one
+candidate's confirmation computed entity by entity from its pose alone,
+and a lookup of a lidar sweep's cached cell offsets."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from objsearch import world
 from objsearch.errors import DomainError
 from objsearch.matching import UNKNOWN_LABEL, unit
 from objsearch.sensing import bbox_from_geometry
@@ -348,3 +349,16 @@ def reference_camera_frame(scenario, store, pose, rng):
         frame.append(("clutter", UNKNOWN_LABEL, bbox_from_geometry(rel, distance, 0.2, hp.fov),
                       emb, distance, rel))
     return frame
+
+
+def sweep_offsets(grid, origin, rays, max_range):
+    """The cached flat-index offsets of each block of a sweep, looked up by
+    the key the sweep derives from its geometry."""
+    (x, y), res = origin, grid.resolution
+    ix, iy = grid.world_to_cell(x, y)
+    crossings = world._crossing_count(grid, max_range)
+    offsets = ((ix + 1) * res - x, ix * res - x, (iy + 1) * res - y, iy * res - y)
+    entry = world._sweep_geometry(res, rays, max_range, crossings, offsets)
+    return [world._ray_offsets(packed.tobytes(), int(within.max()), block.start, block.stop,
+                               rays, grid.width + 2)
+            for block, packed, within in entry]
